@@ -4,7 +4,7 @@ anticlockwise Larmor arcs outside it.
 Subpackage map:
 
 * :mod:`imbilliards.curves` — boundary geometry (circle, ellipse,
-  superellipse, stadium, generic implicit curves).
+  superellipse, stadium) and boundary frames.
 * :mod:`imbilliards.collision` — chord exit and Larmor-arc re-entry.
 * :mod:`imbilliards.dynamics` — the map on the phase annulus, orbit
   iteration, closed-form and finite-difference linearizations.
@@ -23,7 +23,7 @@ from .curves import (  # noqa: F401
     Circle,
     Curve,
     Ellipse,
-    ImplicitSmooth,
+    Frame,
     Stadium,
     Superellipse,
     make_curve,

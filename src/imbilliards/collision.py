@@ -14,6 +14,10 @@ bound is reliable; for the Larmor circle we sample N=512 sweep angles and
 take the first transversal crossing past a small sweep guard (the circle
 is tangent to the chord at P1, so re-detection of P1 is excluded by sweep
 angle, not by distance).
+
+Both routines take the boundary frame (:class:`~imbilliards.curves.Frame`)
+of the point they start from and return the frame of the point they reach,
+so a map step resolves each boundary point once.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .curves import Curve, rot90
+from .curves import Curve, Frame, rot90
 from .errors import NoInteriorHit, NoReentry, TangentialChord, TangentialContact
 
 __all__ = ["ChordHit", "LarmorHit", "chord_exit", "larmor_reentry"]
@@ -38,9 +42,14 @@ N_SWEEP_SAMPLES = 512  # dense sampling of the Larmor circle
 class ChordHit:
     """Where the straight chord leaves the table."""
 
-    s1: float      # arclength of the exit point P1
-    theta1: float  # angle in (0, pi) between chord direction and tangent at P1
-    ell1: float    # chord length |P0 P1|
+    frame1: Frame   # boundary frame at the exit point P1
+    theta1: float   # angle in (0, pi) between chord direction and tangent at P1
+    ell1: float     # chord length |P0 P1|
+    v: np.ndarray   # unit chord direction, built from the launch frame
+
+    @property
+    def s1(self) -> float:
+        return self.frame1.s
 
 
 @dataclass(frozen=True)
@@ -57,12 +66,16 @@ class LarmorHit:
     corner" of the table.
     """
 
-    s2: float
+    frame2: Frame  # boundary frame at the re-entry point P2
     theta2: float
     chi: float
     ell2: float
     arc_sweep: float
     n_crossings: int
+
+    @property
+    def s2(self) -> float:
+        return self.frame2.s
 
 
 def _incidence_angle(v: np.ndarray, tangent: np.ndarray, *, entering: bool) -> float:
@@ -80,8 +93,30 @@ def _incidence_angle(v: np.ndarray, tangent: np.ndarray, *, entering: bool) -> f
     return math.atan2(normal_part, float(v @ tangent))
 
 
-def chord_exit(curve: Curve, s0: float, theta0: float) -> ChordHit:
-    """First boundary intersection of the chord launched from (s0, theta0).
+# Root-finding residuals live at module level and take the curve as an
+# argument, so no closure over the curve outlives a solve.
+def _chord_residual(r: float, curve: Curve, p0: np.ndarray, v: np.ndarray) -> float:
+    return float(curve.implicit(p0 + r * v))
+
+
+def _arc_point(psi: float, center: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    c, s = math.cos(psi), math.sin(psi)
+    return center + np.array([c * rel[0] - s * rel[1], s * rel[0] + c * rel[1]])
+
+
+def _arc_residual(psi: float, curve: Curve, center: np.ndarray, rel: np.ndarray) -> float:
+    return float(curve.implicit(_arc_point(psi, center, rel)))
+
+
+def _arc_slope(psi: float, curve: Curve, center: np.ndarray, rel: np.ndarray) -> float:
+    # d/dpsi F(arc_point) = grad F . rot90(arc_point - center)
+    p = _arc_point(psi, center, rel)
+    return float(curve.implicit_gradient(p) @ rot90(p - center))
+
+
+def chord_exit(curve: Curve, frame0: Frame, theta0: float) -> ChordHit:
+    """First boundary intersection of the chord launched from the boundary
+    point ``frame0`` at angle ``theta0`` from its tangent.
 
     Raises :class:`TangentialChord` for theta0 within ``ANGLE_EPS`` of
     {0, pi} (the map is the identity there) and :class:`NoInteriorHit`
@@ -91,32 +126,30 @@ def chord_exit(curve: Curve, s0: float, theta0: float) -> ChordHit:
     if theta0 < ANGLE_EPS or theta0 > math.pi - ANGLE_EPS:
         raise TangentialChord(f"launch angle {theta0!r} is within {ANGLE_EPS} of 0 or pi")
 
-    p0 = curve.point_at(s0)
-    tangent = curve.tangent_at(s0)
+    p0 = frame0.point
+    tangent = frame0.tangent
     v = math.cos(theta0) * tangent + math.sin(theta0) * rot90(tangent)
-
-    def f(r: float) -> float:
-        return float(curve.implicit(p0 + r * v))
+    args = (curve, p0, v)
 
     eps_sep = 1e-9 * curve.total_length()
     r_hi = 1.01 * curve.diameter_bound()
-    if f(r_hi) <= 0.0:  # pragma: no cover - diameter bound is conservative
+    if _chord_residual(r_hi, *args) <= 0.0:  # pragma: no cover - diameter bound is conservative
         raise NoInteriorHit("ray does not leave the table within the diameter bound")
 
     # F is convex along the ray with F(0) = 0 and F < 0 on (0, r_exit):
     # shrink geometrically until we land inside the negative stretch.
     r_lo = 0.5 * r_hi
     shrinks = 0
-    while f(r_lo) >= 0.0:
+    while _chord_residual(r_lo, *args) >= 0.0:
         r_hi = r_lo
         r_lo *= 0.5
         shrinks += 1
         if r_lo < eps_sep or shrinks > 80:
             raise NoInteriorHit(
-                f"no interior travel beyond {eps_sep:.3e} from s0={s0!r}: "
+                f"no interior travel beyond {eps_sep:.3e} from s0={frame0.s!r}: "
                 "the ray exits immediately"
             )
-    r = brentq(f, r_lo, r_hi, xtol=1e-13, rtol=8.9e-16)
+    r = brentq(_chord_residual, r_lo, r_hi, args=args, xtol=1e-13, rtol=8.9e-16)
 
     # Newton polish on the implicit value.
     for _ in range(2):
@@ -125,14 +158,14 @@ def chord_exit(curve: Curve, s0: float, theta0: float) -> ChordHit:
         if df != 0.0:
             r -= float(curve.implicit(p)) / df
 
-    p1 = p0 + r * v
-    s1 = curve.locate(p1)
-    theta1 = _incidence_angle(v, curve.tangent_at(s1), entering=False)
-    return ChordHit(s1=s1, theta1=theta1, ell1=float(r))
+    frame1 = curve.frame_of(p0 + r * v)
+    theta1 = _incidence_angle(v, frame1.tangent, entering=False)
+    return ChordHit(frame1=frame1, theta1=theta1, ell1=float(r), v=v)
 
 
-def larmor_reentry(curve: Curve, s1: float, v: np.ndarray, mu: float) -> LarmorHit:
-    """First boundary crossing of the anticlockwise Larmor arc from P1.
+def larmor_reentry(curve: Curve, frame1: Frame, v: np.ndarray, mu: float) -> LarmorHit:
+    """First boundary crossing of the anticlockwise Larmor arc from the exit
+    point ``frame1``.
 
     ``v`` is the unit chord direction at the exit point; the Larmor center
     sits at P1 + mu * rot90(v).  The crossing is located on the implicit
@@ -141,16 +174,11 @@ def larmor_reentry(curve: Curve, s1: float, v: np.ndarray, mu: float) -> LarmorH
     """
     if mu <= 0:
         raise ValueError(f"Larmor radius must be positive, got {mu}")
-    p1 = curve.point_at(s1)
+    s1 = frame1.s
+    p1 = frame1.point
     center = p1 + mu * rot90(v)
     rel = p1 - center  # radius vector, |rel| = mu
-
-    def arc_point(psi: float) -> np.ndarray:
-        c, s = math.cos(psi), math.sin(psi)
-        return center + np.array([c * rel[0] - s * rel[1], s * rel[0] + c * rel[1]])
-
-    def f(psi: float) -> float:
-        return float(curve.implicit(arc_point(psi)))
+    args = (curve, center, rel)
 
     # Dense sweep sampling, one vectorized implicit evaluation.
     psis = np.linspace(SWEEP_GUARD, 2.0 * math.pi - SWEEP_GUARD, N_SWEEP_SAMPLES)
@@ -178,33 +206,28 @@ def larmor_reentry(curve: Curve, s1: float, v: np.ndarray, mu: float) -> LarmorH
         )
     i = entering[0]
     a, b = float(psis[i]), float(psis[i + 1])
-    if f(a) <= 0.0 or f(b) >= 0.0:  # pragma: no cover - defensive
+    if _arc_residual(a, *args) <= 0.0 or _arc_residual(b, *args) >= 0.0:  # pragma: no cover - defensive
         raise TangentialContact("bracketing sign change collapsed under refinement")
-    psi = brentq(f, a, b, xtol=1e-13, rtol=8.9e-16)
+    psi = brentq(_arc_residual, a, b, args=args, xtol=1e-13, rtol=8.9e-16)
 
-    def df(psi: float) -> float:
-        # d/dpsi F(arc_point) = grad F . rot90(arc_point - center)
-        p = arc_point(psi)
-        return float(curve.implicit_gradient(p) @ rot90(p - center))
-
-    slope = df(psi)
-    arc_scale = float(np.hypot(*curve.implicit_gradient(arc_point(psi)))) * mu
+    slope = _arc_slope(psi, *args)
+    arc_scale = float(np.hypot(*curve.implicit_gradient(_arc_point(psi, center, rel)))) * mu
     if abs(slope) < 1e-10 * max(arc_scale, 1e-30):
         raise TangentialContact(
             f"Larmor circle grazes the boundary tangentially at sweep {psi!r}"
         )
     for _ in range(2):
-        psi -= f(psi) / df(psi)
+        psi -= _arc_residual(psi, *args) / _arc_slope(psi, *args)
 
-    p2 = arc_point(psi)
-    s2 = curve.locate(p2)
+    p2 = _arc_point(psi, center, rel)
+    frame2 = curve.frame_of(p2)
     v2 = np.array(
         [
             math.cos(psi) * v[0] - math.sin(psi) * v[1],
             math.sin(psi) * v[0] + math.cos(psi) * v[1],
         ]
     )
-    theta2 = _incidence_angle(v2, curve.tangent_at(s2), entering=True)
+    theta2 = _incidence_angle(v2, frame2.tangent, entering=True)
 
     delta = p2 - p1
     ell2 = float(np.hypot(*delta))
@@ -214,6 +237,6 @@ def larmor_reentry(curve: Curve, s1: float, v: np.ndarray, mu: float) -> LarmorH
     if chi <= 0.0:
         chi += 2.0 * math.pi  # numerically hugging pi from above
     return LarmorHit(
-        s2=s2, theta2=theta2, chi=chi, ell2=ell2, arc_sweep=float(psi),
+        frame2=frame2, theta2=theta2, chi=chi, ell2=ell2, arc_sweep=float(psi),
         n_crossings=n_crossings,
     )

@@ -4,19 +4,27 @@ Every table is a simple closed curve parametrized anticlockwise by arc
 length, with ``s = 0`` at the rightmost boundary point (the intersection
 with the positive x-axis).  A curve exposes
 
-* ``point_at(s)``, ``tangent_at(s)``, ``curvature_at(s)`` — pointwise
-  differential geometry in the arclength chart;
+* ``frame_at(s)`` — the :class:`Frame` (point, unit tangent, curvature) of
+  the boundary point at arclength ``s``;
+* ``frame_of(p)`` — the frame of a point ``p`` on the boundary, including
+  its arclength; the inverse of ``frame_at``;
+* ``point_at``, ``tangent_at``, ``curvature_at`` and ``locate`` — one field
+  of one of the two frame queries;
 * ``implicit(p)`` / ``implicit_gradient(p)`` — a defining function F with
   F < 0 strictly inside, used by the collision routines (``implicit``
   accepts arrays of points and is vectorized);
-* ``locate(p)`` — inverse of ``point_at`` for points on the boundary;
 * ``contains(p)``, ``total_length()``.
+
+One map step builds one frame per boundary point it visits and passes it
+on, so each point is resolved once.
 
 Circle and stadium have exact arclength formulas.  Ellipse and
 superellipse are defined through a native angle parameter and carry an
 :class:`ArclengthTable`: cumulative Gauss–Legendre quadrature of the
-parametric speed on a dense panel grid, inverted by monotone cubic
-(PCHIP) interpolation plus a Newton polish on the quadrature itself.
+parametric speed on a dense panel grid.  ``frame_of`` reads the native
+parameter off the point and needs only the forward quadrature; ``frame_at``
+inverts the chart once, seeding by linear interpolation between the table
+nodes and polishing with Newton steps on the quadrature itself.
 
 The inward unit normal is the positive quarter-turn of the tangent; for an
 anticlockwise convex boundary this points into the table and equals
@@ -25,20 +33,21 @@ anticlockwise convex boundary this points into the table and equals
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
+    "Frame",
     "Curve",
     "Circle",
     "Ellipse",
     "Superellipse",
     "Stadium",
-    "ImplicitSmooth",
     "ArclengthTable",
     "make_curve",
     "rot90",
@@ -53,6 +62,16 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 def rot90(v: np.ndarray) -> np.ndarray:
     """Rotate a 2-vector by +90 degrees (anticlockwise)."""
     return np.array([-v[1], v[0]])
+
+
+@dataclass(frozen=True)
+class Frame:
+    """A boundary point with its arclength, unit tangent and curvature."""
+
+    s: float
+    point: np.ndarray
+    tangent: np.ndarray
+    curvature: float
 
 
 class ArclengthTable:
@@ -74,7 +93,6 @@ class ArclengthTable:
         panel_lengths = half * (speed(pts.ravel()).reshape(pts.shape) @ _GL_WEIGHTS)
         self.s_nodes = np.concatenate(([0.0], np.cumsum(panel_lengths)))
         self.total_length = float(self.s_nodes[-1])
-        self._t_of_s_guess = PchipInterpolator(self.s_nodes, self.t_nodes)
 
     def s_of_t(self, t: float) -> float:
         """Arclength from parameter 0 to ``t`` (t in [0, 2*pi])."""
@@ -92,7 +110,7 @@ class ArclengthTable:
     def t_of_s(self, s: float) -> float:
         """Parameter at arclength ``s`` (s in [0, L]); Newton-polished."""
         s = float(np.clip(s, 0.0, self.total_length))
-        t = float(self._t_of_s_guess(s))
+        t = float(np.interp(s, self.s_nodes, self.t_nodes))
         for _ in range(3):
             t -= (self.s_of_t(t) - s) / float(self._speed(np.array([t]))[0])
             t = min(max(t, 0.0), _TWO_PI)
@@ -106,13 +124,12 @@ class Curve(ABC):
     def total_length(self) -> float: ...
 
     @abstractmethod
-    def point_at(self, s: float) -> np.ndarray: ...
+    def frame_at(self, s: float) -> Frame:
+        """Frame of the boundary point at arclength ``s`` (taken mod L)."""
 
     @abstractmethod
-    def tangent_at(self, s: float) -> np.ndarray: ...
-
-    @abstractmethod
-    def curvature_at(self, s: float) -> float: ...
+    def frame_of(self, p: np.ndarray) -> Frame:
+        """Frame of a point on (or within 1e-8 of) the boundary."""
 
     @abstractmethod
     def implicit(self, p: np.ndarray) -> np.ndarray | float:
@@ -122,9 +139,18 @@ class Curve(ABC):
     @abstractmethod
     def implicit_gradient(self, p: np.ndarray) -> np.ndarray: ...
 
-    @abstractmethod
+    def point_at(self, s: float) -> np.ndarray:
+        return self.frame_at(s).point
+
+    def tangent_at(self, s: float) -> np.ndarray:
+        return self.frame_at(s).tangent
+
+    def curvature_at(self, s: float) -> float:
+        return self.frame_at(s).curvature
+
     def locate(self, p: np.ndarray) -> float:
         """Arclength of a point on (or within 1e-8 of) the boundary."""
+        return self.frame_of(p).s
 
     def inward_normal_at(self, s: float) -> np.ndarray:
         return rot90(self.tangent_at(s))
@@ -161,16 +187,16 @@ class Circle(Curve):
     def total_length(self) -> float:
         return _TWO_PI * self.R
 
-    def point_at(self, s: float) -> np.ndarray:
-        a = self.wrap(s) / self.R
-        return self.R * np.array([math.cos(a), math.sin(a)])
+    def frame_at(self, s: float) -> Frame:
+        s = self.wrap(s)
+        a = s / self.R
+        c, sn = math.cos(a), math.sin(a)
+        return Frame(s, self.R * np.array([c, sn]), np.array([-sn, c]), 1.0 / self.R)
 
-    def tangent_at(self, s: float) -> np.ndarray:
-        a = self.wrap(s) / self.R
-        return np.array([-math.sin(a), math.cos(a)])
-
-    def curvature_at(self, s: float) -> float:
-        return 1.0 / self.R
+    def frame_of(self, p) -> Frame:
+        p = np.asarray(p, dtype=float)
+        self._check_on_boundary(p)
+        return self.frame_at(self.R * math.atan2(p[1], p[0]))
 
     def implicit(self, p):
         p = np.asarray(p, dtype=float)
@@ -179,11 +205,6 @@ class Circle(Curve):
     def implicit_gradient(self, p):
         p = np.asarray(p, dtype=float)
         return 2.0 * p
-
-    def locate(self, p) -> float:
-        p = np.asarray(p, dtype=float)
-        self._check_on_boundary(p)
-        return self.wrap(self.R * math.atan2(p[1], p[0]))
 
     def diameter_bound(self) -> float:
         return 2.0 * self.R
@@ -195,29 +216,49 @@ class _TableCurve(Curve):
     _table: ArclengthTable
 
     # subclass interface -----------------------------------------------------
-    def _pt(self, t: float) -> np.ndarray: ...
-    def _vel(self, t: float) -> np.ndarray: ...
-    def _kappa(self, t: float) -> float: ...
+    def _geometry(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """Point, parametric velocity and curvature at native parameter t."""
+
     def _t_of_point(self, p: np.ndarray) -> float: ...
-    def _speed_arr(self, t: np.ndarray) -> np.ndarray: ...
 
     def total_length(self) -> float:
         return self._table.total_length
 
-    def point_at(self, s: float) -> np.ndarray:
-        return self._pt(self._table.t_of_s(self.wrap(s)))
+    def _frame(self, s: float, t: float) -> Frame:
+        point, vel, kappa = self._geometry(t)
+        return Frame(s, point, vel / np.hypot(*vel), kappa)
 
-    def tangent_at(self, s: float) -> np.ndarray:
-        v = self._vel(self._table.t_of_s(self.wrap(s)))
-        return v / np.hypot(*v)
+    def frame_at(self, s: float) -> Frame:
+        s = self.wrap(s)
+        return self._frame(s, self._table.t_of_s(s))
 
-    def curvature_at(self, s: float) -> float:
-        return self._kappa(self._table.t_of_s(self.wrap(s)))
-
-    def locate(self, p) -> float:
+    def frame_of(self, p) -> Frame:
         p = np.asarray(p, dtype=float)
         self._check_on_boundary(p)
-        return self.wrap(self._table.s_of_t(self._t_of_point(p)))
+        t = self._t_of_point(p)
+        return self._frame(self.wrap(self._table.s_of_t(t)), t)
+
+
+# Parametric speeds are module-level functions bound to the shape parameters,
+# so an arclength table holds no reference back to its curve.
+def _ellipse_speed(a: float, b: float, t: np.ndarray) -> np.ndarray:
+    return np.sqrt((a * np.sin(t)) ** 2 + (b * np.cos(t)) ** 2)
+
+
+def _superellipse_r_rp(k: int, t):
+    """r(phi) and its phi-derivative, sign-safe via even powers of cos/sin."""
+    c2 = np.cos(t) ** 2
+    s2 = np.sin(t) ** 2
+    u = c2**k + s2**k
+    r = u ** (-1.0 / (2 * k))
+    du = 2 * k * np.sin(t) * np.cos(t) * (s2 ** (k - 1) - c2 ** (k - 1))
+    rp = -(1.0 / (2 * k)) * u ** (-1.0 / (2 * k) - 1.0) * du
+    return r, rp
+
+
+def _superellipse_speed(k: int, t: np.ndarray) -> np.ndarray:
+    r, rp = _superellipse_r_rp(k, np.asarray(t, dtype=float))
+    return np.sqrt(r * r + rp * rp)
 
 
 class Ellipse(_TableCurve):
@@ -228,20 +269,12 @@ class Ellipse(_TableCurve):
             raise ValueError(f"ellipse semi-axes must satisfy a > b > 0, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
-        self._table = ArclengthTable(self._speed_arr, panels)
+        self._table = ArclengthTable(functools.partial(_ellipse_speed, self.a, self.b), panels)
 
-    def _speed_arr(self, t):
-        return np.sqrt((self.a * np.sin(t)) ** 2 + (self.b * np.cos(t)) ** 2)
-
-    def _pt(self, t):
-        return np.array([self.a * math.cos(t), self.b * math.sin(t)])
-
-    def _vel(self, t):
-        return np.array([-self.a * math.sin(t), self.b * math.cos(t)])
-
-    def _kappa(self, t):
-        sp = math.hypot(self.a * math.sin(t), self.b * math.cos(t))
-        return self.a * self.b / sp**3
+    def _geometry(self, t):
+        c, sn = math.cos(t), math.sin(t)
+        kappa = self.a * self.b / math.hypot(self.a * sn, self.b * c) ** 3
+        return np.array([self.a * c, self.b * sn]), np.array([-self.a * sn, self.b * c]), kappa
 
     def _t_of_point(self, p):
         return math.atan2(p[1] / self.b, p[0] / self.a) % _TWO_PI
@@ -272,43 +305,21 @@ class Superellipse(_TableCurve):
         if int(k) != k or k < 1:
             raise ValueError(f"superellipse exponent k must be an integer >= 1, got {k}")
         self.k = int(k)
-        self._table = ArclengthTable(self._speed_arr, panels)
+        self._table = ArclengthTable(functools.partial(_superellipse_speed, self.k), panels)
 
-    # r(phi) and its phi-derivative, sign-safe via even powers of cos/sin
-    def _r_rp(self, t):
-        k = self.k
-        c2 = np.cos(t) ** 2
-        s2 = np.sin(t) ** 2
-        u = c2**k + s2**k
-        r = u ** (-1.0 / (2 * k))
-        du = 2 * k * np.sin(t) * np.cos(t) * (s2 ** (k - 1) - c2 ** (k - 1))
-        rp = -(1.0 / (2 * k)) * u ** (-1.0 / (2 * k) - 1.0) * du
-        return r, rp
-
-    def _speed_arr(self, t):
-        r, rp = self._r_rp(np.asarray(t, dtype=float))
-        return np.sqrt(r * r + rp * rp)
-
-    def _pt(self, t):
-        r, _ = self._r_rp(t)
-        return np.array([r * math.cos(t), r * math.sin(t)])
-
-    def _vel(self, t):
-        r, rp = self._r_rp(t)
+    def _geometry(self, t):
+        r, rp = _superellipse_r_rp(self.k, t)
         c, s = math.cos(t), math.sin(t)
-        return np.array([rp * c - r * s, rp * s + r * c])
-
-    def _kappa(self, t):
+        p = np.array([r * c, r * s])
         # curvature from the implicit form F = x^(2k) + y^(2k) - 1:
         # kappa = (Fxx Fy^2 - 2 Fxy Fx Fy + Fyy Fx^2)/|grad F|^3 with Fxy = 0
-        p = self._pt(t)
         k = self.k
         x2 = p[0] ** 2
         y2 = p[1] ** 2
         fx = 2 * k * p[0] * x2 ** (k - 1)
         fy = 2 * k * p[1] * y2 ** (k - 1)
         num = 2 * k * (2 * k - 1) * (x2 ** (k - 1) * fy**2 + y2 ** (k - 1) * fx**2)
-        return float(num / math.hypot(fx, fy) ** 3)
+        return p, np.array([rp * c - r * s, rp * s + r * c]), float(num / math.hypot(fx, fy) ** 3)
 
     def _t_of_point(self, p):
         return math.atan2(p[1], p[0]) % _TWO_PI
@@ -355,7 +366,6 @@ class Stadium(Curve):
     # piece boundaries: [0, cap/2) right-upper cap, [cap/2, cap/2+side) top,
     # [cap/2+side, 3cap/2+side) left cap, then bottom, then right-lower cap.
     def _piece(self, s: float):
-        s = self.wrap(s)
         h = 0.5 * self._cap
         if s < h:
             return "cap_r", s
@@ -367,41 +377,39 @@ class Stadium(Curve):
             return "bottom", s - 3 * h - self.side
         return "cap_r2", s - 3 * h - 2 * self.side
 
-    def point_at(self, s: float) -> np.ndarray:
+    def frame_at(self, s: float) -> Frame:
+        s = self.wrap(s)
         piece, u = self._piece(s)
         hx = 0.5 * self.side
         R = self.R
-        if piece == "cap_r":
-            a = u / R
-            return np.array([hx + R * math.cos(a), R * math.sin(a)])
         if piece == "top":
-            return np.array([hx - u, R])
-        if piece == "cap_l":
-            a = math.pi / 2 + u / R
-            return np.array([-hx + R * math.cos(a), R * math.sin(a)])
+            return Frame(s, np.array([hx - u, R]), np.array([-1.0, 0.0]), 0.0)
         if piece == "bottom":
-            return np.array([-hx + u, -R])
-        a = 3 * math.pi / 2 + u / R
-        return np.array([hx + R * math.cos(a), R * math.sin(a)])
-
-    def tangent_at(self, s: float) -> np.ndarray:
-        piece, u = self._piece(s)
-        R = self.R
+            return Frame(s, np.array([-hx + u, -R]), np.array([1.0, 0.0]), 0.0)
         if piece == "cap_r":
-            a = u / R
-        elif piece == "top":
-            return np.array([-1.0, 0.0])
+            cx, a = hx, u / R
         elif piece == "cap_l":
-            a = math.pi / 2 + u / R
-        elif piece == "bottom":
-            return np.array([1.0, 0.0])
+            cx, a = -hx, math.pi / 2 + u / R
         else:
-            a = 3 * math.pi / 2 + u / R
-        return np.array([-math.sin(a), math.cos(a)])
+            cx, a = hx, 3 * math.pi / 2 + u / R
+        c, sn = math.cos(a), math.sin(a)
+        return Frame(s, np.array([cx + R * c, R * sn]), np.array([-sn, c]), 1.0 / R)
 
-    def curvature_at(self, s: float) -> float:
-        piece, _ = self._piece(s)
-        return 0.0 if piece in ("top", "bottom") else 1.0 / self.R
+    def frame_of(self, p) -> Frame:
+        p = np.asarray(p, dtype=float)
+        self._check_on_boundary(p)
+        hx = 0.5 * self.side
+        h = 0.5 * self._cap
+        x, y = float(p[0]), float(p[1])
+        if x >= hx:
+            a = math.atan2(y, x - hx)  # in (-pi/2, pi/2)
+            return self.frame_at(self.R * a)
+        if x <= -hx:
+            a = math.atan2(y, x + hx) % _TWO_PI  # in (pi/2, 3pi/2)
+            return self.frame_at(h + self.side + self.R * (a - math.pi / 2))
+        if y > 0:
+            return self.frame_at(h + (hx - x))
+        return self.frame_at(3 * h + self.side + (x + hx))
 
     def implicit(self, p):
         p = np.asarray(p, dtype=float)
@@ -416,103 +424,8 @@ class Stadium(Curve):
             return np.array([0.0, 0.0])
         return np.array([math.copysign(qx, p[0]) / h, p[1] / h])
 
-    def locate(self, p) -> float:
-        p = np.asarray(p, dtype=float)
-        self._check_on_boundary(p)
-        hx = 0.5 * self.side
-        h = 0.5 * self._cap
-        x, y = float(p[0]), float(p[1])
-        if x >= hx:
-            a = math.atan2(y, x - hx)  # in (-pi/2, pi/2)
-            return self.wrap(self.R * a)
-        if x <= -hx:
-            a = math.atan2(y, x + hx) % _TWO_PI  # in (pi/2, 3pi/2)
-            return self.wrap(h + self.side + self.R * (a - math.pi / 2))
-        if y > 0:
-            return self.wrap(h + (hx - x))
-        return self.wrap(3 * h + self.side + (x + hx))
-
     def diameter_bound(self) -> float:
         return self.side + 2.0 * self.R
-
-
-class ImplicitSmooth(Curve):
-    """Star-shaped (about the origin) boundary given by an implicit
-    function ``f(x, y)`` with f < 0 inside.
-
-    Geometry is recovered numerically: the boundary point along each polar
-    ray by bisection, tangent and curvature by central differences in the
-    polar angle.  Intended for qualitative demonstrations on non-convex
-    tables; not used for any golden-value computation.
-    """
-
-    def __init__(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 r_max: float, panels: int = 2048, fd_h: float = 1e-5):
-        self.f = f
-        self.r_max = float(r_max)
-        self._h = fd_h
-        self._table = ArclengthTable(self._speed_arr, panels)
-
-    def _radius(self, t: float) -> float:
-        lo, hi = 1e-9, self.r_max
-        if self.f(np.array(lo * math.cos(t)), np.array(lo * math.sin(t))) >= 0:
-            raise ValueError("implicit curve must enclose the origin")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            v = float(self.f(np.array(mid * math.cos(t)), np.array(mid * math.sin(t))))
-            if v < 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def _pt(self, t: float) -> np.ndarray:
-        r = self._radius(t)
-        return np.array([r * math.cos(t), r * math.sin(t)])
-
-    def _vel(self, t: float) -> np.ndarray:
-        return (self._pt(t + self._h) - self._pt(t - self._h)) / (2 * self._h)
-
-    def _speed_arr(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.array([float(np.hypot(*self._vel(ti))) for ti in t])
-
-    def total_length(self) -> float:
-        return self._table.total_length
-
-    def point_at(self, s: float) -> np.ndarray:
-        return self._pt(self._table.t_of_s(self.wrap(s)))
-
-    def tangent_at(self, s: float) -> np.ndarray:
-        v = self._vel(self._table.t_of_s(self.wrap(s)))
-        return v / np.hypot(*v)
-
-    def curvature_at(self, s: float) -> float:
-        t = self._table.t_of_s(self.wrap(s))
-        h = self._h
-        v = self._vel(t)
-        acc = (self._pt(t + h) - 2.0 * self._pt(t) + self._pt(t - h)) / h**2
-        sp = math.hypot(*v)
-        return float((v[0] * acc[1] - v[1] * acc[0]) / sp**3)
-
-    def implicit(self, p):
-        p = np.asarray(p, dtype=float)
-        return self.f(p[..., 0], p[..., 1])
-
-    def implicit_gradient(self, p):
-        p = np.asarray(p, dtype=float)
-        h = self._h
-        fx = (float(self.f(p[0] + h, p[1])) - float(self.f(p[0] - h, p[1]))) / (2 * h)
-        fy = (float(self.f(p[0], p[1] + h)) - float(self.f(p[0], p[1] - h))) / (2 * h)
-        return np.array([fx, fy])
-
-    def locate(self, p) -> float:
-        p = np.asarray(p, dtype=float)
-        self._check_on_boundary(p, tol=1e-6)
-        return self.wrap(self._table.s_of_t(math.atan2(p[1], p[0]) % _TWO_PI))
-
-    def diameter_bound(self) -> float:
-        return 2.0 * self.r_max
 
 
 _KINDS = {"circle", "ellipse", "superellipse", "stadium"}

@@ -23,7 +23,7 @@ import numpy as np
 
 from .collision import ANGLE_EPS, chord_exit, larmor_reentry
 from .curves import Curve, rot90
-from .errors import DegenerateStep
+from .errors import BilliardError, DegenerateStep
 
 __all__ = [
     "PhasePoint",
@@ -92,16 +92,20 @@ def launch_direction(curve: Curve, z: PhasePoint) -> np.ndarray:
 
 def step(curve: Curve, mu: float, z: PhasePoint) -> tuple[PhasePoint, StepData | None]:
     """One application of the map.  Near theta in {0, pi} the map is the
-    identity; that guarded case returns ``(z, None)``."""
+    identity; that guarded case returns ``(z, None)``.
+
+    The launch point's frame is built once and the exit and re-entry
+    frames come back from the collision routines, so a step resolves each
+    of its three boundary points once."""
     if z.theta < ANGLE_EPS or z.theta > math.pi - ANGLE_EPS:
         return z, None
 
-    hit1 = chord_exit(curve, z.s, z.theta)
-    v = launch_direction(curve, z)
-    hit2 = larmor_reentry(curve, hit1.s1, v, mu)
+    frame0 = curve.frame_at(z.s)
+    hit1 = chord_exit(curve, frame0, z.theta)
+    hit2 = larmor_reentry(curve, hit1.frame1, hit1.v, mu)
 
     data = StepData(
-        s0=curve.wrap(z.s),
+        s0=frame0.s,
         theta0=z.theta,
         s1=hit1.s1,
         theta1=hit1.theta1,
@@ -110,9 +114,9 @@ def step(curve: Curve, mu: float, z: PhasePoint) -> tuple[PhasePoint, StepData |
         ell1=hit1.ell1,
         ell2=hit2.ell2,
         chi=hit2.chi,
-        kappa0=curve.curvature_at(z.s),
-        kappa1=curve.curvature_at(hit1.s1),
-        kappa2=curve.curvature_at(hit2.s2),
+        kappa0=frame0.curvature,
+        kappa1=hit1.frame1.curvature,
+        kappa2=hit2.frame2.curvature,
         mu=mu,
     )
     return PhasePoint(hit2.s2, hit2.theta2), data
@@ -123,16 +127,17 @@ def iterate(
 ) -> list[tuple[PhasePoint, StepData | None]]:
     """n successive steps; element i holds the image of the i-th step.
 
-    On a collision failure the raised error carries the completed prefix in
-    its ``partial`` attribute, so callers can inspect how far the orbit
-    got.
+    When a step leaves the domain of the map, the raised
+    :class:`~imbilliards.errors.BilliardError` carries the completed prefix
+    in its ``partial`` attribute, so callers can inspect how far the orbit
+    got.  Any other exception is a fault and propagates untouched.
     """
     out: list[tuple[PhasePoint, StepData | None]] = []
     current = z
     for _ in range(n):
         try:
             current, data = step(curve, mu, current)
-        except Exception as exc:
+        except BilliardError as exc:
             exc.partial = out  # type: ignore[attr-defined]
             raise
         out.append((current, data))

@@ -46,6 +46,7 @@ from .curves import Circle, Curve, Ellipse, Stadium, Superellipse, rot90
 from .dynamics import PhasePoint, StepData, iterate, jacobian_analytic
 from .errors import (
     BeyondXHat,
+    BilliardError,
     InfeasibleStadium,
     MuTooLarge,
     NoConvergence,
@@ -56,6 +57,7 @@ from .errors import (
     X0OutOfRange,
 )
 from .stability import (
+    CLOSURE_TOL,
     StabilityVerdict,
     TwoPeriodicParams,
     classify,
@@ -94,9 +96,6 @@ __all__ = [
     "find_periodic_newton",
     "scan_family",
 ]
-
-#: Maximum admissible closure residual for a constructed periodic orbit.
-CLOSURE_TOL = 1e-7
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -137,10 +136,10 @@ def _launch_phase(curve: Curve, point: Sequence[float], direction: Sequence[floa
     p = np.asarray(point, dtype=float)
     v = np.asarray(direction, dtype=float)
     v = v / np.linalg.norm(v)
-    s = curve.locate(p)
-    tangent = curve.tangent_at(s)
+    frame = curve.frame_of(p)
+    tangent = frame.tangent
     theta = math.atan2(float(np.dot(v, rot90(tangent))), float(np.dot(v, tangent)))
-    return PhasePoint(s=s, theta=theta)
+    return PhasePoint(s=frame.s, theta=theta)
 
 
 def _orbit_from_seed(
@@ -1191,7 +1190,7 @@ def _newton_state(curve: Curve, mu: float, z: PhasePoint, n: int):
     length = curve.total_length()
     try:
         traj = iterate(curve, mu, z, n)
-    except Exception:
+    except BilliardError:
         return None
     z_end = traj[-1][0]
     ds = (z_end.s - z.s + length / 2.0) % length - length / 2.0

@@ -30,7 +30,7 @@ def test_chord_exit_circle_oracle(rng):
     for _ in range(50):
         s0 = float(rng.uniform(0.0, length))
         theta = float(rng.uniform(0.05, math.pi - 0.05))
-        hit = chord_exit(circle, s0, theta)
+        hit = chord_exit(circle, circle.frame_at(s0), theta)
         gap = abs((hit.s1 - s0 - 2.0 * R * theta + 0.5 * length) % length - 0.5 * length)
         assert gap < 1e-9
         assert abs(hit.theta1 - theta) < 1e-9
@@ -46,11 +46,11 @@ def test_larmor_reentry_circle_oracle(rng):
     for _ in range(50):
         s0 = float(rng.uniform(0.0, length))
         theta = float(rng.uniform(0.1, math.pi - 0.1))
-        chord = chord_exit(circle, s0, theta)
+        chord = chord_exit(circle, circle.frame_at(s0), theta)
         p1 = circle.point_at(chord.s1)
         t1 = circle.tangent_at(chord.s1)
         v = math.cos(chord.theta1) * t1 - math.sin(chord.theta1) * rot90(t1)
-        hit = larmor_reentry(circle, chord.s1, v, mu)
+        hit = larmor_reentry(circle, circle.frame_at(chord.s1), v, mu)
 
         # Two-circle intersection: boundary (origin, R), Larmor (c, mu).
         c = p1 + mu * rot90(v)
@@ -80,7 +80,7 @@ def test_larmor_invariants(name, curves, rng):
         p1 = curve.point_at(d.s1)
         t1 = curve.tangent_at(d.s1)
         v = math.cos(d.theta1) * t1 - math.sin(d.theta1) * rot90(t1)
-        hit = larmor_reentry(curve, d.s1, v, mu)
+        hit = larmor_reentry(curve, curve.frame_at(d.s1), v, mu)
 
         assert abs(hit.ell2 - 2.0 * mu * math.sin(hit.chi)) < 1e-9
         assert abs(hit.arc_sweep - 2.0 * hit.chi) < 1e-12
@@ -113,7 +113,7 @@ def test_larmor_invariants(name, curves, rng):
 def test_chord_exit_lands_on_boundary(name, curves, rng):
     curve, _ = curves[name]
     for z in sample_phase_points(curve, 0.3, 25, rng, conditioned=False):
-        hit = chord_exit(curve, z.s, z.theta)
+        hit = chord_exit(curve, curve.frame_at(z.s), z.theta)
         p0 = curve.point_at(z.s)
         v = launch_direction(curve, z)
         p1 = p0 + hit.ell1 * v
@@ -128,7 +128,7 @@ def test_tangential_launch_rejected():
     circle = Circle(1.0)
     for theta in (0.0, 1e-13, math.pi, math.pi - 1e-13):
         with pytest.raises(TangentialChord):
-            chord_exit(circle, 0.3, theta)
+            chord_exit(circle, circle.frame_at(0.3), theta)
 
 
 def test_corner_clipping_crossing_count():
@@ -142,5 +142,5 @@ def test_corner_clipping_crossing_count():
         y0 = (1.0 - x0 ** (2 * k)) ** (1.0 / (2 * k))
         mu = x0 - y0
         s1 = curve.locate(np.array([x0, y0]))
-        hit = larmor_reentry(curve, s1, v, mu)
+        hit = larmor_reentry(curve, curve.frame_at(s1), v, mu)
         assert hit.n_crossings == expected

@@ -112,6 +112,21 @@ def test_locate_roundtrip(name, curves, rng):
 
 
 @pytest.mark.parametrize("name", CURVE_IDS)
+def test_frame_of_inverts_frame_at(name, curves, rng):
+    """The frame of a boundary point, built from the point, agrees with the
+    frame built from its arclength."""
+    curve, _ = curves[name]
+    length = curve.total_length()
+    for s in rng.uniform(0.0, length, size=40):
+        at = curve.frame_at(float(s))
+        of = curve.frame_of(at.point)
+        assert abs((of.s - at.s + 0.5 * length) % length - 0.5 * length) < 1e-12
+        assert np.linalg.norm(of.point - at.point) < 1e-12
+        assert np.linalg.norm(of.tangent - at.tangent) < 1e-12
+        assert abs(of.curvature - at.curvature) < 1e-12 * max(1.0, abs(at.curvature))
+
+
+@pytest.mark.parametrize("name", CURVE_IDS)
 def test_boundary_points_satisfy_implicit_equation(name, curves, rng):
     curve, _ = curves[name]
     for s in rng.uniform(0.0, curve.total_length(), size=40):

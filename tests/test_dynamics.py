@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,13 +13,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CURVE_MENU, composed_trace, sample_phase_points
-from imbilliards.curves import Circle, Ellipse, rot90
+from imbilliards.collision import chord_exit, larmor_reentry
+from imbilliards.curves import ArclengthTable, Circle, Ellipse, Superellipse, rot90
 from imbilliards.dynamics import (
     PhasePoint,
     iterate,
     jacobian_analytic,
     jacobian_numeric,
     launch_direction,
+    step,
     well_conditioned,
 )
 from imbilliards.errors import BilliardError
@@ -55,8 +59,49 @@ def test_step_data_is_consistent(name, curves, rng):
         assert (z1.s, z1.theta) == (d.s2, d.theta2)
         assert abs(d.ell2 - 2.0 * mu * math.sin(d.chi)) < 1e-9
         assert d.kappa0 == curve.curvature_at(d.s0)
-        assert d.kappa1 == curve.curvature_at(d.s1)
-        assert d.kappa2 == curve.curvature_at(d.s2)
+        # Exit and re-entry curvatures belong to the frames of the points
+        # the chord and the arc reach.
+        p1 = curve.point_at(d.s0) + d.ell1 * launch_direction(curve, z)
+        assert (d.s1, d.kappa1) == (curve.locate(p1), curve.frame_of(p1).curvature)
+        hit1 = chord_exit(curve, curve.frame_at(z.s), z.theta)
+        hit2 = larmor_reentry(curve, hit1.frame1, hit1.v, mu)
+        assert (d.s2, d.kappa2) == (hit2.s2, hit2.frame2.curvature)
+
+
+@pytest.mark.parametrize("factory", [lambda: Ellipse(2.0, 1.0), lambda: Superellipse(2),
+                                     lambda: Superellipse(3)], ids=["ellipse-2-1", "k2", "k3"])
+def test_one_chart_inversion_per_step(factory, monkeypatch):
+    """A step on a table curve inverts the arclength chart once, for its
+    launch point; the exit and re-entry frames come from the points."""
+    calls = []
+    t_of_s = ArclengthTable.t_of_s
+
+    def counted(self, s):
+        calls.append(s)
+        return t_of_s(self, s)
+
+    monkeypatch.setattr(ArclengthTable, "t_of_s", counted)
+    curve = factory()
+    for s, theta in ((0.4, 1.2), (2.5, 0.7), (4.0, 2.3)):
+        calls.clear()
+        _, d = step(curve, 0.3, PhasePoint(s, theta))
+        assert d is not None
+        assert len(calls) == 1
+
+
+def test_table_curves_are_freed_by_reference_counting():
+    """A curve and its arclength table form no reference cycle, and a map
+    step leaves none behind, so dropping a curve frees it at once."""
+    gc.disable()
+    try:
+        refs = []
+        for curve in (Ellipse(2.0, 1.0), Superellipse(2)):
+            step(curve, 0.3, PhasePoint(1.0, 1.2))
+            refs.append(weakref.ref(curve))
+        del curve
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", CURVE_IDS)
@@ -70,7 +115,7 @@ def test_iterate_chains_steps(name, curves, rng):
     assert len(history) == 6
     for (za, da), (zb, db) in zip(history, history[1:]):
         assert db.s0 == za.s and db.theta0 == za.theta
-        assert db.kappa0 == da.kappa2
+        assert db.kappa0 == curve.curvature_at(da.s2)
 
 
 @pytest.mark.parametrize("name", CURVE_IDS)

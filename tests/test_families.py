@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import composed_trace
+from imbilliards import dynamics
 from imbilliards.curves import Ellipse
 from imbilliards.dynamics import PhasePoint, StepData, jacobian_analytic
 from imbilliards.errors import (
@@ -735,6 +736,19 @@ def test_newton_raises_on_parabolic_families():
             orbit.curve, orbit.mu, orbit.n, PhasePoint(s=z.s + 1e-4, theta=z.theta)
         )
         assert shifted.residual <= 1e-10
+
+
+def test_newton_lets_programming_errors_through(monkeypatch):
+    """Only a BilliardError means the trajectory left the domain; any other
+    exception raised by a map step must reach the caller unchanged."""
+    orbit, _ = two_periodic_ellipse(2.0, 1.0, 0.5, axis="major")
+
+    def broken_step(*args, **kwargs):
+        raise RuntimeError("bug in a map step")
+
+    monkeypatch.setattr(dynamics, "step", broken_step)
+    with pytest.raises(RuntimeError, match="bug in a map step"):
+        find_periodic_newton(orbit.curve, orbit.mu, orbit.n, orbit.points[0])
 
 
 def test_newton_rejects_hopeless_seeds():
