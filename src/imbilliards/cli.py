@@ -47,18 +47,18 @@ import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import ValidationError
 
 from . import families as fam
-from .curves import Circle, Curve, Ellipse, Stadium, Superellipse, make_curve, rot90
+from .curves import Curve, make_curve, rot90
 from .dynamics import PhasePoint, StepData, iterate, jacobian_analytic, jacobian_numeric, well_conditioned
 from .errors import BilliardError
 from .rotation import caustic_kind, rotation_table
-from .stability import classify, trace2_closed
+from .stability import classify, compose, trace2_closed
 
 __all__ = ["main", "CONFIG_SCHEMA"]
 
@@ -91,7 +91,6 @@ CONFIG_SCHEMA: dict = {
                     "properties": {
                         "kind": {"const": "superellipse"},
                         "k": {"type": "integer", "minimum": 2},
-                        "panels": {"type": "integer", "minimum": 64},
                     },
                     "required": ["kind", "k"],
                 },
@@ -261,54 +260,54 @@ def _build_orbit(curve_cfg: dict, section: dict):
 # --------------------------------------------------------------------------
 
 def _scan_spec(curve_cfg: dict, section: dict):
-    """Return ``(trace_fn, lo, hi, parameter_name)`` for a scan config."""
+    """Return ``(trace_fn, lo, hi, parameter_name, references)`` for a scan
+    config; ``references`` lists tabulated analytic thresholds as
+    ``(value, in_interval)``."""
     kind = curve_cfg["kind"]
     family = section["family"]
-    rot = section.get("rotation")
+    rotation = section.get("rotation") or "1/4"
     key = (kind, family)
-    if key == ("superellipse", "two-periodic-axis"):
+    if kind == "superellipse":
         k = curve_cfg["k"]
+        q = 2.0 ** (-1.0 / (2 * k))
+    if key == ("superellipse", "two-periodic-axis"):
 
         def tr_mu(mu: float) -> float:
             ab = 4.0 * (mu ** (-2 * k) - 1.0) ** ((1.0 - k) / k)
             return (ab - 2.0) ** 2 - 2.0
 
-        return tr_mu, 0.02, 0.995, "mu"
+        mu_star = (2.0 ** (k / (k - 1.0)) + 1.0) ** (-1.0 / (2 * k))
+        return tr_mu, 0.02, 0.995, "mu", [(mu_star, True), (q, True)]
     if key == ("superellipse", "two-periodic-diag"):
-        k = curve_cfg["k"]
-        q = 2.0 ** (-1.0 / (2 * k))
 
         def tr_diag(x0: float) -> float:
             y0 = (1.0 - abs(x0) ** (2 * k)) ** (1.0 / (2 * k))
             f = fam._diag_power_sum_ratio(k, x0, y0)
             return 2.0 + 16.0 * f * (f - 1.0)
 
-        return tr_diag, -q + 1e-4, q - 1e-4, "x0"
+        return tr_diag, -q + 1e-4, q - 1e-4, "x0", []
     if key == ("ellipse", "four-periodic"):
         a, b = curve_cfg["a"], curve_cfg["b"]
         lo, _, hi = fam._ellipse4_interval(a, b)
         pad = 1e-6 * (hi - lo)
-        return (lambda x0: fam.trace4_ellipse(a, b, x0)), lo + pad, hi - pad, "x0"
+        refs = fam.ellipse4_reference_roots(a, b) if (a, b) == (3.0, 2.0) else ()
+        return ((lambda x0: fam.trace4_ellipse(a, b, x0)), lo + pad, hi - pad, "x0",
+                [(ref, lo < ref < hi) for ref in refs])
     if key == ("superellipse", "four-periodic-axis"):
-        k = curve_cfg["k"]
-        q = 2.0 ** (-1.0 / (2 * k))
-        rotation = rot or "1/4"
         lo = q + 1e-3 if rotation == "1/4" else -q + 1e-6
         return (
             lambda x0: fam.trace4_superellipse_axis(k, x0, rotation),
             lo,
             1.0 - 1e-3,
             "x0",
+            [],
         )
     if key == ("superellipse", "four-periodic-diag"):
-        k = curve_cfg["k"]
-        q = 2.0 ** (-1.0 / (2 * k))
-        rotation = rot or "1/4"
         if rotation == "1/4":
             lo, hi = q + 1e-4, fam.x_hat(k) - 1e-4
         else:
             lo, hi = -1.0 + 1e-3, q - 1e-4
-        return (lambda x0: fam.trace4_superellipse_diag(k, x0)), lo, hi, "x0"
+        return (lambda x0: fam.trace4_superellipse_diag(k, x0)), lo, hi, "x0", []
     raise ValueError(f"no scannable family {family!r} for curve kind {kind!r}")
 
 
@@ -402,10 +401,9 @@ def _arc_points(geo: dict, mu: float, n: int = 48) -> list[tuple[float, float]]:
     return pts
 
 
-def _draw_steps(root: ET.Element, frame: _Frame, curve: Curve, steps: Sequence[StepData],
-                mu: float, chord_color: str, arc_color: str, opacity: float = 1.0) -> None:
-    for d in steps:
-        geo = _step_geometry(curve, d)
+def _draw_steps(root: ET.Element, frame: _Frame, geos: Sequence[dict],
+                mu: float, chord_color: str, arc_color: str, opacity: float) -> None:
+    for geo in geos:
         chord = f"M {frame.pt(*geo['p0'])} L {frame.pt(*geo['p1'])}"
         _add_path(root, chord, chord_color, opacity=opacity)
         r = frame.scale * mu
@@ -488,7 +486,7 @@ def cmd_scan(config: dict, args) -> int:
     _require("scan" in config, "scan verb needs a 'scan' section")
     formats = _formats(args, {"csv", "svg"})
     section = config["scan"]
-    trace_fn, lo_default, hi_default, param = _scan_spec(config["curve"], section)
+    trace_fn, lo_default, hi_default, param, refs = _scan_spec(config["curve"], section)
     lo = section.get("lo", lo_default)
     hi = section.get("hi", hi_default)
     n_grid = args.grid if args.grid is not None else section.get("n_grid", 500)
@@ -507,8 +505,10 @@ def cmd_scan(config: dict, args) -> int:
                 writer.writerow(["grid", _fmt(x), _fmt(t), v.cls.value])
             for x in scan.thresholds:
                 writer.writerow(["threshold", _fmt(x), _fmt(trace_fn(x)), "parabolic"])
-            for x, label, nearest in _reference_rows(config["curve"], section, scan):
-                writer.writerow(["reference", _fmt(x), nearest, label])
+            for ref, inside in refs:
+                nearest = min(scan.thresholds, key=lambda x: abs(x - ref), default=math.nan)
+                writer.writerow(["reference", _fmt(ref), _fmt(nearest if inside else math.nan),
+                                 "in-interval" if inside else "out-of-interval"])
         written.append(csv_path)
     if "svg" in formats:
         svg_path = out_dir / f"{stem}.svg"
@@ -519,30 +519,6 @@ def cmd_scan(config: dict, args) -> int:
         + ", ".join(str(p) for p in written)
     )
     return 0
-
-
-def _reference_rows(curve_cfg: dict, section: dict, scan) -> list[tuple[float, str, str]]:
-    """Comparison rows against tabulated analytic values, where available."""
-    rows: list[tuple[float, str, str]] = []
-    if curve_cfg["kind"] == "ellipse" and section["family"] == "four-periodic":
-        a, b = curve_cfg["a"], curve_cfg["b"]
-        if (a, b) == (3.0, 2.0):
-            lo, _, hi = fam._ellipse4_interval(a, b)
-            for ref in fam.ellipse4_reference_roots(a, b):
-                if lo < ref < hi:
-                    nearest = min(scan.thresholds, key=lambda x: abs(x - ref), default=math.nan)
-                    rows.append((ref, "in-interval", _fmt(nearest)))
-                else:
-                    rows.append((ref, "out-of-interval", "nan"))
-    if curve_cfg["kind"] == "superellipse" and section["family"] == "two-periodic-axis":
-        k = curve_cfg["k"]
-        for name_value in (
-            (2.0 ** (k / (k - 1.0)) + 1.0) ** (-1.0 / (2 * k)),
-            2.0 ** (-1.0 / (2 * k)),
-        ):
-            nearest = min(scan.thresholds, key=lambda x: abs(x - name_value), default=math.nan)
-            rows.append((name_value, "in-interval", _fmt(nearest)))
-    return rows
 
 
 def _scan_svg(scan, path: Path) -> None:
@@ -611,6 +587,12 @@ def cmd_trace(config: dict, args) -> int:
         mu = section["mu"]
         steps = tuple(d for _, d in iterate(curve, mu, z, section["steps"]))
 
+    # (step geometries, Larmor radius, chord color, arc color, opacity)
+    layers = [([_step_geometry(curve, d) for d in steps], mu, "#1f5fa8", "#c03030", 1.0)]
+    if overlay is not None:
+        layers.append(([_step_geometry(curve, d) for d in overlay.steps], overlay.mu,
+                       "#2a9d4e", "#b05fc0", 0.85))
+
     # fit the frame around the boundary and every arc
     xs, ys = [], []
     length = curve.total_length()
@@ -618,26 +600,17 @@ def cmd_trace(config: dict, args) -> int:
         p = curve.point_at(float(s))
         xs.append(p[0])
         ys.append(p[1])
-    for d in steps:
-        geo = _step_geometry(curve, d)
-        for x, y in _arc_points(geo, mu, 24):
-            xs.append(x)
-            ys.append(y)
-    if overlay is not None:
-        for d in overlay.steps:
-            geo = _step_geometry(curve, d)
-            for x, y in _arc_points(geo, overlay.mu, 24):
+    for geos, radius, *_ in layers:
+        for geo in geos:
+            for x, y in _arc_points(geo, radius, 24):
                 xs.append(x)
                 ys.append(y)
     frame = _Frame(xs, ys)
 
     root = _svg_root()
     _add_path(root, _boundary_path(curve, frame), "#000000", width=2.5)
-    _draw_steps(root, frame, curve, steps, mu, "#1f5fa8", "#c03030")
-    if overlay is not None:
-        _draw_steps(
-            root, frame, curve, overlay.steps, overlay.mu,
-            "#2a9d4e", "#b05fc0", opacity=0.85)
+    for layer in layers:
+        _draw_steps(root, frame, *layer)
     out_dir, stem = _out_paths(config, args, "trace")
     svg_path = out_dir / f"{stem}.svg"
     _write_svg(root, svg_path)
@@ -649,7 +622,8 @@ def cmd_trace(config: dict, args) -> int:
 # invariant suite
 # --------------------------------------------------------------------------
 
-def _sample_points(curve: Curve, mu: float, n: int, rng) -> list[PhasePoint]:
+def _sample_points(curve: Curve, mu: float, n: int, rng) -> list[tuple[PhasePoint, StepData]]:
+    """Up to n random phase points with a well-conditioned first step, and that step."""
     length = curve.total_length()
     points = []
     attempts = 0
@@ -664,8 +638,46 @@ def _sample_points(curve: Curve, mu: float, n: int, rng) -> list[PhasePoint]:
         except BilliardError:
             continue
         if well_conditioned(d):
-            points.append(z)
+            points.append((z, d))
     return points
+
+
+_CIRCLE = {"kind": "circle", "R": 1.0}
+_ELLIPSE = {"kind": "ellipse", "a": 2.0, "b": 1.0}
+_ELLIPSE_32 = {"kind": "ellipse", "a": 3.0, "b": 2.0}
+_SE2 = {"kind": "superellipse", "k": 2}
+_STADIUM = {"kind": "stadium", "side": 2.0, "R": 1.0}
+
+#: (name, curve, mu) of the tables whose single steps ``check`` samples
+_CHECK_TABLES = [
+    ("circle", _CIRCLE, 0.35),
+    ("ellipse", _ELLIPSE, 0.3),
+    ("superellipse-k2", _SE2, 0.3),
+    ("superellipse-k3", {"kind": "superellipse", "k": 3}, 0.3),
+    ("stadium", _STADIUM, 0.3),
+]
+
+#: (name, curve, orbit section) of the closed-form members whose traces
+#: ``check`` compares with the composed Jacobian product
+_CHECK_MEMBERS = [
+    ("circle-2", _CIRCLE, {"family": "two-periodic", "mu": 0.5}),
+    ("ellipse-major", _ELLIPSE, {"family": "two-periodic-major", "mu": 0.5}),
+    ("ellipse-minor", _ELLIPSE, {"family": "two-periodic-minor", "mu": 0.5}),
+    ("se-axis-2", _SE2, {"family": "two-periodic-axis", "mu": 0.5}),
+    ("se-diag-2", _SE2, {"family": "two-periodic-diag", "x0": -0.3}),
+    ("stadium-sides", _STADIUM, {"family": "two-periodic-sides", "mu": 0.4}),
+    ("stadium-caps", _STADIUM, {"family": "two-periodic-caps", "mu": 0.4}),
+    ("circle-3-rot13", _CIRCLE, {"family": "three-periodic", "mu": 0.4, "rotation": "1/3"}),
+    ("circle-3-rot23", _CIRCLE, {"family": "three-periodic", "mu": 0.4, "rotation": "2/3"}),
+    ("circle-4-rot14", _CIRCLE, {"family": "four-periodic", "mu": 0.3, "rotation": "1/4"}),
+    ("circle-4-rot34", _CIRCLE, {"family": "four-periodic", "mu": 0.3, "rotation": "3/4"}),
+    ("ellipse-4-rot14", _ELLIPSE_32, {"family": "four-periodic", "x0": 2.7, "rotation": "1/4"}),
+    ("ellipse-4-rot34", _ELLIPSE_32, {"family": "four-periodic", "x0": 1.5, "rotation": "3/4"}),
+    ("se-diag-4-rot14", _SE2, {"family": "four-periodic-diag", "x0": 0.9, "rotation": "1/4"}),
+    ("se-diag-4-rot34", _SE2, {"family": "four-periodic-diag", "x0": -0.3, "rotation": "3/4"}),
+    ("se-axis-4-rot14", _SE2, {"family": "four-periodic-axis", "x0": 0.9, "rotation": "1/4"}),
+    ("se-axis-4-rot34", _SE2, {"family": "four-periodic-axis", "x0": 0.5, "rotation": "3/4"}),
+]
 
 
 def cmd_check(config: dict, args) -> int:
@@ -675,13 +687,6 @@ def cmd_check(config: dict, args) -> int:
     trace_tol = section.get("trace_tol", 1e-6)
     n_points = section.get("n_points", 200)
     rng = np.random.default_rng(section.get("seed", 0))
-    menu: list[tuple[str, Curve, float]] = [
-        ("circle", Circle(1.0), 0.35),
-        ("ellipse", Ellipse(2.0, 1.0), 0.3),
-        ("superellipse-k2", Superellipse(2), 0.3),
-        ("superellipse-k3", Superellipse(3), 0.3),
-        ("stadium", Stadium(2.0, 1.0), 0.3),
-    ]
     failures = []
 
     def report(name: str, ok: bool, detail: str) -> None:
@@ -689,21 +694,18 @@ def cmd_check(config: dict, args) -> int:
         if not ok:
             failures.append(name)
 
-    for name, curve, mu in menu:
-        points = _sample_points(curve, mu, n_points, rng)
+    for name, curve_cfg, mu in _CHECK_TABLES:
+        curve = make_curve(curve_cfg)
+        samples = [(z, jacobian_analytic(d)) for z, d in _sample_points(curve, mu, n_points, rng)]
         worst_det = 0.0
-        for z in points:
-            _, d = iterate(curve, mu, z, 1)[0]
-            J = jacobian_analytic(d)
+        for _, J in samples:
             worst_det = max(worst_det, abs(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0] - 1.0))
         report(
             f"det[{name}]", worst_det <= det_tol,
-            f"worst |det-1| = {worst_det:.3e} over {len(points)} points (tol {det_tol:g})")
+            f"worst |det-1| = {worst_det:.3e} over {len(samples)} points (tol {det_tol:g})")
 
         worst_jac = 0.0
-        for z in points[: max(10, n_points // 10)]:
-            _, d = iterate(curve, mu, z, 1)[0]
-            A = jacobian_analytic(d)
+        for z, A in samples[: max(10, n_points // 10)]:
             N = jacobian_numeric(curve, mu, z)
             worst_jac = max(
                 worst_jac,
@@ -713,28 +715,10 @@ def cmd_check(config: dict, args) -> int:
             f"jacobian[{name}]", worst_jac <= jac_tol,
             f"worst rel dev = {worst_jac:.3e} (tol {jac_tol:g})")
 
-    closed_menu: list[tuple[str, Callable[[], tuple]]] = [
-        ("circle-2", lambda: _closed_pair(*fam.two_periodic_circle(1.0, 0.5))),
-        ("ellipse-major", lambda: _closed_pair(*fam.two_periodic_ellipse(2.0, 1.0, 0.5, "major"))),
-        ("ellipse-minor", lambda: _closed_pair(*fam.two_periodic_ellipse(2.0, 1.0, 0.5, "minor"))),
-        ("se-axis-2", lambda: _closed_pair(*fam.two_periodic_superellipse_axis(2, 0.5)[:2])),
-        ("se-diag-2", lambda: _closed_pair(*fam.two_periodic_superellipse_diag(2, -0.3)[:2])),
-        ("stadium-sides", lambda: _closed_pair(*fam.two_periodic_stadium(2.0, 1.0, 0.4, "sides"))),
-        ("stadium-caps", lambda: _closed_pair(*fam.two_periodic_stadium(2.0, 1.0, 0.4, "caps"))),
-        ("circle-3-rot13", lambda: fam.three_periodic_circle(1.0, 0.4, "1/3")[::2]),
-        ("circle-3-rot23", lambda: fam.three_periodic_circle(1.0, 0.4, "2/3")[::2]),
-        ("circle-4-rot14", lambda: fam.four_periodic_circle(1.0, 0.3, "1/4")[::2]),
-        ("circle-4-rot34", lambda: fam.four_periodic_circle(1.0, 0.3, "3/4")[::2]),
-        ("ellipse-4-rot14", lambda: _drop_mid(fam.four_periodic_ellipse(3.0, 2.0, 2.7, "1/4"))),
-        ("ellipse-4-rot34", lambda: _drop_mid(fam.four_periodic_ellipse(3.0, 2.0, 1.5, "3/4"))),
-        ("se-diag-4-rot14", lambda: fam.four_periodic_superellipse_diag(2, 0.9, "1/4")),
-        ("se-diag-4-rot34", lambda: fam.four_periodic_superellipse_diag(2, -0.3, "3/4")),
-        ("se-axis-4-rot14", lambda: fam.four_periodic_superellipse_axis(2, 0.9, "1/4")),
-        ("se-axis-4-rot34", lambda: fam.four_periodic_superellipse_axis(2, 0.5, "3/4")),
-    ]
-    for name, build in closed_menu:
-        orbit, closed = build()
-        composed = fam._composed_trace(orbit)
+    for name, curve_cfg, orbit_section in _CHECK_MEMBERS:
+        orbit, closed, _ = _build_orbit(curve_cfg, orbit_section)
+        S = compose(orbit.steps)
+        composed = float(S[0, 0] + S[1, 1])
         dev = abs(closed - composed) / max(1.0, abs(closed))
         report(
             f"trace[{name}]", dev <= trace_tol,
@@ -742,15 +726,6 @@ def cmd_check(config: dict, args) -> int:
 
     print(f"{len(failures)} failure(s)")
     return 1 if failures else 0
-
-
-def _closed_pair(orbit, params):
-    return orbit, trace2_closed(params)
-
-
-def _drop_mid(triple):
-    orbit, _, trace = triple
-    return orbit, trace
 
 
 def cmd_rot(config: dict, args) -> int:

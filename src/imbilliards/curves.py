@@ -57,6 +57,7 @@ _TWO_PI = 2.0 * math.pi
 
 # Gauss-Legendre rule reused for every arclength panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_PANELS = 2048  # panels of every arclength table
 
 
 def rot90(v: np.ndarray) -> np.ndarray:
@@ -78,17 +79,17 @@ class ArclengthTable:
     """Cumulative arclength of a native-parameter curve on [0, 2*pi).
 
     ``speed`` must be vectorized.  The table stores arclength at
-    ``panels + 1`` equally spaced parameter nodes; between nodes the
+    ``_PANELS + 1`` equally spaced parameter nodes; between nodes the
     arclength is completed with the same Gauss-Legendre rule used to
     build the table, so ``s_of_t`` is smooth and self-consistent.
     """
 
-    def __init__(self, speed: Callable[[np.ndarray], np.ndarray], panels: int = 2048):
+    def __init__(self, speed: Callable[[np.ndarray], np.ndarray]):
         self._speed = speed
-        self.t_nodes = np.linspace(0.0, _TWO_PI, panels + 1)
-        half = 0.5 * (_TWO_PI / panels)
+        self.t_nodes = np.linspace(0.0, _TWO_PI, _PANELS + 1)
+        half = 0.5 * (_TWO_PI / _PANELS)
         mid = 0.5 * (self.t_nodes[:-1] + self.t_nodes[1:])
-        # all panels in one vectorized evaluation: shape (panels, order)
+        # all panels in one vectorized evaluation: shape (_PANELS, order)
         pts = mid[:, None] + half * _GL_NODES[None, :]
         panel_lengths = half * (speed(pts.ravel()).reshape(pts.shape) @ _GL_WEIGHTS)
         self.s_nodes = np.concatenate(([0.0], np.cumsum(panel_lengths)))
@@ -264,12 +265,12 @@ def _superellipse_speed(k: int, t: np.ndarray) -> np.ndarray:
 class Ellipse(_TableCurve):
     """Ellipse x^2/a^2 + y^2/b^2 = 1 with a > b > 0."""
 
-    def __init__(self, a: float, b: float, panels: int = 2048):
+    def __init__(self, a: float, b: float):
         if not a > b > 0:
             raise ValueError(f"ellipse semi-axes must satisfy a > b > 0, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
-        self._table = ArclengthTable(functools.partial(_ellipse_speed, self.a, self.b), panels)
+        self._table = ArclengthTable(functools.partial(_ellipse_speed, self.a, self.b))
 
     def _geometry(self, t):
         c, sn = math.cos(t), math.sin(t)
@@ -301,11 +302,11 @@ class Superellipse(_TableCurve):
     not).
     """
 
-    def __init__(self, k: int, panels: int = 2048):
+    def __init__(self, k: int):
         if int(k) != k or k < 1:
             raise ValueError(f"superellipse exponent k must be an integer >= 1, got {k}")
         self.k = int(k)
-        self._table = ArclengthTable(functools.partial(_superellipse_speed, self.k), panels)
+        self._table = ArclengthTable(functools.partial(_superellipse_speed, self.k))
 
     def _geometry(self, t):
         r, rp = _superellipse_r_rp(self.k, t)

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .curves import Circle, Curve, Ellipse, Stadium, Superellipse, rot90
-from .dynamics import PhasePoint, StepData, iterate, jacobian_analytic
+from .dynamics import PhasePoint, StepData, iterate
 from .errors import (
     BeyondXHat,
     BilliardError,
@@ -61,6 +61,7 @@ from .stability import (
     StabilityVerdict,
     TwoPeriodicParams,
     classify,
+    compose,
     orbit_closure_residual,
     two_periodic_params_from_steps,
 )
@@ -192,12 +193,11 @@ def _orbit_from_seed(
     )
 
 
-def _composed_trace(orbit: PeriodicOrbit) -> float:
-    """Trace of the ordered product of step Jacobians along the orbit."""
-    S = np.eye(2)
-    for d in orbit.steps:
-        S = jacobian_analytic(d) @ S
-    return float(S[0, 0] + S[1, 1])
+def _exponent(k: int) -> int:
+    """The superellipse exponent as an int; it must be an integer >= 2."""
+    if k < 2 or int(k) != k:
+        raise ValueError(f"superellipse exponent k must be an integer >= 2, got {k}")
+    return int(k)
 
 
 def _normalize_rotation(rot: Fraction | str | float, allowed: tuple[Fraction, ...]) -> Fraction:
@@ -308,11 +308,9 @@ def two_periodic_superellipse_axis(
     ``(mu*, mu**)``, parabolic at the two thresholds, hyperbolic beyond.
     Returns ``(orbit, params, (mu_star, mu_double_star))``.
     """
-    if k < 2 or int(k) != k:
-        raise ValueError(f"superellipse exponent k must be an integer >= 2, got {k}")
+    k = _exponent(k)
     if not 0.0 < mu < 1.0:
         raise MuTooLarge(f"need 0 < mu < 1, got mu={mu}")
-    k = int(k)
     half_chord = (1.0 - mu ** (2 * k)) ** (1.0 / (2 * k))
     curve = Superellipse(k)
     z0 = _launch_phase(curve, (-half_chord, -mu), (1.0, 0.0))
@@ -345,9 +343,7 @@ def superellipse_diag_ratio(k: int, x0: float) -> float:
     takes the exact values ``1/(2k - 1)`` and ``2k - 1`` at the endpoints,
     where the chord degenerates and no orbit exists.
     """
-    if k < 2 or int(k) != k:
-        raise ValueError(f"superellipse exponent k must be an integer >= 2, got {k}")
-    k = int(k)
+    k = _exponent(k)
     q = 2.0 ** (-1.0 / (2 * k))
     if not -q <= x0 <= q:
         raise X0OutOfRange(
@@ -376,9 +372,7 @@ def two_periodic_superellipse_diag(
     tangential point and hyperbolic on ``(0, q)``; the verdict carried by the
     trace, not a printed label, is authoritative here.
     """
-    if k < 2 or int(k) != k:
-        raise ValueError(f"superellipse exponent k must be an integer >= 2, got {k}")
-    k = int(k)
+    k = _exponent(k)
     q = 2.0 ** (-1.0 / (2 * k))
     if not -q < x0 < q:
         raise X0OutOfRange(
@@ -401,9 +395,7 @@ def superellipse_diag_tangential(k: int) -> tuple[float, float]:
     (the ratio increases continuously from ``1/(2k-1) < 1/2`` to 1, so a
     unique interior root exists).  Returns ``(x0, mu)``.
     """
-    if k < 2 or int(k) != k:
-        raise ValueError(f"superellipse exponent k must be an integer >= 2, got {k}")
-    k = int(k)
+    k = _exponent(k)
     q = 2.0 ** (-1.0 / (2 * k))
 
     def g(x0: float) -> float:
@@ -875,9 +867,7 @@ def x_hat(k: int) -> float:
     Larmor radius ``mu = x0 - y0``: the root of
     ``sqrt(2)*(q - y0) - (x0 - y0)`` in ``(q, 1)``.
     """
-    if k < 2 or int(k) != k:
-        raise ValueError(f"superellipse exponent k must be an integer >= 2, got {k}")
-    k = int(k)
+    k = _exponent(k)
     q = 2.0 ** (-1.0 / (2 * k))
 
     def g(x0: float) -> float:
@@ -905,9 +895,7 @@ def trace4_superellipse_diag(k: int, x0: float) -> float:
     The third factor is evaluated with the ``x0^2`` prefactor multiplied
     through, which keeps the expression finite at ``x0 = 0``.
     """
-    if k < 2 or int(k) != k:
-        raise ValueError(f"superellipse exponent k must be an integer >= 2, got {k}")
-    k = int(k)
+    k = _exponent(k)
     if not -1.0 < x0 < 1.0:
         raise X0OutOfRange(f"x0 must lie in (-1, 1), got {x0}")
     y0 = (1.0 - abs(x0) ** (2 * k)) ** (1.0 / (2 * k))
@@ -934,9 +922,7 @@ def four_periodic_superellipse_diag(
     Verdicts carried by the trace itself are authoritative on either branch.
     """
     rotation = _normalize_rotation(rot, (Fraction(1, 4), Fraction(3, 4)))
-    if k < 2 or int(k) != k:
-        raise ValueError(f"superellipse exponent k must be an integer >= 2, got {k}")
-    k = int(k)
+    k = _exponent(k)
     q = 2.0 ** (-1.0 / (2 * k))
     curve = Superellipse(k)
     if rotation == Fraction(1, 4):
@@ -1029,9 +1015,7 @@ def trace4_superellipse_axis(k: int, x0: float, rot: Fraction | str = "1/4") -> 
     degenerate endpoint where the rational form loses digits to cancellation.
     """
     rotation = _normalize_rotation(rot, (Fraction(1, 4), Fraction(3, 4)))
-    if k < 2 or int(k) != k:
-        raise ValueError(f"superellipse exponent k must be an integer >= 2, got {k}")
-    k = int(k)
+    k = _exponent(k)
     q = 2.0 ** (-1.0 / (2 * k))
     if rotation == Fraction(1, 4) and not q < x0 < 1.0:
         raise X0OutOfRange(f"rotation 1/4 requires x0 in ({q:.12g}, 1), got {x0}")
@@ -1070,8 +1054,8 @@ def four_periodic_superellipse_axis(
     ``(±(x0+y0), 0)``.  Both have ``mu = sqrt(2)*y0``.
     """
     rotation = _normalize_rotation(rot, (Fraction(1, 4), Fraction(3, 4)))
-    trace = trace4_superellipse_axis(k, x0, rotation)  # validates k and x0
-    k = int(k)
+    k = _exponent(k)
+    trace = trace4_superellipse_axis(k, x0, rotation)  # validates x0
     y0 = (1.0 - abs(x0) ** (2 * k)) ** (1.0 / (2 * k))
     mu = _SQRT2 * y0
     curve = Superellipse(k)
@@ -1105,9 +1089,7 @@ def parabolic_roots(k: int, rot: Fraction | str = "3/4") -> tuple[float, ...]:
     Roots are returned sorted ascending; the two lattice values are exact.
     """
     rotation = _normalize_rotation(rot, (Fraction(1, 4), Fraction(3, 4)))
-    if k < 2 or int(k) != k:
-        raise ValueError(f"superellipse exponent k must be an integer >= 2, got {k}")
-    k = int(k)
+    k = _exponent(k)
     q = 2.0 ** (-1.0 / (2 * k))
     eps = 1e-9
     if rotation == Fraction(1, 4):
@@ -1185,19 +1167,18 @@ def _newton_state(curve: Curve, mu: float, z: PhasePoint, n: int):
     """One evaluation of F(z) = T^n(z) - z in the (s, u) chart.
 
     Returns ``(residual_vector, composed_jacobian, scaled_residual)`` or
-    ``None`` when the trajectory leaves the domain of the map.
+    ``None`` when the trajectory leaves the domain of the map or touches
+    its identity region.
     """
     length = curve.total_length()
     try:
         traj = iterate(curve, mu, z, n)
+        S = compose(d for _, d in traj)
     except BilliardError:
         return None
     z_end = traj[-1][0]
     ds = (z_end.s - z.s + length / 2.0) % length - length / 2.0
     du = (-math.cos(z_end.theta)) - (-math.cos(z.theta))
-    S = np.eye(2)
-    for _, d in traj:
-        S = jacobian_analytic(d) @ S
     F = np.array([ds, du])
     return F, S, max(abs(ds) / length, abs(du))
 

@@ -49,6 +49,7 @@ __all__ = [
     "StabilityVerdict",
     "TwoPeriodicParams",
     "classify",
+    "compose",
     "stability_matrix",
     "orbit_closure_residual",
     "trace2_closed",
@@ -136,8 +137,14 @@ def stability_matrix(
             f"orbit of {z!r} does not close to period {n}: residual {res:.3e} "
             f"> {closure_tol}"
         )
+    return compose(data for _, data in traj)
+
+
+def compose(steps) -> np.ndarray:
+    """Ordered product DT_n ... DT_1 of the analytic step Jacobians; a guarded
+    step (``None``, theta in {0, pi}) raises :class:`NotPeriodic`."""
     S = np.eye(2)
-    for _, data in traj:
+    for data in steps:
         if data is None:
             raise NotPeriodic("orbit touched the identity region theta in {0, pi}")
         S = jacobian_analytic(data) @ S

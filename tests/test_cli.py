@@ -12,6 +12,7 @@ import pytest
 from imbilliards import cli
 from imbilliards.cli import main
 from imbilliards.errors import NoConvergence
+from imbilliards.stability import COMPOSED_TOL, compose
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -101,6 +102,15 @@ def test_schema_rejects_nonpositive_radius(tmp_path, capsys):
     config = write_config(tmp_path, {
         "curve": {"kind": "circle", "R": -1.0},
         "orbit": {"family": "two-periodic", "mu": 0.5},
+    })
+    assert main(["orbit", "--config", config, "--out", str(tmp_path)]) == 2
+    assert "ConfigValidation" in capsys.readouterr().err
+
+
+def test_schema_rejects_superellipse_panels(tmp_path, capsys):
+    config = write_config(tmp_path, {
+        "curve": {"kind": "superellipse", "k": 2, "panels": 2048},
+        "orbit": {"family": "two-periodic-axis", "mu": 0.5},
     })
     assert main(["orbit", "--config", config, "--out", str(tmp_path)]) == 2
     assert "ConfigValidation" in capsys.readouterr().err
@@ -221,6 +231,32 @@ def test_scan_reports_out_of_interval_reference(tmp_path):
         assert float(ref[1]) == pytest.approx(float(ref[2]), abs=1e-5)
 
 
+def test_scan_traces_match_composed_traces_of_the_check_members():
+    # the inline closed forms of every scannable family against orbit construction
+    covered = set()
+    for name, curve_cfg, section in cli._CHECK_MEMBERS:
+        try:
+            trace_fn, _, _, param, _ = cli._scan_spec(curve_cfg, section)
+        except ValueError:
+            continue
+        covered.add((curve_cfg["kind"], section["family"], section.get("rotation")))
+        orbit, _, _ = cli._build_orbit(curve_cfg, section)
+        S = compose(orbit.steps)
+        composed = float(S[0, 0] + S[1, 1])
+        scanned = trace_fn(section[param])
+        assert abs(scanned - composed) <= COMPOSED_TOL * max(1.0, abs(composed)), name
+    assert covered == {
+        ("superellipse", "two-periodic-axis", None),
+        ("superellipse", "two-periodic-diag", None),
+        ("ellipse", "four-periodic", "1/4"),
+        ("ellipse", "four-periodic", "3/4"),
+        ("superellipse", "four-periodic-axis", "1/4"),
+        ("superellipse", "four-periodic-axis", "3/4"),
+        ("superellipse", "four-periodic-diag", "1/4"),
+        ("superellipse", "four-periodic-diag", "3/4"),
+    }
+
+
 def test_scan_rejects_inverted_interval(tmp_path, capsys):
     config = write_config(tmp_path, {
         "curve": {"kind": "superellipse", "k": 2},
@@ -297,6 +333,19 @@ def test_check_passes_with_default_tolerances(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "0 failure(s)" in out
     assert "FAIL" not in out
+
+
+def test_check_prints_the_seventeen_trace_names_in_order(tmp_path, capsys):
+    config = write_config(tmp_path, {"check": {"n_points": 1, "seed": 3}})
+    assert main(["check", "--config", config]) == 0
+    names = [line.split()[1].rstrip(":") for line in capsys.readouterr().out.splitlines()
+             if " trace[" in line]
+    assert names == [f"trace[{name}]" for name in (
+        "circle-2", "ellipse-major", "ellipse-minor", "se-axis-2", "se-diag-2",
+        "stadium-sides", "stadium-caps", "circle-3-rot13", "circle-3-rot23",
+        "circle-4-rot14", "circle-4-rot34", "ellipse-4-rot14", "ellipse-4-rot34",
+        "se-diag-4-rot14", "se-diag-4-rot34", "se-axis-4-rot14", "se-axis-4-rot34",
+    )]
 
 
 def test_check_fails_with_impossible_tolerance(tmp_path, capsys):

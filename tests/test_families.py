@@ -751,6 +751,13 @@ def test_newton_lets_programming_errors_through(monkeypatch):
         find_periodic_newton(orbit.curve, orbit.mu, orbit.n, orbit.points[0])
 
 
+def test_newton_reports_a_seed_in_the_identity_region():
+    """A guarded step (theta in {0, pi}) has no Jacobian; the composed product
+    raises NotPeriodic and Newton reports the seed as outside the domain."""
+    with pytest.raises(NoConvergence, match="leaves the domain"):
+        find_periodic_newton(Ellipse(2.0, 1.0), 0.3, 2, PhasePoint(0.1, 0.0))
+
+
 def test_newton_rejects_hopeless_seeds():
     curve = Ellipse(2.0, 1.0)
     with pytest.raises((NoConvergence, SingularJacobian)):

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import composed_trace
+from imbilliards.cli import _CHECK_MEMBERS, _build_orbit
 from imbilliards.dynamics import StepData, jacobian_analytic
+from imbilliards.errors import NotPeriodic
 from imbilliards.stability import (
     StabilityClass,
     TwoPeriodicParams,
@@ -18,6 +21,7 @@ from imbilliards.stability import (
     classify2_convex,
     classify2_general,
     classify_billiard2,
+    compose,
     trace2_closed,
     two_periodic_step_matrix,
 )
@@ -224,3 +228,21 @@ def test_standard_billiard_two_periodic_classics():
 
     # Two flat walls: a neutral bouncing orbit.
     assert billiard_trace2(1.0, math.inf, math.inf) == 2.0
+
+
+# --------------------------------------------------------------------------
+# the composed Jacobian product
+# --------------------------------------------------------------------------
+
+def test_compose_matches_the_reference_product_on_the_check_members():
+    for name, curve_cfg, section in _CHECK_MEMBERS:
+        orbit, _, _ = _build_orbit(curve_cfg, section)
+        S = compose(orbit.steps)
+        assert float(S[0, 0] + S[1, 1]) == composed_trace(orbit), name
+
+
+def test_compose_rejects_a_guarded_step():
+    orbit, _, _ = _build_orbit(*_CHECK_MEMBERS[0][1:])
+    assert np.array_equal(compose(()), np.eye(2))
+    with pytest.raises(NotPeriodic, match="identity region"):
+        compose((orbit.steps[0], None))
