@@ -45,7 +45,6 @@ import json
 import math
 import sys
 import xml.etree.ElementTree as ET
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -57,7 +56,7 @@ from . import families as fam
 from .curves import Curve, make_curve, rot90
 from .dynamics import PhasePoint, StepData, iterate, jacobian_analytic, jacobian_numeric, well_conditioned
 from .errors import BilliardError
-from .rotation import caustic_kind, rotation_table
+from .rotation import rotation_table
 from .stability import classify, compose, trace2_closed
 
 __all__ = ["main", "CONFIG_SCHEMA"]
@@ -276,8 +275,8 @@ def _scan_spec(curve_cfg: dict, section: dict):
             ab = 4.0 * (mu ** (-2 * k) - 1.0) ** ((1.0 - k) / k)
             return (ab - 2.0) ** 2 - 2.0
 
-        mu_star = (2.0 ** (k / (k - 1.0)) + 1.0) ** (-1.0 / (2 * k))
-        return tr_mu, 0.02, 0.995, "mu", [(mu_star, True), (q, True)]
+        mu_star, mu_double_star = fam._superellipse_axis_thresholds(k)
+        return tr_mu, 0.02, 0.995, "mu", [(mu_star, True), (mu_double_star, True)]
     if key == ("superellipse", "two-periodic-diag"):
 
         def tr_diag(x0: float) -> float:

@@ -36,6 +36,9 @@ __all__ = ["ChordHit", "LarmorHit", "chord_exit", "larmor_reentry"]
 ANGLE_EPS = 1e-12      # theta within this of {0, pi} counts as tangential
 SWEEP_GUARD = 1e-7     # smallest admissible Larmor sweep angle
 N_SWEEP_SAMPLES = 512  # dense sampling of the Larmor circle
+#: the sampled Larmor sweep angles, with their cosines and sines
+SWEEP_ANGLES = np.linspace(SWEEP_GUARD, 2.0 * math.pi - SWEEP_GUARD, N_SWEEP_SAMPLES)
+SWEEP_COS, SWEEP_SIN = np.cos(SWEEP_ANGLES), np.sin(SWEEP_ANGLES)
 
 
 @dataclass(frozen=True)
@@ -93,25 +96,27 @@ def _incidence_angle(v: np.ndarray, tangent: np.ndarray, *, entering: bool) -> f
     return math.atan2(normal_part, float(v @ tangent))
 
 
-# Root-finding residuals live at module level and take the curve as an
-# argument, so no closure over the curve outlives a solve.
-def _chord_residual(r: float, curve: Curve, p0: np.ndarray, v: np.ndarray) -> float:
-    return float(curve.implicit(p0 + r * v))
+# Root-finding residuals live at module level and take the curve and plain
+# float coordinates as arguments, so no closure over the curve outlives a
+# solve and no array is built per evaluation.
+def _chord_residual(r: float, curve: Curve, x0: float, y0: float, vx: float, vy: float) -> float:
+    return curve.implicit_xy(x0 + r * vx, y0 + r * vy)
 
 
-def _arc_point(psi: float, center: np.ndarray, rel: np.ndarray) -> np.ndarray:
+def _arc_point(psi: float, cx: float, cy: float, rx: float, ry: float) -> tuple[float, float]:
     c, s = math.cos(psi), math.sin(psi)
-    return center + np.array([c * rel[0] - s * rel[1], s * rel[0] + c * rel[1]])
+    return cx + (c * rx - s * ry), cy + (s * rx + c * ry)
 
 
-def _arc_residual(psi: float, curve: Curve, center: np.ndarray, rel: np.ndarray) -> float:
-    return float(curve.implicit(_arc_point(psi, center, rel)))
+def _arc_residual(psi: float, curve: Curve, cx: float, cy: float, rx: float, ry: float) -> float:
+    return curve.implicit_xy(*_arc_point(psi, cx, cy, rx, ry))
 
 
-def _arc_slope(psi: float, curve: Curve, center: np.ndarray, rel: np.ndarray) -> float:
+def _arc_slope(psi: float, curve: Curve, cx: float, cy: float, rx: float, ry: float) -> float:
     # d/dpsi F(arc_point) = grad F . rot90(arc_point - center)
-    p = _arc_point(psi, center, rel)
-    return float(curve.implicit_gradient(p) @ rot90(p - center))
+    x, y = _arc_point(psi, cx, cy, rx, ry)
+    gx, gy = curve.gradient_xy(x, y)
+    return gy * (x - cx) - gx * (y - cy)
 
 
 def chord_exit(curve: Curve, frame0: Frame, theta0: float) -> ChordHit:
@@ -126,10 +131,11 @@ def chord_exit(curve: Curve, frame0: Frame, theta0: float) -> ChordHit:
     if theta0 < ANGLE_EPS or theta0 > math.pi - ANGLE_EPS:
         raise TangentialChord(f"launch angle {theta0!r} is within {ANGLE_EPS} of 0 or pi")
 
-    p0 = frame0.point
-    tangent = frame0.tangent
-    v = math.cos(theta0) * tangent + math.sin(theta0) * rot90(tangent)
-    args = (curve, p0, v)
+    x0, y0 = frame0.point.tolist()
+    tx, ty = frame0.tangent.tolist()
+    c, s = math.cos(theta0), math.sin(theta0)
+    vx, vy = c * tx - s * ty, c * ty + s * tx
+    args = (curve, x0, y0, vx, vy)
 
     eps_sep = 1e-9 * curve.total_length()
     r_hi = 1.01 * curve.diameter_bound()
@@ -153,12 +159,14 @@ def chord_exit(curve: Curve, frame0: Frame, theta0: float) -> ChordHit:
 
     # Newton polish on the implicit value.
     for _ in range(2):
-        p = p0 + r * v
-        df = float(curve.implicit_gradient(p) @ v)
+        x, y = x0 + r * vx, y0 + r * vy
+        gx, gy = curve.gradient_xy(x, y)
+        df = gx * vx + gy * vy
         if df != 0.0:
-            r -= float(curve.implicit(p)) / df
+            r -= curve.implicit_xy(x, y) / df
 
-    frame1 = curve.frame_of(p0 + r * v)
+    v = np.array([vx, vy])
+    frame1 = curve.frame_of(np.array([x0 + r * vx, y0 + r * vy]))
     theta1 = _incidence_angle(v, frame1.tangent, entering=False)
     return ChordHit(frame1=frame1, theta1=theta1, ell1=float(r), v=v)
 
@@ -175,19 +183,15 @@ def larmor_reentry(curve: Curve, frame1: Frame, v: np.ndarray, mu: float) -> Lar
     if mu <= 0:
         raise ValueError(f"Larmor radius must be positive, got {mu}")
     s1 = frame1.s
-    p1 = frame1.point
-    center = p1 + mu * rot90(v)
-    rel = p1 - center  # radius vector, |rel| = mu
-    args = (curve, center, rel)
+    x1, y1 = frame1.point.tolist()
+    vx, vy = v.tolist()
+    cx, cy = x1 - mu * vy, y1 + mu * vx  # P1 + mu * rot90(v)
+    rx, ry = x1 - cx, y1 - cy  # radius vector, |rel| = mu
+    args = (curve, cx, cy, rx, ry)
 
     # Dense sweep sampling, one vectorized implicit evaluation.
-    psis = np.linspace(SWEEP_GUARD, 2.0 * math.pi - SWEEP_GUARD, N_SWEEP_SAMPLES)
-    cs, ss = np.cos(psis), np.sin(psis)
-    pts = np.stack(
-        [center[0] + cs * rel[0] - ss * rel[1], center[1] + ss * rel[0] + cs * rel[1]],
-        axis=1,
-    )
-    vals = np.asarray(curve.implicit(pts))
+    vals = curve.implicit_xy(cx + SWEEP_COS * rx - SWEEP_SIN * ry,
+                             cy + SWEEP_SIN * rx + SWEEP_COS * ry)
 
     if vals[0] < 0.0:
         # Already inside at the sweep guard: the arc hugs the boundary at
@@ -196,22 +200,22 @@ def larmor_reentry(curve: Curve, frame1: Frame, v: np.ndarray, mu: float) -> Lar
             f"Larmor arc from s1={s1!r} is inside the table at sweep {SWEEP_GUARD}"
         )
 
-    sign_flips = np.nonzero(np.diff(np.signbit(vals)))[0]
-    n_crossings = int(len(sign_flips))
-    entering = [i for i in sign_flips if vals[i] > 0.0 >= vals[i + 1]]
-    if not entering:
+    inside = np.signbit(vals)
+    n_crossings = int(np.count_nonzero(inside[1:] != inside[:-1]))
+    entering = np.flatnonzero((vals[:-1] > 0.0) & inside[1:])
+    if entering.size == 0:
         raise NoReentry(
             f"no boundary crossing along the full Larmor sweep from s1={s1!r} "
             f"(mu={mu!r}); the table is not convex around this arc"
         )
-    i = entering[0]
-    a, b = float(psis[i]), float(psis[i + 1])
+    i = int(entering[0])
+    a, b = SWEEP_ANGLES.item(i), SWEEP_ANGLES.item(i + 1)
     if _arc_residual(a, *args) <= 0.0 or _arc_residual(b, *args) >= 0.0:  # pragma: no cover - defensive
         raise TangentialContact("bracketing sign change collapsed under refinement")
     psi = brentq(_arc_residual, a, b, args=args, xtol=1e-13, rtol=8.9e-16)
 
     slope = _arc_slope(psi, *args)
-    arc_scale = float(np.hypot(*curve.implicit_gradient(_arc_point(psi, center, rel)))) * mu
+    arc_scale = math.hypot(*curve.gradient_xy(*_arc_point(psi, cx, cy, rx, ry))) * mu
     if abs(slope) < 1e-10 * max(arc_scale, 1e-30):
         raise TangentialContact(
             f"Larmor circle grazes the boundary tangentially at sweep {psi!r}"
@@ -219,17 +223,13 @@ def larmor_reentry(curve: Curve, frame1: Frame, v: np.ndarray, mu: float) -> Lar
     for _ in range(2):
         psi -= _arc_residual(psi, *args) / _arc_slope(psi, *args)
 
-    p2 = _arc_point(psi, center, rel)
+    p2 = np.array(_arc_point(psi, cx, cy, rx, ry))
     frame2 = curve.frame_of(p2)
-    v2 = np.array(
-        [
-            math.cos(psi) * v[0] - math.sin(psi) * v[1],
-            math.sin(psi) * v[0] + math.cos(psi) * v[1],
-        ]
-    )
+    c, s = math.cos(psi), math.sin(psi)
+    v2 = np.array([c * vx - s * vy, s * vx + c * vy])
     theta2 = _incidence_angle(v2, frame2.tangent, entering=True)
 
-    delta = p2 - p1
+    delta = p2 - frame1.point
     ell2 = float(np.hypot(*delta))
     # chi: angle from the exit velocity v to the chord P1->P2, positive for
     # the anticlockwise arc.

@@ -10,10 +10,17 @@ with the positive x-axis).  A curve exposes
   its arclength; the inverse of ``frame_at``;
 * ``point_at``, ``tangent_at``, ``curvature_at`` and ``locate`` — one field
   of one of the two frame queries;
-* ``implicit(p)`` / ``implicit_gradient(p)`` — a defining function F with
-  F < 0 strictly inside, used by the collision routines (``implicit``
-  accepts arrays of points and is vectorized);
+* ``implicit_xy(x, y)`` / ``gradient_xy(x, y)`` — a defining function F with
+  F < 0 strictly inside, and its gradient, in coordinates; ``implicit(p)`` /
+  ``implicit_gradient(p)`` are the same on a point ``p`` of shape (2,) or on
+  an array of points of shape (n, 2);
 * ``contains(p)``, ``total_length()``.
+
+One formula serves points and arrays: each table writes its defining
+function and gradient once, and each table curve its parametric speed and
+geometry once (in ``cos t``, ``sin t``), with arithmetic that works on
+Python floats and on numpy arrays alike.  The collision routines evaluate
+them on floats one point at a time and on arrays for dense sampling.
 
 One map step builds one frame per boundary point it visits and passes it
 on, so each point is resolved once.
@@ -21,10 +28,11 @@ on, so each point is resolved once.
 Circle and stadium have exact arclength formulas.  Ellipse and
 superellipse are defined through a native angle parameter and carry an
 :class:`ArclengthTable`: cumulative Gauss–Legendre quadrature of the
-parametric speed on a dense panel grid.  ``frame_of`` reads the native
-parameter off the point and needs only the forward quadrature; ``frame_at``
-inverts the chart once, seeding by linear interpolation between the table
-nodes and polishing with Newton steps on the quadrature itself.
+parametric speed on a dense panel grid, built once per shape and shared by
+every curve of that shape.  ``frame_of`` reads the native parameter off
+the point and needs only the forward quadrature; ``frame_at`` inverts the
+chart once, seeding by linear interpolation between the table nodes and
+polishing with Newton steps on the quadrature itself.
 
 The inward unit normal is the positive quarter-turn of the tangent; for an
 anticlockwise convex boundary this points into the table and equals
@@ -54,10 +62,13 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_SMALLEST = math.ulp(0.0)  # the smallest positive float
 
 # Gauss-Legendre rule reused for every arclength panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _PANELS = 2048  # panels of every arclength table
+_T_NODES = np.linspace(0.0, _TWO_PI, _PANELS + 1)  # panel ends, shared by every table
+_DT = _T_NODES.item(1)  # panel width; node i sits at i * _DT
 
 
 def rot90(v: np.ndarray) -> np.ndarray:
@@ -75,47 +86,71 @@ class Frame:
     curvature: float
 
 
+def _panel_of(t: float) -> int:
+    """Index of the table panel holding ``t`` in [0, 2*pi]: the last node at
+    or below ``t``, short of the last node.  The quotient by the panel width
+    is off by one where it rounds across a node; the neighbours decide."""
+    i = min(int(t / _DT), _PANELS - 1)
+    if _T_NODES.item(i) > t:
+        return i - 1
+    if i < _PANELS - 1 and _T_NODES.item(i + 1) <= t:
+        return i + 1
+    return i
+
+
 class ArclengthTable:
     """Cumulative arclength of a native-parameter curve on [0, 2*pi).
 
-    ``speed`` must be vectorized.  The table stores arclength at
-    ``_PANELS + 1`` equally spaced parameter nodes; between nodes the
-    arclength is completed with the same Gauss-Legendre rule used to
-    build the table, so ``s_of_t`` is smooth and self-consistent.
+    ``speed2(c, s)`` is the squared parametric speed at the parameter whose
+    cosine and sine are ``c`` and ``s``; it must work on floats and on
+    arrays.  The table stores arclength at ``_PANELS + 1`` equally spaced
+    parameter nodes; between nodes the arclength is completed with the same
+    Gauss-Legendre rule used to build the table, so ``s_of_t`` is smooth
+    and self-consistent.
     """
 
-    def __init__(self, speed: Callable[[np.ndarray], np.ndarray]):
-        self._speed = speed
-        self.t_nodes = np.linspace(0.0, _TWO_PI, _PANELS + 1)
-        half = 0.5 * (_TWO_PI / _PANELS)
-        mid = 0.5 * (self.t_nodes[:-1] + self.t_nodes[1:])
+    def __init__(self, speed2: Callable):
+        self._speed2 = speed2
+        self.t_nodes = _T_NODES
+        half = 0.5 * _DT
+        mid = 0.5 * (_T_NODES[:-1] + _T_NODES[1:])
         # all panels in one vectorized evaluation: shape (_PANELS, order)
         pts = mid[:, None] + half * _GL_NODES[None, :]
-        panel_lengths = half * (speed(pts.ravel()).reshape(pts.shape) @ _GL_WEIGHTS)
+        panel_lengths = half * (self._speeds(pts) @ _GL_WEIGHTS)
         self.s_nodes = np.concatenate(([0.0], np.cumsum(panel_lengths)))
         self.total_length = float(self.s_nodes[-1])
 
+    def _speeds(self, t: np.ndarray) -> np.ndarray:
+        return np.sqrt(self._speed2(np.cos(t), np.sin(t)))
+
     def s_of_t(self, t: float) -> float:
         """Arclength from parameter 0 to ``t`` (t in [0, 2*pi])."""
-        t = float(np.clip(t, 0.0, _TWO_PI))
-        i = min(int(np.searchsorted(self.t_nodes, t, side="right")) - 1,
-                len(self.t_nodes) - 2)
-        a = self.t_nodes[i]
+        t = min(max(t, 0.0), _TWO_PI)
+        i = _panel_of(t)
+        a = _T_NODES.item(i)
         half = 0.5 * (t - a)
         if half == 0.0:
-            return float(self.s_nodes[i])
+            return self.s_nodes.item(i)
         mid = a + half
-        partial = half * float(self._speed(mid + half * _GL_NODES) @ _GL_WEIGHTS)
-        return float(self.s_nodes[i] + partial)
+        partial = half * float(self._speeds(mid + half * _GL_NODES) @ _GL_WEIGHTS)
+        return self.s_nodes.item(i) + partial
 
     def t_of_s(self, s: float) -> float:
         """Parameter at arclength ``s`` (s in [0, L]); Newton-polished."""
-        s = float(np.clip(s, 0.0, self.total_length))
-        t = float(np.interp(s, self.s_nodes, self.t_nodes))
+        s = min(max(s, 0.0), self.total_length)
+        t = float(np.interp(s, self.s_nodes, _T_NODES))
         for _ in range(3):
-            t -= (self.s_of_t(t) - s) / float(self._speed(np.array([t]))[0])
+            t -= (self.s_of_t(t) - s) / math.sqrt(self._speed2(math.cos(t), math.sin(t)))
             t = min(max(t, 0.0), _TWO_PI)
         return t
+
+
+@functools.lru_cache(maxsize=8)
+def _arclength_table(speed2: Callable, *shape: float) -> ArclengthTable:
+    """The arclength table of one shape, built once.  ``speed2`` is a
+    module-level function of ``(*shape, c, s)``, so the table holds no
+    reference to any curve."""
+    return ArclengthTable(functools.partial(speed2, *shape))
 
 
 class Curve(ABC):
@@ -133,12 +168,21 @@ class Curve(ABC):
         """Frame of a point on (or within 1e-8 of) the boundary."""
 
     @abstractmethod
-    def implicit(self, p: np.ndarray) -> np.ndarray | float:
-        """Defining function, negative strictly inside.  ``p`` may be a
-        single point of shape (2,) or an array of points of shape (n, 2)."""
+    def implicit_xy(self, x, y):
+        """Defining function at coordinates ``x``, ``y`` (floats, or arrays
+        of one shape), negative strictly inside."""
 
     @abstractmethod
-    def implicit_gradient(self, p: np.ndarray) -> np.ndarray: ...
+    def gradient_xy(self, x, y) -> tuple:
+        """``(dF/dx, dF/dy)`` of the defining function, on floats or arrays."""
+
+    def implicit(self, p: np.ndarray) -> np.ndarray | float:
+        """Defining function at a point of shape (2,) or points of shape (n, 2)."""
+        return self.implicit_xy(*np.asarray(p, dtype=float).T)
+
+    def implicit_gradient(self, p: np.ndarray) -> np.ndarray:
+        """Gradient of the defining function, of the same shape as ``p``."""
+        return np.stack(self.gradient_xy(*np.asarray(p, dtype=float).T), axis=-1)
 
     def point_at(self, s: float) -> np.ndarray:
         return self.frame_at(s).point
@@ -167,9 +211,9 @@ class Curve(ABC):
     def diameter_bound(self) -> float: ...
 
     def _check_on_boundary(self, p: np.ndarray, tol: float = 1e-8) -> None:
-        val = float(self.implicit(p))
-        grad = self.implicit_gradient(p)
-        dist = abs(val) / max(float(np.hypot(*grad)), 1e-300)
+        x, y = float(p[0]), float(p[1])
+        val = float(self.implicit_xy(x, y))
+        dist = abs(val) / max(math.hypot(*self.gradient_xy(x, y)), 1e-300)
         if dist > tol * max(1.0, self.diameter_bound()):
             raise ValueError(
                 f"point {p!r} is not on the boundary: implicit value {val:.3e} "
@@ -199,13 +243,11 @@ class Circle(Curve):
         self._check_on_boundary(p)
         return self.frame_at(self.R * math.atan2(p[1], p[0]))
 
-    def implicit(self, p):
-        p = np.asarray(p, dtype=float)
-        return p[..., 0] ** 2 + p[..., 1] ** 2 - self.R**2
+    def implicit_xy(self, x, y):
+        return x * x + y * y - self.R**2
 
-    def implicit_gradient(self, p):
-        p = np.asarray(p, dtype=float)
-        return 2.0 * p
+    def gradient_xy(self, x, y):
+        return 2.0 * x, 2.0 * y
 
     def diameter_bound(self) -> float:
         return 2.0 * self.R
@@ -217,8 +259,9 @@ class _TableCurve(Curve):
     _table: ArclengthTable
 
     # subclass interface -----------------------------------------------------
-    def _geometry(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """Point, parametric velocity and curvature at native parameter t."""
+    def _geometry(self, c: float, s: float) -> tuple[float, float, float, float, float]:
+        """Point ``(x, y)``, parametric velocity ``(vx, vy)`` and curvature at
+        the native parameter whose cosine and sine are ``c`` and ``s``."""
 
     def _t_of_point(self, p: np.ndarray) -> float: ...
 
@@ -226,8 +269,9 @@ class _TableCurve(Curve):
         return self._table.total_length
 
     def _frame(self, s: float, t: float) -> Frame:
-        point, vel, kappa = self._geometry(t)
-        return Frame(s, point, vel / np.hypot(*vel), kappa)
+        x, y, vx, vy, kappa = self._geometry(math.cos(t), math.sin(t))
+        speed = float(np.hypot(vx, vy))
+        return Frame(s, np.array([x, y]), np.array([vx / speed, vy / speed]), kappa)
 
     def frame_at(self, s: float) -> Frame:
         s = self.wrap(s)
@@ -240,26 +284,28 @@ class _TableCurve(Curve):
         return self._frame(self.wrap(self._table.s_of_t(t)), t)
 
 
-# Parametric speeds are module-level functions bound to the shape parameters,
-# so an arclength table holds no reference back to its curve.
-def _ellipse_speed(a: float, b: float, t: np.ndarray) -> np.ndarray:
-    return np.sqrt((a * np.sin(t)) ** 2 + (b * np.cos(t)) ** 2)
+# Squared parametric speeds are module-level functions of the shape and of
+# (cos t, sin t), bound to the shape in the cached arclength table, so a
+# table holds no reference back to a curve.
+def _ellipse_speed2(a: float, b: float, c, s):
+    return (a * s) ** 2 + (b * c) ** 2
 
 
-def _superellipse_r_rp(k: int, t):
-    """r(phi) and its phi-derivative, sign-safe via even powers of cos/sin."""
-    c2 = np.cos(t) ** 2
-    s2 = np.sin(t) ** 2
+def _superellipse_r_rp(k: int, c, s):
+    """r(phi) and its phi-derivative from cos(phi), sin(phi); sign-safe via
+    even powers of cos/sin."""
+    c2 = c**2
+    s2 = s**2
     u = c2**k + s2**k
     r = u ** (-1.0 / (2 * k))
-    du = 2 * k * np.sin(t) * np.cos(t) * (s2 ** (k - 1) - c2 ** (k - 1))
+    du = 2 * k * s * c * (s2 ** (k - 1) - c2 ** (k - 1))
     rp = -(1.0 / (2 * k)) * u ** (-1.0 / (2 * k) - 1.0) * du
     return r, rp
 
 
-def _superellipse_speed(k: int, t: np.ndarray) -> np.ndarray:
-    r, rp = _superellipse_r_rp(k, np.asarray(t, dtype=float))
-    return np.sqrt(r * r + rp * rp)
+def _superellipse_speed2(k: int, c, s):
+    r, rp = _superellipse_r_rp(k, c, s)
+    return r * r + rp * rp
 
 
 class Ellipse(_TableCurve):
@@ -270,23 +316,21 @@ class Ellipse(_TableCurve):
             raise ValueError(f"ellipse semi-axes must satisfy a > b > 0, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
-        self._table = ArclengthTable(functools.partial(_ellipse_speed, self.a, self.b))
+        self._table = _arclength_table(_ellipse_speed2, self.a, self.b)
 
-    def _geometry(self, t):
-        c, sn = math.cos(t), math.sin(t)
-        kappa = self.a * self.b / math.hypot(self.a * sn, self.b * c) ** 3
-        return np.array([self.a * c, self.b * sn]), np.array([-self.a * sn, self.b * c]), kappa
+    def _geometry(self, c, sn):
+        a, b = self.a, self.b
+        kappa = a * b / math.hypot(a * sn, b * c) ** 3
+        return a * c, b * sn, -a * sn, b * c, kappa
 
     def _t_of_point(self, p):
         return math.atan2(p[1] / self.b, p[0] / self.a) % _TWO_PI
 
-    def implicit(self, p):
-        p = np.asarray(p, dtype=float)
-        return (p[..., 0] / self.a) ** 2 + (p[..., 1] / self.b) ** 2 - 1.0
+    def implicit_xy(self, x, y):
+        return (x / self.a) ** 2 + (y / self.b) ** 2 - 1.0
 
-    def implicit_gradient(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.array([2.0 * p[0] / self.a**2, 2.0 * p[1] / self.b**2])
+    def gradient_xy(self, x, y):
+        return 2.0 * x / self.a**2, 2.0 * y / self.b**2
 
     def diameter_bound(self) -> float:
         return 2.0 * self.a
@@ -306,36 +350,31 @@ class Superellipse(_TableCurve):
         if int(k) != k or k < 1:
             raise ValueError(f"superellipse exponent k must be an integer >= 1, got {k}")
         self.k = int(k)
-        self._table = ArclengthTable(functools.partial(_superellipse_speed, self.k))
+        self._table = _arclength_table(_superellipse_speed2, self.k)
 
-    def _geometry(self, t):
-        r, rp = _superellipse_r_rp(self.k, t)
-        c, s = math.cos(t), math.sin(t)
-        p = np.array([r * c, r * s])
+    def _geometry(self, c, s):
+        r, rp = _superellipse_r_rp(self.k, c, s)
+        x, y = r * c, r * s
         # curvature from the implicit form F = x^(2k) + y^(2k) - 1:
         # kappa = (Fxx Fy^2 - 2 Fxy Fx Fy + Fyy Fx^2)/|grad F|^3 with Fxy = 0
         k = self.k
-        x2 = p[0] ** 2
-        y2 = p[1] ** 2
-        fx = 2 * k * p[0] * x2 ** (k - 1)
-        fy = 2 * k * p[1] * y2 ** (k - 1)
-        num = 2 * k * (2 * k - 1) * (x2 ** (k - 1) * fy**2 + y2 ** (k - 1) * fx**2)
-        return p, np.array([rp * c - r * s, rp * s + r * c]), float(num / math.hypot(fx, fy) ** 3)
+        fx, fy = self.gradient_xy(x, y)
+        num = 2 * k * (2 * k - 1) * ((x**2) ** (k - 1) * fy**2 + (y**2) ** (k - 1) * fx**2)
+        return x, y, rp * c - r * s, rp * s + r * c, num / math.hypot(fx, fy) ** 3
 
     def _t_of_point(self, p):
         return math.atan2(p[1], p[0]) % _TWO_PI
 
-    def implicit(self, p):
-        p = np.asarray(p, dtype=float)
+    # On floats ``x ** 2`` is the C library's pow and may differ from ``x * x``
+    # in the last bit; the defining function squares with ``*``, the gradient
+    # and the curvature with ``**``, on floats and arrays alike.
+    def implicit_xy(self, x, y):
         k = self.k
-        return (p[..., 0] ** 2) ** k + (p[..., 1] ** 2) ** k - 1.0
+        return (x * x) ** k + (y * y) ** k - 1.0
 
-    def implicit_gradient(self, p):
-        p = np.asarray(p, dtype=float)
+    def gradient_xy(self, x, y):
         k = self.k
-        return np.array(
-            [2 * k * p[0] * (p[0] ** 2) ** (k - 1), 2 * k * p[1] * (p[1] ** 2) ** (k - 1)]
-        )
+        return 2 * k * x * (x**2) ** (k - 1), 2 * k * y * (y**2) ** (k - 1)
 
     def diameter_bound(self) -> float:
         # farthest points are the diagonal ones, at radius sqrt(2) * 2^(-1/(2k))
@@ -412,18 +451,15 @@ class Stadium(Curve):
             return self.frame_at(h + (hx - x))
         return self.frame_at(3 * h + self.side + (x + hx))
 
-    def implicit(self, p):
-        p = np.asarray(p, dtype=float)
-        qx = np.maximum(np.abs(p[..., 0]) - 0.5 * self.side, 0.0)
-        return np.hypot(qx, p[..., 1]) - self.R
+    def implicit_xy(self, x, y):
+        return np.hypot(np.maximum(abs(x) - 0.5 * self.side, 0.0), y) - self.R
 
-    def implicit_gradient(self, p):
-        p = np.asarray(p, dtype=float)
-        qx = max(abs(p[0]) - 0.5 * self.side, 0.0)
-        h = math.hypot(qx, p[1])
-        if h == 0.0:
-            return np.array([0.0, 0.0])
-        return np.array([math.copysign(qx, p[0]) / h, p[1] / h])
+    def gradient_xy(self, x, y):
+        qx = np.maximum(abs(x) - 0.5 * self.side, 0.0)
+        # on the inner segment (qx = y = 0) the distance field has a ridge and
+        # both components are 0: the smallest positive h keeps 0/h at 0
+        h = np.maximum(np.hypot(qx, y), _SMALLEST)
+        return np.copysign(qx, x) / h, y / h
 
     def diameter_bound(self) -> float:
         return self.side + 2.0 * self.R

@@ -17,12 +17,12 @@ re-intersection happens there, which keeps the finite-difference check in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .collision import ANGLE_EPS, chord_exit, larmor_reentry
-from .curves import Curve, rot90
+from .curves import Curve, Frame, rot90
 from .errors import BilliardError, DegenerateStep
 
 __all__ = [
@@ -66,7 +66,10 @@ class StepData:
     chord lengths ell1 (straight) and ell2 (Larmor chord), tangent-chord
     angle chi of the arc, boundary curvatures kappa0 and kappa2 at the two
     phase points (kappa1 is kept for diagnostics only; the closed-form DT
-    does not involve it), and the Larmor radius mu.
+    does not involve it), and the Larmor radius mu.  ``frames`` holds the
+    boundary frames of the launch, exit and re-entry points when the record
+    comes from :func:`step` (empty for a hand-built record); it takes no
+    part in comparisons.
     """
 
     s0: float
@@ -82,6 +85,7 @@ class StepData:
     kappa1: float
     kappa2: float
     mu: float
+    frames: tuple[Frame, ...] = field(default=(), compare=False, repr=False)
 
 
 def launch_direction(curve: Curve, z: PhasePoint) -> np.ndarray:
@@ -118,6 +122,7 @@ def step(curve: Curve, mu: float, z: PhasePoint) -> tuple[PhasePoint, StepData |
         kappa1=hit1.frame1.curvature,
         kappa2=hit2.frame2.curvature,
         mu=mu,
+        frames=(frame0, hit1.frame1, hit2.frame2),
     )
     return PhasePoint(hit2.s2, hit2.theta2), data
 

@@ -34,6 +34,7 @@ product of step Jacobians along the dynamically validated orbit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,6 +101,11 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
+_HALF = Fraction(1, 2)
+_THIRD, _TWO_THIRDS = Fraction(1, 3), Fraction(2, 3)
+_QUARTER, _THREE_QUARTERS = Fraction(1, 4), Fraction(3, 4)
+#: the two rotations of the n-periodic families, by period n
+_ROTATIONS = {3: (_THIRD, _TWO_THIRDS), 4: (_QUARTER, _THREE_QUARTERS)}
 
 
 # --------------------------------------------------------------------------
@@ -177,10 +183,8 @@ def _orbit_from_seed(
             f"orbit closes but winds {rotation} per period, expected {expected_rotation}"
         )
     launch_points = (z0,) + tuple(traj[i][0] for i in range(n - 1))
-    boundary: list[np.ndarray] = []
-    for d in steps:
-        boundary.append(curve.point_at(d.s0))
-        boundary.append(curve.point_at(d.s1))
+    # each step's launch and chord-exit frames, as the step resolved them
+    boundary = [frame.point for d in steps for frame in d.frames[:2]]
     return PeriodicOrbit(
         curve=curve,
         n=n,
@@ -200,7 +204,9 @@ def _exponent(k: int) -> int:
     return int(k)
 
 
-def _normalize_rotation(rot: Fraction | str | float, allowed: tuple[Fraction, ...]) -> Fraction:
+@functools.lru_cache(maxsize=64)
+def _normalize_rotation(rot: Fraction | str | float, n: int) -> Fraction:
+    """The rotation ``rot`` as one of the two of the n-periodic families."""
     if isinstance(rot, str):
         num, _, den = rot.partition("/")
         value = Fraction(int(num), int(den)) if den else Fraction(rot)
@@ -208,6 +214,7 @@ def _normalize_rotation(rot: Fraction | str | float, allowed: tuple[Fraction, ..
         value = rot
     else:
         value = Fraction(rot).limit_denominator(64)
+    allowed = _ROTATIONS[n]
     if value not in allowed:
         names = ", ".join(str(a) for a in allowed)
         raise ValueError(f"rotation must be one of {names}, got {rot!r}")
@@ -234,7 +241,7 @@ def two_periodic_circle(R: float, mu: float) -> tuple[PeriodicOrbit, TwoPeriodic
     half_chord = math.sqrt(R * R - mu * mu)
     curve = Circle(R)
     z0 = _launch_phase(curve, (-half_chord, -mu), (1.0, 0.0))
-    orbit = _orbit_from_seed(curve, mu, z0, 2, Fraction(1, 2))
+    orbit = _orbit_from_seed(curve, mu, z0, 2, _HALF)
     params = two_periodic_params_from_steps(orbit.steps)
     return orbit, params
 
@@ -285,7 +292,7 @@ def two_periodic_ellipse(
     else:
         half_chord = b * math.sqrt(a * a - mu * mu) / a
         z0 = _launch_phase(curve, (mu, -half_chord), (0.0, 1.0))
-    orbit = _orbit_from_seed(curve, mu, z0, 2, Fraction(1, 2))
+    orbit = _orbit_from_seed(curve, mu, z0, 2, _HALF)
     params = two_periodic_params_from_steps(orbit.steps)
     return orbit, params
 
@@ -314,11 +321,15 @@ def two_periodic_superellipse_axis(
     half_chord = (1.0 - mu ** (2 * k)) ** (1.0 / (2 * k))
     curve = Superellipse(k)
     z0 = _launch_phase(curve, (-half_chord, -mu), (1.0, 0.0))
-    orbit = _orbit_from_seed(curve, mu, z0, 2, Fraction(1, 2))
+    orbit = _orbit_from_seed(curve, mu, z0, 2, _HALF)
     params = two_periodic_params_from_steps(orbit.steps)
-    mu_star = (2.0 ** (k / (k - 1.0)) + 1.0) ** (-1.0 / (2 * k))
-    mu_double_star = 2.0 ** (-1.0 / (2 * k))
-    return orbit, params, (mu_star, mu_double_star)
+    return orbit, params, _superellipse_axis_thresholds(k)
+
+
+def _superellipse_axis_thresholds(k: int) -> tuple[float, float]:
+    """``(mu*, mu**)`` of the axis-aligned 2-periodic superellipse family:
+    ``mu* = (2^{k/(k-1)} + 1)^{-1/(2k)}`` and ``mu** = 2^{-1/(2k)}``."""
+    return (2.0 ** (k / (k - 1.0)) + 1.0) ** (-1.0 / (2 * k)), 2.0 ** (-1.0 / (2 * k))
 
 
 def _diag_power_sum_ratio(k: int, x0: float, y0: float) -> float:
@@ -382,7 +393,7 @@ def two_periodic_superellipse_diag(
     mu = (y0 - x0) / _SQRT2
     curve = Superellipse(k)
     z0 = _launch_phase(curve, (x0, y0), (-1.0, -1.0))
-    orbit = _orbit_from_seed(curve, mu, z0, 2, Fraction(1, 2))
+    orbit = _orbit_from_seed(curve, mu, z0, 2, _HALF)
     params = two_periodic_params_from_steps(orbit.steps)
     f_value = _diag_power_sum_ratio(k, x0, y0)
     return orbit, params, f_value
@@ -436,7 +447,7 @@ def two_periodic_stadium(
                 f"side-to-side orbit needs 0 < 2*mu < side length, got mu={mu}, side={Lside}"
             )
         z0 = _launch_phase(curve, (mu, -R), (0.0, 1.0))
-        orbit = _orbit_from_seed(curve, mu, z0, 2, Fraction(1, 2))
+        orbit = _orbit_from_seed(curve, mu, z0, 2, _HALF)
         # The incidence angles are exactly pi/2; build the parameters with
         # exact zeros so the closed trace is exactly 2.0.
         alpha = orbit.steps[0].ell1 / mu
@@ -446,7 +457,7 @@ def two_periodic_stadium(
         raise MuTooLarge(f"cap-to-cap orbit needs 0 < mu < R, got mu={mu}, R={R}")
     xr = math.sqrt(R * R - mu * mu)
     z0 = _launch_phase(curve, (-(Lside / 2.0 + xr), -mu), (1.0, 0.0))
-    orbit = _orbit_from_seed(curve, mu, z0, 2, Fraction(1, 2))
+    orbit = _orbit_from_seed(curve, mu, z0, 2, _HALF)
     params = two_periodic_params_from_steps(orbit.steps)
     return orbit, params
 
@@ -464,12 +475,12 @@ def trace3_symmetric(theta: float, alpha: float, rot: Fraction | str = "1/3") ->
     ``alpha = ell / mu``.  The trace is the cubic polynomial in ``alpha``
     below; its coefficients are independent of the boundary curvature.
     """
-    rotation = _normalize_rotation(rot, (Fraction(1, 3), Fraction(2, 3)))
+    rotation = _normalize_rotation(rot, 3)
     s, c = math.sin(theta), math.cos(theta)
     if s == 0.0:
         raise ValueError("incidence angle must have a nonzero sine")
     cot = c / s
-    if rotation == Fraction(1, 3):
+    if rotation == _THIRD:
         c0 = 2.0 - 9.0 * cot**2 - 3.0 * _SQRT3 * cot**3
         c1 = (3.0 * c / (4.0 * s**4)) * (
             5.0 * _SQRT3 * c + _SQRT3 * math.cos(3.0 * theta)
@@ -519,7 +530,7 @@ def trace3_coefficients(
     deliberately not reconstructed; generic work goes through the matrix
     product instead.
     """
-    rotation = _normalize_rotation(rot, (Fraction(1, 3), Fraction(2, 3)))
+    rotation = _normalize_rotation(rot, 3)
     if len(thetas) != 6:
         raise ValueError(f"expected six boundary angles, got {len(thetas)}")
     t = [float(x) for x in thetas]
@@ -531,7 +542,7 @@ def trace3_coefficients(
     c23 = cot[2] + cot[3]
     c45 = cot[4] + cot[5]
     c2345 = c23 + c45
-    branch = 1.0 if rotation == Fraction(1, 3) else -1.0
+    branch = 1.0 if rotation == _THIRD else -1.0
     c0 = 2.0 - 0.75 * c23 * c45 - 0.375 * c01 * (2.0 * c2345 + branch * _SQRT3 * c23 * c45)
     pair_sign = -branch  # pi/6 - (sums) for rotation 1/3, pi/6 + (sums) for 2/3
     num = (
@@ -581,13 +592,13 @@ def three_periodic_circle(
     evaluates to exactly 2 for every ``mu < R``: both rotation classes are
     parabolic throughout.
     """
-    rotation = _normalize_rotation(rot, (Fraction(1, 3), Fraction(2, 3)))
+    rotation = _normalize_rotation(rot, 3)
     if R <= 0.0:
         raise ValueError(f"circle radius must be positive, got {R}")
     if not 0.0 < mu < R:
         raise MuTooLarge(f"need 0 < mu < R, got mu={mu}, R={R}")
     disc = math.sqrt(4.0 * R * R - 3.0 * mu * mu)
-    if rotation == Fraction(1, 3):
+    if rotation == _THIRD:
         cos_theta = (3.0 * mu + disc) / (4.0 * R)
     else:
         cos_theta = (3.0 * mu - disc) / (4.0 * R)
@@ -642,7 +653,7 @@ def four_periodic_circle(
     quartic closed form then evaluates to exactly 2, so both families are
     parabolic for every ``mu < R``.
     """
-    rotation = _normalize_rotation(rot, (Fraction(1, 4), Fraction(3, 4)))
+    rotation = _normalize_rotation(rot, 4)
     if R <= 0.0:
         raise ValueError(f"circle radius must be positive, got {R}")
     if not 0.0 < mu < R:
@@ -747,17 +758,18 @@ def four_periodic_ellipse(
     the branch point where the families meet.  Returns the dynamically
     validated orbit, the closed-form geometric record and the rational trace.
     """
-    rotation = _normalize_rotation(rot, (Fraction(1, 4), Fraction(3, 4)))
+    rotation = _normalize_rotation(rot, 4)
+    quarter = rotation == _QUARTER
     lo, split, hi = _ellipse4_interval(a, b)
     if not lo < x0 < hi:
         raise X0OutOfRange(
             f"symmetric 4-periodic orbits require x0 in ({lo:.12g}, {hi:.12g}), got {x0}"
         )
-    if rotation == Fraction(1, 4) and not x0 > split:
+    if quarter and not x0 > split:
         raise X0OutOfRange(
             f"rotation 1/4 lives on the branch ({split:.12g}, {hi:.12g}), got x0={x0}"
         )
-    if rotation == Fraction(3, 4) and not x0 < split:
+    if not quarter and not x0 < split:
         raise X0OutOfRange(
             f"rotation 3/4 lives on the branch ({lo:.12g}, {split:.12g}), got x0={x0}"
         )
@@ -767,7 +779,7 @@ def four_periodic_ellipse(
     disc = a2 + b2 - c * c
     root = math.sqrt(max(0.0, disc))
     mu = 2.0 * a * b * root / (a2 + b2)
-    sign = 1.0 if rotation == Fraction(1, 4) else -1.0
+    sign = 1.0 if quarter else -1.0
     x2 = (a2 * c - sign * a * b * root) / (a2 + b2)
     y2 = (b2 * c + sign * a * b * root) / (a2 + b2)
     record = EllipseFourRecord(
@@ -778,12 +790,12 @@ def four_periodic_ellipse(
         mu=mu,
         ell1=2.0 * y0,
         ell3=2.0 * x2,
-        chi=math.pi / 4.0 if rotation == Fraction(1, 4) else 3.0 * math.pi / 4.0,
+        chi=math.pi / 4.0 if quarter else 3.0 * math.pi / 4.0,
         cos_theta0=b2 * x0 / math.hypot(a2 * y0, b2 * x0),
         cos_theta2=a2 * y2 / math.hypot(a2 * y2, b2 * x2),
     )
     curve = Ellipse(a, b)
-    if rotation == Fraction(1, 4):
+    if quarter:
         z0 = _launch_phase(curve, (x0, -y0), (0.0, 1.0))
     else:
         z0 = _launch_phase(curve, (x0, y0), (0.0, -1.0))
@@ -921,11 +933,11 @@ def four_periodic_superellipse_diag(
     equals 2 exactly at ``x0 = -2^{-1/(2k)}`` (a tangential parabolic point).
     Verdicts carried by the trace itself are authoritative on either branch.
     """
-    rotation = _normalize_rotation(rot, (Fraction(1, 4), Fraction(3, 4)))
+    rotation = _normalize_rotation(rot, 4)
     k = _exponent(k)
     q = 2.0 ** (-1.0 / (2 * k))
     curve = Superellipse(k)
-    if rotation == Fraction(1, 4):
+    if rotation == _QUARTER:
         if not q < x0 < 1.0:
             raise X0OutOfRange(
                 f"rotation 1/4 requires x0 in ({q:.12g}, 1), got {x0}"
@@ -970,7 +982,7 @@ def _axis_step_trace(k: int, x0: float, rotation: Fraction) -> float:
     norm = math.hypot(gx, gy)
     tangent = (-gy / norm, gx / norm)
     normal_in = (-gx / norm, -gy / norm)
-    if rotation == Fraction(1, 4):
+    if rotation == _QUARTER:
         v = (-_SQRT2 / 2.0, _SQRT2 / 2.0)
         chi = math.pi / 4.0
         ell1 = _SQRT2 * (x0 - y0)
@@ -1014,15 +1026,15 @@ def trace4_superellipse_axis(k: int, x0: float, rot: Fraction | str = "1/4") -> 
     verifies at high precision, and worth preferring numerically near the
     degenerate endpoint where the rational form loses digits to cancellation.
     """
-    rotation = _normalize_rotation(rot, (Fraction(1, 4), Fraction(3, 4)))
+    quarter = _normalize_rotation(rot, 4) == _QUARTER
     k = _exponent(k)
     q = 2.0 ** (-1.0 / (2 * k))
-    if rotation == Fraction(1, 4) and not q < x0 < 1.0:
+    if quarter and not q < x0 < 1.0:
         raise X0OutOfRange(f"rotation 1/4 requires x0 in ({q:.12g}, 1), got {x0}")
-    if rotation == Fraction(3, 4) and not -q < x0 < 1.0:
+    if not quarter and not -q < x0 < 1.0:
         raise X0OutOfRange(f"rotation 3/4 requires x0 in (-{q:.12g}, 1), got {x0}")
     y0 = (1.0 - abs(x0) ** (2 * k)) ** (1.0 / (2 * k))
-    sgn = -1.0 if rotation == Fraction(1, 4) else 1.0
+    sgn = -1.0 if quarter else 1.0
     pair = x0 + sgn * 2.0 * y0  # x0 ∓ 2 y0 resolved per rotation
     num = (
         64.0
@@ -1053,13 +1065,13 @@ def four_periodic_superellipse_axis(
     ``(-y0, -x0)``, with three-quarter arcs centered at ``(0, ±(x0+y0))`` and
     ``(±(x0+y0), 0)``.  Both have ``mu = sqrt(2)*y0``.
     """
-    rotation = _normalize_rotation(rot, (Fraction(1, 4), Fraction(3, 4)))
+    rotation = _normalize_rotation(rot, 4)
     k = _exponent(k)
     trace = trace4_superellipse_axis(k, x0, rotation)  # validates x0
     y0 = (1.0 - abs(x0) ** (2 * k)) ** (1.0 / (2 * k))
     mu = _SQRT2 * y0
     curve = Superellipse(k)
-    if rotation == Fraction(1, 4):
+    if rotation == _QUARTER:
         z0 = _launch_phase(curve, (x0, y0), (-1.0, 1.0))
     else:
         z0 = _launch_phase(curve, (x0, y0), (-1.0, -1.0))
@@ -1088,11 +1100,11 @@ def parabolic_roots(k: int, rot: Fraction | str = "3/4") -> tuple[float, ...]:
 
     Roots are returned sorted ascending; the two lattice values are exact.
     """
-    rotation = _normalize_rotation(rot, (Fraction(1, 4), Fraction(3, 4)))
+    rotation = _normalize_rotation(rot, 4)
     k = _exponent(k)
     q = 2.0 ** (-1.0 / (2 * k))
     eps = 1e-9
-    if rotation == Fraction(1, 4):
+    if rotation == _QUARTER:
 
         def factor(x0: float) -> float:
             y0 = (1.0 - x0 ** (2 * k)) ** (1.0 / (2 * k))
@@ -1104,7 +1116,7 @@ def parabolic_roots(k: int, rot: Fraction | str = "3/4") -> tuple[float, ...]:
         return (brentq(factor, lo, hi, xtol=1e-14, rtol=8.9e-16),)
 
     def t(x0: float) -> float:
-        return _axis_step_trace(k, x0, Fraction(3, 4))
+        return _axis_step_trace(k, x0, _THREE_QUARTERS)
 
     hi = 1.0 - 1e-12
     x4 = brentq(t, q + eps, hi, xtol=1e-14, rtol=8.9e-16)
@@ -1140,10 +1152,10 @@ def dual_orbit(orbit: PeriodicOrbit) -> PeriodicOrbit:
                 f"boundary points; pair {i} differs by "
                 f"{float(np.max(np.abs(pts[i + 4] + pts[i]))):.3e}"
             )
-    if orbit.rotation == Fraction(1, 4):
-        expected = Fraction(3, 4)
-    elif orbit.rotation == Fraction(3, 4):
-        expected = Fraction(1, 4)
+    if orbit.rotation == _QUARTER:
+        expected = _THREE_QUARTERS
+    elif orbit.rotation == _THREE_QUARTERS:
+        expected = _QUARTER
     else:
         raise ValueError(f"duality swaps rotations 1/4 and 3/4, got {orbit.rotation}")
     p0, p5 = pts[0], pts[5]

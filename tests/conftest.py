@@ -12,7 +12,8 @@ from imbilliards.dynamics import PhasePoint, iterate, jacobian_analytic, well_co
 from imbilliards.errors import BilliardError
 
 #: (name, factory, mu) menu used by sweep-style tests.  Factories, not
-#: instances, so every test gets a fresh arclength table.
+#: instances, so every test builds its own curve (the arclength table of a
+#: shape is built once and shared).
 CURVE_MENU = [
     ("circle", lambda: Circle(1.0), 0.35),
     ("ellipse-2-1", lambda: Ellipse(2.0, 1.0), 0.3),

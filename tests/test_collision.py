@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from conftest import CURVE_MENU, sample_phase_points
-from imbilliards.collision import chord_exit, larmor_reentry
+from imbilliards.collision import (
+    N_SWEEP_SAMPLES,
+    SWEEP_ANGLES,
+    SWEEP_COS,
+    SWEEP_GUARD,
+    SWEEP_SIN,
+    chord_exit,
+    larmor_reentry,
+)
 from imbilliards.curves import Circle, Superellipse, rot90
 from imbilliards.dynamics import iterate, launch_direction
 from imbilliards.errors import TangentialChord
@@ -144,3 +152,12 @@ def test_corner_clipping_crossing_count():
         s1 = curve.locate(np.array([x0, y0]))
         hit = larmor_reentry(curve, curve.frame_at(s1), v, mu)
         assert hit.n_crossings == expected
+
+
+def test_larmor_sweep_constants():
+    """The sampled sweep angles and their cosines and sines are module
+    constants, equal to the grid a Larmor re-entry samples."""
+    psis = np.linspace(SWEEP_GUARD, 2.0 * math.pi - SWEEP_GUARD, N_SWEEP_SAMPLES)
+    assert np.array_equal(SWEEP_ANGLES, psis)
+    assert np.array_equal(SWEEP_COS, np.cos(psis))
+    assert np.array_equal(SWEEP_SIN, np.sin(psis))

@@ -9,6 +9,7 @@ import pytest
 from scipy.special import ellipe
 
 from conftest import CURVE_MENU
+from imbilliards import curves as curves_module
 from imbilliards.curves import Circle, Ellipse, Stadium, Superellipse, make_curve, rot90
 
 CURVE_IDS = [name for name, _, _ in CURVE_MENU]
@@ -135,6 +136,73 @@ def test_boundary_points_satisfy_implicit_equation(name, curves, rng):
         g = curve.implicit_gradient(p)
         # Outward gradient: moving along it must leave the region.
         assert curve.implicit(p + 1e-4 * g / np.linalg.norm(g)) > 0.0
+
+
+@pytest.mark.parametrize("name", CURVE_IDS)
+def test_coordinate_forms_agree_on_floats_and_arrays(name, curves, rng):
+    """One formula serves a point and an array.  On floats and on arrays the
+    defining function, its gradient and the parametric speed differ only by
+    the rounding of pow: the C library's on floats, numpy's exact square and
+    vectorized pow on arrays."""
+    curve, _ = curves[name]
+    half = 0.6 * curve.diameter_bound()
+    xs, ys = rng.uniform(-half, half, size=(2, 1000))
+    values = curve.implicit_xy(xs, ys)
+    gxs, gys = curve.gradient_xy(xs, ys)
+    # F is a sum of non-negative terms minus its value c at the centre, so
+    # |F| + 2c bounds the size of the terms it is rounded from.
+    c = -curve.implicit_xy(0.0, 0.0)
+    for x, y, value, gx, gy in zip(xs.tolist(), ys.tolist(), values, gxs, gys):
+        assert abs(curve.implicit_xy(x, y) - value) <= 4e-16 * (abs(value) + 2.0 * c)
+        fx, fy = curve.gradient_xy(x, y)
+        g = math.hypot(gx, gy)
+        assert abs(fx - gx) <= 8e-16 * g and abs(fy - gy) <= 8e-16 * g
+    table = getattr(curve, "_table", None)
+    if table is not None:
+        ts = rng.uniform(0.0, 2.0 * math.pi, 1000)
+        for t, speed in zip(ts.tolist(), table._speeds(ts)):
+            assert abs(math.sqrt(table._speed2(math.cos(t), math.sin(t))) - speed) <= 8e-16 * speed
+
+
+def test_implicit_views_take_points_and_arrays_of_points(rng):
+    curve = Superellipse(3)
+    points = rng.uniform(-1.2, 1.2, size=(50, 2))
+    assert curve.implicit(points).shape == (50,)
+    assert curve.implicit_gradient(points).shape == (50, 2)
+    for p, value, grad in zip(points, curve.implicit(points), curve.implicit_gradient(points)):
+        assert curve.implicit(p) == curve.implicit_xy(*p.tolist())
+        assert np.array_equal(curve.implicit_gradient(p), curve.gradient_xy(*p.tolist()))
+        assert abs(value - curve.implicit(p)) <= 4e-16 * (abs(value) + 2.0)
+        assert np.linalg.norm(grad - curve.implicit_gradient(p)) <= 8e-16 * np.linalg.norm(grad)
+
+
+def test_arclength_tables_are_built_once_per_shape():
+    assert Superellipse(2)._table is Superellipse(2)._table
+    assert Ellipse(2.0, 1.0)._table is Ellipse(2, 1)._table
+    assert Ellipse(3.0, 2.0)._table is not Ellipse(2.0, 1.0)._table
+    assert Superellipse(3)._table is not Superellipse(2)._table
+
+
+def test_panel_of_matches_a_binary_search(rng):
+    """``s_of_t`` finds its panel by index arithmetic on the uniform grid;
+    at every node, at both floats next to it and at random parameters it is
+    the panel a binary search over the nodes finds."""
+    nodes = curves_module._T_NODES
+    ts = [t for node in nodes.tolist()
+          for t in (math.nextafter(node, -math.inf), node, math.nextafter(node, math.inf))
+          if 0.0 <= t <= 2.0 * math.pi]
+    ts += rng.uniform(0.0, 2.0 * math.pi, 2000).tolist()
+    for t in ts:
+        expected = min(int(np.searchsorted(nodes, t, side="right")) - 1, len(nodes) - 2)
+        assert curves_module._panel_of(t) == expected
+
+
+def test_s_of_t_lands_on_the_tabulated_nodes():
+    table = Superellipse(3)._table
+    for i, t in enumerate(table.t_nodes.tolist()[:-1]):
+        assert table.s_of_t(t) == table.s_nodes[i]
+    assert table.s_of_t(-1.0) == 0.0
+    assert table.s_of_t(7.0) == table.s_of_t(2.0 * math.pi)
 
 
 def test_total_length_closed_forms():

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import composed_trace
 from imbilliards import dynamics
-from imbilliards.curves import Ellipse
+from imbilliards.curves import ArclengthTable, Ellipse
 from imbilliards.dynamics import PhasePoint, StepData, jacobian_analytic
 from imbilliards.errors import (
     BeyondXHat,
@@ -809,3 +809,34 @@ def test_scan_family_rejects_bad_requests():
         scan_family(lambda x: x, 1.0, 0.5)
     with pytest.raises(ValueError):
         scan_family(lambda x: x, 0.0, 1.0, n_grid=8)
+
+
+def test_orbit_boundary_points_come_from_the_step_frames(monkeypatch):
+    """A family member inverts the arclength chart once per step, for the
+    step's launch point; its boundary points are the points of the launch
+    and exit frames of its steps."""
+    calls = []
+    t_of_s = ArclengthTable.t_of_s
+
+    def counted(self, s):
+        calls.append(s)
+        return t_of_s(self, s)
+
+    monkeypatch.setattr(ArclengthTable, "t_of_s", counted)
+    orbit, _ = four_periodic_superellipse_axis(2, 0.9, "1/4")
+    assert len(calls) == orbit.n == 4
+    frames = [frame for d in orbit.steps for frame in d.frames[:2]]
+    assert len(orbit.boundary_points) == len(frames) == 8
+    assert all(p is frame.point for p, frame in zip(orbit.boundary_points, frames))
+
+
+def test_rotation_spellings_agree():
+    """A rotation given as a string, a Fraction or a float selects the same
+    branch, and a rejected rotation is rejected every time it is given."""
+    expected = trace4_superellipse_axis(3, 0.95, "1/4")
+    for rot in ("1/4", Fraction(1, 4), 0.25):
+        assert trace4_superellipse_axis(3, 0.95, rot) == expected
+    assert trace4_superellipse_axis(3, 0.5, "3/4") == trace4_superellipse_axis(3, 0.5, 0.75)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="rotation must be one of 1/4, 3/4"):
+            trace4_superellipse_axis(3, 0.95, "1/3")
