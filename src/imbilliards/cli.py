@@ -315,13 +315,14 @@ def _scan_spec(curve_cfg: dict, section: dict):
 # --------------------------------------------------------------------------
 
 class _Frame:
-    """Affine map from math coordinates to the 1000x1000 SVG viewBox."""
+    """Affine map from math coordinates to the 1000x1000 SVG viewBox, with a
+    margin of 5% of the larger span on every side."""
 
-    def __init__(self, xs: Sequence[float], ys: Sequence[float], margin: float = 0.05):
+    def __init__(self, xs: Sequence[float], ys: Sequence[float]):
         x_lo, x_hi = min(xs), max(xs)
         y_lo, y_hi = min(ys), max(ys)
         span = max(x_hi - x_lo, y_hi - y_lo, 1e-9)
-        pad = margin * span
+        pad = 0.05 * span
         self.scale = 1000.0 / (span + 2.0 * pad)
         self.x0 = 0.5 * (x_lo + x_hi)
         self.y0 = 0.5 * (y_lo + y_hi)
@@ -364,9 +365,10 @@ def _add_path(root: ET.Element, d: str, stroke: str, *, dashed: bool = False,
     ET.SubElement(root, "path", attrs)
 
 
-def _boundary_path(curve: Curve, frame: _Frame, n: int = 720) -> str:
+def _boundary_path(curve: Curve, frame: _Frame) -> str:
+    """Closed polygon through 720 arclength-equispaced boundary points."""
     length = curve.total_length()
-    ss = np.linspace(0.0, length, n, endpoint=False)
+    ss = np.linspace(0.0, length, 720, endpoint=False)
     parts = []
     for i, s in enumerate(ss):
         p = curve.point_at(float(s))
@@ -374,25 +376,25 @@ def _boundary_path(curve: Curve, frame: _Frame, n: int = 720) -> str:
     return " ".join(parts) + " Z"
 
 
-def _step_geometry(curve: Curve, d: StepData) -> dict:
-    """Cartesian chord endpoints, arc center/radius/angles for one step."""
-    p0 = curve.point_at(d.s0)
-    p1 = curve.point_at(d.s1)
-    p2 = curve.point_at(d.s2)
-    tangent = curve.tangent_at(d.s1)
+def _step_geometry(d: StepData) -> dict:
+    """Cartesian chord endpoints, arc center/radius/angles for one step,
+    read off the step's launch, exit and re-entry frames."""
+    frame0, frame1, frame2 = d.frames
+    p1, tangent = frame1.point, frame1.tangent
     normal = rot90(tangent)
     v = math.cos(d.theta1) * tangent - math.sin(d.theta1) * normal
     center = p1 + d.mu * rot90(v)
     phi0 = math.atan2(p1[1] - center[1], p1[0] - center[0])
     return {
-        "p0": p0, "p1": p1, "p2": p2,
+        "p0": frame0.point, "p1": p1, "p2": frame2.point,
         "center": center, "phi0": phi0, "sweep": 2.0 * d.chi,
     }
 
 
-def _arc_points(geo: dict, mu: float, n: int = 48) -> list[tuple[float, float]]:
+def _arc_points(geo: dict, mu: float) -> list[tuple[float, float]]:
+    """24 equispaced points along a step's Larmor arc."""
     pts = []
-    for t in np.linspace(0.0, geo["sweep"], n):
+    for t in np.linspace(0.0, geo["sweep"], 24):
         phi = geo["phi0"] + t
         pts.append(
             (geo["center"][0] + mu * math.cos(phi), geo["center"][1] + mu * math.sin(phi))
@@ -587,9 +589,9 @@ def cmd_trace(config: dict, args) -> int:
         steps = tuple(d for _, d in iterate(curve, mu, z, section["steps"]))
 
     # (step geometries, Larmor radius, chord color, arc color, opacity)
-    layers = [([_step_geometry(curve, d) for d in steps], mu, "#1f5fa8", "#c03030", 1.0)]
+    layers = [([_step_geometry(d) for d in steps], mu, "#1f5fa8", "#c03030", 1.0)]
     if overlay is not None:
-        layers.append(([_step_geometry(curve, d) for d in overlay.steps], overlay.mu,
+        layers.append(([_step_geometry(d) for d in overlay.steps], overlay.mu,
                        "#2a9d4e", "#b05fc0", 0.85))
 
     # fit the frame around the boundary and every arc
@@ -601,7 +603,7 @@ def cmd_trace(config: dict, args) -> int:
         ys.append(p[1])
     for geos, radius, *_ in layers:
         for geo in geos:
-            for x, y in _arc_points(geo, radius, 24):
+            for x, y in _arc_points(geo, radius):
                 xs.append(x)
                 ys.append(y)
     frame = _Frame(xs, ys)

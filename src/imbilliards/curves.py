@@ -210,11 +210,13 @@ class Curve(ABC):
     @abstractmethod
     def diameter_bound(self) -> float: ...
 
-    def _check_on_boundary(self, p: np.ndarray, tol: float = 1e-8) -> None:
+    def _check_on_boundary(self, p: np.ndarray) -> None:
+        """Raise ``ValueError`` unless ``p`` lies within ``1e-8 * max(1,
+        diameter bound)`` of the boundary (first-order distance)."""
         x, y = float(p[0]), float(p[1])
         val = float(self.implicit_xy(x, y))
         dist = abs(val) / max(math.hypot(*self.gradient_xy(x, y)), 1e-300)
-        if dist > tol * max(1.0, self.diameter_bound()):
+        if dist > 1e-8 * max(1.0, self.diameter_bound()):
             raise ValueError(
                 f"point {p!r} is not on the boundary: implicit value {val:.3e} "
                 f"corresponds to distance ~{dist:.3e}"

@@ -155,23 +155,21 @@ def _orbit_from_seed(
     z0: PhasePoint,
     n: int,
     expected_rotation: Fraction | None,
-    *,
-    closure_tol: float = CLOSURE_TOL,
 ) -> PeriodicOrbit:
     """Iterate a seed n steps, check closure, and package the orbit.
 
     Raises :class:`NotPeriodic` when the trajectory fails to return to the
-    seed within ``closure_tol`` (in the scale-free metric combining arclength
+    seed within ``CLOSURE_TOL`` (in the scale-free metric combining arclength
     and ``u = -cos(theta)``), or when the measured winding disagrees with
     ``expected_rotation``.
     """
     traj = iterate(curve, mu, z0, n)
     z_end = traj[-1][0]
     residual = orbit_closure_residual(curve, z0, z_end)
-    if residual > closure_tol:
+    if residual > CLOSURE_TOL:
         raise NotPeriodic(
             f"seed does not close after {n} steps: residual {residual:.3e} "
-            f"exceeds {closure_tol:.1e}"
+            f"exceeds {CLOSURE_TOL:.1e}"
         )
     steps = tuple(d for _, d in traj)
     length = curve.total_length()
@@ -968,8 +966,9 @@ def four_periodic_superellipse_diag(
 # 4-periodic: superellipse with Larmor centers on the coordinate axes
 # --------------------------------------------------------------------------
 
-def _axis_step_trace(k: int, x0: float, rotation: Fraction) -> float:
-    """Trace of the single symmetric step matrix of the axis 4-periodic family.
+def _axis_step_trace(k: int, x0: float) -> float:
+    """Trace of the single symmetric step matrix of the axis 4-periodic
+    family with rotation 3/4.
 
     All four step matrices of this family coincide, so the 4-step trace is
     the Chebyshev image ``(t^2 - 2)^2 - 2`` of this value ``t``.  The level
@@ -982,14 +981,9 @@ def _axis_step_trace(k: int, x0: float, rotation: Fraction) -> float:
     norm = math.hypot(gx, gy)
     tangent = (-gy / norm, gx / norm)
     normal_in = (-gx / norm, -gy / norm)
-    if rotation == _QUARTER:
-        v = (-_SQRT2 / 2.0, _SQRT2 / 2.0)
-        chi = math.pi / 4.0
-        ell1 = _SQRT2 * (x0 - y0)
-    else:
-        v = (-_SQRT2 / 2.0, -_SQRT2 / 2.0)
-        chi = 3.0 * math.pi / 4.0
-        ell1 = _SQRT2 * (x0 + y0)
+    v = (-_SQRT2 / 2.0, -_SQRT2 / 2.0)
+    chi = 3.0 * math.pi / 4.0
+    ell1 = _SQRT2 * (x0 + y0)
     theta = math.atan2(
         v[0] * normal_in[0] + v[1] * normal_in[1],
         v[0] * tangent[0] + v[1] * tangent[1],
@@ -1022,9 +1016,10 @@ def trace4_superellipse_axis(k: int, x0: float, rot: Fraction | str = "1/4") -> 
        / (x0^{2k-1} - y0^{2k-1})^8``.
 
     Both expressions coincide with ``(t^2 - 2)^2 - 2`` for the single-step
-    trace ``t`` of :func:`_axis_step_trace` — an identity the test-suite
-    verifies at high precision, and worth preferring numerically near the
-    degenerate endpoint where the rational form loses digits to cancellation.
+    trace ``t`` of the orbit's steps (see :func:`_axis_step_trace` for
+    rotation 3/4) — an identity the test-suite verifies against the composed
+    orbit, and worth preferring numerically near the degenerate endpoint
+    where the rational form loses digits to cancellation.
     """
     quarter = _normalize_rotation(rot, 4) == _QUARTER
     k = _exponent(k)
@@ -1115,9 +1110,7 @@ def parabolic_roots(k: int, rot: Fraction | str = "3/4") -> tuple[float, ...]:
             raise RootNotBracketed(f"no trace-2 crossing bracketed on ({lo}, {hi})")
         return (brentq(factor, lo, hi, xtol=1e-14, rtol=8.9e-16),)
 
-    def t(x0: float) -> float:
-        return _axis_step_trace(k, x0, _THREE_QUARTERS)
-
+    t = functools.partial(_axis_step_trace, k)
     hi = 1.0 - 1e-12
     x4 = brentq(t, q + eps, hi, xtol=1e-14, rtol=8.9e-16)
     x3 = brentq(lambda x: t(x) - _SQRT2, q + eps, x4, xtol=1e-14, rtol=8.9e-16)
@@ -1279,7 +1272,6 @@ def scan_family(
     parameter: str = "parameter",
     n_grid: int = 2000,
     class_tol: float = 1e-9,
-    tangential_tol: float = 1e-6,
 ) -> FamilyScan:
     """Evaluate a closed-form trace on a grid and locate parabolic thresholds.
 
@@ -1287,7 +1279,7 @@ def scan_family(
     ``trace - 2`` and ``trace + 2`` (to ``xtol = 1e-12``); tangential touches
     are caught in a second pass over local minima of ``||trace| - 2||``,
     refined by bounded scalar minimization and accepted when the refined
-    minimum lies below ``tangential_tol``.
+    minimum lies below 1e-6.
     """
     if not hi > lo:
         raise ValueError(f"empty scan interval [{lo}, {hi}]")
@@ -1318,7 +1310,7 @@ def scan_family(
             method="bounded",
             options={"xatol": 1e-12},
         )
-        if res.fun < tangential_tol:
+        if res.fun < 1e-6:
             found.append(float(res.x))
 
     found.sort()

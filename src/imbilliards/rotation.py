@@ -14,29 +14,22 @@ The rotation number is computed as
 ``num = integral of f over (0, min(b^2, lam))``,
 ``den = integral of f over (max(b^2, lam), a^2)``,
 
-with ``f(t) = [(lam - t)(b^2 - t)(a^2 - t)]^{-1/2}`` in absolute value.  This
-normalization is pinned down by its endpoint behaviour, recorded in
-:func:`rotation_form_diagnostics`:
+with ``f(t) = [(lam - t)(b^2 - t)(a^2 - t)]^{-1/2}`` in absolute value,
+the same two integrals on both caustic branches.  This normalization is
+pinned down by its endpoint behaviour, which the tests check:
 
 * ``rho -> 0``  as ``lam -> 0+`` (grazing chords),
 * ``rho -> 1``  from both sides as ``lam -> b^2`` (both integrals diverge
   logarithmically at the shared endpoint, at identical rates),
 * ``rho -> (2/pi) * arcsin(b/a)`` as ``lam -> a^2-``, the classical value for
   chords through the center.
-
-A tempting-looking "separable" variant with integrand
-``[(lam - t)(b^2 - lam)(a^2 - lam)]^{-1/2}`` — two factors constant in ``t``
-— reduces to elementary functions, tends to ``b/sqrt(a^2-b^2)`` instead of 1
-at ``lam = b^2`` and diverges at the minor-axis limit; the diagnostics
-evaluate both candidates so the selection is pinned by numbers, not taste.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 from scipy.integrate import quad
 
@@ -49,8 +42,6 @@ __all__ = [
     "limiting_rotation",
     "confocal_param",
     "rotation_table",
-    "RotationFormDiagnostics",
-    "rotation_form_diagnostics",
 ]
 
 #: Relative half-width (times ``a^2``) of the degeneracy guard around
@@ -118,40 +109,23 @@ def rot_lambda(a: float, b: float, lam: float) -> float:
             f"lam={lam} gives a {kind.value} conic"
         )
     a2, b2 = a * a, b * b
-    if kind is CausticKind.ELLIPSE:
-        num, _ = quad(
-            lambda t: 1.0 / math.sqrt((b2 - t) * (a2 - t)),
-            0.0,
-            lam,
-            weight="alg",
-            wvar=(0.0, -0.5),
-            **_QUAD_OPTS,
-        )
-        den, _ = quad(
-            lambda t: 1.0 / math.sqrt(t - lam),
-            b2,
-            a2,
-            weight="alg",
-            wvar=(-0.5, -0.5),
-            **_QUAD_OPTS,
-        )
-    else:
-        num, _ = quad(
-            lambda t: 1.0 / math.sqrt((lam - t) * (a2 - t)),
-            0.0,
-            b2,
-            weight="alg",
-            wvar=(0.0, -0.5),
-            **_QUAD_OPTS,
-        )
-        den, _ = quad(
-            lambda t: 1.0 / math.sqrt(t - b2),
-            lam,
-            a2,
-            weight="alg",
-            wvar=(-0.5, -0.5),
-            **_QUAD_OPTS,
-        )
+    lo, hi = min(b2, lam), max(b2, lam)
+    num, _ = quad(
+        lambda t: 1.0 / math.sqrt((hi - t) * (a2 - t)),
+        0.0,
+        lo,
+        weight="alg",
+        wvar=(0.0, -0.5),
+        **_QUAD_OPTS,
+    )
+    den, _ = quad(
+        lambda t: 1.0 / math.sqrt(t - lo),
+        hi,
+        a2,
+        weight="alg",
+        wvar=(-0.5, -0.5),
+        **_QUAD_OPTS,
+    )
     return num / den
 
 
@@ -194,84 +168,3 @@ def rotation_table(
             rho = math.nan
         rows.append((float(lam), kind.value, rho))
     return rows
-
-
-def _rot_separable(a: float, b: float, lam: float) -> float:
-    """Rejected candidate with the t-independent factors under the radical.
-
-    Both integrals become elementary; on the ellipse branch the ratio is
-    ``sqrt(lam) / (sqrt(a^2-lam) - sqrt(b^2-lam))`` and on the hyperbola
-    branch ``(sqrt(lam) - sqrt(lam-b^2)) / sqrt(a^2-lam)``.  Kept only for
-    :func:`rotation_form_diagnostics`.
-    """
-    a2, b2 = a * a, b * b
-    if 0.0 < lam < b2:
-        return math.sqrt(lam) / (math.sqrt(a2 - lam) - math.sqrt(b2 - lam))
-    if b2 < lam < a2:
-        return (math.sqrt(lam) - math.sqrt(lam - b2)) / math.sqrt(a2 - lam)
-    raise ValueError(f"candidate defined for 0 < lam < a^2, lam != b^2; got {lam}")
-
-
-@dataclass(frozen=True)
-class RotationFormDiagnostics:
-    """Endpoint checks pinning down the rotation-number normalization.
-
-    Each field holds an absolute deviation from the target behaviour; the
-    three ``selected_*`` values are small for the implemented form, while the
-    ``separable_*`` values show the elementary candidate missing the value 1
-    at ``lam = b^2`` and blowing up at the minor-axis limit.
-    """
-
-    a: float
-    b: float
-    selected_small_lambda: float
-    selected_bsq_deviation: float
-    selected_bsq_trend: float
-    selected_minor_limit: float
-    separable_bsq_deviation: float
-    separable_bsq_trend: float
-    separable_minor_limit: float
-
-
-def rotation_form_diagnostics(a: float = 2.0, b: float = 1.0) -> RotationFormDiagnostics:
-    """Evaluate the normalization checks described in the module docstring.
-
-    * ``*_small_lambda``: ``rho`` at ``lam = 1e-8 * b^2`` (near 0);
-    * ``*_bsq_deviation``: worst deviation of ``rho`` from 1 on either side
-      of ``lam = b^2`` at relative distance 1e-6.  The approach to 1 is only
-      logarithmic, so this number is O(0.1) even for the correct form; what
-      discriminates is ``*_bsq_trend``, the ratio of that deviation to the
-      one at relative distance 1e-3 — well below 1 when the value actually
-      converges to 1, and essentially 1 when it converges to something else
-      (the separable candidate stalls at ``b/sqrt(a^2-b^2)``).
-    * ``*_minor_limit``: deviation of ``rho`` at ``lam = a^2 (1 - 1e-8)``
-      from ``(2/pi) * arcsin(b/a)``.
-
-    The minor-axis probe sits at relative distance ``1e-8`` from ``a^2``:
-    close enough that the limit deviation is ~1e-8, far enough that the
-    quadrature nodes inside the shrinking interval are not dominated by
-    floating-point rounding of ``t - lam``.
-    """
-    b2, a2 = b * b, a * a
-    lam_minor = a2 * (1.0 - 1e-8)
-    analytic_minor = (2.0 / math.pi) * math.asin(b / a)
-
-    def bsq_deviation(form: Callable[[float, float, float], float], rel: float) -> float:
-        eps = rel * b2
-        return max(abs(form(a, b, b2 - eps) - 1.0), abs(form(a, b, b2 + eps) - 1.0))
-
-    sel_near = bsq_deviation(rot_lambda, 1e-6)
-    sel_far = bsq_deviation(rot_lambda, 1e-3)
-    sep_near = bsq_deviation(_rot_separable, 1e-6)
-    sep_far = bsq_deviation(_rot_separable, 1e-3)
-    return RotationFormDiagnostics(
-        a=a,
-        b=b,
-        selected_small_lambda=abs(rot_lambda(a, b, 1e-8 * b2)),
-        selected_bsq_deviation=sel_near,
-        selected_bsq_trend=sel_near / sel_far,
-        selected_minor_limit=abs(rot_lambda(a, b, lam_minor) - analytic_minor),
-        separable_bsq_deviation=sep_near,
-        separable_bsq_trend=sep_near / sep_far,
-        separable_minor_limit=abs(_rot_separable(a, b, lam_minor) - analytic_minor),
-    )

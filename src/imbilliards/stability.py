@@ -121,21 +121,20 @@ def stability_matrix(
     mu: float,
     z: PhasePoint,
     n: int,
-    closure_tol: float = CLOSURE_TOL,
 ) -> np.ndarray:
     """Ordered product of n analytic Jacobians along the orbit of z.
 
-    The orbit must close to period n within ``closure_tol`` in the
+    The orbit must close to period n within ``CLOSURE_TOL`` in the
     max(|ds|/L, |du|) metric; otherwise :class:`NotPeriodic` is raised.
     """
     if n < 1:
         raise ValueError(f"period must be at least 1, got {n}")
     traj = iterate(curve, mu, z, n)
     res = orbit_closure_residual(curve, z, traj[-1][0])
-    if res > closure_tol:
+    if res > CLOSURE_TOL:
         raise NotPeriodic(
             f"orbit of {z!r} does not close to period {n}: residual {res:.3e} "
-            f"> {closure_tol}"
+            f"> {CLOSURE_TOL}"
         )
     return compose(data for _, data in traj)
 

@@ -7,10 +7,13 @@ import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from imbilliards import cli
 from imbilliards.cli import main
+from imbilliards.curves import ArclengthTable, Ellipse
+from imbilliards.dynamics import PhasePoint, iterate
 from imbilliards.errors import NoConvergence
 from imbilliards.stability import COMPOSED_TOL, compose
 
@@ -302,6 +305,28 @@ def test_trace_family_with_dual_overlay(tmp_path):
     assert main(["trace", "--config", config, "--out", str(tmp_path)]) == 0
     # boundary + 4 chords + 4 arcs for each of the orbit and its dual
     assert len(svg_paths(tmp_path / "trace.svg")) == 1 + 8 + 8
+
+
+def test_trace_geometry_reads_the_step_frames(monkeypatch):
+    """Drawing a step re-resolves none of its boundary points: the chord
+    ends and the exit tangent come from the frames the step carries."""
+    curve = Ellipse(2.0, 1.0)
+    steps = [d for _, d in iterate(curve, 0.3, PhasePoint(1.0, 1.2), 200)]
+    calls = []
+    t_of_s = ArclengthTable.t_of_s
+
+    def counted(self, s):
+        calls.append(s)
+        return t_of_s(self, s)
+
+    monkeypatch.setattr(ArclengthTable, "t_of_s", counted)
+    geos = [cli._step_geometry(d) for d in steps]
+    assert calls == []
+    for geo, d in zip(geos, steps):
+        assert geo["p0"] is d.frames[0].point and geo["p2"] is d.frames[2].point
+        assert np.linalg.norm(geo["p1"] - curve.point_at(d.s1)) < 1e-12
+        # the Larmor circle runs through the exit and the re-entry point
+        assert abs(np.linalg.norm(geo["p2"] - geo["center"]) - d.mu) < 1e-9
 
 
 def test_trace_raw_requires_all_parameters(tmp_path, capsys):

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CURVE_MENU, composed_trace, sample_phase_points
+from imbilliards import dynamics
 from imbilliards.collision import chord_exit, larmor_reentry
 from imbilliards.curves import ArclengthTable, Circle, Ellipse, Superellipse, rot90
 from imbilliards.dynamics import (
@@ -24,7 +25,7 @@ from imbilliards.dynamics import (
     step,
     well_conditioned,
 )
-from imbilliards.errors import BilliardError
+from imbilliards.errors import BilliardError, NoReentry
 from imbilliards.families import three_periodic_circle, two_periodic_ellipse
 from imbilliards.stability import two_periodic_step_matrix
 
@@ -116,6 +117,31 @@ def test_iterate_chains_steps(name, curves, rng):
     for (za, da), (zb, db) in zip(history, history[1:]):
         assert db.s0 == za.s and db.theta0 == za.theta
         assert db.kappa0 == curve.curvature_at(da.s2)
+
+
+@pytest.mark.parametrize("error", [NoReentry("left the domain"), RuntimeError("bug")],
+                         ids=["billiard-error", "programming-error"])
+def test_iterate_reports_the_completed_prefix(error, monkeypatch):
+    """A BilliardError raised by the third step carries the two completed
+    steps in ``.partial``; any other exception passes through untouched."""
+    curve, z = Circle(1.0), PhasePoint(0.3, 1.0)
+    expected = iterate(curve, 0.4, z, 2)
+    calls = []
+
+    def failing_step(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise error
+        return step(*args)
+
+    monkeypatch.setattr(dynamics, "step", failing_step)
+    with pytest.raises(type(error)) as info:
+        iterate(curve, 0.4, z, 5)
+    assert info.value is error and len(calls) == 3
+    if isinstance(error, BilliardError):
+        assert info.value.partial == expected
+    else:
+        assert not hasattr(info.value, "partial")
 
 
 @pytest.mark.parametrize("name", CURVE_IDS)

@@ -15,7 +15,6 @@ from imbilliards.rotation import (
     confocal_param,
     limiting_rotation,
     rot_lambda,
-    rotation_form_diagnostics,
     rotation_table,
 )
 
@@ -98,6 +97,14 @@ def test_rotation_monotone_on_both_branches(a, b):
     assert probes[0][0] < probes[1][0] < probes[2][0] < 1.0
     assert probes[2][0] > 0.85
 
+    # The deviation from 1 shrinks markedly from the 1e-3 probe to the 1e-6
+    # one; a form that tended to another value at b^2 would keep the ratio
+    # of the two deviations near 1.
+    deviation = [max(abs(rho - 1.0) for rho in pair) for pair in probes]
+    assert deviation[1] / deviation[0] < 0.8
+    # Grazing chords barely turn.
+    assert rot_lambda(a, b, 1e-8 * b2) < 1e-3
+
 
 def test_central_chord_limit():
     """lam -> a^2- recovers the central-chord value (2/pi)*arcsin(b/a); at
@@ -107,6 +114,9 @@ def test_central_chord_limit():
     for a, b in ((2.0, 1.0), (3.0, 2.0)):
         central = (2.0 / math.pi) * math.asin(b / a)
         assert rot_lambda(a, b, a * a * (1.0 - 1e-6)) == pytest.approx(central, abs=1e-5)
+    for a, b in TABLES:
+        central = (2.0 / math.pi) * math.asin(b / a)
+        assert rot_lambda(a, b, a * a * (1.0 - 1e-8)) == pytest.approx(central, abs=1e-5)
 
 
 def test_limiting_rotation_values():
@@ -168,16 +178,3 @@ def test_hyperbola_branch_rational_values_take_even_periods(a, b):
     if abs(a * a - 2.0 * b * b) < 1e-12:
         grid = np.linspace(lo, hi, 50)
         assert all(rot_lambda(a, b, float(x)) > 0.5 for x in grid)
-
-
-def test_rotation_form_diagnostics_pin_the_integrand():
-    """The selected normalization approaches 1 at the shared endpoint
-    (deviation shrinking markedly as the probe tightens) and matches the
-    central-chord value at the minor-axis limit; the rejected separable
-    variant stalls at the endpoint and blows up at the limit."""
-    diag = rotation_form_diagnostics(2.0, 1.0)
-    assert diag.selected_small_lambda < 1e-3
-    assert diag.selected_bsq_trend < 0.8
-    assert diag.selected_minor_limit < 1e-5
-    assert diag.separable_bsq_trend > 0.95
-    assert diag.separable_minor_limit > 1.0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import composed_trace
 from imbilliards.cli import _CHECK_MEMBERS, _build_orbit
-from imbilliards.dynamics import StepData, jacobian_analytic
+from imbilliards.dynamics import PhasePoint, StepData, jacobian_analytic
 from imbilliards.errors import NotPeriodic
 from imbilliards.stability import (
     StabilityClass,
@@ -22,6 +22,7 @@ from imbilliards.stability import (
     classify2_general,
     classify_billiard2,
     compose,
+    stability_matrix,
     trace2_closed,
     two_periodic_step_matrix,
 )
@@ -246,3 +247,21 @@ def test_compose_rejects_a_guarded_step():
     assert np.array_equal(compose(()), np.eye(2))
     with pytest.raises(NotPeriodic, match="identity region"):
         compose((orbit.steps[0], None))
+
+
+def test_stability_matrix_composes_the_orbit_it_iterates():
+    """Re-iterating a member from its launch point reproduces the product of
+    the member's own steps exactly."""
+    for name, curve_cfg, section in _CHECK_MEMBERS:
+        orbit, _, _ = _build_orbit(curve_cfg, section)
+        S = stability_matrix(orbit.curve, orbit.mu, orbit.points[0], orbit.n)
+        assert np.array_equal(S, compose(orbit.steps)), name
+
+
+def test_stability_matrix_rejects_open_orbits_and_empty_periods():
+    orbit, _, _ = _build_orbit(*_CHECK_MEMBERS[0][1:])
+    assert orbit.n == 2
+    with pytest.raises(NotPeriodic, match="does not close to period 1"):
+        stability_matrix(orbit.curve, orbit.mu, orbit.points[0], 1)
+    with pytest.raises(ValueError, match="at least 1"):
+        stability_matrix(orbit.curve, orbit.mu, PhasePoint(0.3, 1.0), 0)
