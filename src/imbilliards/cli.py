@@ -55,7 +55,7 @@ from jsonschema.exceptions import ValidationError
 from . import families as fam
 from .curves import Curve, make_curve, rot90
 from .dynamics import PhasePoint, StepData, iterate, jacobian_analytic, jacobian_numeric, well_conditioned
-from .errors import BilliardError
+from .errors import BilliardError, MuTooLarge, X0OutOfRange
 from .rotation import rotation_table
 from .stability import classify, compose, trace2_closed
 
@@ -259,16 +259,17 @@ def _build_orbit(curve_cfg: dict, section: dict):
 # --------------------------------------------------------------------------
 
 def _scan_spec(curve_cfg: dict, section: dict):
-    """Return ``(trace_fn, lo, hi, parameter_name, references)`` for a scan
-    config; ``references`` lists tabulated analytic thresholds as
-    ``(value, in_interval)``."""
+    """Return ``(trace_fn, window, domain, parameter_name, references)`` for a
+    scan config: ``window`` is the default ``(lo, hi)``, ``domain`` the open
+    interval on which the family exists, and ``references`` lists tabulated
+    analytic thresholds as ``(value, in_domain)``."""
     kind = curve_cfg["kind"]
     family = section["family"]
     rotation = section.get("rotation") or "1/4"
     key = (kind, family)
     if kind == "superellipse":
         k = curve_cfg["k"]
-        q = 2.0 ** (-1.0 / (2 * k))
+        q = fam._se_q(k)
     if key == ("superellipse", "two-periodic-axis"):
 
         def tr_mu(mu: float) -> float:
@@ -276,37 +277,34 @@ def _scan_spec(curve_cfg: dict, section: dict):
             return (ab - 2.0) ** 2 - 2.0
 
         mu_star, mu_double_star = fam._superellipse_axis_thresholds(k)
-        return tr_mu, 0.02, 0.995, "mu", [(mu_star, True), (mu_double_star, True)]
+        return tr_mu, (0.02, 0.995), (0.0, 1.0), "mu", [(mu_star, True), (mu_double_star, True)]
     if key == ("superellipse", "two-periodic-diag"):
 
         def tr_diag(x0: float) -> float:
-            y0 = (1.0 - abs(x0) ** (2 * k)) ** (1.0 / (2 * k))
-            f = fam._diag_power_sum_ratio(k, x0, y0)
+            f = fam.superellipse_diag_ratio(k, x0)
             return 2.0 + 16.0 * f * (f - 1.0)
 
-        return tr_diag, -q + 1e-4, q - 1e-4, "x0", []
+        return tr_diag, (-q + 1e-4, q - 1e-4), (-q, q), "x0", []
     if key == ("ellipse", "four-periodic"):
         a, b = curve_cfg["a"], curve_cfg["b"]
         lo, _, hi = fam._ellipse4_interval(a, b)
         pad = 1e-6 * (hi - lo)
-        refs = fam.ellipse4_reference_roots(a, b) if (a, b) == (3.0, 2.0) else ()
-        return ((lambda x0: fam.trace4_ellipse(a, b, x0)), lo + pad, hi - pad, "x0",
+        refs = fam.ellipse4_reference_roots() if (a, b) == (3.0, 2.0) else ()
+        return ((lambda x0: fam.trace4_ellipse(a, b, x0)), (lo + pad, hi - pad), (lo, hi), "x0",
                 [(ref, lo < ref < hi) for ref in refs])
     if key == ("superellipse", "four-periodic-axis"):
-        lo = q + 1e-3 if rotation == "1/4" else -q + 1e-6
-        return (
-            lambda x0: fam.trace4_superellipse_axis(k, x0, rotation),
-            lo,
-            1.0 - 1e-3,
-            "x0",
-            [],
-        )
+        if rotation == "1/4":
+            window, domain = (q + 1e-3, 1.0 - 1e-3), (q, 1.0)
+        else:
+            window, domain = (-q + 1e-6, 1.0 - 1e-3), (-q, 1.0)
+        return lambda x0: fam.trace4_superellipse_axis(k, x0, rotation), window, domain, "x0", []
     if key == ("superellipse", "four-periodic-diag"):
         if rotation == "1/4":
-            lo, hi = q + 1e-4, fam.x_hat(k) - 1e-4
+            x_hat = fam.x_hat(k)
+            window, domain = (q + 1e-4, x_hat - 1e-4), (q, x_hat)
         else:
-            lo, hi = -1.0 + 1e-3, q - 1e-4
-        return (lambda x0: fam.trace4_superellipse_diag(k, x0)), lo, hi, "x0", []
+            window, domain = (-1.0 + 1e-3, q - 1e-4), (-1.0, q)
+        return (lambda x0: fam.trace4_superellipse_diag(k, x0)), window, domain, "x0", []
     raise ValueError(f"no scannable family {family!r} for curve kind {kind!r}")
 
 
@@ -487,9 +485,14 @@ def cmd_scan(config: dict, args) -> int:
     _require("scan" in config, "scan verb needs a 'scan' section")
     formats = _formats(args, {"csv", "svg"})
     section = config["scan"]
-    trace_fn, lo_default, hi_default, param, refs = _scan_spec(config["curve"], section)
-    lo = section.get("lo", lo_default)
-    hi = section.get("hi", hi_default)
+    trace_fn, (lo, hi), (dom_lo, dom_hi), param, refs = _scan_spec(config["curve"], section)
+    lo = section.get("lo", lo)
+    hi = section.get("hi", hi)
+    if not (dom_lo < lo < dom_hi and dom_lo < hi < dom_hi):
+        error = MuTooLarge if param == "mu" else X0OutOfRange
+        raise error(
+            f"scan window [{_fmt(lo)}, {_fmt(hi)}] must lie inside the open interval "
+            f"({dom_lo:.12g}, {dom_hi:.12g}) on which {section['family']!r} exists")
     n_grid = args.grid if args.grid is not None else section.get("n_grid", 500)
     tol = args.tol if args.tol is not None else 1e-9
     scan = fam.scan_family(

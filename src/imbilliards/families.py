@@ -71,7 +71,6 @@ __all__ = [
     "PeriodicOrbit",
     "FamilyScan",
     "EllipseFourRecord",
-    "EllipseFourRootReport",
     "two_periodic_circle",
     "two_periodic_ellipse",
     "two_periodic_superellipse_axis",
@@ -87,7 +86,6 @@ __all__ = [
     "four_periodic_ellipse",
     "trace4_ellipse",
     "ellipse4_reference_roots",
-    "ellipse4_root_report",
     "four_periodic_superellipse_diag",
     "trace4_superellipse_diag",
     "x_hat",
@@ -202,16 +200,29 @@ def _exponent(k: int) -> int:
     return int(k)
 
 
+def _se_q(k: int) -> float:
+    """``q = 2^{-1/(2k)}``: the abscissa where ``x^{2k} + y^{2k} = 1`` meets
+    the diagonal ``y = x``."""
+    return 2.0 ** (-1.0 / (2 * k))
+
+
+def _se_y(k: int, x: float) -> float:
+    """The upper graph ``y = (1 - |x|^{2k})^{1/(2k)}`` of the superellipse."""
+    return (1.0 - abs(x) ** (2 * k)) ** (1.0 / (2 * k))
+
+
+def _root(g: Callable[[float], float], lo: float, hi: float, what: str) -> float:
+    """The root of ``g`` on ``[lo, hi]`` by Brent's method to ``xtol = 1e-14``;
+    raises :class:`RootNotBracketed` (naming ``what``) without a sign change."""
+    if g(lo) * g(hi) > 0.0:
+        raise RootNotBracketed(f"no sign change of {what} on ({lo:.12g}, {hi:.12g})")
+    return brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
+
+
 @functools.lru_cache(maxsize=64)
-def _normalize_rotation(rot: Fraction | str | float, n: int) -> Fraction:
+def _normalize_rotation(rot: Fraction | str, n: int) -> Fraction:
     """The rotation ``rot`` as one of the two of the n-periodic families."""
-    if isinstance(rot, str):
-        num, _, den = rot.partition("/")
-        value = Fraction(int(num), int(den)) if den else Fraction(rot)
-    elif isinstance(rot, Fraction):
-        value = rot
-    else:
-        value = Fraction(rot).limit_denominator(64)
+    value = Fraction(rot)
     allowed = _ROTATIONS[n]
     if value not in allowed:
         names = ", ".join(str(a) for a in allowed)
@@ -316,7 +327,7 @@ def two_periodic_superellipse_axis(
     k = _exponent(k)
     if not 0.0 < mu < 1.0:
         raise MuTooLarge(f"need 0 < mu < 1, got mu={mu}")
-    half_chord = (1.0 - mu ** (2 * k)) ** (1.0 / (2 * k))
+    half_chord = _se_y(k, mu)
     curve = Superellipse(k)
     z0 = _launch_phase(curve, (-half_chord, -mu), (1.0, 0.0))
     orbit = _orbit_from_seed(curve, mu, z0, 2, _HALF)
@@ -327,7 +338,7 @@ def two_periodic_superellipse_axis(
 def _superellipse_axis_thresholds(k: int) -> tuple[float, float]:
     """``(mu*, mu**)`` of the axis-aligned 2-periodic superellipse family:
     ``mu* = (2^{k/(k-1)} + 1)^{-1/(2k)}`` and ``mu** = 2^{-1/(2k)}``."""
-    return (2.0 ** (k / (k - 1.0)) + 1.0) ** (-1.0 / (2 * k)), 2.0 ** (-1.0 / (2 * k))
+    return (2.0 ** (k / (k - 1.0)) + 1.0) ** (-1.0 / (2 * k)), _se_q(k)
 
 
 def _diag_power_sum_ratio(k: int, x0: float, y0: float) -> float:
@@ -353,13 +364,12 @@ def superellipse_diag_ratio(k: int, x0: float) -> float:
     where the chord degenerates and no orbit exists.
     """
     k = _exponent(k)
-    q = 2.0 ** (-1.0 / (2 * k))
+    q = _se_q(k)
     if not -q <= x0 <= q:
         raise X0OutOfRange(
             f"the diagonal family ratio is defined on [-{q:.12g}, {q:.12g}], got x0={x0}"
         )
-    y0 = (1.0 - x0 ** (2 * k)) ** (1.0 / (2 * k))
-    return _diag_power_sum_ratio(k, x0, y0)
+    return _diag_power_sum_ratio(k, x0, _se_y(k, x0))
 
 
 def two_periodic_superellipse_diag(
@@ -382,12 +392,12 @@ def two_periodic_superellipse_diag(
     trace, not a printed label, is authoritative here.
     """
     k = _exponent(k)
-    q = 2.0 ** (-1.0 / (2 * k))
+    q = _se_q(k)
     if not -q < x0 < q:
         raise X0OutOfRange(
             f"diagonal chords require x0 in (-{q:.12g}, {q:.12g}), got x0={x0}"
         )
-    y0 = (1.0 - x0 ** (2 * k)) ** (1.0 / (2 * k))
+    y0 = _se_y(k, x0)
     mu = (y0 - x0) / _SQRT2
     curve = Superellipse(k)
     z0 = _launch_phase(curve, (x0, y0), (-1.0, -1.0))
@@ -405,20 +415,12 @@ def superellipse_diag_tangential(k: int) -> tuple[float, float]:
     unique interior root exists).  Returns ``(x0, mu)``.
     """
     k = _exponent(k)
-    q = 2.0 ** (-1.0 / (2 * k))
 
     def g(x0: float) -> float:
-        y0 = (1.0 - x0 ** (2 * k)) ** (1.0 / (2 * k))
-        return _diag_power_sum_ratio(k, x0, y0) - 0.5
+        return _diag_power_sum_ratio(k, x0, _se_y(k, x0)) - 0.5
 
-    lo, hi = -q + 1e-12, -1e-12
-    if g(lo) * g(hi) > 0.0:
-        raise RootNotBracketed(
-            f"no sign change of f - 1/2 on ({lo:.12g}, {hi:.12g}) for k={k}"
-        )
-    x_t = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    y_t = (1.0 - x_t ** (2 * k)) ** (1.0 / (2 * k))
-    return x_t, (y_t - x_t) / _SQRT2
+    x_t = _root(g, -_se_q(k) + 1e-12, -1e-12, f"f - 1/2 for k={k}")
+    return x_t, (_se_y(k, x_t) - x_t) / _SQRT2
 
 
 def two_periodic_stadium(
@@ -570,12 +572,7 @@ def _circle_polygon_angle(R: float, mu: float, n: int, winding: int) -> float:
 
     lo = (q - 1) * math.pi / n + 1e-12
     hi = q * math.pi / n - 1e-12
-    if g(lo) * g(hi) > 0.0:
-        raise RootNotBracketed(
-            f"no admissible incidence angle in (({q-1})*pi/{n}, {q}*pi/{n}) "
-            f"for R={R}, mu={mu}"
-        )
-    return brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    return _root(g, lo, hi, f"the re-entry relation for R={R}, mu={mu}")
 
 
 def three_periodic_circle(
@@ -802,64 +799,19 @@ def four_periodic_ellipse(
     return orbit, record, trace
 
 
-def ellipse4_reference_roots(a: float = 3.0, b: float = 2.0) -> tuple[float, float, float]:
+def ellipse4_reference_roots() -> tuple[float, float, float]:
     """Analytic reference values quoted for the ``a=3, b=2`` trace thresholds.
 
     Returns the triple ``(291/(9*sqrt(13)), sqrt((88731 + 1575*sqrt(217))/14534),
     291/(13*sqrt(61)))``.  Note that the first value evaluates to about 8.97
     and therefore lies *outside* the admissible interval ``(15/13, 3)``; the
-    numeric root census is authoritative for the actual stability thresholds
-    (see :func:`ellipse4_root_report`).
+    numeric root census of ``imbil scan`` on that ellipse is authoritative for
+    the actual stability thresholds.
     """
-    if (a, b) != (3.0, 2.0):
-        raise ValueError("analytic reference roots are tabulated only for a=3, b=2")
     return (
         291.0 / (9.0 * math.sqrt(13.0)),
         math.sqrt((88731.0 + 1575.0 * math.sqrt(217.0)) / 14534.0),
         291.0 / (13.0 * math.sqrt(61.0)),
-    )
-
-
-@dataclass(frozen=True)
-class EllipseFourRootReport:
-    """Census of parabolic parameters of the 4-periodic ellipse family.
-
-    ``numeric_roots`` are all in-interval solutions of ``|trace| = 2`` found
-    by dense scan plus refinement; ``reference_values`` are the analytic
-    values quoted for this aspect ratio, and ``reference_in_interval`` flags
-    which of them actually lie inside the admissible ``x0`` interval.  A
-    reference value outside the interval cannot be a stability threshold of
-    the family; the numeric census stands on its own.
-    """
-
-    interval: tuple[float, float]
-    numeric_roots: tuple[float, ...]
-    reference_values: tuple[float, ...]
-    reference_in_interval: tuple[bool, ...]
-
-
-def ellipse4_root_report(a: float = 3.0, b: float = 2.0) -> EllipseFourRootReport:
-    """Locate every parabolic ``x0`` of the 4-periodic ellipse family.
-
-    Scans the full admissible interval with :func:`scan_family` (both
-    transversal ``|trace| = 2`` crossings and tangential touches) and pairs
-    the result with the quoted analytic reference values for ``a=3, b=2``.
-    """
-    lo, _, hi = _ellipse4_interval(a, b)
-    pad = 1e-6 * (hi - lo)
-    scan = scan_family(
-        lambda x: trace4_ellipse(a, b, x),
-        lo + pad,
-        hi - pad,
-        parameter="x0",
-    )
-    refs = ellipse4_reference_roots(a, b)
-    flags = tuple(lo < r < hi for r in refs)
-    return EllipseFourRootReport(
-        interval=(lo, hi),
-        numeric_roots=scan.thresholds,
-        reference_values=refs,
-        reference_in_interval=flags,
     )
 
 
@@ -878,16 +830,13 @@ def x_hat(k: int) -> float:
     ``sqrt(2)*(q - y0) - (x0 - y0)`` in ``(q, 1)``.
     """
     k = _exponent(k)
-    q = 2.0 ** (-1.0 / (2 * k))
+    q = _se_q(k)
 
     def g(x0: float) -> float:
-        y0 = (1.0 - x0 ** (2 * k)) ** (1.0 / (2 * k))
+        y0 = _se_y(k, x0)
         return _SQRT2 * (q - y0) - (x0 - y0)
 
-    lo, hi = q + 1e-12, 1.0 - 1e-12
-    if g(lo) * g(hi) > 0.0:
-        raise RootNotBracketed(f"no tangency threshold bracketed on ({lo}, {hi}) for k={k}")
-    return brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    return _root(g, q + 1e-12, 1.0 - 1e-12, f"the tangency condition for k={k}")
 
 
 def trace4_superellipse_diag(k: int, x0: float) -> float:
@@ -908,7 +857,7 @@ def trace4_superellipse_diag(k: int, x0: float) -> float:
     k = _exponent(k)
     if not -1.0 < x0 < 1.0:
         raise X0OutOfRange(f"x0 must lie in (-1, 1), got {x0}")
-    y0 = (1.0 - abs(x0) ** (2 * k)) ** (1.0 / (2 * k))
+    y0 = _se_y(k, x0)
     f1 = x0 ** (2 * k - 2) - y0 ** (2 * k - 2)
     f2 = x0 ** (4 * k - 2) - y0 ** (4 * k - 2)
     # x0^2 * (f1 + 2 y0^{2k-1} / x0), expanded to avoid the 1/x0 singularity
@@ -933,7 +882,7 @@ def four_periodic_superellipse_diag(
     """
     rotation = _normalize_rotation(rot, 4)
     k = _exponent(k)
-    q = 2.0 ** (-1.0 / (2 * k))
+    q = _se_q(k)
     curve = Superellipse(k)
     if rotation == _QUARTER:
         if not q < x0 < 1.0:
@@ -946,7 +895,7 @@ def four_periodic_superellipse_diag(
                 f"x0={x0} is at or beyond the four-intersection threshold "
                 f"{threshold:.12g}; the quarter arc cannot round the corner"
             )
-        y0 = (1.0 - x0 ** (2 * k)) ** (1.0 / (2 * k))
+        y0 = _se_y(k, x0)
         mu = x0 - y0
         z0 = _launch_phase(curve, (x0, -y0), (0.0, 1.0))
     else:
@@ -954,7 +903,7 @@ def four_periodic_superellipse_diag(
             raise X0OutOfRange(
                 f"rotation 3/4 requires x0 in (-1, {q:.12g}), got {x0}"
             )
-        y0 = (1.0 - abs(x0) ** (2 * k)) ** (1.0 / (2 * k))
+        y0 = _se_y(k, x0)
         mu = y0 - x0
         z0 = _launch_phase(curve, (x0, y0), (0.0, -1.0))
     orbit = _orbit_from_seed(curve, mu, z0, 4, rotation)
@@ -975,7 +924,7 @@ def _axis_step_trace(k: int, x0: float) -> float:
     sets ``t ∈ {0, ±sqrt(2), ±2}`` are exactly the parabolic parameters,
     which makes this scalar the natural root-finding target.
     """
-    y0 = (1.0 - abs(x0) ** (2 * k)) ** (1.0 / (2 * k))
+    y0 = _se_y(k, x0)
     gx = 2 * k * math.copysign(abs(x0) ** (2 * k - 1), x0)
     gy = 2 * k * y0 ** (2 * k - 1)
     norm = math.hypot(gx, gy)
@@ -1023,12 +972,12 @@ def trace4_superellipse_axis(k: int, x0: float, rot: Fraction | str = "1/4") -> 
     """
     quarter = _normalize_rotation(rot, 4) == _QUARTER
     k = _exponent(k)
-    q = 2.0 ** (-1.0 / (2 * k))
+    q = _se_q(k)
     if quarter and not q < x0 < 1.0:
         raise X0OutOfRange(f"rotation 1/4 requires x0 in ({q:.12g}, 1), got {x0}")
     if not quarter and not -q < x0 < 1.0:
         raise X0OutOfRange(f"rotation 3/4 requires x0 in (-{q:.12g}, 1), got {x0}")
-    y0 = (1.0 - abs(x0) ** (2 * k)) ** (1.0 / (2 * k))
+    y0 = _se_y(k, x0)
     sgn = -1.0 if quarter else 1.0
     pair = x0 + sgn * 2.0 * y0  # x0 ∓ 2 y0 resolved per rotation
     num = (
@@ -1063,7 +1012,7 @@ def four_periodic_superellipse_axis(
     rotation = _normalize_rotation(rot, 4)
     k = _exponent(k)
     trace = trace4_superellipse_axis(k, x0, rotation)  # validates x0
-    y0 = (1.0 - abs(x0) ** (2 * k)) ** (1.0 / (2 * k))
+    y0 = _se_y(k, x0)
     mu = _SQRT2 * y0
     curve = Superellipse(k)
     if rotation == _QUARTER:
@@ -1097,24 +1046,20 @@ def parabolic_roots(k: int, rot: Fraction | str = "3/4") -> tuple[float, ...]:
     """
     rotation = _normalize_rotation(rot, 4)
     k = _exponent(k)
-    q = 2.0 ** (-1.0 / (2 * k))
-    eps = 1e-9
+    q = _se_q(k)
+    lo, hi = q + 1e-9, 1.0 - 1e-12
     if rotation == _QUARTER:
 
         def factor(x0: float) -> float:
-            y0 = (1.0 - x0 ** (2 * k)) ** (1.0 / (2 * k))
+            y0 = _se_y(k, x0)
             return x0 ** (2 * k - 1) * (x0 - 2.0 * y0) + y0 ** (2 * k)
 
-        lo, hi = q + eps, 1.0 - 1e-12
-        if factor(lo) * factor(hi) > 0.0:
-            raise RootNotBracketed(f"no trace-2 crossing bracketed on ({lo}, {hi})")
-        return (brentq(factor, lo, hi, xtol=1e-14, rtol=8.9e-16),)
+        return (_root(factor, lo, hi, f"the trace-2 factor for k={k}"),)
 
     t = functools.partial(_axis_step_trace, k)
-    hi = 1.0 - 1e-12
-    x4 = brentq(t, q + eps, hi, xtol=1e-14, rtol=8.9e-16)
-    x3 = brentq(lambda x: t(x) - _SQRT2, q + eps, x4, xtol=1e-14, rtol=8.9e-16)
-    x5 = brentq(lambda x: t(x) + _SQRT2, x4, hi, xtol=1e-14, rtol=8.9e-16)
+    x4 = _root(t, lo, hi, f"t for k={k}")
+    x3 = _root(lambda x: t(x) - _SQRT2, lo, x4, f"t - sqrt(2) for k={k}")
+    x5 = _root(lambda x: t(x) + _SQRT2, x4, hi, f"t + sqrt(2) for k={k}")
     return (0.0, q, x3, x4, x5)
 
 
@@ -1175,17 +1120,16 @@ def _newton_state(curve: Curve, mu: float, z: PhasePoint, n: int):
     ``None`` when the trajectory leaves the domain of the map or touches
     its identity region.
     """
-    length = curve.total_length()
     try:
         traj = iterate(curve, mu, z, n)
         S = compose(d for _, d in traj)
     except BilliardError:
         return None
     z_end = traj[-1][0]
-    ds = (z_end.s - z.s + length / 2.0) % length - length / 2.0
-    du = (-math.cos(z_end.theta)) - (-math.cos(z.theta))
-    F = np.array([ds, du])
-    return F, S, max(abs(ds) / length, abs(du))
+    length = curve.total_length()
+    ds = (z_end.s - z.s + 0.5 * length) % length - 0.5 * length
+    F = np.array([ds, z_end.u - z.u])
+    return F, S, orbit_closure_residual(curve, z, z_end)
 
 
 def find_periodic_newton(
@@ -1228,10 +1172,8 @@ def find_periodic_newton(
         delta = np.linalg.solve(J, F)
         step_scale = 1.0
         for _ in range(12):
-            s_new = (z.s - step_scale * delta[0]) % length
-            u_new = (-math.cos(z.theta)) - step_scale * delta[1]
-            u_new = min(1.0 - 1e-12, max(-1.0 + 1e-12, u_new))
-            z_new = PhasePoint(s=s_new, theta=math.acos(-u_new))
+            u_new = min(1.0 - 1e-12, max(-1.0 + 1e-12, z.u - step_scale * delta[1]))
+            z_new = PhasePoint.from_u((z.s - step_scale * delta[0]) % length, u_new)
             trial = _newton_state(curve, mu, z_new, n)
             if trial is not None and trial[2] < residual:
                 z, state = z_new, trial

@@ -17,6 +17,7 @@ import pytest
 from conftest import CURVE_MENU, composed_trace, sample_phase_points
 from scipy.optimize import brentq
 
+from imbilliards import cli
 from imbilliards import families as fam
 from imbilliards.curves import Circle, Ellipse, Stadium, Superellipse
 from imbilliards.dynamics import PhasePoint, iterate, jacobian_analytic, jacobian_numeric
@@ -216,18 +217,20 @@ def test_ellipse_four_periodic_root_census():
     """For a=3, b=2 the numeric parabolic roots reproduce two of the
     three tabulated closed forms to 1e-5; the third tabulated value falls
     outside the family's x0 interval and is flagged, with every numeric
-    root listed inside the interval."""
-    report = fam.ellipse4_root_report(3.0, 2.0)
-    lo, hi = report.interval
+    root listed inside the interval.  The census is the one ``imbil scan``
+    makes on its default window."""
+    trace_fn, window, (lo, hi), param, refs = cli._scan_spec(
+        {"kind": "ellipse", "a": 3.0, "b": 2.0}, {"family": "four-periodic"})
+    roots = fam.scan_family(trace_fn, *window, parameter=param, n_grid=2000).thresholds
     assert lo == pytest.approx(15.0 / 13.0, rel=1e-12)
     assert hi == pytest.approx(3.0, rel=1e-12)
-    assert report.reference_in_interval == (False, True, True)
-    for root in report.numeric_roots:
+    assert tuple(inside for _, inside in refs) == (False, True, True)
+    for root in roots:
         assert lo < root < hi
-    matched, discrepant = report.reference_values[1:], report.reference_values[0]
+    matched, discrepant = [ref for ref, _ in refs[1:]], refs[0][0]
     for ref in matched:
-        assert min(abs(r - ref) for r in report.numeric_roots) <= 1e-5
-    assert min(abs(r - discrepant) for r in report.numeric_roots) > 1.0
+        assert min(abs(r - ref) for r in roots) <= 1e-5
+    assert min(abs(r - discrepant) for r in roots) > 1.0
 
 
 def test_superellipse_four_periodic_structure():

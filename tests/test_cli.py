@@ -269,6 +269,27 @@ def test_scan_rejects_inverted_interval(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ValueError:")
 
 
+_SE2 = {"kind": "superellipse", "k": 2}
+
+
+@pytest.mark.parametrize("curve, scan, tag", [
+    (_SE2, {"family": "two-periodic-axis", "lo": 0.0}, "MuTooLarge"),
+    (_SE2, {"family": "two-periodic-axis", "hi": 1.3}, "MuTooLarge"),
+    (_SE2, {"family": "two-periodic-diag", "lo": -1.2}, "X0OutOfRange"),
+    ({"kind": "ellipse", "a": 3.0, "b": 2.0}, {"family": "four-periodic", "lo": 0.5},
+     "X0OutOfRange"),
+    (_SE2, {"family": "four-periodic-diag", "rotation": "1/4", "hi": 0.99}, "X0OutOfRange"),
+])
+def test_scan_rejects_windows_outside_the_family(tmp_path, capsys, recwarn, curve, scan, tag):
+    # the family's open interval is checked once, before any trace is evaluated
+    config = write_config(tmp_path, {"curve": curve, "scan": scan})
+    assert main(["scan", "--config", config, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tag}: ") and "open interval (" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not list(tmp_path.glob("scan.*"))
+
+
 # --------------------------------------------------------------------------
 # trace verb
 # --------------------------------------------------------------------------

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from conftest import composed_trace
-from imbilliards import dynamics
+from imbilliards import cli, dynamics
 from imbilliards.curves import ArclengthTable, Ellipse
 from imbilliards.dynamics import PhasePoint, StepData, jacobian_analytic
 from imbilliards.errors import (
@@ -19,13 +20,14 @@ from imbilliards.errors import (
     MuTooLarge,
     NoConvergence,
     NotSymmetric,
+    RootNotBracketed,
     SingularJacobian,
     X0OutOfRange,
 )
 from imbilliards.families import (
+    _root,
     dual_orbit,
     ellipse4_reference_roots,
-    ellipse4_root_report,
     find_periodic_newton,
     four_periodic_circle,
     four_periodic_ellipse,
@@ -485,7 +487,7 @@ def test_four_periodic_ellipse_domain():
 
 
 def test_ellipse4_reference_roots_closed_forms():
-    r1, r2, r3 = ellipse4_reference_roots(3.0, 2.0)
+    r1, r2, r3 = ellipse4_reference_roots()
     assert r1 == pytest.approx(291.0 / (9.0 * math.sqrt(13.0)), rel=1e-14)
     assert r2 == pytest.approx(
         math.sqrt((88731.0 + 1575.0 * math.sqrt(217.0)) / 14534.0), rel=1e-14
@@ -497,12 +499,14 @@ def test_ellipse4_root_report_flags_stray_reference():
     """Numeric parabolic parameters: the zero-radius branch point (trace
     +2), one tangential touch of -2 and one transversal crossing; the
     first quoted closed form lies far outside the admissible interval and
-    must be flagged, the other two must match numeric roots."""
-    report = ellipse4_root_report(3.0, 2.0)
-    lo, hi = report.interval
+    must be flagged, the other two must match numeric roots.  The census
+    is the one ``imbil scan`` makes on its default window."""
+    trace_fn, window, (lo, hi), param, refs = cli._scan_spec(
+        {"kind": "ellipse", "a": 3.0, "b": 2.0}, {"family": "four-periodic"})
+    roots = scan_family(trace_fn, *window, parameter=param, n_grid=2000).thresholds
     assert lo == pytest.approx(15.0 / 13.0, rel=1e-12)
     assert hi == pytest.approx(3.0, rel=1e-12)
-    assert report.reference_in_interval == (False, True, True)
+    assert tuple(inside for _, inside in refs) == (False, True, True)
 
     # The first root sits at the zero-radius branch point where the trace
     # meets +2 with a vertical tangent, so its location is only good to
@@ -510,15 +514,26 @@ def test_ellipse4_root_report_flags_stray_reference():
     # ordinary roots and come out sharp.
     expected = (2.4961508830135313, 2.7751402706262516, 2.8660563123440563)
     tolerances = (1e-6, 1e-8, 1e-8)
-    assert len(report.numeric_roots) == 3
-    for got, want, tol in zip(sorted(report.numeric_roots), expected, tolerances):
+    assert len(roots) == 3
+    for got, want, tol in zip(sorted(roots), expected, tolerances):
         assert got == pytest.approx(want, abs=tol)
 
     # The in-interval references agree with numeric roots to 1e-5.
-    refs = report.reference_values
-    assert min(abs(r - refs[1]) for r in report.numeric_roots) < 1e-5
-    assert min(abs(r - refs[2]) for r in report.numeric_roots) < 1e-5
-    assert min(abs(r - refs[0]) for r in report.numeric_roots) > 1.0
+    values = [ref for ref, _ in refs]
+    assert min(abs(r - values[1]) for r in roots) < 1e-5
+    assert min(abs(r - values[2]) for r in roots) < 1e-5
+    assert min(abs(r - values[0]) for r in roots) > 1.0
+
+
+def test_bracketed_root_solve():
+    """Every family solve goes through ``_root``: without a sign change it
+    raises RootNotBracketed (exit code 4), otherwise it returns Brent's float
+    at the family tolerances."""
+    with pytest.raises(RootNotBracketed, match=r"x\^2 \+ 1") as info:
+        _root(lambda x: x * x + 1.0, -1.0, 1.0, "x^2 + 1")
+    assert info.value.exit_code == 4
+    g = lambda x: math.cos(x) - x
+    assert _root(g, 0.0, 1.0, "cos x - x") == brentq(g, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16)
 
 
 # ------------------------------------------------------------------
@@ -840,3 +855,6 @@ def test_rotation_spellings_agree():
     for _ in range(2):
         with pytest.raises(ValueError, match="rotation must be one of 1/4, 3/4"):
             trace4_superellipse_axis(3, 0.95, "1/3")
+    # a float is read exactly, so the float nearest 1/3 is not the fraction 1/3
+    with pytest.raises(ValueError, match="rotation must be one of 1/3, 2/3"):
+        trace3_symmetric(1.0, 2.0, 1.0 / 3.0)
