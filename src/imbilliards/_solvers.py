@@ -1,0 +1,235 @@
+"""Scalar solvers: Brent's root finder, Brent's bounded minimizer, Carlson's R_F.
+
+``brentq`` is a line-for-line port of SciPy's C routine ``brentq``
+(``optimize/Zeros/brentq.c``) and ``minimize_bounded`` of SciPy's
+pure-Python ``_minimize_scalar_bounded`` (both after Brent, *Algorithms for
+Minimization without Derivatives*, 1973, ch. 4 and 5).  They keep SciPy's
+arithmetic step for step, so they return the same floats, bit for bit.
+SciPy is distributed under the BSD 3-clause licence:
+Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+
+``carlson_rf`` evaluates Carlson's symmetric elliptic integral of the first
+kind by duplication (Carlson, *Numer. Algorithms* 10, 1995; DLMF §19.36.1).
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from typing import Callable
+
+import numpy as np
+
+__all__ = ["brentq", "minimize_bounded", "carlson_rf"]
+
+#: SciPy's smallest admissible relative tolerance of ``brentq``, ``4 * eps``
+RTOL_MIN = 4.0 * sys.float_info.epsilon
+
+
+def _nan_at(x: float) -> ValueError:
+    return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+
+
+def brentq(
+    f: Callable[..., float],
+    a: float,
+    b: float,
+    args: tuple = (),
+    xtol: float = 2e-12,
+    rtol: float = RTOL_MIN,
+    maxiter: int = 100,
+) -> float:
+    """A root of ``f`` in ``[a, b]``, where ``f(a)`` and ``f(b)`` differ in sign.
+
+    The iterate stops moving once the bracket half-width falls below
+    ``(xtol + rtol * |x|) / 2``.  Raises ``ValueError`` for a bad tolerance,
+    for end values of one sign and for a NaN value of ``f``, and
+    ``RuntimeError`` after ``maxiter`` iterations without convergence.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < RTOL_MIN:
+        raise ValueError(f"rtol too small ({rtol:g} < {RTOL_MIN:g})")
+    xpre, xcur = float(a), float(b)
+    fpre = float(f(xpre, *args))
+    if fpre != fpre:
+        raise _nan_at(xpre)
+    fcur = float(f(xcur, *args))
+    if fcur != fcur:
+        raise _nan_at(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur, *args))
+        if fcur != fcur:
+            raise _nan_at(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
+
+
+def minimize_bounded(
+    func: Callable[[float], float],
+    bounds: tuple[float, float],
+    xatol: float,
+    maxiter: int = 500,
+) -> tuple[float, float]:
+    """``(x, func(x))`` at a local minimum of ``func`` on ``bounds``, found by
+    golden-section search with parabolic steps to absolute tolerance
+    ``xatol``; stops after ``maxiter`` evaluations.
+
+    The arithmetic runs on numpy scalars as in SciPy, so ``func`` sees the
+    same arguments, of the same type, that SciPy would pass it.
+    """
+    x1, x2 = bounds
+    if not (np.isfinite(x1) and np.isfinite(x2)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if x1 > x2:
+        raise ValueError("The lower bound exceeds the upper bound.")
+
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # Check for parabolic fit
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+
+            # Check for acceptability of parabola
+            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and
+                    (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:  # do a golden-section step
+                golden = 1
+
+        if golden:  # do a golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxiter:
+            break
+    return xf, fx
+
+
+#: ``(3 r)^(-1/6)`` for the relative error ``r = 2^-53`` of the truncated
+#: series: duplication stops once ``4^n |A_n|`` exceeds this times the
+#: largest ``|A_0 - x|``
+_RF_STOP = (3.0 * 2.0 ** -53) ** (-1.0 / 6.0)
+
+
+def carlson_rf(x: float, y: float, z: float) -> float:
+    """Carlson's ``R_F(x, y, z) = 1/2 ∫_0^∞ dt / sqrt((t+x)(t+y)(t+z))`` for
+    ``x, y, z >= 0``, at most one of them zero."""
+    a0 = (x + y + z) / 3.0
+    dx, dy = a0 - x, a0 - y
+    q = _RF_STOP * max(abs(dx), abs(dy), abs(a0 - z))
+    an, scale = a0, 1.0
+    while q * scale >= abs(an):
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        an = 0.25 * (an + lam)
+        scale *= 0.25
+    X = dx * scale / an
+    Y = dy * scale / an
+    Z = -(X + Y)
+    e2 = X * Y - Z * Z
+    e3 = X * Y * Z
+    series = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
+              - 5.0 * e2 * e2 * e2 / 208.0 + 3.0 * e3 * e3 / 104.0 + e2 * e2 * e3 / 16.0)
+    return series / math.sqrt(an)

@@ -265,7 +265,11 @@ def _scan_spec(curve_cfg: dict, section: dict):
     analytic thresholds as ``(value, in_domain)``."""
     kind = curve_cfg["kind"]
     family = section["family"]
-    rotation = section.get("rotation") or "1/4"
+    rotation = section.get("rotation")
+    if family.startswith("two-periodic"):
+        _require(rotation is None, f"family {family!r} has no rotation to choose, got {rotation!r}")
+    elif family.startswith("four-periodic"):
+        rotation = fam._normalize_rotation(rotation or "1/4", 4)
     key = (kind, family)
     if kind == "superellipse":
         k = curve_cfg["k"]
@@ -293,13 +297,13 @@ def _scan_spec(curve_cfg: dict, section: dict):
         return ((lambda x0: fam.trace4_ellipse(a, b, x0)), (lo + pad, hi - pad), (lo, hi), "x0",
                 [(ref, lo < ref < hi) for ref in refs])
     if key == ("superellipse", "four-periodic-axis"):
-        if rotation == "1/4":
+        if rotation == fam._QUARTER:
             window, domain = (q + 1e-3, 1.0 - 1e-3), (q, 1.0)
         else:
             window, domain = (-q + 1e-6, 1.0 - 1e-3), (-q, 1.0)
         return lambda x0: fam.trace4_superellipse_axis(k, x0, rotation), window, domain, "x0", []
     if key == ("superellipse", "four-periodic-diag"):
-        if rotation == "1/4":
+        if rotation == fam._QUARTER:
             x_hat = fam.x_hat(k)
             window, domain = (q + 1e-4, x_hat - 1e-4), (q, x_hat)
         else:

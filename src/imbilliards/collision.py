@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._solvers import brentq
 from .curves import Curve, Frame, rot90
 from .errors import NoInteriorHit, NoReentry, TangentialChord, TangentialContact
 

@@ -41,8 +41,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
+from ._solvers import brentq, minimize_bounded
 from .curves import Circle, Curve, Ellipse, Stadium, Superellipse, rot90
 from .dynamics import PhasePoint, StepData, iterate
 from .errors import (
@@ -1246,14 +1246,13 @@ def scan_family(
     h = np.abs(np.abs(traces) - 2.0)
     interior = np.nonzero((h[1:-1] <= h[:-2]) & (h[1:-1] <= h[2:]))[0] + 1
     for i in interior:
-        res = minimize_scalar(
+        x, fun = minimize_bounded(
             lambda x: abs(abs(trace_fn(x)) - 2.0),
-            bounds=(grid[max(i - 1, 0)], grid[min(i + 1, n_grid - 1)]),
-            method="bounded",
-            options={"xatol": 1e-12},
+            (grid[max(i - 1, 0)], grid[min(i + 1, n_grid - 1)]),
+            xatol=1e-12,
         )
-        if res.fun < 1e-6:
-            found.append(float(res.x))
+        if fun < 1e-6:
+            found.append(float(x))
 
     found.sort()
     thresholds: list[float] = []

@@ -4,23 +4,31 @@ Chords tangent to a confocal conic ``x^2/(a^2 - lam) + y^2/(b^2 - lam) = 1``
 of an ellipse with semi-axes ``a > b`` wind around the boundary at a rate
 that depends only on the caustic parameter ``lam``.  This module classifies
 the caustic by ``lam``, evaluates the rotation number as a ratio of two
-complete elliptic-type integrals, and provides the closed-form limiting
+complete elliptic integrals, and provides the closed-form limiting
 rotation number of small-radius Larmor perturbations, parameterized by
 ``nu0 = a^2 / (a^2 - b^2)``.
 
-The rotation number is computed as
+The rotation number is
 
 ``rho(lam) = num / den``,
-``num = integral of f over (0, min(b^2, lam))``,
-``den = integral of f over (max(b^2, lam), a^2)``,
+``num = integral of f over (0, lo)``,
+``den = integral of f over (hi, a^2)``,
 
-with ``f(t) = [(lam - t)(b^2 - t)(a^2 - t)]^{-1/2}`` in absolute value,
-the same two integrals on both caustic branches.  This normalization is
-pinned down by its endpoint behaviour, which the tests check:
+with ``f(t) = |(lam - t)(b^2 - t)(a^2 - t)|^{-1/2}``,
+``lo = min(b^2, lam)`` and ``hi = max(b^2, lam)``: the same two integrals on
+both caustic branches.  Both are complete integrals in Carlson's symmetric
+form (``R_F`` as in DLMF §19.16.1, reduced as in §19.29),
+
+``num = 2 sqrt(lo) R_F(hi (a^2 - lo), a^2 (hi - lo), (hi - lo)(a^2 - lo))``,
+``den = 2 R_F(a^2 - lo, hi - lo, 0)``,
+
+and ``R_F`` is evaluated by duplication to full double precision.  This
+normalization is pinned down by its endpoint behaviour, which the tests
+check:
 
 * ``rho -> 0``  as ``lam -> 0+`` (grazing chords),
-* ``rho -> 1``  from both sides as ``lam -> b^2`` (both integrals diverge
-  logarithmically at the shared endpoint, at identical rates),
+* ``rho -> 1``  from both sides as ``lam -> b^2`` (``hi - lo -> 0`` makes both
+  integrals diverge logarithmically, at identical rates),
 * ``rho -> (2/pi) * arcsin(b/a)`` as ``lam -> a^2-``, the classical value for
   chords through the center.
 """
@@ -31,8 +39,7 @@ import math
 from enum import Enum
 from typing import Sequence
 
-from scipy.integrate import quad
-
+from ._solvers import carlson_rf
 from .errors import LambdaDegenerate, Nu0OutOfRange
 
 __all__ = [
@@ -47,8 +54,6 @@ __all__ = [
 #: Relative half-width (times ``a^2``) of the degeneracy guard around
 #: ``lam = b^2`` and ``lam = a^2``.
 DEGENERACY_TOL = 1e-12
-
-_QUAD_OPTS = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
 
 
 class CausticKind(Enum):
@@ -93,9 +98,10 @@ def rot_lambda(a: float, b: float, lam: float) -> float:
 
     Defined for ellipse caustics (``0 < lam < b^2``), where it increases from
     0 to 1, and for hyperbola caustics (``b^2 < lam < a^2``), where it
-    decreases from 1 to ``(2/pi)*arcsin(b/a)``.  The inverse-square-root
-    endpoint singularities are delegated to weighted Gaussian quadrature of
-    algebraic-logarithmic type, with the smooth cofactor supplied explicitly.
+    decreases from 1 to ``(2/pi)*arcsin(b/a)``.  Both integrals are
+    evaluated in Carlson's form (see the module docstring), which has no
+    endpoint singularity left to integrate and keeps full relative precision
+    up to the degeneracy guards at ``b^2`` and ``a^2``.
     """
     kind = caustic_kind(a, b, lam)
     if kind in (CausticKind.DEGENERATE_MAJOR, CausticKind.DEGENERATE_MINOR):
@@ -110,22 +116,8 @@ def rot_lambda(a: float, b: float, lam: float) -> float:
         )
     a2, b2 = a * a, b * b
     lo, hi = min(b2, lam), max(b2, lam)
-    num, _ = quad(
-        lambda t: 1.0 / math.sqrt((hi - t) * (a2 - t)),
-        0.0,
-        lo,
-        weight="alg",
-        wvar=(0.0, -0.5),
-        **_QUAD_OPTS,
-    )
-    den, _ = quad(
-        lambda t: 1.0 / math.sqrt(t - lo),
-        hi,
-        a2,
-        weight="alg",
-        wvar=(-0.5, -0.5),
-        **_QUAD_OPTS,
-    )
+    num = 2.0 * math.sqrt(lo) * carlson_rf(hi * (a2 - lo), a2 * (hi - lo), (hi - lo) * (a2 - lo))
+    den = 2.0 * carlson_rf(a2 - lo, hi - lo, 0.0)
     return num / den
 
 

@@ -290,6 +290,41 @@ def test_scan_rejects_windows_outside_the_family(tmp_path, capsys, recwarn, curv
     assert not list(tmp_path.glob("scan.*"))
 
 
+_ELLIPSE_32 = {"kind": "ellipse", "a": 3.0, "b": 2.0}
+
+
+@pytest.mark.parametrize("curve, scan, message", [
+    (_SE2, {"family": "four-periodic-diag", "rotation": "1/3"},
+     "rotation must be one of 1/4, 3/4, got '1/3'"),
+    (_ELLIPSE_32, {"family": "four-periodic", "rotation": "2/3"},
+     "rotation must be one of 1/4, 3/4, got '2/3'"),
+    (_SE2, {"family": "two-periodic-axis", "rotation": "1/3"},
+     "family 'two-periodic-axis' has no rotation to choose, got '1/3'"),
+])
+def test_scan_rejects_rotations_the_family_does_not_have(tmp_path, capsys, curve, scan, message):
+    config = write_config(tmp_path, {"curve": curve, "scan": scan})
+    assert main(["scan", "--config", config, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+    assert not list(tmp_path.glob("scan.*"))
+
+
+@pytest.mark.parametrize("curve, family, rotations", [
+    (_SE2, "four-periodic-axis", (None, "1/4")),
+    (_SE2, "four-periodic-diag", (None, "1/4")),
+    (_ELLIPSE_32, "four-periodic", (None, "1/4", "3/4")),
+])
+def test_scan_bytes_do_not_depend_on_how_the_rotation_is_given(tmp_path, curve, family, rotations):
+    """A 4-periodic scan without a rotation is the rotation-1/4 scan, byte for
+    byte; the ellipse scan spans both branches and is the same for either."""
+    outputs = []
+    for i, rotation in enumerate(rotations):
+        scan = {"family": family} if rotation is None else {"family": family, "rotation": rotation}
+        config = write_config(tmp_path, {"curve": curve, "scan": scan}, name=f"{i}.json")
+        assert main(["scan", "--config", config, "--out", str(tmp_path / str(i))]) == 0
+        outputs.append([(tmp_path / str(i) / name).read_bytes() for name in ("scan.csv", "scan.svg")])
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
 # --------------------------------------------------------------------------
 # trace verb
 # --------------------------------------------------------------------------

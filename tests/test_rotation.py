@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from imbilliards.errors import LambdaDegenerate, Nu0OutOfRange
@@ -55,6 +57,49 @@ def test_caustic_kind_classification():
 @pytest.mark.parametrize("a, b, lam, expected", ORACLE)
 def test_rot_lambda_against_quadrature_oracle(a, b, lam, expected):
     assert rot_lambda(a, b, lam) == pytest.approx(expected, abs=1e-9)
+
+
+def quad_rotation(a, b, lam):
+    """The two defining integrals by SciPy's weighted Gauss quadrature (the
+    inverse-square-root endpoint weights passed to QUADPACK), as a second
+    route that shares nothing with the Carlson form of ``rot_lambda``."""
+    a2, b2 = a * a, b * b
+    lo, hi = min(b2, lam), max(b2, lam)
+    opts = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
+    num, _ = quad(lambda t: 1.0 / math.sqrt((hi - t) * (a2 - t)), 0.0, lo,
+                  weight="alg", wvar=(0.0, -0.5), **opts)
+    den, _ = quad(lambda t: 1.0 / math.sqrt(t - lo), hi, a2,
+                  weight="alg", wvar=(-0.5, -0.5), **opts)
+    return num / den
+
+
+@pytest.mark.parametrize("a, b, lam, expected", ORACLE)
+def test_quadrature_route_against_oracle(a, b, lam, expected):
+    assert quad_rotation(a, b, lam) == pytest.approx(expected, abs=1e-9)
+
+
+#: Rotation numbers at caustics within 1e-12 ... 1e-7 (relative) of the
+#: degenerate values 0, b^2 and a^2, for the double ``lam`` as written.
+#: Computed with mpmath at 40 digits as 2 sqrt(lo) R_F(...) / (2 R_F(...))
+#: with ``mp.elliprf`` (mp.dps = 40), and cross-checked to 1e-40 by tanh-sinh
+#: ``mp.quad`` (60 digits) of the two integrals after the substitutions
+#: t = lo - u^2 and t = hi + (a^2 - hi) sin^2(phi), which remove their
+#: endpoint singularities.
+NEAR_DEGENERATE = [
+    (2.0, 1.0, 4.0 * (1.0 - 1e-9), "0.3333333334252214800442691166632181045526"),
+    (2.0, 1.0, 1.0 + 1e-11, "0.9097962828012283411950810253725269496784"),
+    (2.0, 1.0, 1.0 - 1e-11, "0.9097962828008431882126716533758337045131"),
+    (2.0, 1.0, 1e-12, "4.637109872861709909127149041655012395106e-7"),
+    (3.0, 2.0, 8.9999999, "0.4645590559792345262998746897787806992045"),
+]
+
+
+@pytest.mark.parametrize("a, b, lam, expected", NEAR_DEGENERATE)
+def test_rot_lambda_near_degenerate_caustics(a, b, lam, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = rot_lambda(a, b, lam)
+    assert abs(rho - float(expected)) <= 1e-14 * float(expected)
 
 
 def test_rot_lambda_rejects_non_caustics():

@@ -1,0 +1,191 @@
+"""The in-house scalar solvers, checked against SciPy as the second route.
+
+SciPy is a test dependency only: every comparison below runs SciPy's
+``brentq``, ``minimize_scalar`` or ``elliprf`` on the same inputs that the
+package's own solvers see, and asks for the same floats.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq as scipy_brentq
+from scipy.optimize import minimize_scalar
+from scipy.special import elliprf
+
+import imbilliards
+from conftest import CURVE_MENU
+from imbilliards import cli, collision, families
+from imbilliards._solvers import RTOL_MIN, brentq, carlson_rf, minimize_bounded
+from imbilliards.curves import Ellipse
+from imbilliards.dynamics import PhasePoint, step
+from imbilliards.errors import BilliardError
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def twin(monkeypatch, module, name, route):
+    """Replace ``module.name`` by a wrapper that also runs ``route`` on every
+    call and records both results as ``(ours, second route)`` pairs."""
+    ours = getattr(module, name)
+    pairs = []
+
+    def both(*args, **kwargs):
+        result = ours(*args, **kwargs)
+        pairs.append((result, route(*args, **kwargs)))
+        return result
+
+    monkeypatch.setattr(module, name, both)
+    return pairs
+
+
+def hex_pairs(pairs):
+    return [(float(a).hex(), float(b).hex()) for a, b in pairs]
+
+
+# --------------------------------------------------------------------------
+# brentq
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("factory, mu", [(f, mu) for _, f, mu in CURVE_MENU]
+                         + [(lambda: Ellipse(3.0, 1.0), 0.3)],
+                         ids=[name for name, _, _ in CURVE_MENU] + ["ellipse-3-1"])
+def test_brentq_repeats_scipy_on_the_collision_solves(monkeypatch, rng, factory, mu):
+    """Every chord and arc solve of 150 random steps, bit for bit."""
+    pairs = twin(monkeypatch, collision, "brentq", scipy_brentq)
+    curve = factory()
+    length = curve.total_length()
+    for _ in range(150):
+        z = PhasePoint(float(rng.uniform(0.0, length)), float(rng.uniform(0.05, math.pi - 0.05)))
+        try:
+            step(curve, mu, z)
+        except BilliardError:
+            pass
+    assert len(pairs) >= 200
+    assert all(a == b for a, b in hex_pairs(pairs))
+
+
+SCANS = [
+    ({"kind": "superellipse", "k": 3}, {"family": "four-periodic-axis", "rotation": "3/4"}),
+    ({"kind": "superellipse", "k": 2}, {"family": "four-periodic-diag", "rotation": "1/4"}),
+    ({"kind": "superellipse", "k": 2}, {"family": "two-periodic-diag"}),
+    ({"kind": "ellipse", "a": 3.0, "b": 2.0}, {"family": "four-periodic"}),
+]
+
+
+def test_brentq_repeats_scipy_on_the_family_solves(monkeypatch):
+    """The root solves of the 17 check members (all through ``_root``) and of
+    four scans, with their threshold refinements, bit for bit."""
+    pairs = twin(monkeypatch, families, "brentq", scipy_brentq)
+    for _, curve_cfg, section in cli._CHECK_MEMBERS:
+        cli._build_orbit(curve_cfg, section)
+    n_members = len(pairs)
+    for curve_cfg, section in SCANS:
+        trace_fn, (lo, hi), _, _, _ = cli._scan_spec(curve_cfg, section)
+        families.scan_family(trace_fn, lo, hi, n_grid=500)
+    assert n_members >= 5 and len(pairs) >= n_members + 5
+    assert all(a == b for a, b in hex_pairs(pairs))
+
+
+def test_brentq_defaults_and_checks_match_scipy():
+    g = lambda x: math.cos(x) - x
+    assert brentq(g, 0.0, 1.0).hex() == scipy_brentq(g, 0.0, 1.0).hex()
+    assert RTOL_MIN == 4.0 * np.finfo(float).eps
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="xtol too small"):
+        brentq(g, 0.0, 1.0, xtol=0.0)
+    with pytest.raises(ValueError, match="rtol too small"):
+        brentq(g, 0.0, 1.0, rtol=RTOL_MIN / 2)
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: math.nan,
+    lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan,  # NaN inside the bracket
+], ids=["at-the-end", "inside"])
+def test_brentq_raises_on_nan(f):
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(f, 0.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        scipy_brentq(f, 0.0, 1.0)
+
+
+def test_brentq_raises_when_it_runs_out_of_iterations():
+    f = lambda x: x ** 3 - 2.0
+    with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
+        brentq(f, 0.0, 2.0, maxiter=3)
+    with pytest.raises(RuntimeError):
+        scipy_brentq(f, 0.0, 2.0, maxiter=3)
+    assert brentq(f, 0.0, 2.0).hex() == scipy_brentq(f, 0.0, 2.0).hex()
+
+
+# --------------------------------------------------------------------------
+# minimize_bounded
+# --------------------------------------------------------------------------
+
+def test_minimize_bounded_repeats_scipy_on_the_scan_refinements(monkeypatch):
+    """Every tangential-touch refinement of the benchmark's scan family
+    (``perfbench/configs/scan.json``), with ``x`` and ``fun`` bit for bit."""
+
+    def scipy_route(func, bounds, xatol):
+        res = minimize_scalar(func, bounds=bounds, method="bounded", options={"xatol": xatol})
+        return res.x, res.fun
+
+    pairs = twin(monkeypatch, families, "minimize_bounded", scipy_route)
+    trace_fn, (lo, hi), _, _, _ = cli._scan_spec(*SCANS[0])
+    families.scan_family(trace_fn, lo, hi, n_grid=500)
+    assert len(pairs) >= 3
+    for (x, fun), (sx, sfun) in pairs:
+        assert float(x).hex() == float(sx).hex()
+        assert float(fun).hex() == float(sfun).hex()
+
+
+def test_minimize_bounded_checks_its_bounds():
+    with pytest.raises(ValueError, match="finite"):
+        minimize_bounded(abs, (0.0, math.inf), 1e-12)
+    with pytest.raises(ValueError, match="exceeds"):
+        minimize_bounded(abs, (1.0, 0.0), 1e-12)
+    x, fun = minimize_bounded(lambda x: (x - 0.3) ** 2, (0.0, 1.0), 1e-12)
+    assert abs(x - 0.3) < 1e-8 and fun < 1e-16
+
+
+# --------------------------------------------------------------------------
+# carlson_rf
+# --------------------------------------------------------------------------
+
+def test_carlson_rf_closed_forms():
+    # R_F(x, x, x) = x^(-1/2); R_F(0, y, y) = pi / (2 sqrt y);
+    # R_F(x, y, y) = arctan(sqrt((y - x)/x)) / sqrt(y - x) for 0 < x < y
+    assert carlson_rf(2.5, 2.5, 2.5) == pytest.approx(2.5 ** -0.5, rel=1e-15)
+    assert carlson_rf(0.0, 3.0, 3.0) == pytest.approx(math.pi / (2.0 * math.sqrt(3.0)), rel=1e-15)
+    assert carlson_rf(1.0, 4.0, 4.0) == pytest.approx(math.atan(math.sqrt(3.0)) / math.sqrt(3.0),
+                                                      rel=1e-15)
+
+
+def test_carlson_rf_against_scipy(rng):
+    args = 10.0 ** rng.uniform(-8.0, 4.0, size=(400, 3))
+    args[::3, 2] = 0.0
+    for x, y, z in args:
+        assert carlson_rf(x, y, z) == pytest.approx(elliprf(x, y, z), rel=4e-15)
+
+
+# --------------------------------------------------------------------------
+# runtime dependencies
+# --------------------------------------------------------------------------
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(imbilliards.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, imbilliards.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
