@@ -20,10 +20,14 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["brentq", "minimize_bounded", "carlson_rf"]
+__all__ = ["SameSignError", "brentq", "minimize_bounded", "carlson_rf"]
 
 #: SciPy's smallest admissible relative tolerance of ``brentq``, ``4 * eps``
 RTOL_MIN = 4.0 * sys.float_info.epsilon
+
+
+class SameSignError(ValueError):
+    """``brentq`` was given end values of one sign."""
 
 
 def _nan_at(x: float) -> ValueError:
@@ -43,8 +47,8 @@ def brentq(
 
     The iterate stops moving once the bracket half-width falls below
     ``(xtol + rtol * |x|) / 2``.  Raises ``ValueError`` for a bad tolerance,
-    for end values of one sign and for a NaN value of ``f``, and
-    ``RuntimeError`` after ``maxiter`` iterations without convergence.
+    for end values of one sign (as :class:`SameSignError`) and for a NaN
+    value of ``f``, and ``RuntimeError`` after ``maxiter`` iterations.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
@@ -62,7 +66,7 @@ def brentq(
     if fcur == 0.0:
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
+        raise SameSignError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):

@@ -373,7 +373,7 @@ def _boundary_path(curve: Curve, frame: _Frame) -> str:
     ss = np.linspace(0.0, length, 720, endpoint=False)
     parts = []
     for i, s in enumerate(ss):
-        p = curve.point_at(float(s))
+        p = curve.frame_at(float(s)).point
         parts.append(("M " if i == 0 else "L ") + frame.pt(p[0], p[1]))
     return " ".join(parts) + " Z"
 
@@ -382,10 +382,9 @@ def _step_geometry(d: StepData) -> dict:
     """Cartesian chord endpoints, arc center/radius/angles for one step,
     read off the step's launch, exit and re-entry frames."""
     frame0, frame1, frame2 = d.frames
-    p1, tangent = frame1.point, frame1.tangent
-    normal = rot90(tangent)
-    v = math.cos(d.theta1) * tangent - math.sin(d.theta1) * normal
-    center = p1 + d.mu * rot90(v)
+    p1 = frame1.point
+    # the exit angle theta1 is read reflected: the chord leaves at -theta1
+    center = p1 + d.mu * rot90(frame1.direction(-d.theta1))
     phi0 = math.atan2(p1[1] - center[1], p1[0] - center[0])
     return {
         "p0": frame0.point, "p1": p1, "p2": frame2.point,
@@ -605,7 +604,7 @@ def cmd_trace(config: dict, args) -> int:
     xs, ys = [], []
     length = curve.total_length()
     for s in np.linspace(0.0, length, 256, endpoint=False):
-        p = curve.point_at(float(s))
+        p = curve.frame_at(float(s)).point
         xs.append(p[0])
         ys.append(p[1])
     for geos, radius, *_ in layers:

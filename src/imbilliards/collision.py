@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._solvers import brentq
-from .curves import Curve, Frame, rot90
+from .curves import Curve, Frame
 from .errors import NoInteriorHit, NoReentry, TangentialChord, TangentialContact
 
 __all__ = ["ChordHit", "LarmorHit", "chord_exit", "larmor_reentry"]
@@ -49,10 +49,6 @@ class ChordHit:
     theta1: float   # angle in (0, pi) between chord direction and tangent at P1
     ell1: float     # chord length |P0 P1|
     v: np.ndarray   # unit chord direction, built from the launch frame
-
-    @property
-    def s1(self) -> float:
-        return self.frame1.s
 
 
 @dataclass(frozen=True)
@@ -75,25 +71,6 @@ class LarmorHit:
     ell2: float
     arc_sweep: float
     n_crossings: int
-
-    @property
-    def s2(self) -> float:
-        return self.frame2.s
-
-
-def _incidence_angle(v: np.ndarray, tangent: np.ndarray, *, entering: bool) -> float:
-    """Angle in (0, pi) between a unit velocity and the positive tangent.
-
-    For an *entering* velocity the inward normal component is positive and
-    the angle is measured directly; for an *exiting* one the normal
-    component is reflected, which matches the convention that the angle at
-    a chord endpoint is read on the interior side of the tangent line.
-    """
-    n = rot90(tangent)
-    normal_part = float(v @ n)
-    if not entering:
-        normal_part = -normal_part
-    return math.atan2(normal_part, float(v @ tangent))
 
 
 # Root-finding residuals live at module level and take the curve and plain
@@ -132,9 +109,7 @@ def chord_exit(curve: Curve, frame0: Frame, theta0: float) -> ChordHit:
         raise TangentialChord(f"launch angle {theta0!r} is within {ANGLE_EPS} of 0 or pi")
 
     x0, y0 = frame0.point.tolist()
-    tx, ty = frame0.tangent.tolist()
-    c, s = math.cos(theta0), math.sin(theta0)
-    vx, vy = c * tx - s * ty, c * ty + s * tx
+    vx, vy = frame0.direction(theta0)
     args = (curve, x0, y0, vx, vy)
 
     eps_sep = 1e-9 * curve.total_length()
@@ -167,8 +142,7 @@ def chord_exit(curve: Curve, frame0: Frame, theta0: float) -> ChordHit:
 
     v = np.array([vx, vy])
     frame1 = curve.frame_of(np.array([x0 + r * vx, y0 + r * vy]))
-    theta1 = _incidence_angle(v, frame1.tangent, entering=False)
-    return ChordHit(frame1=frame1, theta1=theta1, ell1=float(r), v=v)
+    return ChordHit(frame1=frame1, theta1=frame1.angle(v, entering=False), ell1=float(r), v=v)
 
 
 def larmor_reentry(curve: Curve, frame1: Frame, v: np.ndarray, mu: float) -> LarmorHit:
@@ -227,7 +201,7 @@ def larmor_reentry(curve: Curve, frame1: Frame, v: np.ndarray, mu: float) -> Lar
     frame2 = curve.frame_of(p2)
     c, s = math.cos(psi), math.sin(psi)
     v2 = np.array([c * vx - s * vy, s * vx + c * vy])
-    theta2 = _incidence_angle(v2, frame2.tangent, entering=True)
+    theta2 = frame2.angle(v2)
 
     delta = p2 - frame1.point
     ell2 = float(np.hypot(*delta))

@@ -8,13 +8,16 @@ with the positive x-axis).  A curve exposes
   the boundary point at arclength ``s``;
 * ``frame_of(p)`` — the frame of a point ``p`` on the boundary, including
   its arclength; the inverse of ``frame_at``;
-* ``point_at``, ``tangent_at``, ``curvature_at`` and ``locate`` — one field
-  of one of the two frame queries;
 * ``implicit_xy(x, y)`` / ``gradient_xy(x, y)`` — a defining function F with
-  F < 0 strictly inside, and its gradient, in coordinates; ``implicit(p)`` /
-  ``implicit_gradient(p)`` are the same on a point ``p`` of shape (2,) or on
-  an array of points of shape (n, 2);
-* ``contains(p)``, ``total_length()``.
+  F < 0 strictly inside, and its gradient, in coordinates;
+* ``total_length()``.
+
+These are the only boundary queries.  :class:`Frame` also owns the angle
+convention of the map: theta in (0, pi) is measured from the positive
+tangent towards the inward normal.  ``Frame.direction(theta)`` is the unit
+velocity launched at theta and ``Frame.angle(v)`` reads theta back; an
+exiting velocity is reflected (``entering=False``), so its angle is read
+inside the table too.
 
 One formula serves points and arrays: each table writes its defining
 function and gradient once, and each table curve its parametric speed and
@@ -84,6 +87,20 @@ class Frame:
     point: np.ndarray
     tangent: np.ndarray
     curvature: float
+
+    def direction(self, theta: float) -> tuple[float, float]:
+        """Unit velocity leaving the point at angle ``theta`` from the tangent."""
+        tx, ty = self.tangent.tolist()
+        c, s = math.cos(theta), math.sin(theta)
+        return c * tx - s * ty, c * ty + s * tx
+
+    def angle(self, v: np.ndarray, entering: bool = True) -> float:
+        """Angle of the unit velocity ``v`` from the tangent, in (0, pi) when
+        ``v`` enters the table; an exiting ``v`` is reflected first."""
+        normal_part = float(v @ rot90(self.tangent))
+        if not entering:
+            normal_part = -normal_part
+        return math.atan2(normal_part, float(v @ self.tangent))
 
 
 def _panel_of(t: float) -> int:
@@ -175,33 +192,6 @@ class Curve(ABC):
     @abstractmethod
     def gradient_xy(self, x, y) -> tuple:
         """``(dF/dx, dF/dy)`` of the defining function, on floats or arrays."""
-
-    def implicit(self, p: np.ndarray) -> np.ndarray | float:
-        """Defining function at a point of shape (2,) or points of shape (n, 2)."""
-        return self.implicit_xy(*np.asarray(p, dtype=float).T)
-
-    def implicit_gradient(self, p: np.ndarray) -> np.ndarray:
-        """Gradient of the defining function, of the same shape as ``p``."""
-        return np.stack(self.gradient_xy(*np.asarray(p, dtype=float).T), axis=-1)
-
-    def point_at(self, s: float) -> np.ndarray:
-        return self.frame_at(s).point
-
-    def tangent_at(self, s: float) -> np.ndarray:
-        return self.frame_at(s).tangent
-
-    def curvature_at(self, s: float) -> float:
-        return self.frame_at(s).curvature
-
-    def locate(self, p: np.ndarray) -> float:
-        """Arclength of a point on (or within 1e-8 of) the boundary."""
-        return self.frame_of(p).s
-
-    def inward_normal_at(self, s: float) -> np.ndarray:
-        return rot90(self.tangent_at(s))
-
-    def contains(self, p: np.ndarray) -> bool:
-        return bool(self.implicit(np.asarray(p, dtype=float)) < 0.0)
 
     def wrap(self, s: float) -> float:
         return float(s) % self.total_length()
@@ -388,7 +378,7 @@ class Stadium(Curve):
     radius-R semicircles on the left and right.
 
     Piecewise-exact arclength; curvature jumps between 0 (sides) and 1/R
-    (caps), and ``curvature_at`` returns the value of the piece *ahead* in
+    (caps), and ``frame_at`` returns the curvature of the piece *ahead* in
     the anticlockwise direction at the four junctions.  The implicit
     function is the capsule signed-distance field, which is C^1 across the
     junction normals.

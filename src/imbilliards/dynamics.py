@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collision import ANGLE_EPS, chord_exit, larmor_reentry
-from .curves import Curve, Frame, rot90
+from .curves import Curve, Frame
 from .errors import BilliardError, DegenerateStep
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "jacobian_analytic",
     "jacobian_numeric",
     "well_conditioned",
-    "launch_direction",
 ]
 
 #: entries of StepData smaller than this make the closed-form DT ill-defined
@@ -88,12 +87,6 @@ class StepData:
     frames: tuple[Frame, ...] = field(default=(), compare=False, repr=False)
 
 
-def launch_direction(curve: Curve, z: PhasePoint) -> np.ndarray:
-    """Unit velocity of the chord leaving Gamma(z.s) at angle z.theta."""
-    tangent = curve.tangent_at(z.s)
-    return math.cos(z.theta) * tangent + math.sin(z.theta) * rot90(tangent)
-
-
 def step(curve: Curve, mu: float, z: PhasePoint) -> tuple[PhasePoint, StepData | None]:
     """One application of the map.  Near theta in {0, pi} the map is the
     identity; that guarded case returns ``(z, None)``.
@@ -111,9 +104,9 @@ def step(curve: Curve, mu: float, z: PhasePoint) -> tuple[PhasePoint, StepData |
     data = StepData(
         s0=frame0.s,
         theta0=z.theta,
-        s1=hit1.s1,
+        s1=hit1.frame1.s,
         theta1=hit1.theta1,
-        s2=hit2.s2,
+        s2=hit2.frame2.s,
         theta2=hit2.theta2,
         ell1=hit1.ell1,
         ell2=hit2.ell2,
@@ -124,7 +117,7 @@ def step(curve: Curve, mu: float, z: PhasePoint) -> tuple[PhasePoint, StepData |
         mu=mu,
         frames=(frame0, hit1.frame1, hit2.frame2),
     )
-    return PhasePoint(hit2.s2, hit2.theta2), data
+    return PhasePoint(hit2.frame2.s, hit2.theta2), data
 
 
 def iterate(

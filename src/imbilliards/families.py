@@ -42,8 +42,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._solvers import brentq, minimize_bounded
-from .curves import Circle, Curve, Ellipse, Stadium, Superellipse, rot90
+from ._solvers import SameSignError, brentq, minimize_bounded
+from .curves import Circle, Curve, Ellipse, Stadium, Superellipse
 from .dynamics import PhasePoint, StepData, iterate
 from .errors import (
     BeyondXHat,
@@ -132,19 +132,11 @@ class PeriodicOrbit:
 
 
 def _launch_phase(curve: Curve, point: Sequence[float], direction: Sequence[float]) -> PhasePoint:
-    """Phase point for a launch from a Cartesian boundary point.
-
-    The angle is measured from the (anticlockwise) tangent towards the inward
-    normal, so a direction pointing into the domain yields ``theta`` in
-    ``(0, pi)``.
-    """
-    p = np.asarray(point, dtype=float)
+    """Phase point for a launch from a Cartesian boundary point in a direction
+    (of any length) pointing into the table."""
     v = np.asarray(direction, dtype=float)
-    v = v / np.linalg.norm(v)
-    frame = curve.frame_of(p)
-    tangent = frame.tangent
-    theta = math.atan2(float(np.dot(v, rot90(tangent))), float(np.dot(v, tangent)))
-    return PhasePoint(s=frame.s, theta=theta)
+    frame = curve.frame_of(point)
+    return PhasePoint(s=frame.s, theta=frame.angle(v / np.linalg.norm(v)))
 
 
 def _orbit_from_seed(
@@ -154,14 +146,21 @@ def _orbit_from_seed(
     n: int,
     expected_rotation: Fraction | None,
 ) -> PeriodicOrbit:
-    """Iterate a seed n steps, check closure, and package the orbit.
+    """Iterate a seed n steps, check closure, and package the orbit."""
+    return _package_orbit(curve, mu, z0, iterate(curve, mu, z0, n), expected_rotation)
+
+
+def _package_orbit(curve: Curve, mu: float, z0: PhasePoint,
+                   traj: list[tuple[PhasePoint, StepData]],
+                   expected_rotation: Fraction | None) -> PeriodicOrbit:
+    """The orbit of the trajectory ``traj`` of the seed ``z0``.
 
     Raises :class:`NotPeriodic` when the trajectory fails to return to the
     seed within ``CLOSURE_TOL`` (in the scale-free metric combining arclength
     and ``u = -cos(theta)``), or when the measured winding disagrees with
     ``expected_rotation``.
     """
-    traj = iterate(curve, mu, z0, n)
+    n = len(traj)
     z_end = traj[-1][0]
     residual = orbit_closure_residual(curve, z0, z_end)
     if residual > CLOSURE_TOL:
@@ -214,9 +213,10 @@ def _se_y(k: int, x: float) -> float:
 def _root(g: Callable[[float], float], lo: float, hi: float, what: str) -> float:
     """The root of ``g`` on ``[lo, hi]`` by Brent's method to ``xtol = 1e-14``;
     raises :class:`RootNotBracketed` (naming ``what``) without a sign change."""
-    if g(lo) * g(hi) > 0.0:
-        raise RootNotBracketed(f"no sign change of {what} on ({lo:.12g}, {hi:.12g})")
-    return brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    try:
+        return brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    except SameSignError as exc:
+        raise RootNotBracketed(f"no sign change of {what} on ({lo:.12g}, {hi:.12g})") from exc
 
 
 @functools.lru_cache(maxsize=64)
@@ -1116,9 +1116,9 @@ def dual_orbit(orbit: PeriodicOrbit) -> PeriodicOrbit:
 def _newton_state(curve: Curve, mu: float, z: PhasePoint, n: int):
     """One evaluation of F(z) = T^n(z) - z in the (s, u) chart.
 
-    Returns ``(residual_vector, composed_jacobian, scaled_residual)`` or
-    ``None`` when the trajectory leaves the domain of the map or touches
-    its identity region.
+    Returns ``(residual_vector, composed_jacobian, scaled_residual,
+    trajectory)`` or ``None`` when the trajectory leaves the domain of the
+    map or touches its identity region.
     """
     try:
         traj = iterate(curve, mu, z, n)
@@ -1129,7 +1129,7 @@ def _newton_state(curve: Curve, mu: float, z: PhasePoint, n: int):
     length = curve.total_length()
     ds = (z_end.s - z.s + 0.5 * length) % length - 0.5 * length
     F = np.array([ds, z_end.u - z.u])
-    return F, S, orbit_closure_residual(curve, z, z_end)
+    return F, S, orbit_closure_residual(curve, z, z_end), traj
 
 
 def find_periodic_newton(
@@ -1159,9 +1159,9 @@ def find_periodic_newton(
     z = z0
     length = curve.total_length()
     for _ in range(max_iter):
-        F, S, residual = state
+        F, S, residual, traj = state
         if residual <= tol:
-            return _orbit_from_seed(curve, mu, z, n, None)
+            return _package_orbit(curve, mu, z, traj, None)
         J = S - np.eye(2)
         det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
         if abs(det) < 1e-10:

@@ -8,7 +8,9 @@ the Newton finder — with the tolerances the package advertises.
 
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 import time
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ import pytest
 from conftest import CURVE_MENU, composed_trace, sample_phase_points
 from scipy.optimize import brentq
 
+import imbilliards
 from imbilliards import cli
 from imbilliards import families as fam
 from imbilliards.curves import Circle, Ellipse, Stadium, Superellipse
@@ -327,3 +330,11 @@ def test_newton_finder_recovers_and_flags_parabolic():
         with pytest.raises(SingularJacobian):
             fam.find_periodic_newton(
                 orbit.curve, orbit.mu, n, seed, tol=1e-10, max_iter=10)
+
+
+def test_every_exported_name_resolves():
+    """Each name a module of the package lists in ``__all__`` exists there."""
+    for info in pkgutil.iter_modules(imbilliards.__path__):
+        module = importlib.import_module(f"imbilliards.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], info.name

@@ -380,7 +380,7 @@ def test_trace_geometry_reads_the_step_frames(monkeypatch):
     assert calls == []
     for geo, d in zip(geos, steps):
         assert geo["p0"] is d.frames[0].point and geo["p2"] is d.frames[2].point
-        assert np.linalg.norm(geo["p1"] - curve.point_at(d.s1)) < 1e-12
+        assert np.linalg.norm(geo["p1"] - curve.frame_at(d.s1).point) < 1e-12
         # the Larmor circle runs through the exit and the re-entry point
         assert abs(np.linalg.norm(geo["p2"] - geo["center"]) - d.mu) < 1e-9
 

@@ -18,7 +18,7 @@ from imbilliards.collision import (
     larmor_reentry,
 )
 from imbilliards.curves import Circle, Superellipse, rot90
-from imbilliards.dynamics import iterate, launch_direction
+from imbilliards.dynamics import iterate
 from imbilliards.errors import TangentialChord
 
 CURVE_IDS = [name for name, _, _ in CURVE_MENU]
@@ -39,7 +39,7 @@ def test_chord_exit_circle_oracle(rng):
         s0 = float(rng.uniform(0.0, length))
         theta = float(rng.uniform(0.05, math.pi - 0.05))
         hit = chord_exit(circle, circle.frame_at(s0), theta)
-        gap = abs((hit.s1 - s0 - 2.0 * R * theta + 0.5 * length) % length - 0.5 * length)
+        gap = abs((hit.frame1.s - s0 - 2.0 * R * theta + 0.5 * length) % length - 0.5 * length)
         assert gap < 1e-9
         assert abs(hit.theta1 - theta) < 1e-9
         assert abs(hit.ell1 - 2.0 * R * math.sin(theta)) < 1e-9
@@ -55,10 +55,10 @@ def test_larmor_reentry_circle_oracle(rng):
         s0 = float(rng.uniform(0.0, length))
         theta = float(rng.uniform(0.1, math.pi - 0.1))
         chord = chord_exit(circle, circle.frame_at(s0), theta)
-        p1 = circle.point_at(chord.s1)
-        t1 = circle.tangent_at(chord.s1)
+        p1 = circle.frame_at(chord.frame1.s).point
+        t1 = circle.frame_at(chord.frame1.s).tangent
         v = math.cos(chord.theta1) * t1 - math.sin(chord.theta1) * rot90(t1)
-        hit = larmor_reentry(circle, circle.frame_at(chord.s1), v, mu)
+        hit = larmor_reentry(circle, circle.frame_at(chord.frame1.s), v, mu)
 
         # Two-circle intersection: boundary (origin, R), Larmor (c, mu).
         c = p1 + mu * rot90(v)
@@ -69,7 +69,7 @@ def test_larmor_reentry_circle_oracle(rng):
         perp = rot90(axis)
         candidates = [x * axis + h * perp, x * axis - h * perp]
         p2_alg = max(candidates, key=lambda p: np.linalg.norm(p - p1))
-        assert np.linalg.norm(circle.point_at(hit.s2) - p2_alg) < 1e-8
+        assert np.linalg.norm(circle.frame_at(hit.frame2.s).point - p2_alg) < 1e-8
 
         w = p2_alg - p1
         w = w / np.linalg.norm(w)
@@ -85,8 +85,8 @@ def test_larmor_invariants(name, curves, rng):
     curve, mu = curves[name]
     for z in sample_phase_points(curve, mu, 25, rng, conditioned=False):
         _, d = iterate(curve, mu, z, 1)[0]
-        p1 = curve.point_at(d.s1)
-        t1 = curve.tangent_at(d.s1)
+        p1 = curve.frame_at(d.s1).point
+        t1 = curve.frame_at(d.s1).tangent
         v = math.cos(d.theta1) * t1 - math.sin(d.theta1) * rot90(t1)
         hit = larmor_reentry(curve, curve.frame_at(d.s1), v, mu)
 
@@ -104,8 +104,8 @@ def test_larmor_invariants(name, curves, rng):
             ]
         )
         p2 = center + rot @ (p1 - center)
-        assert abs(curve.implicit(p2)) < 1e-8
-        assert np.linalg.norm(p2 - curve.point_at(hit.s2)) < 1e-7
+        assert abs(curve.implicit_xy(*p2)) < 1e-8
+        assert np.linalg.norm(p2 - curve.frame_at(hit.frame2.s).point) < 1e-7
 
         # The arc midpoint lies strictly outside the table.
         half = np.array(
@@ -114,7 +114,7 @@ def test_larmor_invariants(name, curves, rng):
                 [math.sin(0.5 * hit.arc_sweep), math.cos(0.5 * hit.arc_sweep)],
             ]
         )
-        assert curve.implicit(center + half @ (p1 - center)) > 0.0
+        assert curve.implicit_xy(*(center + half @ (p1 - center))) > 0.0
 
 
 @pytest.mark.parametrize("name", CURVE_IDS)
@@ -122,14 +122,14 @@ def test_chord_exit_lands_on_boundary(name, curves, rng):
     curve, _ = curves[name]
     for z in sample_phase_points(curve, 0.3, 25, rng, conditioned=False):
         hit = chord_exit(curve, curve.frame_at(z.s), z.theta)
-        p0 = curve.point_at(z.s)
-        v = launch_direction(curve, z)
+        p0 = curve.frame_at(z.s).point
+        v = np.array(curve.frame_at(z.s).direction(z.theta))
         p1 = p0 + hit.ell1 * v
-        assert abs(curve.implicit(p1)) < 1e-9
-        assert np.linalg.norm(p1 - curve.point_at(hit.s1)) < 1e-7
+        assert abs(curve.implicit_xy(*p1)) < 1e-9
+        assert np.linalg.norm(p1 - curve.frame_at(hit.frame1.s).point) < 1e-7
         assert 0.0 < hit.theta1 < math.pi
         # Chord midpoint is interior (convexity).
-        assert curve.contains(p0 + 0.5 * hit.ell1 * v)
+        assert curve.implicit_xy(*(p0 + 0.5 * hit.ell1 * v)) < 0.0
 
 
 def test_tangential_launch_rejected():
@@ -149,7 +149,7 @@ def test_corner_clipping_crossing_count():
     for x0, expected in ((0.92, 1), (0.997, 3)):
         y0 = (1.0 - x0 ** (2 * k)) ** (1.0 / (2 * k))
         mu = x0 - y0
-        s1 = curve.locate(np.array([x0, y0]))
+        s1 = curve.frame_of(np.array([x0, y0])).s
         hit = larmor_reentry(curve, curve.frame_at(s1), v, mu)
         assert hit.n_crossings == expected
 

@@ -16,12 +16,12 @@ CURVE_IDS = [name for name, _, _ in CURVE_MENU]
 
 
 def fd_tangent(curve, s: float, h: float = 1e-6) -> np.ndarray:
-    return (curve.point_at(s + h) - curve.point_at(s - h)) / (2.0 * h)
+    return (curve.frame_at(s + h).point - curve.frame_at(s - h).point) / (2.0 * h)
 
 
 def fd_curvature(curve, s: float, h: float = 1e-5) -> float:
-    tp = curve.tangent_at(s + h)
-    tm = curve.tangent_at(s - h)
+    tp = curve.frame_at(s + h).tangent
+    tm = curve.frame_at(s - h).tangent
     return (math.atan2(tp[1], tp[0]) - math.atan2(tm[1], tm[0])) / (2.0 * h)
 
 
@@ -50,7 +50,7 @@ def test_tangent_is_unit_speed_derivative(name, curves, rng):
     curve, _ = curves[name]
     length = curve.total_length()
     for s in rng.uniform(0.0, length, size=40):
-        t = curve.tangent_at(float(s))
+        t = curve.frame_at(float(s)).tangent
         assert abs(np.linalg.norm(t) - 1.0) < 1e-9
         assert np.linalg.norm(t - fd_tangent(curve, float(s))) < 1e-6
 
@@ -60,11 +60,10 @@ def test_inward_normal_points_inside(name, curves, rng):
     curve, _ = curves[name]
     length = curve.total_length()
     for s in rng.uniform(0.0, length, size=40):
-        p = curve.point_at(float(s))
-        n = curve.inward_normal_at(float(s))
-        assert np.allclose(n, rot90(curve.tangent_at(float(s))))
-        assert curve.contains(p + 1e-4 * n)
-        assert not curve.contains(p - 1e-4 * n)
+        p = curve.frame_at(float(s)).point
+        n = rot90(curve.frame_at(float(s)).tangent)
+        assert curve.implicit_xy(*(p + 1e-4 * n)) < 0.0
+        assert curve.implicit_xy(*(p - 1e-4 * n)) >= 0.0
 
 
 @pytest.mark.parametrize("name", CURVE_IDS)
@@ -75,31 +74,31 @@ def test_curvature_matches_turning_rate(name, curves, rng):
     else:
         samples = rng.uniform(0.0, curve.total_length(), size=30)
     for s in samples:
-        assert abs(curve.curvature_at(float(s)) - fd_curvature(curve, float(s))) < 1e-5
+        assert abs(curve.frame_at(float(s)).curvature - fd_curvature(curve, float(s))) < 1e-5
 
 
 def test_curvature_closed_forms(rng):
     circle = Circle(1.7)
     for s in rng.uniform(0.0, circle.total_length(), size=10):
-        assert abs(circle.curvature_at(float(s)) - 1.0 / 1.7) < 1e-12
+        assert abs(circle.frame_at(float(s)).curvature - 1.0 / 1.7) < 1e-12
 
     a, b = 2.0, 1.0
     ellipse = Ellipse(a, b)
-    s_right = ellipse.locate(np.array([a, 0.0]))
-    s_top = ellipse.locate(np.array([0.0, b]))
-    assert abs(ellipse.curvature_at(s_right) - a / b**2) < 1e-8
-    assert abs(ellipse.curvature_at(s_top) - b / a**2) < 1e-8
+    s_right = ellipse.frame_of(np.array([a, 0.0])).s
+    s_top = ellipse.frame_of(np.array([0.0, b])).s
+    assert abs(ellipse.frame_at(s_right).curvature - a / b**2) < 1e-8
+    assert abs(ellipse.frame_at(s_top).curvature - b / a**2) < 1e-8
 
     for k in (2, 3):
         se = Superellipse(k)
-        s_axis = se.locate(np.array([1.0, 0.0]))
-        assert abs(se.curvature_at(s_axis)) < 1e-8
+        s_axis = se.frame_of(np.array([1.0, 0.0])).s
+        assert abs(se.frame_at(s_axis).curvature) < 1e-8
 
     stadium = Stadium(2.0, 1.0)
-    s_flat = stadium.locate(np.array([0.0, 1.0]))
-    s_cap = stadium.locate(np.array([2.0, 0.0]))
-    assert stadium.curvature_at(s_flat) == 0.0
-    assert abs(stadium.curvature_at(s_cap) - 1.0) < 1e-12
+    s_flat = stadium.frame_of(np.array([0.0, 1.0])).s
+    s_cap = stadium.frame_of(np.array([2.0, 0.0])).s
+    assert stadium.frame_at(s_flat).curvature == 0.0
+    assert abs(stadium.frame_at(s_cap).curvature - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("name", CURVE_IDS)
@@ -107,7 +106,7 @@ def test_locate_roundtrip(name, curves, rng):
     curve, _ = curves[name]
     length = curve.total_length()
     for s in rng.uniform(0.0, length, size=40):
-        s_back = curve.locate(curve.point_at(float(s)))
+        s_back = curve.frame_of(curve.frame_at(float(s)).point).s
         gap = abs((s_back - s + 0.5 * length) % length - 0.5 * length)
         assert gap < 1e-7
 
@@ -128,14 +127,27 @@ def test_frame_of_inverts_frame_at(name, curves, rng):
 
 
 @pytest.mark.parametrize("name", CURVE_IDS)
+def test_frame_angle_inverts_direction(name, curves, rng):
+    """The angle of a launched velocity is its launch angle; the velocity
+    launched at -theta exits at angle theta, read inside the table."""
+    curve, _ = curves[name]
+    for s in rng.uniform(0.0, curve.total_length(), size=20):
+        frame = curve.frame_at(float(s))
+        for theta in rng.uniform(0.05, math.pi - 0.05, size=20).tolist():
+            assert abs(frame.angle(np.array(frame.direction(theta))) - theta) <= 1e-15
+            exiting = np.array(frame.direction(-theta))
+            assert abs(frame.angle(exiting, entering=False) - theta) <= 1e-15
+
+
+@pytest.mark.parametrize("name", CURVE_IDS)
 def test_boundary_points_satisfy_implicit_equation(name, curves, rng):
     curve, _ = curves[name]
     for s in rng.uniform(0.0, curve.total_length(), size=40):
-        p = curve.point_at(float(s))
-        assert abs(curve.implicit(p)) < 1e-9
-        g = curve.implicit_gradient(p)
+        p = curve.frame_at(float(s)).point
+        assert abs(curve.implicit_xy(*p)) < 1e-9
+        g = np.array(curve.gradient_xy(*p))
         # Outward gradient: moving along it must leave the region.
-        assert curve.implicit(p + 1e-4 * g / np.linalg.norm(g)) > 0.0
+        assert curve.implicit_xy(*(p + 1e-4 * g / np.linalg.norm(g))) > 0.0
 
 
 @pytest.mark.parametrize("name", CURVE_IDS)
@@ -162,18 +174,6 @@ def test_coordinate_forms_agree_on_floats_and_arrays(name, curves, rng):
         ts = rng.uniform(0.0, 2.0 * math.pi, 1000)
         for t, speed in zip(ts.tolist(), table._speeds(ts)):
             assert abs(math.sqrt(table._speed2(math.cos(t), math.sin(t))) - speed) <= 8e-16 * speed
-
-
-def test_implicit_views_take_points_and_arrays_of_points(rng):
-    curve = Superellipse(3)
-    points = rng.uniform(-1.2, 1.2, size=(50, 2))
-    assert curve.implicit(points).shape == (50,)
-    assert curve.implicit_gradient(points).shape == (50, 2)
-    for p, value, grad in zip(points, curve.implicit(points), curve.implicit_gradient(points)):
-        assert curve.implicit(p) == curve.implicit_xy(*p.tolist())
-        assert np.array_equal(curve.implicit_gradient(p), curve.gradient_xy(*p.tolist()))
-        assert abs(value - curve.implicit(p)) <= 4e-16 * (abs(value) + 2.0)
-        assert np.linalg.norm(grad - curve.implicit_gradient(p)) <= 8e-16 * np.linalg.norm(grad)
 
 
 def test_arclength_tables_are_built_once_per_shape():
@@ -222,17 +222,17 @@ def test_wrap_is_periodic():
     for s in (0.3, 1.7, length - 0.1):
         assert abs(curve.wrap(s + length) - curve.wrap(s)) < 1e-9
         assert abs(curve.wrap(s - length) - curve.wrap(s)) < 1e-9
-        assert np.allclose(curve.point_at(s + length), curve.point_at(s))
+        assert np.allclose(curve.frame_at(s + length).point, curve.frame_at(s).point)
 
 
 @pytest.mark.parametrize("name", CURVE_IDS)
 def test_contains_and_diameter(name, curves, rng):
     curve, _ = curves[name]
-    assert curve.contains(np.array([0.0, 0.0]))
+    assert curve.implicit_xy(0.0, 0.0) < 0.0
     bound = curve.diameter_bound()
-    assert not curve.contains(np.array([bound, bound]))
+    assert curve.implicit_xy(bound, bound) >= 0.0
     for s in rng.uniform(0.0, curve.total_length(), size=20):
-        p = curve.point_at(float(s))
+        p = curve.frame_at(float(s)).point
         assert np.linalg.norm(p) < bound
 
 

@@ -21,7 +21,6 @@ from imbilliards.dynamics import (
     iterate,
     jacobian_analytic,
     jacobian_numeric,
-    launch_direction,
     step,
     well_conditioned,
 )
@@ -43,8 +42,8 @@ def test_launch_direction_convention(name, curves, rng):
     curve, _ = curves[name]
     for s in rng.uniform(0.0, curve.total_length(), size=10):
         theta = float(rng.uniform(0.1, math.pi - 0.1))
-        v = launch_direction(curve, PhasePoint(float(s), theta))
-        t = curve.tangent_at(float(s))
+        v = np.array(curve.frame_at(float(s)).direction(theta))
+        t = curve.frame_at(float(s)).tangent
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         assert abs(float(v @ t) - math.cos(theta)) < 1e-12
         assert abs(float(v @ rot90(t)) - math.sin(theta)) < 1e-12
@@ -59,14 +58,15 @@ def test_step_data_is_consistent(name, curves, rng):
         assert d.mu == mu
         assert (z1.s, z1.theta) == (d.s2, d.theta2)
         assert abs(d.ell2 - 2.0 * mu * math.sin(d.chi)) < 1e-9
-        assert d.kappa0 == curve.curvature_at(d.s0)
+        assert d.kappa0 == curve.frame_at(d.s0).curvature
         # Exit and re-entry curvatures belong to the frames of the points
         # the chord and the arc reach.
-        p1 = curve.point_at(d.s0) + d.ell1 * launch_direction(curve, z)
-        assert (d.s1, d.kappa1) == (curve.locate(p1), curve.frame_of(p1).curvature)
+        frame0 = curve.frame_at(d.s0)
+        p1 = frame0.point + d.ell1 * np.array(frame0.direction(z.theta))
+        assert (d.s1, d.kappa1) == (curve.frame_of(p1).s, curve.frame_of(p1).curvature)
         hit1 = chord_exit(curve, curve.frame_at(z.s), z.theta)
         hit2 = larmor_reentry(curve, hit1.frame1, hit1.v, mu)
-        assert (d.s2, d.kappa2) == (hit2.s2, hit2.frame2.curvature)
+        assert (d.s2, d.kappa2) == (hit2.frame2.s, hit2.frame2.curvature)
 
 
 @pytest.mark.parametrize("factory", [lambda: Ellipse(2.0, 1.0), lambda: Superellipse(2),
@@ -116,7 +116,7 @@ def test_iterate_chains_steps(name, curves, rng):
     assert len(history) == 6
     for (za, da), (zb, db) in zip(history, history[1:]):
         assert db.s0 == za.s and db.theta0 == za.theta
-        assert db.kappa0 == curve.curvature_at(da.s2)
+        assert db.kappa0 == curve.frame_at(da.s2).curvature
 
 
 @pytest.mark.parametrize("error", [NoReentry("left the domain"), RuntimeError("bug")],

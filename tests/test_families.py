@@ -25,6 +25,7 @@ from imbilliards.errors import (
     X0OutOfRange,
 )
 from imbilliards.families import (
+    _orbit_from_seed,
     _root,
     dual_orbit,
     ellipse4_reference_roots,
@@ -532,8 +533,21 @@ def test_bracketed_root_solve():
     with pytest.raises(RootNotBracketed, match=r"x\^2 \+ 1") as info:
         _root(lambda x: x * x + 1.0, -1.0, 1.0, "x^2 + 1")
     assert info.value.exit_code == 4
-    g = lambda x: math.cos(x) - x
-    assert _root(g, 0.0, 1.0, "cos x - x") == brentq(g, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16)
+    # end values of one sign whose product underflows to 0
+    with pytest.raises(RootNotBracketed, match="tiny"):
+        _root(lambda x: 1e-200, 0.0, 1.0, "tiny")
+    with pytest.raises(ValueError, match="NaN") as info:
+        _root(lambda x: math.nan, 0.0, 1.0, "nan")
+    assert not isinstance(info.value, RootNotBracketed)
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return math.cos(x) - x
+
+    root = _root(g, 0.0, 1.0, "cos x - x")
+    assert len(calls) == 8
+    assert root == brentq(lambda x: math.cos(x) - x, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16)
 
 
 # ------------------------------------------------------------------
@@ -731,6 +745,31 @@ def test_newton_recovers_perturbed_orbits():
         assert found.residual <= 1e-10
         assert abs(found.points[0].s - z.s) < 1e-6
         assert abs(found.points[0].theta - z.theta) < 1e-6
+
+
+def test_newton_returns_the_orbit_it_converged_on(monkeypatch):
+    """Newton packages the trajectory of its last residual evaluation, not a
+    second iteration of the converged point: 3 evaluations of 4 steps."""
+    orbit, _, _ = four_periodic_ellipse(3.0, 2.0, 2.7, "1/4")
+    z = orbit.points[0]
+    seed = PhasePoint(s=z.s + 1e-4, theta=z.theta + 1e-4)
+    calls = []
+    step = dynamics.step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(dynamics, "step", counted)
+    found = find_periodic_newton(orbit.curve, orbit.mu, orbit.n, seed, max_iter=10)
+    assert len(calls) == 12
+    again = _orbit_from_seed(orbit.curve, orbit.mu, found.points[0], 4, None)
+    for field in dataclasses.fields(found):
+        ours, theirs = getattr(found, field.name), getattr(again, field.name)
+        if field.name == "boundary_points":
+            assert all(np.array_equal(p, q) for p, q in zip(ours, theirs, strict=True))
+        else:
+            assert ours == theirs
 
 
 def test_newton_raises_on_parabolic_families():
