@@ -30,12 +30,15 @@ on, so each point is resolved once.
 
 Circle and stadium have exact arclength formulas.  Ellipse and
 superellipse are defined through a native angle parameter and carry an
-:class:`ArclengthTable`: cumulative Gauss–Legendre quadrature of the
-parametric speed on a dense panel grid, built once per shape and shared by
-every curve of that shape.  ``frame_of`` reads the native parameter off
-the point and needs only the forward quadrature; ``frame_at`` inverts the
-chart once, seeding by linear interpolation between the table nodes and
-polishing with Newton steps on the quadrature itself.
+:class:`ArclengthTable`, built once per shape and shared by every curve of
+that shape.  It evaluates the parametric speed once, at the Gauss–Legendre
+nodes of 2048 equal panels, and keeps the cumulative arclength at the panel
+ends together with, for each panel, the polynomial integral of the speed's
+interpolant at its nodes.  The arclength at a parameter is then a node
+value plus one polynomial evaluation, with no quadrature per query.
+``frame_of`` reads the native parameter off the point and needs only this
+forward chart; ``frame_at`` inverts it once, seeding by linear
+interpolation between the panel ends and polishing with Newton steps.
 
 The inward unit normal is the positive quarter-turn of the tangent; for an
 anticlockwise convex boundary this points into the table and equals
@@ -68,10 +71,32 @@ _TWO_PI = 2.0 * math.pi
 _SMALLEST = math.ulp(0.0)  # the smallest positive float
 
 # Gauss-Legendre rule reused for every arclength panel.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_GL_ORDER = 12
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _PANELS = 2048  # panels of every arclength table
 _T_NODES = np.linspace(0.0, _TWO_PI, _PANELS + 1)  # panel ends, shared by every table
 _DT = _T_NODES.item(1)  # panel width; node i sits at i * _DT
+_HALF_DT = 0.5 * _DT
+
+
+def _antiderivative_matrix() -> np.ndarray:
+    """The (12, 13) matrix taking the speeds at the Gauss nodes of a panel to
+    the power coefficients, highest first, of the integral from -1 to ``u``
+    of their degree-11 interpolant, in the panel coordinate ``u`` in [-1, 1].
+
+    The speeds are projected onto Legendre polynomials with the Gauss
+    weights (exact for the interpolant), integrated term by term, and
+    converted to powers of ``u``."""
+    legendre = np.polynomial.legendre
+    degrees = np.arange(_GL_ORDER)
+    project = legendre.legvander(_GL_NODES, _GL_ORDER - 1) * _GL_WEIGHTS[:, None] * (degrees + 0.5)
+    integral = legendre.legint(project, lbnd=-1, axis=1)
+    return np.array([legendre.leg2poly(row) for row in integral])[:, ::-1]
+
+
+_ANTIDERIVATIVE = _antiderivative_matrix()
+# the integral from -1 to u of a constant 1, in the same basis
+_ANTIDERIVATIVE_OF_ONE = np.concatenate((np.zeros(_GL_ORDER - 1), [1.0, 1.0]))
 
 
 def rot90(v: np.ndarray) -> np.ndarray:
@@ -120,22 +145,43 @@ class ArclengthTable:
 
     ``speed2(c, s)`` is the squared parametric speed at the parameter whose
     cosine and sine are ``c`` and ``s``; it must work on floats and on
-    arrays.  The table stores arclength at ``_PANELS + 1`` equally spaced
-    parameter nodes; between nodes the arclength is completed with the same
-    Gauss-Legendre rule used to build the table, so ``s_of_t`` is smooth
-    and self-consistent.
+    arrays.  The parameter range is cut into ``_PANELS`` equal panels, and
+    the speed is evaluated once, at the 12 Gauss-Legendre nodes of every
+    panel.  The Gauss rule gives each panel's length, and their running sum
+    the arclength ``s_nodes`` at the panel ends.  Within a panel the speed
+    is replaced by its degree-11 interpolant at the nodes, whose integral
+    from the panel start is a degree-12 polynomial tabulated once (one row
+    of coefficients per panel).  ``s_of_t`` is a panel lookup plus one
+    Horner evaluation of that polynomial; it returns ``s_nodes`` exactly at
+    the nodes and is continuous across them to rounding, since the
+    interpolant integrates over a whole panel to the Gauss rule.
+
+    Accuracy is set by how well a degree-11 polynomial follows the speed
+    over a panel of width 2*pi/2048.  Measured on 3000 random parameters:
+    ``s_of_t`` of ellipses of aspect 1.5 to 100 is within 17 ulp of the
+    total length L of the incomplete elliptic integral, and the partial
+    panel of superellipses up to k = 50 within 1 ulp of L of adaptive
+    quadrature, as with a Gauss rule per query.  At aspect 1000 the speed
+    varies on the scale of a panel near the ends of the major axis, and the
+    error grows to about 520 ulp of L (13 ulp with a Gauss rule per query).
     """
 
     def __init__(self, speed2: Callable):
         self._speed2 = speed2
         self.t_nodes = _T_NODES
-        half = 0.5 * _DT
         mid = 0.5 * (_T_NODES[:-1] + _T_NODES[1:])
         # all panels in one vectorized evaluation: shape (_PANELS, order)
-        pts = mid[:, None] + half * _GL_NODES[None, :]
-        panel_lengths = half * (self._speeds(pts) @ _GL_WEIGHTS)
+        speeds = self._speeds(mid[:, None] + _HALF_DT * _GL_NODES[None, :])
+        panel_lengths = _HALF_DT * (speeds @ _GL_WEIGHTS)
         self.s_nodes = np.concatenate(([0.0], np.cumsum(panel_lengths)))
         self.total_length = float(self.s_nodes[-1])
+        # The matrix has entries in the hundreds that cancel on a constant
+        # speed; taking out each panel's mean first keeps that cancellation
+        # exact, so the rounding scales with the speed's variation instead.
+        mean = speeds.mean(axis=1, keepdims=True)
+        self._antiderivative = _HALF_DT * (
+            (speeds - mean) @ _ANTIDERIVATIVE + mean * _ANTIDERIVATIVE_OF_ONE
+        )
 
     def _speeds(self, t: np.ndarray) -> np.ndarray:
         return np.sqrt(self._speed2(np.cos(t), np.sin(t)))
@@ -145,11 +191,12 @@ class ArclengthTable:
         t = min(max(t, 0.0), _TWO_PI)
         i = _panel_of(t)
         a = _T_NODES.item(i)
-        half = 0.5 * (t - a)
-        if half == 0.0:
+        if t == a:
             return self.s_nodes.item(i)
-        mid = a + half
-        partial = half * float(self._speeds(mid + half * _GL_NODES) @ _GL_WEIGHTS)
+        u = (t - a) / _HALF_DT - 1.0
+        partial = 0.0
+        for coefficient in self._antiderivative[i].tolist():
+            partial = partial * u + coefficient
         return self.s_nodes.item(i) + partial
 
     def t_of_s(self, s: float) -> float:
