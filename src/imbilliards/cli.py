@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -49,8 +50,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import ValidationError
 
 from . import families as fam
 from .curves import Curve, make_curve, rot90
@@ -170,7 +169,18 @@ CONFIG_SCHEMA: dict = {
     },
 }
 
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+
+class ConfigValidation(ValueError):
+    """A config that does not match ``CONFIG_SCHEMA``."""
+
+
+@functools.cache
+def _validator():
+    """The schema validator, built on the first config read: verbs that read
+    no config (``check``, ``--help``) never import jsonschema."""
+    from jsonschema import Draft202012Validator
+
+    return Draft202012Validator(CONFIG_SCHEMA)
 
 
 def _fmt(x: float) -> str:
@@ -811,7 +821,9 @@ def _load_config(path: str | None) -> dict:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path!r} is not valid JSON: {exc}") from exc
-    _VALIDATOR.validate(config)
+    error = next(_validator().iter_errors(config), None)
+    if error is not None:
+        raise ConfigValidation(error.message)
     return config
 
 
@@ -821,9 +833,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _load_config(args.config)
         return _DISPATCH[args.command](config, args)
-    except ValidationError as exc:
-        print(f"error: ConfigValidation: {exc.message}", file=sys.stderr)
-        return 2
     except BilliardError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

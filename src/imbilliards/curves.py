@@ -490,15 +490,22 @@ class Stadium(Curve):
             return self.frame_at(h + (hx - x))
         return self.frame_at(3 * h + self.side + (x + hx))
 
+    # Plain arithmetic serves floats and arrays without a numpy call per
+    # float: max(q, 0) is 0.5 * (q + |q|), exactly.
     def implicit_xy(self, x, y):
-        return np.hypot(np.maximum(abs(x) - 0.5 * self.side, 0.0), y) - self.R
+        q = abs(x) - 0.5 * self.side
+        qx = 0.5 * (q + abs(q))
+        return (qx * qx + y * y) ** 0.5 - self.R
 
     def gradient_xy(self, x, y):
-        qx = np.maximum(abs(x) - 0.5 * self.side, 0.0)
+        hx = 0.5 * self.side
+        right, left = x - hx, -x - hx
+        qx = 0.5 * (right + abs(right)) - 0.5 * (left + abs(left))  # sign(x) * max(|x| - hx, 0)
         # on the inner segment (qx = y = 0) the distance field has a ridge and
-        # both components are 0: the smallest positive h keeps 0/h at 0
-        h = np.maximum(np.hypot(qx, y), _SMALLEST)
-        return np.copysign(qx, x) / h, y / h
+        # both components are 0: the smallest positive float keeps 0/h at 0,
+        # and leaves every h above 2^-1021 as it is
+        h = (qx * qx + y * y) ** 0.5 + _SMALLEST
+        return qx / h, y / h
 
     def diameter_bound(self) -> float:
         return self.side + 2.0 * self.R

@@ -5,7 +5,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,6 +439,25 @@ def test_check_fails_with_impossible_tolerance(tmp_path, capsys):
     })
     assert main(["check", "--config", config]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_loads_jsonschema_only_to_validate_a_config():
+    """``check`` and ``--help`` read no config, so neither importing the CLI
+    nor running ``check`` imports the schema validator."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    program = (
+        "import contextlib, io, sys\n"
+        "import imbilliards.cli as cli\n"
+        "print('jsonschema' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['check'])\n"
+        "print(code, 'jsonschema' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", program], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == ["False", "0", "False"]
 
 
 # --------------------------------------------------------------------------

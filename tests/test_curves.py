@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ellipe
+from scipy.integrate import quad
+from scipy.special import ellipe, ellipeinc
 
 from conftest import CURVE_MENU
 from imbilliards import curves as curves_module
@@ -176,6 +177,24 @@ def test_coordinate_forms_agree_on_floats_and_arrays(name, curves, rng):
             assert abs(math.sqrt(table._speed2(math.cos(t), math.sin(t))) - speed) <= 8e-16 * speed
 
 
+def test_stadium_distance_field_matches_hypot(rng):
+    """The stadium's plain-arithmetic distance field and gradient agree with
+    the capsule distance written with ``math.hypot``; on the inner segment,
+    where the field has a ridge, the gradient is (0, 0)."""
+    stadium = Stadium(2.0, 1.0)
+    for x, y in rng.uniform(-2.5, 2.5, (2000, 2)).tolist():
+        qx = max(abs(x) - 1.0, 0.0)
+        h = math.hypot(qx, y)
+        assert abs(stadium.implicit_xy(x, y) - (h - 1.0)) <= 2 * math.ulp(max(h, 1.0))
+        gx, gy = stadium.gradient_xy(x, y)
+        assert abs(gx - math.copysign(qx, x) / h) <= 2 * math.ulp(1.0)
+        assert abs(gy - y / h) <= 2 * math.ulp(1.0)
+    for x in (-1.0, -0.5, 0.0, 0.5, 1.0):
+        assert stadium.gradient_xy(x, 0.0) == (0.0, 0.0)
+    gxs, gys = stadium.gradient_xy(np.array([-0.5, 0.0, 1.0]), np.zeros(3))
+    assert not gxs.any() and not gys.any()
+
+
 def test_arclength_tables_are_built_once_per_shape():
     assert Superellipse(2)._table is Superellipse(2)._table
     assert Ellipse(2.0, 1.0)._table is Ellipse(2, 1)._table
@@ -203,6 +222,68 @@ def test_s_of_t_lands_on_the_tabulated_nodes():
         assert table.s_of_t(t) == table.s_nodes[i]
     assert table.s_of_t(-1.0) == 0.0
     assert table.s_of_t(7.0) == table.s_of_t(2.0 * math.pi)
+
+
+@pytest.mark.parametrize("aspect", [1.5, 2.0, 10.0, 100.0])
+def test_ellipse_chart_matches_the_elliptic_integral(aspect, rng):
+    """Second route for the ellipse chart: with m = 1 - b^2/a^2, the arclength
+    from the positive x-axis to parameter t is a (E(t - pi/2 | m) + E(m))."""
+    a = aspect
+    table = Ellipse(a, 1.0)._table
+    m = 1.0 - 1.0 / a**2
+    ts = rng.uniform(0.0, 2.0 * math.pi, 1000)
+    exact = a * (ellipeinc(ts - 0.5 * math.pi, m) + ellipe(m))
+    ulp = math.ulp(table.total_length)
+    for t, s in zip(ts.tolist(), exact.tolist()):
+        assert abs(table.s_of_t(t) - s) <= 32 * ulp
+
+
+@pytest.mark.parametrize("k", [2, 3, 6, 20])
+def test_superellipse_partial_panels_match_adaptive_quadrature(k, rng):
+    """The arclength within a panel, read off its tabulated polynomial,
+    agrees with adaptive quadrature of the speed from the panel start."""
+    table = Superellipse(k)._table
+    nodes = table.t_nodes
+
+    def speed(t):
+        return math.sqrt(table._speed2(math.cos(t), math.sin(t)))
+
+    ulp = math.ulp(table.total_length)
+    for t in rng.uniform(0.0, 2.0 * math.pi, 200).tolist():
+        i = int(np.searchsorted(nodes, t, side="right")) - 1
+        partial = quad(speed, nodes[i], t, epsabs=0.0, epsrel=1e-13)[0]
+        assert abs(table.s_of_t(t) - table.s_nodes[i] - partial) <= ulp
+
+
+TABLE_SHAPES = {
+    "ellipse-2": lambda: Ellipse(2.0, 1.0),
+    "ellipse-100": lambda: Ellipse(100.0, 1.0),
+    "superellipse-2": lambda: Superellipse(2),
+    "superellipse-3": lambda: Superellipse(3),
+    "superellipse-20": lambda: Superellipse(20),
+}
+
+
+@pytest.mark.parametrize("shape", TABLE_SHAPES)
+def test_t_of_s_inverts_s_of_t(shape, rng):
+    table = TABLE_SHAPES[shape]()._table
+    length = table.total_length
+    for s in rng.uniform(0.0, length, 2000).tolist():
+        assert abs(table.s_of_t(table.t_of_s(s)) - s) <= 2 * math.ulp(length)
+
+
+@pytest.mark.parametrize("shape", TABLE_SHAPES)
+def test_s_of_t_is_continuous_across_the_nodes(shape):
+    """Just below a node the previous panel's polynomial ends where the node
+    value starts (over the whole panel the interpolant integrates to the
+    Gauss rule that built the table): from the float below each node to the
+    node, ``s_of_t`` grows by the speed times the step, up to rounding."""
+    table = TABLE_SHAPES[shape]()._table
+    ulp = math.ulp(table.total_length)
+    for t in table.t_nodes[1:].tolist():
+        below = math.nextafter(t, -math.inf)
+        step = math.sqrt(table._speed2(math.cos(t), math.sin(t))) * (t - below)
+        assert abs(table.s_of_t(t) - table.s_of_t(below) - step) <= 2 * ulp
 
 
 def test_total_length_closed_forms():
