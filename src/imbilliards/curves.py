@@ -47,6 +47,7 @@ anticlockwise convex boundary this points into the table and equals
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from abc import ABC, abstractmethod
@@ -175,6 +176,7 @@ class ArclengthTable:
         panel_lengths = _HALF_DT * (speeds @ _GL_WEIGHTS)
         self.s_nodes = np.concatenate(([0.0], np.cumsum(panel_lengths)))
         self.total_length = float(self.s_nodes[-1])
+        self._s_ends = self.s_nodes.tolist()  # for bisection on floats
         # The matrix has entries in the hundreds that cancel on a constant
         # speed; taking out each panel's mean first keeps that cancellation
         # exact, so the rounding scales with the speed's variation instead.
@@ -200,13 +202,22 @@ class ArclengthTable:
         return self.s_nodes.item(i) + partial
 
     def t_of_s(self, s: float) -> float:
-        """Parameter at arclength ``s`` (s in [0, L]); Newton-polished."""
+        """Parameter at arclength ``s`` (s in [0, L]): Newton steps on the
+        polynomial of the panel holding ``s``, whose derivative is the speed
+        interpolant, seeded by linear interpolation between the panel ends."""
         s = min(max(s, 0.0), self.total_length)
-        t = float(np.interp(s, self.s_nodes, _T_NODES))
+        ends = self._s_ends
+        i = min(bisect.bisect_right(ends, s), _PANELS) - 1
+        r = s - ends[i]
+        u = 2.0 * r / (ends[i + 1] - ends[i]) - 1.0
+        coefficients = self._antiderivative[i].tolist()
         for _ in range(3):
-            t -= (self.s_of_t(t) - s) / math.sqrt(self._speed2(math.cos(t), math.sin(t)))
-            t = min(max(t, 0.0), _TWO_PI)
-        return t
+            value = slope = 0.0
+            for coefficient in coefficients:
+                slope = slope * u + value
+                value = value * u + coefficient
+            u = min(max(u - (value - r) / slope, -1.0), 1.0)
+        return _T_NODES.item(i) + _HALF_DT * (u + 1.0)
 
 
 @functools.lru_cache(maxsize=8)
