@@ -344,8 +344,8 @@ def _ellipse_speed2(a: float, b: float, c, s):
 def _superellipse_r_rp(k: int, c, s):
     """r(phi) and its phi-derivative from cos(phi), sin(phi); sign-safe via
     even powers of cos/sin."""
-    c2 = c**2
-    s2 = s**2
+    c2 = c * c
+    s2 = s * s
     u = c2**k + s2**k
     r = u ** (-1.0 / (2 * k))
     du = 2 * k * s * c * (s2 ** (k - 1) - c2 ** (k - 1))
@@ -409,22 +409,22 @@ class Superellipse(_TableCurve):
         # kappa = (Fxx Fy^2 - 2 Fxy Fx Fy + Fyy Fx^2)/|grad F|^3 with Fxy = 0
         k = self.k
         fx, fy = self.gradient_xy(x, y)
-        num = 2 * k * (2 * k - 1) * ((x**2) ** (k - 1) * fy**2 + (y**2) ** (k - 1) * fx**2)
+        num = 2 * k * (2 * k - 1) * ((x * x) ** (k - 1) * (fy * fy) + (y * y) ** (k - 1) * (fx * fx))
         return x, y, rp * c - r * s, rp * s + r * c, num / math.hypot(fx, fy) ** 3
 
     def _t_of_point(self, p):
         return math.atan2(p[1], p[0]) % _TWO_PI
 
     # On floats ``x ** 2`` is the C library's pow and may differ from ``x * x``
-    # in the last bit; the defining function squares with ``*``, the gradient
-    # and the curvature with ``**``, on floats and arrays alike.
+    # in the last bit, so every square here, and in the speed and curvature
+    # above, is taken with ``*``, on floats and arrays alike.
     def implicit_xy(self, x, y):
         k = self.k
         return (x * x) ** k + (y * y) ** k - 1.0
 
     def gradient_xy(self, x, y):
         k = self.k
-        return 2 * k * x * (x**2) ** (k - 1), 2 * k * y * (y**2) ** (k - 1)
+        return 2 * k * x * (x * x) ** (k - 1), 2 * k * y * (y * y) ** (k - 1)
 
     def diameter_bound(self) -> float:
         # farthest points are the diagonal ones, at radius sqrt(2) * 2^(-1/(2k))

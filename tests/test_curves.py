@@ -155,8 +155,9 @@ def test_boundary_points_satisfy_implicit_equation(name, curves, rng):
 def test_coordinate_forms_agree_on_floats_and_arrays(name, curves, rng):
     """One formula serves a point and an array.  On floats and on arrays the
     defining function, its gradient and the parametric speed differ only by
-    the rounding of pow: the C library's on floats, numpy's exact square and
-    vectorized pow on arrays."""
+    the rounding of the powers not written as products (the superellipse
+    squares with ``*``): the C library's pow on floats, numpy's vectorized
+    pow on arrays, which squares exactly."""
     curve, _ = curves[name]
     half = 0.6 * curve.diameter_bound()
     xs, ys = rng.uniform(-half, half, size=(2, 1000))
