@@ -174,9 +174,9 @@ class ArclengthTable:
         # all panels in one vectorized evaluation: shape (_PANELS, order)
         speeds = self._speeds(mid[:, None] + _HALF_DT * _GL_NODES[None, :])
         panel_lengths = _HALF_DT * (speeds @ _GL_WEIGHTS)
-        self.s_nodes = np.concatenate(([0.0], np.cumsum(panel_lengths)))
-        self.total_length = float(self.s_nodes[-1])
-        self._s_ends = self.s_nodes.tolist()  # for bisection on floats
+        # a list of floats: queries index and bisect it one float at a time
+        self.s_nodes = [0.0, *np.cumsum(panel_lengths).tolist()]
+        self.total_length = self.s_nodes[-1]
         # The matrix has entries in the hundreds that cancel on a constant
         # speed; taking out each panel's mean first keeps that cancellation
         # exact, so the rounding scales with the speed's variation instead.
@@ -194,19 +194,19 @@ class ArclengthTable:
         i = _panel_of(t)
         a = _T_NODES.item(i)
         if t == a:
-            return self.s_nodes.item(i)
+            return self.s_nodes[i]
         u = (t - a) / _HALF_DT - 1.0
         partial = 0.0
         for coefficient in self._antiderivative[i].tolist():
             partial = partial * u + coefficient
-        return self.s_nodes.item(i) + partial
+        return self.s_nodes[i] + partial
 
     def t_of_s(self, s: float) -> float:
         """Parameter at arclength ``s`` (s in [0, L]): Newton steps on the
         polynomial of the panel holding ``s``, whose derivative is the speed
         interpolant, seeded by linear interpolation between the panel ends."""
         s = min(max(s, 0.0), self.total_length)
-        ends = self._s_ends
+        ends = self.s_nodes
         i = min(bisect.bisect_right(ends, s), _PANELS) - 1
         r = s - ends[i]
         u = 2.0 * r / (ends[i + 1] - ends[i]) - 1.0
