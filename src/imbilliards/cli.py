@@ -272,7 +272,8 @@ def _scan_spec(curve_cfg: dict, section: dict):
     """Return ``(trace_fn, window, domain, parameter_name, references)`` for a
     scan config: ``window`` is the default ``(lo, hi)``, ``domain`` the open
     interval on which the family exists, and ``references`` lists tabulated
-    analytic thresholds as ``(value, in_domain)``."""
+    analytic thresholds as ``(value, in_domain)``.  ``trace_fn`` takes a float
+    or an array of parameters, as :func:`families.scan_family` requires."""
     kind = curve_cfg["kind"]
     family = section["family"]
     rotation = section.get("rotation")
@@ -285,20 +286,12 @@ def _scan_spec(curve_cfg: dict, section: dict):
         k = curve_cfg["k"]
         q = fam._se_q(k)
     if key == ("superellipse", "two-periodic-axis"):
-
-        def tr_mu(mu: float) -> float:
-            ab = 4.0 * (mu ** (-2 * k) - 1.0) ** ((1.0 - k) / k)
-            return (ab - 2.0) ** 2 - 2.0
-
         mu_star, mu_double_star = fam._superellipse_axis_thresholds(k)
-        return tr_mu, (0.02, 0.995), (0.0, 1.0), "mu", [(mu_star, True), (mu_double_star, True)]
+        return ((lambda mu: fam.trace2_superellipse_axis(k, mu)), (0.02, 0.995), (0.0, 1.0), "mu",
+                [(mu_star, True), (mu_double_star, True)])
     if key == ("superellipse", "two-periodic-diag"):
-
-        def tr_diag(x0: float) -> float:
-            f = fam.superellipse_diag_ratio(k, x0)
-            return 2.0 + 16.0 * f * (f - 1.0)
-
-        return tr_diag, (-q + 1e-4, q - 1e-4), (-q, q), "x0", []
+        return ((lambda x0: fam.trace2_superellipse_diag(k, x0)), (-q + 1e-4, q - 1e-4), (-q, q),
+                "x0", [])
     if key == ("ellipse", "four-periodic"):
         a, b = curve_cfg["a"], curve_cfg["b"]
         lo, _, hi = fam._ellipse4_interval(a, b)

@@ -74,7 +74,9 @@ __all__ = [
     "two_periodic_circle",
     "two_periodic_ellipse",
     "two_periodic_superellipse_axis",
+    "trace2_superellipse_axis",
     "two_periodic_superellipse_diag",
+    "trace2_superellipse_diag",
     "superellipse_diag_ratio",
     "superellipse_diag_tangential",
     "two_periodic_stadium",
@@ -205,9 +207,30 @@ def _se_q(k: int) -> float:
     return 2.0 ** (-1.0 / (2 * k))
 
 
+def _pow_for(x):
+    """The power function for ``x``: ``pow`` on a float, ``np.float_power``
+    on an array.  Both call the C library's ``pow``, so a closed form gives
+    the same bits at a point of an array as at that float; numpy's ``**`` on
+    float arrays may use a SIMD ``pow`` that differs from it in the last bit,
+    which the rational trace forms amplify."""
+    return np.float_power if isinstance(x, np.ndarray) else pow
+
+
 def _se_y(k: int, x: float) -> float:
-    """The upper graph ``y = (1 - |x|^{2k})^{1/(2k)}`` of the superellipse."""
-    return (1.0 - abs(x) ** (2 * k)) ** (1.0 / (2 * k))
+    """The upper graph ``y = (1 - |x|^{2k})^{1/(2k)}`` of the superellipse,
+    at a float or at every point of an array."""
+    pw = _pow_for(x)
+    return pw(1.0 - pw(abs(x), 2 * k), 1.0 / (2 * k))
+
+
+def _stray(x, inside):
+    """``None`` if ``inside`` holds everywhere, else the first value of ``x``
+    where it fails.  ``x`` is a float or an array, and ``inside`` the
+    domain test evaluated on it: a bool or a boolean array of its shape."""
+    if isinstance(x, np.ndarray):
+        bad = np.flatnonzero(~inside)
+        return x.flat[bad[0]] if bad.size else None
+    return None if inside else x
 
 
 def _root(g: Callable[[float], float], lo: float, hi: float, what: str) -> float:
@@ -335,6 +358,21 @@ def two_periodic_superellipse_axis(
     return orbit, params, _superellipse_axis_thresholds(k)
 
 
+def trace2_superellipse_axis(k: int, mu: float) -> float:
+    """Closed-form trace ``(alpha*beta - 2)^2 - 2`` of the axis-aligned
+    2-periodic superellipse family, with
+    ``alpha*beta = 4 (mu^{-2k} - 1)^{(1-k)/k}`` (see
+    :func:`two_periodic_superellipse_axis`), at a float ``mu`` or at every
+    point of an array; each must lie in ``(0, 1)``."""
+    k = _exponent(k)
+    bad = _stray(mu, (0.0 < mu) & (mu < 1.0))
+    if bad is not None:
+        raise MuTooLarge(f"need 0 < mu < 1, got mu={bad}")
+    pw = _pow_for(mu)
+    ab = 4.0 * pw(pw(mu, -2 * k) - 1.0, (1.0 - k) / k)
+    return pw(ab - 2.0, 2) - 2.0
+
+
 def _superellipse_axis_thresholds(k: int) -> tuple[float, float]:
     """``(mu*, mu**)`` of the axis-aligned 2-periodic superellipse family:
     ``mu* = (2^{k/(k-1)} + 1)^{-1/(2k)}`` and ``mu** = 2^{-1/(2k)}``."""
@@ -350,8 +388,9 @@ def _diag_power_sum_ratio(k: int, x0: float, y0: float) -> float:
     ``1/(2k - 1)`` at ``x0 = -2^{-1/(2k)}`` through 1 at ``x0 = 0`` up to
     ``2k - 1`` at ``x0 = +2^{-1/(2k)}``.
     """
-    plain = sum(y0 ** j * x0 ** (2 * k - 2 - j) for j in range(2 * k - 1))
-    alt = sum((-1.0) ** j * y0 ** j * x0 ** (2 * k - 2 - j) for j in range(2 * k - 1))
+    pw = _pow_for(x0)
+    plain = sum(pw(y0, j) * pw(x0, 2 * k - 2 - j) for j in range(2 * k - 1))
+    alt = sum((-1.0) ** j * pw(y0, j) * pw(x0, 2 * k - 2 - j) for j in range(2 * k - 1))
     return plain / alt
 
 
@@ -365,9 +404,10 @@ def superellipse_diag_ratio(k: int, x0: float) -> float:
     """
     k = _exponent(k)
     q = _se_q(k)
-    if not -q <= x0 <= q:
+    bad = _stray(x0, (-q <= x0) & (x0 <= q))
+    if bad is not None:
         raise X0OutOfRange(
-            f"the diagonal family ratio is defined on [-{q:.12g}, {q:.12g}], got x0={x0}"
+            f"the diagonal family ratio is defined on [-{q:.12g}, {q:.12g}], got x0={bad}"
         )
     return _diag_power_sum_ratio(k, x0, _se_y(k, x0))
 
@@ -405,6 +445,15 @@ def two_periodic_superellipse_diag(
     params = two_periodic_params_from_steps(orbit.steps)
     f_value = _diag_power_sum_ratio(k, x0, y0)
     return orbit, params, f_value
+
+
+def trace2_superellipse_diag(k: int, x0: float) -> float:
+    """Closed-form trace ``2 + 16 f (f - 1)`` of the diagonal 2-periodic
+    superellipse family, ``f`` its power-sum ratio
+    (:func:`superellipse_diag_ratio`), at a float ``x0`` or at every point of
+    an array; each must lie in ``[-2^{-1/(2k)}, 2^{-1/(2k)}]``."""
+    f = superellipse_diag_ratio(k, x0)
+    return 2.0 + 16.0 * f * (f - 1.0)
 
 
 def superellipse_diag_tangential(k: int) -> tuple[float, float]:
@@ -711,28 +760,32 @@ def trace4_ellipse(a: float, b: float, x0: float) -> float:
     """
     if not a > b > 0.0:
         raise ValueError(f"need a > b > 0, got a={a}, b={b}")
-    if not -a < x0 < a:
-        raise X0OutOfRange(f"x0 must lie in (-a, a), got {x0}")
-    y0 = b * math.sqrt(max(0.0, 1.0 - (x0 / a) ** 2))
+    bad = _stray(x0, (-a < x0) & (x0 < a))
+    if bad is not None:
+        raise X0OutOfRange(f"x0 must lie in (-a, a), got {bad}")
+    pw = _pow_for(x0)
+    # |x0| < a keeps the rounded radicand >= 0
+    radicand = 1.0 - pw(x0 / a, 2)
+    y0 = b * (np.sqrt(radicand) if isinstance(radicand, np.ndarray) else math.sqrt(radicand))
     a2, b2 = a * a, b * b
     d = a2 - b2
     num = (
-        16.0 * b2 * b2 * d**4 * x0**4
-        - 16.0 * b2 * d**3 * (2.0 * a2**2 - 3.0 * a2 * b2 + 2.0 * b2**2) * x0**3 * y0
+        16.0 * b2 * b2 * d**4 * pw(x0, 4)
+        - 16.0 * b2 * d**3 * (2.0 * a2**2 - 3.0 * a2 * b2 + 2.0 * b2**2) * pw(x0, 3) * y0
         + 2.0 * d**2
         * (8.0 * a2**4 - 40.0 * a2**3 * b2 + 49.0 * a2**2 * b2**2
            - 40.0 * a2 * b2**3 + 8.0 * b2**4)
-        * x0**2 * y0**2
+        * pw(x0, 2) * pw(y0, 2)
         + 8.0 * a2 * d
         * (4.0 * a2**4 - 10.0 * a2**3 * b2 + 13.0 * a2**2 * b2**2
            - 10.0 * a2 * b2**3 + 4.0 * b2**4)
-        * x0 * y0**3
+        * x0 * pw(y0, 3)
         + 8.0 * a2**2
         * (2.0 * a2**4 - 4.0 * a2**3 * b2 + 5.0 * a2**2 * b2**2
            - 4.0 * a2 * b2**3 + 2.0 * b2**4)
-        * y0**4
+        * pw(y0, 4)
     )
-    den = a2**2 * b2**2 * y0**2 * (b2 * x0 - a2 * (x0 + 2.0 * y0)) ** 2
+    den = a2**2 * b2**2 * pw(y0, 2) * pw(b2 * x0 - a2 * (x0 + 2.0 * y0), 2)
     return num / den
 
 
@@ -855,15 +908,17 @@ def trace4_superellipse_diag(k: int, x0: float) -> float:
     through, which keeps the expression finite at ``x0 = 0``.
     """
     k = _exponent(k)
-    if not -1.0 < x0 < 1.0:
-        raise X0OutOfRange(f"x0 must lie in (-1, 1), got {x0}")
+    bad = _stray(x0, (-1.0 < x0) & (x0 < 1.0))
+    if bad is not None:
+        raise X0OutOfRange(f"x0 must lie in (-1, 1), got {bad}")
+    pw = _pow_for(x0)
     y0 = _se_y(k, x0)
-    f1 = x0 ** (2 * k - 2) - y0 ** (2 * k - 2)
-    f2 = x0 ** (4 * k - 2) - y0 ** (4 * k - 2)
+    f1 = pw(x0, 2 * k - 2) - pw(y0, 2 * k - 2)
+    f2 = pw(x0, 4 * k - 2) - pw(y0, 4 * k - 2)
     # x0^2 * (f1 + 2 y0^{2k-1} / x0), expanded to avoid the 1/x0 singularity
-    f3 = x0 * x0 * f1 + 2.0 * x0 * y0 ** (2 * k - 1)
-    f4 = y0 ** (4 * k - 2) - x0 ** (4 * k - 2) + (x0 - y0) * x0 ** (2 * k - 1) * y0 ** (2 * k - 2)
-    den = y0 ** (16 * k - 12) * (x0 - y0) ** 4
+    f3 = x0 * x0 * f1 + 2.0 * x0 * pw(y0, 2 * k - 1)
+    f4 = pw(y0, 4 * k - 2) - pw(x0, 4 * k - 2) + (x0 - y0) * pw(x0, 2 * k - 1) * pw(y0, 2 * k - 2)
+    den = pw(y0, 16 * k - 12) * pw(x0 - y0, 4)
     return 2.0 + 16.0 * f1 * f2 * f3 * f4 * f4 / den
 
 
@@ -970,30 +1025,32 @@ def trace4_superellipse_axis(k: int, x0: float, rot: Fraction | str = "1/4") -> 
     orbit, and worth preferring numerically near the degenerate endpoint
     where the rational form loses digits to cancellation.
     """
-    quarter = _normalize_rotation(rot, 4) == _QUARTER
+    rotation = _normalize_rotation(rot, 4)
+    quarter = rotation == _QUARTER
     k = _exponent(k)
     q = _se_q(k)
-    if quarter and not q < x0 < 1.0:
-        raise X0OutOfRange(f"rotation 1/4 requires x0 in ({q:.12g}, 1), got {x0}")
-    if not quarter and not -q < x0 < 1.0:
-        raise X0OutOfRange(f"rotation 3/4 requires x0 in (-{q:.12g}, 1), got {x0}")
+    lo = q if quarter else -q
+    bad = _stray(x0, (lo < x0) & (x0 < 1.0))
+    if bad is not None:
+        raise X0OutOfRange(f"rotation {rotation} requires x0 in ({lo:.12g}, 1), got {bad}")
+    pw = _pow_for(x0)
     y0 = _se_y(k, x0)
     sgn = -1.0 if quarter else 1.0
     pair = x0 + sgn * 2.0 * y0  # x0 ∓ 2 y0 resolved per rotation
     num = (
         64.0
-        * x0 ** (2 * k)
-        * y0 ** (2 * k - 2)
-        * (x0 ** (2 * k - 2) - y0 ** (2 * k - 2))
-        * (x0 ** (2 * k - 1) * pair + y0 ** (2 * k))
-        * (
-            x0 ** (4 * k - 2)
-            - y0 ** (4 * k - 2)
-            - 2.0 * (x0 + sgn * y0) * x0 ** (2 * k - 1) * y0 ** (2 * k - 2)
+        * pw(x0, 2 * k)
+        * pw(y0, 2 * k - 2)
+        * (pw(x0, 2 * k - 2) - pw(y0, 2 * k - 2))
+        * (pw(x0, 2 * k - 1) * pair + pw(y0, 2 * k))
+        * pw(
+            pw(x0, 4 * k - 2)
+            - pw(y0, 4 * k - 2)
+            - 2.0 * (x0 + sgn * y0) * pw(x0, 2 * k - 1) * pw(y0, 2 * k - 2),
+            2,
         )
-        ** 2
     )
-    den = (x0 ** (2 * k - 1) + sgn * y0 ** (2 * k - 1)) ** 8
+    den = pw(pw(x0, 2 * k - 1) + sgn * pw(y0, 2 * k - 1), 8)
     return 2.0 - num / den
 
 
@@ -1217,19 +1274,29 @@ def scan_family(
 ) -> FamilyScan:
     """Evaluate a closed-form trace on a grid and locate parabolic thresholds.
 
-    Transversal thresholds are refined by bracketed bisection on
-    ``trace - 2`` and ``trace + 2`` (to ``xtol = 1e-12``); tangential touches
-    are caught in a second pass over local minima of ``||trace| - 2||``,
-    refined by bounded scalar minimization and accepted when the refined
-    minimum lies below 1e-6.
+    ``trace_fn`` must work on floats and on arrays: it is called once on the
+    whole grid, a 1-D array, and must return the array of traces, of the
+    grid's shape and finite everywhere (else ``ValueError``); the refinement
+    then calls it on single floats.  Transversal thresholds are refined by
+    Brent's method on ``trace - 2`` and ``trace + 2`` (to ``xtol = 1e-12``);
+    tangential touches are caught in a second pass over local minima of
+    ``||trace| - 2||``, refined by bounded scalar minimization and accepted
+    when the refined minimum lies below 1e-6.
     """
     if not hi > lo:
         raise ValueError(f"empty scan interval [{lo}, {hi}]")
     if n_grid < 16:
         raise ValueError(f"grid too coarse ({n_grid} points)")
     grid = np.linspace(lo, hi, n_grid)
-    traces = np.array([trace_fn(x) for x in grid])
-    verdicts = tuple(classify(t, tol=class_tol) for t in traces)
+    traces = np.asarray(trace_fn(grid), dtype=float)
+    if traces.shape != grid.shape:
+        raise ValueError(
+            f"trace_fn returned shape {traces.shape} on a grid of shape {grid.shape}")
+    finite = np.isfinite(traces)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"trace is not finite at {parameter}={grid[i]}: {traces[i]}")
+    verdicts = tuple(classify(t, class_tol) for t in traces.tolist())
 
     found: list[float] = []
     for sign in (-2.0, 2.0):

@@ -106,7 +106,7 @@ def classify(trace: float, tol: float = CLOSED_FORM_TOL) -> StabilityVerdict:
         cls = StabilityClass.ELLIPTIC
     else:
         cls = StabilityClass.HYPERBOLIC
-    return StabilityVerdict(trace=trace, cls=cls, tol=tol)
+    return StabilityVerdict(trace, cls, tol)
 
 
 def orbit_closure_residual(curve: Curve, z: PhasePoint, z_end: PhasePoint) -> float:

@@ -27,6 +27,7 @@ from imbilliards.errors import (
 from imbilliards.families import (
     _orbit_from_seed,
     _root,
+    _se_y,
     dual_orbit,
     ellipse4_reference_roots,
     find_periodic_newton,
@@ -39,6 +40,8 @@ from imbilliards.families import (
     superellipse_diag_ratio,
     superellipse_diag_tangential,
     three_periodic_circle,
+    trace2_superellipse_axis,
+    trace2_superellipse_diag,
     trace3_coefficients,
     trace3_symmetric,
     trace4_circle_quartic,
@@ -863,6 +866,121 @@ def test_scan_family_rejects_bad_requests():
         scan_family(lambda x: x, 1.0, 0.5)
     with pytest.raises(ValueError):
         scan_family(lambda x: x, 0.0, 1.0, n_grid=8)
+
+
+def test_scan_family_rejects_a_grid_trace_of_the_wrong_shape_or_not_finite():
+    for trace in (lambda x: 1.0, lambda x: x[:-1], lambda x: np.stack([x, x])):
+        with pytest.raises(ValueError, match="shape"):
+            scan_family(trace, 0.0, 1.0, n_grid=100)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"not finite at x0=0\.5\d*: "):
+            scan_family(lambda x: np.where(x > 0.5, bad, x), 0.0, 1.0, n_grid=101,
+                        parameter="x0")
+
+
+#: every (curve, scan section) that ``cli._scan_spec`` knows, on two tables each
+SCAN_SPECS = [
+    ({"kind": "superellipse", "k": k}, section)
+    for k in (2, 3)
+    for section in (
+        {"family": "two-periodic-axis"},
+        {"family": "two-periodic-diag"},
+        {"family": "four-periodic-axis", "rotation": "1/4"},
+        {"family": "four-periodic-axis", "rotation": "3/4"},
+        {"family": "four-periodic-diag", "rotation": "1/4"},
+        {"family": "four-periodic-diag", "rotation": "3/4"},
+    )
+] + [
+    ({"kind": "ellipse", "a": a, "b": b}, {"family": "four-periodic"})
+    for a, b in ((3.0, 2.0), (2.0, 1.0))
+]
+SCAN_IDS = [
+    f"{c['kind']}{c.get('k', '')}-{s['family']}-{s.get('rotation', '')}" for c, s in SCAN_SPECS
+]
+
+
+def _grid_and_floats(curve_cfg, section, n=500):
+    trace_fn, (lo, hi), _, _, _ = cli._scan_spec(curve_cfg, section)
+    grid = np.linspace(lo, hi, n)
+    return trace_fn, grid, [trace_fn(float(x)) for x in grid]
+
+
+@pytest.mark.parametrize("curve_cfg, section", SCAN_SPECS, ids=SCAN_IDS)
+def test_scan_traces_on_the_grid_match_the_float_calls(curve_cfg, section):
+    trace_fn, grid, floats = _grid_and_floats(curve_cfg, section)
+    traces = trace_fn(grid)
+    assert isinstance(traces, np.ndarray) and traces.shape == grid.shape
+    assert all(type(t) is float for t in floats)
+    for t, f in zip(traces.tolist(), floats):
+        assert abs(t - f) <= 1e-13 * max(1.0, abs(f))
+
+
+def test_scan_traces_on_the_grid_take_the_float_bits():
+    """The array path raises to powers with the C library's ``pow``, as the
+    float path does, so every grid trace has the bits of its float call."""
+    for curve_cfg, section in SCAN_SPECS:
+        trace_fn, grid, floats = _grid_and_floats(curve_cfg, section)
+        assert trace_fn(grid).tolist() == floats, section
+    x = np.linspace(-0.99, 0.99, 301)
+    for k in (2, 3, 6):
+        assert _se_y(k, x).tolist() == [_se_y(k, v) for v in x.tolist()]
+
+
+@pytest.mark.parametrize("curve_cfg, section", SCAN_SPECS, ids=SCAN_IDS)
+def test_scan_family_matches_a_pointwise_loop(curve_cfg, section):
+    trace_fn, (lo, hi), _, _, _ = cli._scan_spec(curve_cfg, section)
+
+    def looped(x):
+        if isinstance(x, np.ndarray):
+            return np.array([trace_fn(float(v)) for v in x])
+        return trace_fn(x)
+
+    ours = scan_family(trace_fn, lo, hi, n_grid=500)
+    theirs = scan_family(looped, lo, hi, n_grid=500)
+    assert [x.hex() for x in ours.thresholds] == [x.hex() for x in theirs.thresholds]
+    assert np.array_equal(ours.traces, theirs.traces)
+    assert ours.verdicts == theirs.verdicts
+
+
+# (trace, its error, a point outside its domain, the float message there,
+#  a point inside)
+DOMAIN_CASES = [
+    (lambda x: trace4_ellipse(3.0, 2.0, x), X0OutOfRange,
+     3.5, "x0 must lie in (-a, a), got 3.5", 2.0),
+    (lambda x: trace4_superellipse_diag(2, x), X0OutOfRange,
+     1.5, "x0 must lie in (-1, 1), got 1.5", 0.9),
+    (lambda x: trace4_superellipse_axis(3, x, "1/4"), X0OutOfRange,
+     0.5, "rotation 1/4 requires x0 in (0.89089871814, 1), got 0.5", 0.95),
+    (lambda x: trace4_superellipse_axis(3, x, "3/4"), X0OutOfRange,
+     -0.95, "rotation 3/4 requires x0 in (-0.89089871814, 1), got -0.95", 0.5),
+    (lambda x: superellipse_diag_ratio(2, x), X0OutOfRange,
+     0.9, "the diagonal family ratio is defined on [-0.840896415254, 0.840896415254], got x0=0.9",
+     -0.3),
+    (lambda x: trace2_superellipse_diag(2, x), X0OutOfRange,
+     0.9, "the diagonal family ratio is defined on [-0.840896415254, 0.840896415254], got x0=0.9",
+     -0.3),
+    (lambda x: trace2_superellipse_axis(2, x), MuTooLarge,
+     1.0, "need 0 < mu < 1, got mu=1.0", 0.5),
+]
+
+
+@pytest.mark.parametrize("trace, error, bad, message, inside", DOMAIN_CASES,
+                         ids=[m.split(" got")[0][:30] for _, _, _, m, _ in DOMAIN_CASES])
+def test_array_traces_reject_any_point_outside_the_domain(trace, error, bad, message, inside):
+    """The float message is unchanged, and an array names its first stray
+    point in the same words, whatever strays follow it."""
+    with pytest.raises(error) as info:
+        trace(bad)
+    assert str(info.value) == message
+    for where in (0, 3, 6):
+        x = np.full(7, inside)
+        x[where] = bad
+        if where < 6:
+            x[6] = 2.0 * bad  # a second stray point, also outside
+        with pytest.raises(error) as info:
+            trace(x)
+        assert str(info.value) == message
+    assert np.all(np.isfinite(trace(np.full(3, inside))))
 
 
 def test_orbit_boundary_points_come_from_the_step_frames(monkeypatch):
