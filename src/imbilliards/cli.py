@@ -370,14 +370,16 @@ def _add_path(root: ET.Element, d: str, stroke: str, *, dashed: bool = False,
     ET.SubElement(root, "path", attrs)
 
 
-def _boundary_path(curve: Curve, frame: _Frame) -> str:
-    """Closed polygon through 720 arclength-equispaced boundary points."""
+def _boundary_points(curve: Curve) -> list[np.ndarray]:
+    """720 arclength-equispaced points of the boundary."""
     length = curve.total_length()
-    ss = np.linspace(0.0, length, 720, endpoint=False)
-    parts = []
-    for i, s in enumerate(ss):
-        p = curve.frame_at(float(s)).point
-        parts.append(("M " if i == 0 else "L ") + frame.pt(p[0], p[1]))
+    return [curve.frame_at(float(s)).point
+            for s in np.linspace(0.0, length, 720, endpoint=False)]
+
+
+def _boundary_path(points: Sequence[np.ndarray], frame: _Frame) -> str:
+    """Closed polygon through the boundary points."""
+    parts = [("M " if i == 0 else "L ") + frame.pt(p[0], p[1]) for i, p in enumerate(points)]
     return " ".join(parts) + " Z"
 
 
@@ -604,12 +606,9 @@ def cmd_trace(config: dict, args) -> int:
                        "#2a9d4e", "#b05fc0", 0.85))
 
     # fit the frame around the boundary and every arc
-    xs, ys = [], []
-    length = curve.total_length()
-    for s in np.linspace(0.0, length, 256, endpoint=False):
-        p = curve.frame_at(float(s)).point
-        xs.append(p[0])
-        ys.append(p[1])
+    boundary = _boundary_points(curve)
+    xs = [p[0] for p in boundary]
+    ys = [p[1] for p in boundary]
     for geos, radius, *_ in layers:
         for geo in geos:
             for x, y in _arc_points(geo, radius):
@@ -618,7 +617,7 @@ def cmd_trace(config: dict, args) -> int:
     frame = _Frame(xs, ys)
 
     root = _svg_root()
-    _add_path(root, _boundary_path(curve, frame), "#000000", width=2.5)
+    _add_path(root, _boundary_path(boundary, frame), "#000000", width=2.5)
     for layer in layers:
         _draw_steps(root, frame, *layer)
     out_dir, stem = _out_paths(config, args, "trace")
