@@ -338,7 +338,8 @@ class _TableCurve(Curve):
 # (cos t, sin t), bound to the shape in the cached arclength table, so a
 # table holds no reference back to a curve.
 def _ellipse_speed2(a: float, b: float, c, s):
-    return (a * s) ** 2 + (b * c) ** 2
+    as_, bc = a * s, b * c
+    return as_ * as_ + bc * bc
 
 
 def _superellipse_r_rp(k: int, c, s):
@@ -376,8 +377,10 @@ class Ellipse(_TableCurve):
     def _t_of_point(self, p):
         return math.atan2(p[1] / self.b, p[0] / self.a) % _TWO_PI
 
+    # squares with ``*``, not ``**``: see the note on Superellipse.implicit_xy
     def implicit_xy(self, x, y):
-        return (x / self.a) ** 2 + (y / self.b) ** 2 - 1.0
+        u, v = x / self.a, y / self.b
+        return u * u + v * v - 1.0
 
     def gradient_xy(self, x, y):
         return 2.0 * x / self.a**2, 2.0 * y / self.b**2
