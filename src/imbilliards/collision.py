@@ -5,15 +5,16 @@ positive tangent, travels straight inside the table, exits at P1, then
 follows an anticlockwise circular arc of Larmor radius mu outside the
 table until the first boundary crossing P2.
 
-Root-finding policy (shared by both predicates): bracket a sign change of
-the boundary's implicit function, refine with Brent's method, then polish
-with one or two Newton steps on the smooth implicit value.  For the chord
-we exploit that all built-in tables have an implicit function that is
-convex along any line, so a geometric bracket shrink from the diameter
-bound is reliable; for the Larmor circle we sample N=512 sweep angles and
-take the first transversal crossing past a small sweep guard (the circle
-is tangent to the chord at P1, so re-detection of P1 is excluded by sweep
-angle, not by distance).
+Root-finding policy: each predicate finds a root of the boundary's implicit
+function F along its path.  Along a chord, every built-in F is convex with
+F(0) = 0, F < 0 inside and F > 0 beyond the exit, so Newton's method
+started past the far side of the table (Fourier's condition) decreases
+monotonically to the exit root and needs no bracket; it stops once the
+Newton step is no longer positive.  Along the Larmor circle F has no such
+shape: we sample N=512 sweep angles, take the first transversal crossing
+past a small sweep guard (the circle is tangent to the chord at P1, so
+re-detection of P1 is excluded by sweep angle, not by distance), refine
+it with Brent's method and polish with two Newton steps.
 
 Both routines take the boundary frame (:class:`~imbilliards.curves.Frame`)
 of the point they start from and return the frame of the point they reach,
@@ -73,13 +74,9 @@ class LarmorHit:
     n_crossings: int
 
 
-# Root-finding residuals live at module level and take the curve and plain
-# float coordinates as arguments, so no closure over the curve outlives a
-# solve and no array is built per evaluation.
-def _chord_residual(r: float, curve: Curve, x0: float, y0: float, vx: float, vy: float) -> float:
-    return curve.implicit_xy(x0 + r * vx, y0 + r * vy)
-
-
+# The arc residuals live at module level and take the curve and plain float
+# coordinates as arguments, so no closure over the curve outlives a solve and
+# no array is built per evaluation.
 def _arc_point(psi: float, cx: float, cy: float, rx: float, ry: float) -> tuple[float, float]:
     c, s = math.cos(psi), math.sin(psi)
     return cx + (c * rx - s * ry), cy + (s * rx + c * ry)
@@ -110,35 +107,31 @@ def chord_exit(curve: Curve, frame0: Frame, theta0: float) -> ChordHit:
 
     x0, y0 = frame0.point.tolist()
     vx, vy = frame0.direction(theta0)
-    args = (curve, x0, y0, vx, vy)
-
-    eps_sep = 1e-9 * curve.total_length()
-    r_hi = 1.01 * curve.diameter_bound()
-    if _chord_residual(r_hi, *args) <= 0.0:  # pragma: no cover - diameter bound is conservative
+    r = 1.01 * curve.diameter_bound()
+    if curve.implicit_xy(x0 + r * vx, y0 + r * vy) <= 0.0:  # pragma: no cover - diameter bound is conservative
         raise NoInteriorHit("ray does not leave the table within the diameter bound")
 
-    # F is convex along the ray with F(0) = 0 and F < 0 on (0, r_exit):
-    # shrink geometrically until we land inside the negative stretch.
-    r_lo = 0.5 * r_hi
-    shrinks = 0
-    while _chord_residual(r_lo, *args) >= 0.0:
-        r_hi = r_lo
-        r_lo *= 0.5
-        shrinks += 1
-        if r_lo < eps_sep or shrinks > 80:
-            raise NoInteriorHit(
-                f"no interior travel beyond {eps_sep:.3e} from s0={frame0.s!r}: "
-                "the ray exits immediately"
-            )
-    r = brentq(_chord_residual, r_lo, r_hi, args=args, xtol=1e-13, rtol=8.9e-16)
-
-    # Newton polish on the implicit value.
-    for _ in range(2):
+    # F is convex along the ray with F(0) = 0 and F < 0 on (0, r_exit), so
+    # from F(r) > 0 each Newton step moves down towards r_exit and never
+    # past it, up to rounding: stop once the step is no longer positive.
+    while True:
         x, y = x0 + r * vx, y0 + r * vy
         gx, gy = curve.gradient_xy(x, y)
         df = gx * vx + gy * vy
-        if df != 0.0:
-            r -= curve.implicit_xy(x, y) / df
+        f = curve.implicit_xy(x, y)
+        if f <= 0.0 or df <= 0.0:
+            break
+        r_next = r - f / df
+        if r_next >= r:
+            break
+        r = r_next
+
+    eps_sep = 1e-9 * curve.total_length()
+    if r < eps_sep:
+        raise NoInteriorHit(
+            f"no interior travel beyond {eps_sep:.3e} from s0={frame0.s!r}: "
+            "the ray exits immediately"
+        )
 
     v = np.array([vx, vy])
     frame1 = curve.frame_of(np.array([x0 + r * vx, y0 + r * vy]))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import CURVE_MENU, sample_phase_points
+from reference_map import chord_exit_ellipse, chord_exit_stadium
 from imbilliards.collision import (
     N_SWEEP_SAMPLES,
     SWEEP_ANGLES,
@@ -17,7 +18,7 @@ from imbilliards.collision import (
     chord_exit,
     larmor_reentry,
 )
-from imbilliards.curves import Circle, Superellipse, rot90
+from imbilliards.curves import Circle, Ellipse, Stadium, Superellipse, rot90
 from imbilliards.dynamics import iterate
 from imbilliards.errors import TangentialChord
 
@@ -43,6 +44,31 @@ def test_chord_exit_circle_oracle(rng):
         assert gap < 1e-9
         assert abs(hit.theta1 - theta) < 1e-9
         assert abs(hit.ell1 - 2.0 * R * math.sin(theta)) < 1e-9
+
+
+@pytest.mark.parametrize("curve, exact", [
+    (Circle(1.0), lambda *ray: chord_exit_ellipse(1.0, 1.0, *ray)),
+    (Ellipse(2.0, 1.0), lambda *ray: chord_exit_ellipse(2.0, 1.0, *ray)),
+    (Ellipse(10.0, 1.0), lambda *ray: chord_exit_ellipse(10.0, 1.0, *ray)),
+    (Stadium(2.0, 1.0), lambda *ray: chord_exit_stadium(2.0, 1.0, *ray)),
+], ids=["circle", "ellipse-2-1", "ellipse-10-1", "stadium-2-1"])
+def test_chord_exit_matches_the_40_digit_root(curve, exact, rng):
+    """The chord length agrees with the exact exit of the same float start
+    point and direction, computed at 40 digits by ``reference_map``.
+
+    Each F here has terms of size about 1, so rounding F moves the root by
+    a few eps / |dF/dr|: the error is bounded in those units.  Measured
+    over 1500 chords on five seeds, the worst was 4.0 units on every table,
+    for Brent with a Newton polish as for monotone Newton.  In relative
+    terms that is up to 1.2e-12 on short chords near the tip of
+    Ellipse(10, 1), where |dF/dr| is about 0.01."""
+    length = curve.total_length()
+    for _ in range(1500):
+        s0 = float(rng.uniform(0.0, length))
+        theta = float(rng.uniform(0.05, math.pi - 0.05))
+        frame = curve.frame_at(s0)
+        r, slope = exact(*frame.point.tolist(), *frame.direction(theta))
+        assert abs(chord_exit(curve, frame, theta).ell1 - r) * slope <= 8.0 * 2.0**-52
 
 
 def test_larmor_reentry_circle_oracle(rng):
