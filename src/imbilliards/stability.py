@@ -22,11 +22,11 @@ which factors as
     Tr - 2 = alpha beta delta (alpha - 2/beta - 2/delta),
     Tr + 2 = beta delta (alpha - 2/beta)(alpha - 2/delta).
 
-Those factorizations drive two closed-form classifiers: the convex-table
-version (beta, delta > 0), where the parabolic values of alpha are
-exactly m = min(2/beta, 2/delta), M = max(2/beta, 2/delta) and m + M; and
-a general sign-pattern analysis covering non-convex tables, organized in
-five cases.  This module also carries the standard (non-magnetic)
+Those factorizations drive a closed-form classifier by the sign pattern of
+beta and delta, organized in five cases.  Its case (v) holds the convex
+tables (beta, delta > 0), where the parabolic values of alpha are exactly
+m = min(2/beta, 2/delta), M = max(2/beta, 2/delta) and m + M; the other
+cases cover non-convex tables.  This module also carries the standard (non-magnetic)
 billiard comparison: Tr S_2 = 2 - 4 l (1/rho1 + 1/rho2) + 4 l^2/(rho1
 rho2) for a 2-periodic chord of length l between boundary points with
 curvature radii rho1, rho2.
@@ -53,8 +53,6 @@ __all__ = [
     "stability_matrix",
     "orbit_closure_residual",
     "trace2_closed",
-    "classify2_convex",
-    "ConvexIntervalDiagnosis",
     "classify2_general",
     "GeneralCaseDiagnosis",
     "two_periodic_step_matrix",
@@ -156,47 +154,6 @@ def trace2_closed(p: TwoPeriodicParams) -> float:
     """Closed-form trace of the 2-periodic stability matrix."""
     a, b, d = p.alpha, p.beta, p.delta
     return 2.0 - 2.0 * a * (b + d) + a * a * b * d
-
-
-@dataclass(frozen=True)
-class ConvexIntervalDiagnosis:
-    """Where alpha sits among the parabolic thresholds m <= M < m + M."""
-
-    m: float
-    M: float
-    interval: str  # one of (0,m) {m} (m,M) {M} (M,m+M) {m+M} (m+M,inf)
-
-
-def classify2_convex(
-    p: TwoPeriodicParams, tol: float = CLOSED_FORM_TOL
-) -> tuple[StabilityVerdict, ConvexIntervalDiagnosis]:
-    """Interval classification for strictly convex tables (beta, delta > 0).
-
-    Elliptic iff alpha in (0, m) u (M, m+M), hyperbolic iff alpha in
-    (m, M) u (m+M, inf), parabolic at alpha in {m, M, m+M}; for beta =
-    delta the middle interval collapses and the parabolic set is {m, 2m}.
-    The verdict itself always comes from the trace; the diagnosis names
-    the interval consistent with it.
-    """
-    if not (p.beta > 0 and p.delta > 0):
-        raise ValueError(
-            "classify2_convex needs beta > 0 and delta > 0 "
-            f"(got beta={p.beta}, delta={p.delta}); use classify2_general"
-        )
-    m = min(2.0 / p.beta, 2.0 / p.delta)
-    M = max(2.0 / p.beta, 2.0 / p.delta)
-    verdict = classify(trace2_closed(p), tol)
-    a = p.alpha
-    if verdict.cls is StabilityClass.PARABOLIC:
-        thresholds = {"{m}": m, "{M}": M, "{m+M}": m + M}
-        interval = min(thresholds, key=lambda k: abs(a - thresholds[k]))
-        if math.isclose(m, M, rel_tol=1e-12) and interval == "{M}":
-            interval = "{m}"  # collapsed: m = M, parabolic set is {m, 2m}
-    elif verdict.cls is StabilityClass.ELLIPTIC:
-        interval = "(0,m)" if a < m else "(M,m+M)"
-    else:
-        interval = "(m,M)" if a < m + M else "(m+M,inf)"
-    return verdict, ConvexIntervalDiagnosis(m=m, M=M, interval=interval)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from imbilliards.stability import (
     TwoPeriodicParams,
     billiard_trace2,
     classify,
-    classify2_convex,
     classify2_general,
     classify_billiard2,
     compose,
@@ -94,29 +93,27 @@ def test_equal_angle_square_identity():
 )
 def test_convex_interval_walk(alpha, expected_cls, expected_interval):
     """beta = 1, delta = 1/2 gives thresholds m = 2, M = 4, m + M = 6;
-    walking alpha through them visits E P H P E P H."""
-    verdict, diag = classify2_convex(TwoPeriodicParams(alpha, 1.0, 0.5))
-    assert (diag.m, diag.M) == (2.0, 4.0)
-    assert verdict.cls is expected_cls
-    assert diag.interval == expected_interval
+    walking alpha through them, one point in each interval of case (v)
+    (``expected_interval``), visits E P H P E P H."""
+    verdict, diag = classify2_general(TwoPeriodicParams(alpha, 1.0, 0.5))
+    assert (diag.case, diag.swapped) == ("v", False)
+    assert verdict.cls is diag.predicted is expected_cls, expected_interval
 
 
 def test_convex_collapsed_thresholds():
-    verdict, diag = classify2_convex(TwoPeriodicParams(2.0, 1.0, 1.0))
-    assert verdict.cls is P and diag.interval == "{m}"
-    verdict, diag = classify2_convex(TwoPeriodicParams(4.0, 1.0, 1.0))
-    assert verdict.cls is P and diag.interval == "{m+M}"
-    # Interior of the collapsed middle interval is gone: alpha between the
-    # two parabolic values is elliptic.
-    verdict, _ = classify2_convex(TwoPeriodicParams(3.0, 1.0, 1.0))
-    assert verdict.cls is E
+    """beta = delta = 1 collapses m = M = 2: the parabolic set is {2, 4}, and
+    alpha between them, the interior of the collapsed middle interval, is
+    elliptic."""
+    for alpha, expected_cls in ((2.0, P), (3.0, E), (4.0, P)):
+        verdict, diag = classify2_general(TwoPeriodicParams(alpha, 1.0, 1.0))
+        assert diag.case == "v"
+        assert verdict.cls is diag.predicted is expected_cls
 
 
 def test_convex_requires_positive_parameters():
-    with pytest.raises(ValueError):
-        classify2_convex(TwoPeriodicParams(1.0, -0.5, 1.0))
-    with pytest.raises(ValueError):
-        classify2_convex(TwoPeriodicParams(1.0, 1.0, 0.0))
+    """Case (v), the convex statement, needs beta > 0 and delta > 0."""
+    for params in (TwoPeriodicParams(1.0, -0.5, 1.0), TwoPeriodicParams(1.0, 1.0, 0.0)):
+        assert classify2_general(params)[1].case != "v"
 
 
 @pytest.mark.parametrize(
