@@ -196,6 +196,34 @@ def _require(condition: bool, message: str) -> None:
 # family registry: (curve kind, family tag) -> orbit constructor
 # --------------------------------------------------------------------------
 
+#: families whose parameter is the launch position ``x0``; the others take ``mu``
+_X0_FAMILIES = {("ellipse", "four-periodic"), ("superellipse", "two-periodic-diag"),
+                ("superellipse", "four-periodic-diag"), ("superellipse", "four-periodic-axis")}
+_PERIODS = {"two": 2, "three": 3, "four": 4}
+
+
+def _family_choice(kind: str, section: dict):
+    """The rotation and the parameter name (``"mu"`` or ``"x0"``) of the
+    configured family, for ``orbit``, ``trace`` and ``scan`` alike.
+
+    An n-periodic family with n > 2 takes rotation 1/n unless the section
+    names one; a 2-periodic family has none (``None``).  A rotation on a
+    2-periodic family, or the parameter the family does not take, is a
+    ``ValueError``.
+    """
+    family = section["family"]
+    rotation = section.get("rotation")
+    n = _PERIODS.get(family.split("-", 1)[0])
+    if n == 2:
+        _require(rotation is None, f"family {family!r} has no rotation to choose, got {rotation!r}")
+    elif n is not None:
+        rotation = fam._normalize_rotation(rotation or f"1/{n}", n)
+    param = "x0" if (kind, family) in _X0_FAMILIES else "mu"
+    other = "mu" if param == "x0" else "x0"
+    _require(other not in section, f"family {family!r} on {kind!r} takes {param!r}, not {other!r}")
+    return rotation, param
+
+
 def _build_orbit(curve_cfg: dict, section: dict):
     """Construct the configured family member.
 
@@ -205,61 +233,54 @@ def _build_orbit(curve_cfg: dict, section: dict):
     """
     kind = curve_cfg["kind"]
     family = section["family"]
-    rot = section.get("rotation")
-    mu = section.get("mu")
-    x0 = section.get("x0")
+    rot, param = _family_choice(kind, section)
 
-    def need(name: str):
-        value = section.get(name)
-        _require(value is not None, f"family {family!r} on {kind!r} needs {name!r}")
+    def need():
+        value = section.get(param)
+        _require(value is not None, f"family {family!r} on {kind!r} needs {param!r}")
         return value
 
     key = (kind, family)
     if key == ("circle", "two-periodic"):
-        orbit, params = fam.two_periodic_circle(curve_cfg["R"], need("mu"))
+        orbit, params = fam.two_periodic_circle(curve_cfg["R"], need())
         return orbit, trace2_closed(params), [("alpha", params.alpha)]
     if key == ("ellipse", "two-periodic-major") or key == ("ellipse", "two-periodic-minor"):
         axis = family.rsplit("-", 1)[1]
-        orbit, params = fam.two_periodic_ellipse(curve_cfg["a"], curve_cfg["b"], need("mu"), axis)
+        orbit, params = fam.two_periodic_ellipse(curve_cfg["a"], curve_cfg["b"], need(), axis)
         return orbit, trace2_closed(params), [
             ("alpha", params.alpha), ("beta", params.beta), ("delta", params.delta)]
     if key == ("superellipse", "two-periodic-axis"):
         orbit, params, (mu_star, mu_dstar) = fam.two_periodic_superellipse_axis(
-            curve_cfg["k"], need("mu"))
+            curve_cfg["k"], need())
         return orbit, trace2_closed(params), [
             ("alpha", params.alpha), ("beta", params.beta),
             ("mu_star", mu_star), ("mu_double_star", mu_dstar)]
     if key == ("superellipse", "two-periodic-diag"):
-        orbit, params, f_value = fam.two_periodic_superellipse_diag(curve_cfg["k"], need("x0"))
+        orbit, params, f_value = fam.two_periodic_superellipse_diag(curve_cfg["k"], need())
         return orbit, trace2_closed(params), [
             ("alpha", params.alpha), ("beta", params.beta), ("f", f_value)]
     if key == ("stadium", "two-periodic-sides") or key == ("stadium", "two-periodic-caps"):
         style = family.rsplit("-", 1)[1]
-        orbit, params = fam.two_periodic_stadium(
-            curve_cfg["side"], curve_cfg["R"], need("mu"), style)
+        orbit, params = fam.two_periodic_stadium(curve_cfg["side"], curve_cfg["R"], need(), style)
         return orbit, trace2_closed(params), [
             ("alpha", params.alpha), ("beta", params.beta)]
     if key == ("circle", "three-periodic"):
-        orbit, theta, trace = fam.three_periodic_circle(
-            curve_cfg["R"], need("mu"), rot or "1/3")
+        orbit, theta, trace = fam.three_periodic_circle(curve_cfg["R"], need(), rot)
         return orbit, trace, [("theta", theta)]
     if key == ("circle", "four-periodic"):
-        orbit, theta, trace = fam.four_periodic_circle(
-            curve_cfg["R"], need("mu"), rot or "1/4")
+        orbit, theta, trace = fam.four_periodic_circle(curve_cfg["R"], need(), rot)
         return orbit, trace, [("theta", theta)]
     if key == ("ellipse", "four-periodic"):
         orbit, record, trace = fam.four_periodic_ellipse(
-            curve_cfg["a"], curve_cfg["b"], need("x0"), rot or "1/4")
+            curve_cfg["a"], curve_cfg["b"], need(), rot)
         return orbit, trace, [
             ("mu", record.mu), ("ell1", record.ell1), ("ell3", record.ell3),
             ("cos_theta0", record.cos_theta0), ("cos_theta2", record.cos_theta2)]
     if key == ("superellipse", "four-periodic-diag"):
-        orbit, trace = fam.four_periodic_superellipse_diag(
-            curve_cfg["k"], need("x0"), rot or "1/4")
+        orbit, trace = fam.four_periodic_superellipse_diag(curve_cfg["k"], need(), rot)
         return orbit, trace, []
     if key == ("superellipse", "four-periodic-axis"):
-        orbit, trace = fam.four_periodic_superellipse_axis(
-            curve_cfg["k"], need("x0"), rot or "1/4")
+        orbit, trace = fam.four_periodic_superellipse_axis(curve_cfg["k"], need(), rot)
         return orbit, trace, []
     raise ValueError(f"no family {family!r} for curve kind {kind!r}")
 
@@ -276,42 +297,38 @@ def _scan_spec(curve_cfg: dict, section: dict):
     or an array of parameters, as :func:`families.scan_family` requires."""
     kind = curve_cfg["kind"]
     family = section["family"]
-    rotation = section.get("rotation")
-    if family.startswith("two-periodic"):
-        _require(rotation is None, f"family {family!r} has no rotation to choose, got {rotation!r}")
-    elif family.startswith("four-periodic"):
-        rotation = fam._normalize_rotation(rotation or "1/4", 4)
+    rotation, param = _family_choice(kind, section)
     key = (kind, family)
     if kind == "superellipse":
         k = curve_cfg["k"]
         q = fam._se_q(k)
     if key == ("superellipse", "two-periodic-axis"):
         mu_star, mu_double_star = fam._superellipse_axis_thresholds(k)
-        return ((lambda mu: fam.trace2_superellipse_axis(k, mu)), (0.02, 0.995), (0.0, 1.0), "mu",
+        return ((lambda mu: fam.trace2_superellipse_axis(k, mu)), (0.02, 0.995), (0.0, 1.0), param,
                 [(mu_star, True), (mu_double_star, True)])
     if key == ("superellipse", "two-periodic-diag"):
         return ((lambda x0: fam.trace2_superellipse_diag(k, x0)), (-q + 1e-4, q - 1e-4), (-q, q),
-                "x0", [])
+                param, [])
     if key == ("ellipse", "four-periodic"):
         a, b = curve_cfg["a"], curve_cfg["b"]
         lo, _, hi = fam._ellipse4_interval(a, b)
         pad = 1e-6 * (hi - lo)
         refs = fam.ellipse4_reference_roots() if (a, b) == (3.0, 2.0) else ()
-        return ((lambda x0: fam.trace4_ellipse(a, b, x0)), (lo + pad, hi - pad), (lo, hi), "x0",
+        return ((lambda x0: fam.trace4_ellipse(a, b, x0)), (lo + pad, hi - pad), (lo, hi), param,
                 [(ref, lo < ref < hi) for ref in refs])
     if key == ("superellipse", "four-periodic-axis"):
         if rotation == fam._QUARTER:
             window, domain = (q + 1e-3, 1.0 - 1e-3), (q, 1.0)
         else:
             window, domain = (-q + 1e-6, 1.0 - 1e-3), (-q, 1.0)
-        return lambda x0: fam.trace4_superellipse_axis(k, x0, rotation), window, domain, "x0", []
+        return lambda x0: fam.trace4_superellipse_axis(k, x0, rotation), window, domain, param, []
     if key == ("superellipse", "four-periodic-diag"):
         if rotation == fam._QUARTER:
             x_hat = fam.x_hat(k)
             window, domain = (q + 1e-4, x_hat - 1e-4), (q, x_hat)
         else:
             window, domain = (-1.0 + 1e-3, q - 1e-4), (-1.0, q)
-        return (lambda x0: fam.trace4_superellipse_diag(k, x0)), window, domain, "x0", []
+        return (lambda x0: fam.trace4_superellipse_diag(k, x0)), window, domain, param, []
     raise ValueError(f"no scannable family {family!r} for curve kind {kind!r}")
 
 
@@ -503,8 +520,7 @@ def cmd_scan(config: dict, args) -> int:
             f"({dom_lo:.12g}, {dom_hi:.12g}) on which {section['family']!r} exists")
     n_grid = args.grid if args.grid is not None else section.get("n_grid", 500)
     tol = args.tol if args.tol is not None else 1e-9
-    scan = fam.scan_family(
-        trace_fn, lo, hi, parameter=param, n_grid=n_grid, class_tol=tol)
+    scan = fam.scan_family(trace_fn, lo, hi, parameter=param, n_grid=n_grid)
 
     out_dir, stem = _out_paths(config, args, "scan")
     written = []
@@ -513,8 +529,8 @@ def cmd_scan(config: dict, args) -> int:
         with csv_path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["kind", param, "trace", "class"])
-            for x, t, v in zip(scan.grid, scan.traces, scan.verdicts):
-                writer.writerow(["grid", _fmt(x), _fmt(t), v.cls.value])
+            for x, t in zip(scan.grid.tolist(), scan.traces.tolist()):
+                writer.writerow(["grid", _fmt(x), _fmt(t), classify(t, tol).cls.value])
             for x in scan.thresholds:
                 writer.writerow(["threshold", _fmt(x), _fmt(trace_fn(x)), "parabolic"])
             for ref, inside in refs:
@@ -524,7 +540,7 @@ def cmd_scan(config: dict, args) -> int:
         written.append(csv_path)
     if "svg" in formats:
         svg_path = out_dir / f"{stem}.svg"
-        _scan_svg(scan, svg_path)
+        _scan_svg(scan, tol, svg_path)
         written.append(svg_path)
     print(
         f"{len(scan.thresholds)} threshold(s) on [{_fmt(lo)}, {_fmt(hi)}] -> "
@@ -533,8 +549,10 @@ def cmd_scan(config: dict, args) -> int:
     return 0
 
 
-def _scan_svg(scan, path: Path) -> None:
-    """Stability diagram: class bands, clipped trace curve, threshold lines."""
+def _scan_svg(scan, tol: float, path: Path) -> None:
+    """Stability diagram: class bands, clipped trace curve, threshold lines.
+    Each band takes the class, at ``tol``, of the grid trace nearest its
+    midpoint."""
     root = _svg_root()
     lo, hi = float(scan.grid[0]), float(scan.grid[-1])
     t_lo, t_hi = -6.0, 6.0
@@ -547,7 +565,7 @@ def _scan_svg(scan, path: Path) -> None:
     for left, right in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (left + right)
         i = int(np.argmin(np.abs(scan.grid - mid)))
-        color = band_colors[scan.verdicts[i].cls.value]
+        color = band_colors[classify(scan.traces.item(i), tol).cls.value]
         d = (
             f"M {x_of(left):.3f} 60 L {x_of(right):.3f} 60 "
             f"L {x_of(right):.3f} 940 L {x_of(left):.3f} 940 Z"

@@ -59,9 +59,7 @@ from .errors import (
 )
 from .stability import (
     CLOSURE_TOL,
-    StabilityVerdict,
     TwoPeriodicParams,
-    classify,
     compose,
     orbit_closure_residual,
     two_periodic_params_from_steps,
@@ -1259,7 +1257,6 @@ class FamilyScan:
     parameter: str
     grid: np.ndarray
     traces: np.ndarray
-    verdicts: tuple[StabilityVerdict, ...]
     thresholds: tuple[float, ...]
 
 
@@ -1270,7 +1267,6 @@ def scan_family(
     *,
     parameter: str = "parameter",
     n_grid: int = 2000,
-    class_tol: float = 1e-9,
 ) -> FamilyScan:
     """Evaluate a closed-form trace on a grid and locate parabolic thresholds.
 
@@ -1296,7 +1292,6 @@ def scan_family(
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"trace is not finite at {parameter}={grid[i]}: {traces[i]}")
-    verdicts = tuple(classify(t, class_tol) for t in traces.tolist())
 
     found: list[float] = []
     for sign in (-2.0, 2.0):
@@ -1331,6 +1326,5 @@ def scan_family(
         parameter=parameter,
         grid=grid,
         traces=traces,
-        verdicts=verdicts,
         thresholds=tuple(thresholds),
     )

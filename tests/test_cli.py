@@ -297,19 +297,32 @@ def test_scan_rejects_windows_outside_the_family(tmp_path, capsys, recwarn, curv
 _ELLIPSE_32 = {"kind": "ellipse", "a": 3.0, "b": 2.0}
 
 
-@pytest.mark.parametrize("curve, scan, message", [
-    (_SE2, {"family": "four-periodic-diag", "rotation": "1/3"},
+@pytest.mark.parametrize("verb, curve, section, message", [
+    ("scan", _SE2, {"family": "four-periodic-diag", "rotation": "1/3"},
      "rotation must be one of 1/4, 3/4, got '1/3'"),
-    (_ELLIPSE_32, {"family": "four-periodic", "rotation": "2/3"},
+    ("scan", _ELLIPSE_32, {"family": "four-periodic", "rotation": "2/3"},
      "rotation must be one of 1/4, 3/4, got '2/3'"),
-    (_SE2, {"family": "two-periodic-axis", "rotation": "1/3"},
+    ("scan", _SE2, {"family": "two-periodic-axis", "rotation": "1/3"},
      "family 'two-periodic-axis' has no rotation to choose, got '1/3'"),
+    ("orbit", _ELLIPSE_32, {"family": "two-periodic-major", "mu": 0.5, "rotation": "1/4", "x0": 3},
+     "family 'two-periodic-major' has no rotation to choose, got '1/4'"),
+    ("orbit", _ELLIPSE_32, {"family": "two-periodic-major", "mu": 0.5, "x0": 3},
+     "family 'two-periodic-major' on 'ellipse' takes 'mu', not 'x0'"),
+    ("orbit", {"kind": "circle", "R": 1.0},
+     {"family": "three-periodic", "mu": 0.4, "rotation": "1/4"},
+     "rotation must be one of 1/3, 2/3, got '1/4'"),
+    ("trace", _SE2, {"family": "two-periodic-axis", "mu": 0.5, "rotation": "3/4"},
+     "family 'two-periodic-axis' has no rotation to choose, got '3/4'"),
+    ("trace", _SE2, {"family": "four-periodic-diag", "x0": 0.9, "mu": 0.3},
+     "family 'four-periodic-diag' on 'superellipse' takes 'x0', not 'mu'"),
 ])
-def test_scan_rejects_rotations_the_family_does_not_have(tmp_path, capsys, curve, scan, message):
-    config = write_config(tmp_path, {"curve": curve, "scan": scan})
-    assert main(["scan", "--config", config, "--out", str(tmp_path)]) == 2
+def test_verbs_reject_rotations_and_parameters_the_family_does_not_take(
+        tmp_path, capsys, verb, curve, section, message):
+    """``orbit``, ``trace`` and ``scan`` share one rotation and parameter policy."""
+    config = write_config(tmp_path, {"curve": curve, verb: section})
+    assert main([verb, "--config", config, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: ValueError: {message}\n"
-    assert not list(tmp_path.glob("scan.*"))
+    assert not list(tmp_path.glob(f"{verb}.*"))
 
 
 @pytest.mark.parametrize("curve, family, rotations", [
