@@ -108,7 +108,7 @@ def chord_exit(curve: Curve, frame0: Frame, theta0: float) -> ChordHit:
     x0, y0 = frame0.point.tolist()
     vx, vy = frame0.direction(theta0)
     r = 1.01 * curve.diameter_bound()
-    if curve.implicit_xy(x0 + r * vx, y0 + r * vy) <= 0.0:  # pragma: no cover - diameter bound is conservative
+    if curve.implicit_xy(x0 + r * vx, y0 + r * vy) <= 0.0:  # pragma: no cover - conservative bound
         raise NoInteriorHit("ray does not leave the table within the diameter bound")
 
     # F is convex along the ray with F(0) = 0 and F < 0 on (0, r_exit), so

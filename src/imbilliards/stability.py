@@ -26,10 +26,10 @@ Those factorizations drive a closed-form classifier by the sign pattern of
 beta and delta, organized in five cases.  Its case (v) holds the convex
 tables (beta, delta > 0), where the parabolic values of alpha are exactly
 m = min(2/beta, 2/delta), M = max(2/beta, 2/delta) and m + M; the other
-cases cover non-convex tables.  This module also carries the standard (non-magnetic)
-billiard comparison: Tr S_2 = 2 - 4 l (1/rho1 + 1/rho2) + 4 l^2/(rho1
-rho2) for a 2-periodic chord of length l between boundary points with
-curvature radii rho1, rho2.
+cases cover non-convex tables.  This module also carries the standard
+(non-magnetic) billiard comparison: Tr S_2 = 2 - 4 l (1/rho1 + 1/rho2) +
+4 l^2/(rho1 rho2) for a 2-periodic chord of length l between boundary
+points with curvature radii rho1, rho2.
 """
 
 from __future__ import annotations
