@@ -316,7 +316,7 @@ _ELLIPSE_32 = {"kind": "ellipse", "a": 3.0, "b": 2.0}
     ("trace", _SE2, {"family": "four-periodic-diag", "x0": 0.9, "mu": 0.3},
      "family 'four-periodic-diag' on 'superellipse' takes 'x0', not 'mu'"),
 ])
-def test_verbs_reject_rotations_and_parameters_the_family_does_not_take(
+def test_verbs_reject_what_the_family_does_not_take(
         tmp_path, capsys, verb, curve, section, message):
     """``orbit``, ``trace`` and ``scan`` share one rotation and parameter policy."""
     config = write_config(tmp_path, {"curve": curve, verb: section})

@@ -57,10 +57,9 @@ def test_chord_exit_matches_the_40_digit_root(curve, exact, rng):
     point and direction, computed at 40 digits by ``reference_map``.
 
     Each F here has terms of size about 1, so rounding F moves the root by
-    a few eps / |dF/dr|: the error is bounded in those units.  Measured
-    over 1500 chords on five seeds, the worst was 4.0 units on every table,
-    for Brent with a Newton polish as for monotone Newton.  In relative
-    terms that is up to 1.2e-12 on short chords near the tip of
+    a few eps / |dF/dr|: the error is bounded in those units.  Over 1500
+    chords on each of five seeds the worst error measured was 4.0 units.
+    In relative terms that is up to 1.2e-12 on short chords near the tip of
     Ellipse(10, 1), where |dF/dr| is about 0.01."""
     length = curve.total_length()
     for _ in range(1500):
