@@ -46,6 +46,7 @@ import json
 import math
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -56,13 +57,14 @@ from .curves import Curve, make_curve, rot90
 from .dynamics import PhasePoint, StepData, iterate, jacobian_analytic, jacobian_numeric, well_conditioned
 from .errors import BilliardError, MuTooLarge, X0OutOfRange
 from .rotation import rotation_table
-from .stability import classify, compose, trace2_closed
+from .stability import classify, compose
 
 __all__ = ["main", "CONFIG_SCHEMA"]
 
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NUM = {"type": "number"}
-_ROT = {"type": "string", "pattern": "^([12]/3|[13]/4)$"}
+_FAMILY = {"enum": list(dict.fromkeys(family for _, family in fam.FAMILIES))}
+_ROT = {"enum": list(dict.fromkeys(str(r) for row in fam.FAMILIES.values() for r in row.rotations))}
 
 CONFIG_SCHEMA: dict = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -104,7 +106,7 @@ CONFIG_SCHEMA: dict = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "family": {"type": "string"},
+                "family": _FAMILY,
                 "mu": _POS,
                 "x0": _NUM,
                 "rotation": _ROT,
@@ -115,7 +117,7 @@ CONFIG_SCHEMA: dict = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "family": {"type": "string"},
+                "family": _FAMILY,
                 "rotation": _ROT,
                 "lo": _NUM,
                 "hi": _NUM,
@@ -127,7 +129,7 @@ CONFIG_SCHEMA: dict = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "family": {"type": "string"},
+                "family": _FAMILY,
                 "mu": _POS,
                 "x0": _NUM,
                 "rotation": _ROT,
@@ -193,143 +195,37 @@ def _require(condition: bool, message: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# family registry: (curve kind, family tag) -> orbit constructor
+# family policy: every verb looks its family up in ``families.FAMILIES``
 # --------------------------------------------------------------------------
 
-#: families whose parameter is the launch position ``x0``; the others take ``mu``
-_X0_FAMILIES = {("ellipse", "four-periodic"), ("superellipse", "two-periodic-diag"),
-                ("superellipse", "four-periodic-diag"), ("superellipse", "four-periodic-axis")}
-_PERIODS = {"two": 2, "three": 3, "four": 4}
+def _family(curve_cfg: dict, section: dict, scan: bool = False):
+    """The table row of the configured family and its rotation, the row's first
+    unless the section names another (``None`` on a 2-periodic family).  A
+    family, rotation or parameter the kind lacks is a ``ValueError``, as is a
+    family with no scan for a ``scan`` and a missing parameter otherwise."""
+    kind, family = curve_cfg["kind"], section["family"]
+    rows = {f: row for (k, f), row in fam.FAMILIES.items() if k == kind and (row.scan or not scan)}
+    scope = "scannable " if scan else ""
+    _require(family in rows, f"no {scope}family {family!r} for curve kind {kind!r}; "
+             f"its {scope}families are {', '.join(rows) or 'none'}")
+    row = rows[family]
+    given = rotation = section.get("rotation")
+    if row.rotations:
+        rotation = Fraction(given or row.rotations[0])
+        _require(rotation in row.rotations,
+                 f"rotation must be one of {', '.join(map(str, row.rotations))}, got {given!r}")
+    else:
+        _require(given is None, f"family {family!r} has no rotation to choose, got {given!r}")
+    other = "mu" if row.param == "x0" else "x0"
+    _require(other not in section, f"family {family!r} on {kind!r} takes {row.param!r}, not {other!r}")
+    _require(scan or row.param in section, f"family {family!r} on {kind!r} needs {row.param!r}")
+    return row, rotation
 
 
-def _family_choice(kind: str, section: dict):
-    """The rotation and the parameter name (``"mu"`` or ``"x0"``) of the
-    configured family, for ``orbit``, ``trace`` and ``scan`` alike.
-
-    An n-periodic family with n > 2 takes rotation 1/n unless the section
-    names one; a 2-periodic family has none (``None``).  A rotation on a
-    2-periodic family, or the parameter the family does not take, is a
-    ``ValueError``.
-    """
-    family = section["family"]
-    rotation = section.get("rotation")
-    n = _PERIODS.get(family.split("-", 1)[0])
-    if n == 2:
-        _require(rotation is None, f"family {family!r} has no rotation to choose, got {rotation!r}")
-    elif n is not None:
-        rotation = fam._normalize_rotation(rotation or f"1/{n}", n)
-    param = "x0" if (kind, family) in _X0_FAMILIES else "mu"
-    other = "mu" if param == "x0" else "x0"
-    _require(other not in section, f"family {family!r} on {kind!r} takes {param!r}, not {other!r}")
-    return rotation, param
-
-
-def _build_orbit(curve_cfg: dict, section: dict):
-    """Construct the configured family member.
-
-    Returns ``(orbit, trace, extras)`` where ``extras`` is a list of
-    ``(key, value)`` metadata pairs specific to the family (thresholds,
-    power-sum ratio, ...).
-    """
-    kind = curve_cfg["kind"]
-    family = section["family"]
-    rot, param = _family_choice(kind, section)
-
-    def need():
-        value = section.get(param)
-        _require(value is not None, f"family {family!r} on {kind!r} needs {param!r}")
-        return value
-
-    key = (kind, family)
-    if key == ("circle", "two-periodic"):
-        orbit, params = fam.two_periodic_circle(curve_cfg["R"], need())
-        return orbit, trace2_closed(params), [("alpha", params.alpha)]
-    if key == ("ellipse", "two-periodic-major") or key == ("ellipse", "two-periodic-minor"):
-        axis = family.rsplit("-", 1)[1]
-        orbit, params = fam.two_periodic_ellipse(curve_cfg["a"], curve_cfg["b"], need(), axis)
-        return orbit, trace2_closed(params), [
-            ("alpha", params.alpha), ("beta", params.beta), ("delta", params.delta)]
-    if key == ("superellipse", "two-periodic-axis"):
-        orbit, params, (mu_star, mu_dstar) = fam.two_periodic_superellipse_axis(
-            curve_cfg["k"], need())
-        return orbit, trace2_closed(params), [
-            ("alpha", params.alpha), ("beta", params.beta),
-            ("mu_star", mu_star), ("mu_double_star", mu_dstar)]
-    if key == ("superellipse", "two-periodic-diag"):
-        orbit, params, f_value = fam.two_periodic_superellipse_diag(curve_cfg["k"], need())
-        return orbit, trace2_closed(params), [
-            ("alpha", params.alpha), ("beta", params.beta), ("f", f_value)]
-    if key == ("stadium", "two-periodic-sides") or key == ("stadium", "two-periodic-caps"):
-        style = family.rsplit("-", 1)[1]
-        orbit, params = fam.two_periodic_stadium(curve_cfg["side"], curve_cfg["R"], need(), style)
-        return orbit, trace2_closed(params), [
-            ("alpha", params.alpha), ("beta", params.beta)]
-    if key == ("circle", "three-periodic"):
-        orbit, theta, trace = fam.three_periodic_circle(curve_cfg["R"], need(), rot)
-        return orbit, trace, [("theta", theta)]
-    if key == ("circle", "four-periodic"):
-        orbit, theta, trace = fam.four_periodic_circle(curve_cfg["R"], need(), rot)
-        return orbit, trace, [("theta", theta)]
-    if key == ("ellipse", "four-periodic"):
-        orbit, record, trace = fam.four_periodic_ellipse(
-            curve_cfg["a"], curve_cfg["b"], need(), rot)
-        return orbit, trace, [
-            ("mu", record.mu), ("ell1", record.ell1), ("ell3", record.ell3),
-            ("cos_theta0", record.cos_theta0), ("cos_theta2", record.cos_theta2)]
-    if key == ("superellipse", "four-periodic-diag"):
-        orbit, trace = fam.four_periodic_superellipse_diag(curve_cfg["k"], need(), rot)
-        return orbit, trace, []
-    if key == ("superellipse", "four-periodic-axis"):
-        orbit, trace = fam.four_periodic_superellipse_axis(curve_cfg["k"], need(), rot)
-        return orbit, trace, []
-    raise ValueError(f"no family {family!r} for curve kind {kind!r}")
-
-
-# --------------------------------------------------------------------------
-# scan registry: closed-form trace functions over a parameter interval
-# --------------------------------------------------------------------------
-
-def _scan_spec(curve_cfg: dict, section: dict):
-    """Return ``(trace_fn, window, domain, parameter_name, references)`` for a
-    scan config: ``window`` is the default ``(lo, hi)``, ``domain`` the open
-    interval on which the family exists, and ``references`` lists tabulated
-    analytic thresholds as ``(value, in_domain)``.  ``trace_fn`` takes a float
-    or an array of parameters, as :func:`families.scan_family` requires."""
-    kind = curve_cfg["kind"]
-    family = section["family"]
-    rotation, param = _family_choice(kind, section)
-    key = (kind, family)
-    if kind == "superellipse":
-        k = curve_cfg["k"]
-        q = fam._se_q(k)
-    if key == ("superellipse", "two-periodic-axis"):
-        mu_star, mu_double_star = fam._superellipse_axis_thresholds(k)
-        return ((lambda mu: fam.trace2_superellipse_axis(k, mu)), (0.02, 0.995), (0.0, 1.0), param,
-                [(mu_star, True), (mu_double_star, True)])
-    if key == ("superellipse", "two-periodic-diag"):
-        return ((lambda x0: fam.trace2_superellipse_diag(k, x0)), (-q + 1e-4, q - 1e-4), (-q, q),
-                param, [])
-    if key == ("ellipse", "four-periodic"):
-        a, b = curve_cfg["a"], curve_cfg["b"]
-        lo, _, hi = fam._ellipse4_interval(a, b)
-        pad = 1e-6 * (hi - lo)
-        refs = fam.ellipse4_reference_roots() if (a, b) == (3.0, 2.0) else ()
-        return ((lambda x0: fam.trace4_ellipse(a, b, x0)), (lo + pad, hi - pad), (lo, hi), param,
-                [(ref, lo < ref < hi) for ref in refs])
-    if key == ("superellipse", "four-periodic-axis"):
-        if rotation == fam._QUARTER:
-            window, domain = (q + 1e-3, 1.0 - 1e-3), (q, 1.0)
-        else:
-            window, domain = (-q + 1e-6, 1.0 - 1e-3), (-q, 1.0)
-        return lambda x0: fam.trace4_superellipse_axis(k, x0, rotation), window, domain, param, []
-    if key == ("superellipse", "four-periodic-diag"):
-        if rotation == fam._QUARTER:
-            x_hat = fam.x_hat(k)
-            window, domain = (q + 1e-4, x_hat - 1e-4), (q, x_hat)
-        else:
-            window, domain = (-1.0 + 1e-3, q - 1e-4), (-1.0, q)
-        return (lambda x0: fam.trace4_superellipse_diag(k, x0)), window, domain, param, []
-    raise ValueError(f"no scannable family {family!r} for curve kind {kind!r}")
+def _member(curve_cfg: dict, section: dict):
+    """``(orbit, trace, extras)`` of the configured family member."""
+    row, rotation = _family(curve_cfg, section)
+    return row.member(curve_cfg, section[row.param], rotation)
 
 
 # --------------------------------------------------------------------------
@@ -471,7 +367,7 @@ def cmd_orbit(config: dict, args) -> int:
     _require("curve" in config, "orbit verb needs a 'curve' section")
     _require("orbit" in config, "orbit verb needs an 'orbit' section")
     _formats(args, {"csv"})
-    orbit, trace, extras = _build_orbit(config["curve"], config["orbit"])
+    orbit, trace, extras = _member(config["curve"], config["orbit"])
     tol = args.tol if args.tol is not None else 1e-9
     verdict = classify(trace, tol=tol)
     out_dir, stem = _out_paths(config, args, "orbit")
@@ -479,26 +375,17 @@ def cmd_orbit(config: dict, args) -> int:
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["record", "index", "key", "value"])
-        writer.writerow(["meta", "", "curve", config["curve"]["kind"]])
-        writer.writerow(["meta", "", "family", config["orbit"]["family"]])
-        writer.writerow(["meta", "", "n", str(orbit.n)])
-        writer.writerow(["meta", "", "mu", _fmt(orbit.mu)])
-        writer.writerow(["meta", "", "rotation", str(orbit.rotation)])
-        writer.writerow(["meta", "", "residual", _fmt(orbit.residual)])
-        for key, value in extras:
-            writer.writerow(["meta", "", key, _fmt(value)])
+        meta = [("curve", config["curve"]["kind"]), ("family", config["orbit"]["family"]),
+                ("n", str(orbit.n)), ("mu", _fmt(orbit.mu)), ("rotation", str(orbit.rotation)),
+                ("residual", _fmt(orbit.residual)), *((key, _fmt(value)) for key, value in extras)]
+        for key, value in meta:
+            writer.writerow(["meta", "", key, value])
         for i, (z, p) in enumerate(zip(orbit.points, orbit.boundary_points[::2])):
-            writer.writerow(["point", str(i), "s", _fmt(z.s)])
-            writer.writerow(["point", str(i), "theta", _fmt(z.theta)])
-            writer.writerow(["point", str(i), "x", _fmt(p[0])])
-            writer.writerow(["point", str(i), "y", _fmt(p[1])])
+            for key, value in (("s", z.s), ("theta", z.theta), ("x", p[0]), ("y", p[1])):
+                writer.writerow(["point", str(i), key, _fmt(value)])
         for i, d in enumerate(orbit.steps):
-            writer.writerow(["step", str(i), "ell1", _fmt(d.ell1)])
-            writer.writerow(["step", str(i), "ell2", _fmt(d.ell2)])
-            writer.writerow(["step", str(i), "chi", _fmt(d.chi)])
-            writer.writerow(["step", str(i), "theta0", _fmt(d.theta0)])
-            writer.writerow(["step", str(i), "theta1", _fmt(d.theta1)])
-            writer.writerow(["step", str(i), "theta2", _fmt(d.theta2)])
+            for key in ("ell1", "ell2", "chi", "theta0", "theta1", "theta2"):
+                writer.writerow(["step", str(i), key, _fmt(getattr(d, key))])
         writer.writerow(["summary", "", "trace", _fmt(trace)])
         writer.writerow(["summary", "", "class", verdict.cls.value])
     print(f"trace {_fmt(trace)} class {verdict.cls.value} -> {csv_path}")
@@ -510,17 +397,18 @@ def cmd_scan(config: dict, args) -> int:
     _require("scan" in config, "scan verb needs a 'scan' section")
     formats = _formats(args, {"csv", "svg"})
     section = config["scan"]
-    trace_fn, (lo, hi), (dom_lo, dom_hi), param, refs = _scan_spec(config["curve"], section)
+    row, rotation = _family(config["curve"], section, scan=True)
+    trace_fn, (lo, hi), (dom_lo, dom_hi), refs = row.scan(config["curve"], rotation)
     lo = section.get("lo", lo)
     hi = section.get("hi", hi)
     if not (dom_lo < lo < dom_hi and dom_lo < hi < dom_hi):
-        error = MuTooLarge if param == "mu" else X0OutOfRange
+        error = MuTooLarge if row.param == "mu" else X0OutOfRange
         raise error(
             f"scan window [{_fmt(lo)}, {_fmt(hi)}] must lie inside the open interval "
             f"({dom_lo:.12g}, {dom_hi:.12g}) on which {section['family']!r} exists")
     n_grid = args.grid if args.grid is not None else section.get("n_grid", 500)
     tol = args.tol if args.tol is not None else 1e-9
-    scan = fam.scan_family(trace_fn, lo, hi, parameter=param, n_grid=n_grid)
+    scan = fam.scan_family(trace_fn, lo, hi, parameter=row.param, n_grid=n_grid)
 
     out_dir, stem = _out_paths(config, args, "scan")
     written = []
@@ -528,7 +416,7 @@ def cmd_scan(config: dict, args) -> int:
         csv_path = out_dir / f"{stem}.csv"
         with csv_path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["kind", param, "trace", "class"])
+            writer.writerow(["kind", row.param, "trace", "class"])
             for x, t in zip(scan.grid.tolist(), scan.traces.tolist()):
                 writer.writerow(["grid", _fmt(x), _fmt(t), classify(t, tol).cls.value])
             for x in scan.thresholds:
@@ -604,15 +492,17 @@ def cmd_trace(config: dict, args) -> int:
     section = config["trace"]
     curve = make_curve(config["curve"])
     overlay = None
+    unread = ("s", "theta", "steps") if "family" in section else ("x0", "rotation", "overlay_dual")
+    extra = ", ".join(repr(key) for key in unread if key in section)
+    _require(not extra, f"a {'family' if 'family' in section else 'raw'} trace takes no {extra}")
     if "family" in section:
-        orbit, _, _ = _build_orbit(config["curve"], section)
+        orbit, _, _ = _member(config["curve"], section)
         steps, mu = orbit.steps, orbit.mu
         if section.get("overlay_dual"):
             overlay = fam.dual_orbit(orbit)
     else:
         for name in ("s", "theta", "mu", "steps"):
             _require(name in section, f"raw trace needs {name!r} (or a 'family')")
-        _require(not section.get("overlay_dual"), "overlay_dual needs a 4-periodic family")
         z = PhasePoint(s=section["s"], theta=section["theta"])
         mu = section["mu"]
         steps = tuple(d for _, d in iterate(curve, mu, z, section["steps"]))
@@ -743,7 +633,7 @@ def cmd_check(config: dict, args) -> int:
             f"worst rel dev = {worst_jac:.3e} (tol {jac_tol:g})")
 
     for name, curve_cfg, orbit_section in _CHECK_MEMBERS:
-        orbit, closed, _ = _build_orbit(curve_cfg, orbit_section)
+        orbit, closed, _ = _member(curve_cfg, orbit_section)
         S = compose(orbit.steps)
         composed = float(S[0, 0] + S[1, 1])
         dev = abs(closed - composed) / max(1.0, abs(closed))
@@ -832,6 +722,9 @@ def _load_config(path: str | None) -> dict:
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path!r} is not valid JSON: {exc}") from exc
     error = next(_validator().iter_errors(config), None)
+    if error is not None and error.validator == "enum":  # a family tag or a rotation
+        raise ConfigValidation(f"no {error.path[-1]} {error.instance!r}; "
+                               f"the names are {', '.join(error.validator_value)}")
     if error is not None:
         raise ConfigValidation(error.message)
     return config

@@ -37,6 +37,7 @@ __all__ = ["ChordHit", "LarmorHit", "chord_exit", "larmor_reentry"]
 ANGLE_EPS = 1e-12      # theta within this of {0, pi} counts as tangential
 SWEEP_GUARD = 1e-7     # smallest admissible Larmor sweep angle
 N_SWEEP_SAMPLES = 512  # dense sampling of the Larmor circle
+_EPS = 2.0**-52        # float64 machine epsilon
 #: the sampled Larmor sweep angles, with their cosines and sines
 SWEEP_ANGLES = np.linspace(SWEEP_GUARD, 2.0 * math.pi - SWEEP_GUARD, N_SWEEP_SAMPLES)
 SWEEP_COS, SWEEP_SIN = np.cos(SWEEP_ANGLES), np.sin(SWEEP_ANGLES)
@@ -99,8 +100,8 @@ def chord_exit(curve: Curve, frame0: Frame, theta0: float) -> ChordHit:
 
     Raises :class:`TangentialChord` for theta0 within ``ANGLE_EPS`` of
     {0, pi} (the map is the identity there) and :class:`NoInteriorHit`
-    when no interior travel is possible, which cannot happen on the convex
-    built-in tables.
+    when the chord is too short for rounding to tell its exit from the
+    launch point, as on launches within about 1e-9 of the tangent.
     """
     if theta0 < ANGLE_EPS or theta0 > math.pi - ANGLE_EPS:
         raise TangentialChord(f"launch angle {theta0!r} is within {ANGLE_EPS} of 0 or pi")
@@ -126,11 +127,12 @@ def chord_exit(curve: Curve, frame0: Frame, theta0: float) -> ChordHit:
             break
         r = r_next
 
-    eps_sep = 1e-9 * curve.total_length()
-    if r < eps_sep:
+    # F's terms are of size about 1, so rounding decides r only to a few
+    # eps / |dF/dr|: a chord within 8 of those units is the launch point again.
+    if r < 1e-9 * curve.total_length() or r * abs(df) <= 8.0 * _EPS:
         raise NoInteriorHit(
-            f"no interior travel beyond {eps_sep:.3e} from s0={frame0.s!r}: "
-            "the ray exits immediately"
+            f"chord of {r:.3e} from s0={frame0.s!r} is below 1e-9 L or below the "
+            "rounding floor 8 eps / |dF/dr|: the ray exits immediately"
         )
 
     v = np.array([vx, vy])

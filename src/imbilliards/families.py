@@ -62,6 +62,7 @@ from .stability import (
     TwoPeriodicParams,
     compose,
     orbit_closure_residual,
+    trace2_closed,
     two_periodic_params_from_steps,
 )
 
@@ -95,6 +96,7 @@ __all__ = [
     "dual_orbit",
     "find_periodic_newton",
     "scan_family",
+    "FAMILIES",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -1328,3 +1330,104 @@ def scan_family(
         traces=traces,
         thresholds=tuple(thresholds),
     )
+
+
+# --------------------------------------------------------------------------
+# the family table
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Family:
+    """A row of :data:`FAMILIES`: the parameter, ``"mu"`` or ``"x0"``; the
+    rotations, default first (none on 2-periodic families); ``member(curve_cfg,
+    value, rotation) -> (orbit, trace, extras)`` with ``(key, value)`` extras;
+    and ``scan(curve_cfg, rotation) -> (trace_fn, window, domain, references)``
+    (``None`` with no array trace): the trace on floats and arrays, the default
+    ``(lo, hi)``, the open domain and ``(threshold, in_domain)`` pairs.  Rows
+    call constructors by module name, so rebinding a name reaches them."""
+
+    param: str
+    rotations: tuple[Fraction, ...]
+    member: Callable
+    scan: Callable | None = None
+
+
+def _closed2(orbit, params, names, more=()):
+    """A 2-periodic member: its closed trace; the ``names`` of ``params``, then ``more``."""
+    return orbit, trace2_closed(params), [(n, getattr(params, n)) for n in names] + list(more)
+
+
+def _scan(trace_fn, domain, pads, references=()):
+    """A scan whose default window is ``domain`` narrowed by ``pads``."""
+    return trace_fn, (domain[0] + pads[0], domain[1] - pads[1]), domain, list(references)
+
+
+def _se_axis2(c, mu, rot):
+    orbit, params, thresholds = two_periodic_superellipse_axis(c["k"], mu)
+    return _closed2(orbit, params, ("alpha", "beta"), zip(("mu_star", "mu_double_star"), thresholds))
+
+
+def _se_diag2(c, x0, rot):
+    orbit, params, f_value = two_periodic_superellipse_diag(c["k"], x0)
+    return _closed2(orbit, params, ("alpha", "beta"), [("f", f_value)])
+
+
+def _theta_extra(orbit, theta, trace):
+    return orbit, trace, [("theta", theta)]
+
+
+def _ellipse4(c, x0, rot):
+    orbit, record, trace = four_periodic_ellipse(c["a"], c["b"], x0, rot)
+    return orbit, trace, [(n, getattr(record, n))
+                          for n in ("mu", "ell1", "ell3", "cos_theta0", "cos_theta2")]
+
+
+def _ellipse4_scan(c, rot):
+    """Both rotations: the one trace spans the whole admissible interval."""
+    a, b = c["a"], c["b"]
+    lo, _, hi = _ellipse4_interval(a, b)
+    refs = ellipse4_reference_roots() if (a, b) == (3.0, 2.0) else ()
+    return _scan(lambda x0: trace4_ellipse(a, b, x0), (lo, hi), (1e-6 * (hi - lo),) * 2,
+                 [(ref, lo < ref < hi) for ref in refs])
+
+
+def _se_axis4_scan(c, rot):
+    k, q = c["k"], _se_q(c["k"])
+    domain, pads = ((q, 1.0), (1e-3, 1e-3)) if rot == _QUARTER else ((-q, 1.0), (1e-6, 1e-3))
+    return _scan(lambda x0: trace4_superellipse_axis(k, x0, rot), domain, pads)
+
+
+def _se_diag4_scan(c, rot):
+    k, q = c["k"], _se_q(c["k"])
+    domain, pads = ((q, x_hat(k)), (1e-4, 1e-4)) if rot == _QUARTER else ((-1.0, q), (1e-3, 1e-4))
+    return _scan(lambda x0: trace4_superellipse_diag(k, x0), domain, pads)
+
+
+#: every closed-form family by (curve kind, family tag), the one home of its facts
+FAMILIES: dict[tuple[str, str], _Family] = {
+    ("circle", "two-periodic"): _Family("mu", (), lambda c, mu, rot: _closed2(
+        *two_periodic_circle(c["R"], mu), ("alpha",))),
+    ("circle", "three-periodic"): _Family("mu", _ROTATIONS[3], lambda c, mu, rot: _theta_extra(
+        *three_periodic_circle(c["R"], mu, rot))),
+    ("circle", "four-periodic"): _Family("mu", _ROTATIONS[4], lambda c, mu, rot: _theta_extra(
+        *four_periodic_circle(c["R"], mu, rot))),
+    ("ellipse", "two-periodic-major"): _Family("mu", (), lambda c, mu, rot: _closed2(
+        *two_periodic_ellipse(c["a"], c["b"], mu, "major"), ("alpha", "beta", "delta"))),
+    ("ellipse", "two-periodic-minor"): _Family("mu", (), lambda c, mu, rot: _closed2(
+        *two_periodic_ellipse(c["a"], c["b"], mu, "minor"), ("alpha", "beta", "delta"))),
+    ("ellipse", "four-periodic"): _Family("x0", _ROTATIONS[4], _ellipse4, _ellipse4_scan),
+    ("superellipse", "two-periodic-axis"): _Family("mu", (), _se_axis2, lambda c, rot: _scan(
+        lambda mu: trace2_superellipse_axis(c["k"], mu), (0.0, 1.0), (0.02, 0.005),
+        [(mu, True) for mu in _superellipse_axis_thresholds(c["k"])])),
+    ("superellipse", "two-periodic-diag"): _Family("x0", (), _se_diag2, lambda c, rot: _scan(
+        lambda x0: trace2_superellipse_diag(c["k"], x0), (-_se_q(c["k"]), _se_q(c["k"])),
+        (1e-4, 1e-4))),
+    ("superellipse", "four-periodic-axis"): _Family("x0", _ROTATIONS[4], lambda c, x0, rot: (
+        *four_periodic_superellipse_axis(c["k"], x0, rot), []), _se_axis4_scan),
+    ("superellipse", "four-periodic-diag"): _Family("x0", _ROTATIONS[4], lambda c, x0, rot: (
+        *four_periodic_superellipse_diag(c["k"], x0, rot), []), _se_diag4_scan),
+    ("stadium", "two-periodic-sides"): _Family("mu", (), lambda c, mu, rot: _closed2(
+        *two_periodic_stadium(c["side"], c["R"], mu, "sides"), ("alpha", "beta"))),
+    ("stadium", "two-periodic-caps"): _Family("mu", (), lambda c, mu, rot: _closed2(
+        *two_periodic_stadium(c["side"], c["R"], mu, "caps"), ("alpha", "beta"))),
+}

@@ -222,9 +222,10 @@ def test_ellipse_four_periodic_root_census():
     outside the family's x0 interval and is flagged, with every numeric
     root listed inside the interval.  The census is the one ``imbil scan``
     makes on its default window."""
-    trace_fn, window, (lo, hi), param, refs = cli._scan_spec(
-        {"kind": "ellipse", "a": 3.0, "b": 2.0}, {"family": "four-periodic"})
-    roots = fam.scan_family(trace_fn, *window, parameter=param, n_grid=2000).thresholds
+    curve_cfg = {"kind": "ellipse", "a": 3.0, "b": 2.0}
+    row, rotation = cli._family(curve_cfg, {"family": "four-periodic"}, scan=True)
+    trace_fn, window, (lo, hi), refs = row.scan(curve_cfg, rotation)
+    roots = fam.scan_family(trace_fn, *window, parameter=row.param, n_grid=2000).thresholds
     assert lo == pytest.approx(15.0 / 13.0, rel=1e-12)
     assert hi == pytest.approx(3.0, rel=1e-12)
     assert tuple(inside for _, inside in refs) == (False, True, True)

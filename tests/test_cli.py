@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -19,6 +20,7 @@ from imbilliards.cli import main
 from imbilliards.curves import ArclengthTable, Ellipse
 from imbilliards.dynamics import PhasePoint, iterate
 from imbilliards.errors import NoConvergence
+from imbilliards.families import FAMILIES
 from imbilliards.stability import COMPOSED_TOL, compose
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -242,15 +244,15 @@ def test_scan_traces_match_composed_traces_of_the_check_members():
     # the inline closed forms of every scannable family against orbit construction
     covered = set()
     for name, curve_cfg, section in cli._CHECK_MEMBERS:
-        try:
-            trace_fn, _, _, param, _ = cli._scan_spec(curve_cfg, section)
-        except ValueError:
+        row, rotation = cli._family(curve_cfg, section)
+        if row.scan is None:
             continue
+        trace_fn, _, _, _ = row.scan(curve_cfg, rotation)
         covered.add((curve_cfg["kind"], section["family"], section.get("rotation")))
-        orbit, _, _ = cli._build_orbit(curve_cfg, section)
+        orbit, _, _ = cli._member(curve_cfg, section)
         S = compose(orbit.steps)
         composed = float(S[0, 0] + S[1, 1])
-        scanned = trace_fn(section[param])
+        scanned = trace_fn(section[row.param])
         assert abs(scanned - composed) <= COMPOSED_TOL * max(1.0, abs(composed)), name
     assert covered == {
         ("superellipse", "two-periodic-axis", None),
@@ -315,14 +317,78 @@ _ELLIPSE_32 = {"kind": "ellipse", "a": 3.0, "b": 2.0}
      "family 'two-periodic-axis' has no rotation to choose, got '3/4'"),
     ("trace", _SE2, {"family": "four-periodic-diag", "x0": 0.9, "mu": 0.3},
      "family 'four-periodic-diag' on 'superellipse' takes 'x0', not 'mu'"),
+    ("orbit", {"kind": "circle", "R": 1.0}, {"family": "two-periodic-major", "mu": 0.5},
+     "no family 'two-periodic-major' for curve kind 'circle'; "
+     "its families are two-periodic, three-periodic, four-periodic"),
+    ("scan", _ELLIPSE_32, {"family": "two-periodic-major"},
+     "no scannable family 'two-periodic-major' for curve kind 'ellipse'; "
+     "its scannable families are four-periodic"),
+    ("scan", {"kind": "circle", "R": 1.0}, {"family": "two-periodic"},
+     "no scannable family 'two-periodic' for curve kind 'circle'; "
+     "its scannable families are none"),
+    ("trace", {"kind": "ellipse", "a": 2.0, "b": 1.0},
+     {"mu": 0.3, "s": 1.0, "theta": 1.2, "steps": 10, "rotation": "1/4", "x0": 3},
+     "a raw trace takes no 'x0', 'rotation'"),
+    ("trace", {"kind": "ellipse", "a": 2.0, "b": 1.0},
+     {"family": "two-periodic-major", "mu": 0.3, "s": 1.0, "theta": 1.2, "steps": 10},
+     "a family trace takes no 's', 'theta', 'steps'"),
+    ("trace", {"kind": "circle", "R": 1.0},
+     {"mu": 0.3, "s": 1.0, "theta": 1.2, "steps": 10, "overlay_dual": True},
+     "a raw trace takes no 'overlay_dual'"),
 ])
 def test_verbs_reject_what_the_family_does_not_take(
         tmp_path, capsys, verb, curve, section, message):
-    """``orbit``, ``trace`` and ``scan`` share one rotation and parameter policy."""
+    """``orbit``, ``trace`` and ``scan`` share one family, rotation and
+    parameter policy, and ``trace`` reads every key it is given."""
     config = write_config(tmp_path, {"curve": curve, verb: section})
     assert main([verb, "--config", config, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: ValueError: {message}\n"
     assert not list(tmp_path.glob(f"{verb}.*"))
+
+
+@pytest.mark.parametrize("verb, section, key, names", [
+    ("orbit", {"family": "four-periodc", "x0": 2.7}, "family", None),
+    ("scan", {"family": "four-periodc"}, "family", None),
+    ("trace", {"family": "four-periodc", "x0": 2.7}, "family", None),
+    ("orbit", {"family": "four-periodic", "x0": 2.7, "rotation": "1/5"}, "rotation",
+     ["1/3", "2/3", "1/4", "3/4"]),
+])
+def test_a_misspelt_name_is_a_schema_error_that_lists_the_valid_names(
+        tmp_path, capsys, verb, section, key, names):
+    config = write_config(tmp_path, {"curve": _ELLIPSE_32, verb: section})
+    assert main([verb, "--config", config, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigValidation: no {key} {section[key]!r}; ")
+    for name in names or [family for _, family in FAMILIES]:
+        assert f" {name}," in err or f" {name}\n" in err
+    assert not list(tmp_path.glob(f"{verb}.*"))
+
+
+def test_check_members_cover_every_family_and_rotation_of_the_table():
+    members = {(c["kind"], s["family"], s.get("rotation")) for _, c, s in cli._CHECK_MEMBERS}
+    table = {(kind, family, str(r) if r else None)
+             for (kind, family), row in FAMILIES.items() for r in row.rotations or (None,)}
+    assert len(cli._CHECK_MEMBERS) == len(members) == 17
+    assert members == table
+
+
+def test_the_generated_config_schema_is_a_valid_schema():
+    from jsonschema import Draft202012Validator
+
+    Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+
+
+def test_the_readme_lists_the_families_of_the_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullets = readme.split("Families by curve kind", 1)[1].split("\n\n")[1]
+    listed = {}
+    for bullet in bullets.split("\n* "):
+        kind, names = bullet.removeprefix("* ").split(" — ", 1)
+        listed[kind] = set(re.findall(r"`([a-z]+-periodic[a-z-]*)`", names))
+    table = {}
+    for kind, family in FAMILIES:
+        table.setdefault(kind, set()).add(family)
+    assert listed == table
 
 
 @pytest.mark.parametrize("curve, family, rotations", [

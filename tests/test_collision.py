@@ -20,7 +20,7 @@ from imbilliards.collision import (
 )
 from imbilliards.curves import Circle, Ellipse, Stadium, Superellipse, rot90
 from imbilliards.dynamics import iterate
-from imbilliards.errors import TangentialChord
+from imbilliards.errors import NoInteriorHit, TangentialChord
 
 CURVE_IDS = [name for name, _, _ in CURVE_MENU]
 
@@ -68,6 +68,18 @@ def test_chord_exit_matches_the_40_digit_root(curve, exact, rng):
         frame = curve.frame_at(s0)
         r, slope = exact(*frame.point.tolist(), *frame.direction(theta))
         assert abs(chord_exit(curve, frame, theta).ell1 - r) * slope <= 8.0 * 2.0**-52
+
+
+@pytest.mark.parametrize("curve", [Circle(1.0), Ellipse(2.0, 1.0)], ids=["circle", "ellipse21"])
+@pytest.mark.parametrize("theta", [2e-12, 1e-9, math.pi - 2e-12, math.pi - 1e-9])
+def test_grazing_chords_below_the_rounding_floor_are_no_chords(curve, theta):
+    """A launch within about 1e-9 of the tangent travels no farther than the
+    rounding of F can tell from the launch point, 8 eps / |dF/dr|: the exact
+    chord of the same float data is that short or missing, so every one of
+    these launches raises."""
+    for s0 in np.linspace(0.0, curve.total_length(), 20, endpoint=False):
+        with pytest.raises(NoInteriorHit):
+            chord_exit(curve, curve.frame_at(float(s0)), theta)
 
 
 def test_larmor_reentry_circle_oracle(rng):

@@ -505,9 +505,10 @@ def test_ellipse4_root_report_flags_stray_reference():
     first quoted closed form lies far outside the admissible interval and
     must be flagged, the other two must match numeric roots.  The census
     is the one ``imbil scan`` makes on its default window."""
-    trace_fn, window, (lo, hi), param, refs = cli._scan_spec(
-        {"kind": "ellipse", "a": 3.0, "b": 2.0}, {"family": "four-periodic"})
-    roots = scan_family(trace_fn, *window, parameter=param, n_grid=2000).thresholds
+    curve_cfg = {"kind": "ellipse", "a": 3.0, "b": 2.0}
+    row, rotation = cli._family(curve_cfg, {"family": "four-periodic"}, scan=True)
+    trace_fn, window, (lo, hi), refs = row.scan(curve_cfg, rotation)
+    roots = scan_family(trace_fn, *window, parameter=row.param, n_grid=2000).thresholds
     assert lo == pytest.approx(15.0 / 13.0, rel=1e-12)
     assert hi == pytest.approx(3.0, rel=1e-12)
     assert tuple(inside for _, inside in refs) == (False, True, True)
@@ -878,7 +879,7 @@ def test_scan_family_rejects_a_grid_trace_of_the_wrong_shape_or_not_finite():
                         parameter="x0")
 
 
-#: every (curve, scan section) that ``cli._scan_spec`` knows, on two tables each
+#: every (curve, scan section) that ``families.FAMILIES`` can scan, on two tables each
 SCAN_SPECS = [
     ({"kind": "superellipse", "k": k}, section)
     for k in (2, 3)
@@ -900,7 +901,8 @@ SCAN_IDS = [
 
 
 def _grid_and_floats(curve_cfg, section, n=500):
-    trace_fn, (lo, hi), _, _, _ = cli._scan_spec(curve_cfg, section)
+    row, rotation = cli._family(curve_cfg, section, scan=True)
+    trace_fn, (lo, hi), _, _ = row.scan(curve_cfg, rotation)
     grid = np.linspace(lo, hi, n)
     return trace_fn, grid, [trace_fn(float(x)) for x in grid]
 
@@ -928,7 +930,8 @@ def test_scan_traces_on_the_grid_take_the_float_bits():
 
 @pytest.mark.parametrize("curve_cfg, section", SCAN_SPECS, ids=SCAN_IDS)
 def test_scan_family_matches_a_pointwise_loop(curve_cfg, section):
-    trace_fn, (lo, hi), _, _, _ = cli._scan_spec(curve_cfg, section)
+    row, rotation = cli._family(curve_cfg, section, scan=True)
+    trace_fn, (lo, hi), _, _ = row.scan(curve_cfg, rotation)
 
     def looped(x):
         if isinstance(x, np.ndarray):

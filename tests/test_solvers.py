@@ -86,10 +86,11 @@ def test_brentq_repeats_scipy_on_the_family_solves(monkeypatch):
     four scans, with their threshold refinements, bit for bit."""
     pairs = twin(monkeypatch, families, "brentq", scipy_brentq)
     for _, curve_cfg, section in cli._CHECK_MEMBERS:
-        cli._build_orbit(curve_cfg, section)
+        cli._member(curve_cfg, section)
     n_members = len(pairs)
     for curve_cfg, section in SCANS:
-        trace_fn, (lo, hi), _, _, _ = cli._scan_spec(curve_cfg, section)
+        row, rotation = cli._family(curve_cfg, section, scan=True)
+        trace_fn, (lo, hi), _, _ = row.scan(curve_cfg, rotation)
         families.scan_family(trace_fn, lo, hi, n_grid=500)
     assert n_members >= 5 and len(pairs) >= n_members + 5
     assert all(a == b for a, b in hex_pairs(pairs))
@@ -140,7 +141,8 @@ def test_minimize_bounded_repeats_scipy_on_the_scan_refinements(monkeypatch):
         return res.x, res.fun
 
     pairs = twin(monkeypatch, families, "minimize_bounded", scipy_route)
-    trace_fn, (lo, hi), _, _, _ = cli._scan_spec(*SCANS[0])
+    row, rotation = cli._family(*SCANS[0], scan=True)
+    trace_fn, (lo, hi), _, _ = row.scan(SCANS[0][0], rotation)
     families.scan_family(trace_fn, lo, hi, n_grid=500)
     assert len(pairs) >= 3
     for (x, fun), (sx, sfun) in pairs:

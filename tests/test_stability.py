@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import composed_trace
-from imbilliards.cli import _CHECK_MEMBERS, _build_orbit
+from imbilliards.cli import _CHECK_MEMBERS, _member
 from imbilliards.dynamics import PhasePoint, StepData, jacobian_analytic
 from imbilliards.errors import NotPeriodic
 from imbilliards.stability import (
@@ -234,13 +234,13 @@ def test_standard_billiard_two_periodic_classics():
 
 def test_compose_matches_the_reference_product_on_the_check_members():
     for name, curve_cfg, section in _CHECK_MEMBERS:
-        orbit, _, _ = _build_orbit(curve_cfg, section)
+        orbit, _, _ = _member(curve_cfg, section)
         S = compose(orbit.steps)
         assert float(S[0, 0] + S[1, 1]) == composed_trace(orbit), name
 
 
 def test_compose_rejects_a_guarded_step():
-    orbit, _, _ = _build_orbit(*_CHECK_MEMBERS[0][1:])
+    orbit, _, _ = _member(*_CHECK_MEMBERS[0][1:])
     assert np.array_equal(compose(()), np.eye(2))
     with pytest.raises(NotPeriodic, match="identity region"):
         compose((orbit.steps[0], None))
@@ -250,13 +250,13 @@ def test_stability_matrix_composes_the_orbit_it_iterates():
     """Re-iterating a member from its launch point reproduces the product of
     the member's own steps exactly."""
     for name, curve_cfg, section in _CHECK_MEMBERS:
-        orbit, _, _ = _build_orbit(curve_cfg, section)
+        orbit, _, _ = _member(curve_cfg, section)
         S = stability_matrix(orbit.curve, orbit.mu, orbit.points[0], orbit.n)
         assert np.array_equal(S, compose(orbit.steps)), name
 
 
 def test_stability_matrix_rejects_open_orbits_and_empty_periods():
-    orbit, _, _ = _build_orbit(*_CHECK_MEMBERS[0][1:])
+    orbit, _, _ = _member(*_CHECK_MEMBERS[0][1:])
     assert orbit.n == 2
     with pytest.raises(NotPeriodic, match="does not close to period 1"):
         stability_matrix(orbit.curve, orbit.mu, orbit.points[0], 1)
