@@ -18,7 +18,10 @@ it with Brent's method and polish with two Newton steps.
 
 Both routines take the boundary frame (:class:`~imbilliards.curves.Frame`)
 of the point they start from and return the frame of the point they reach,
-so a map step resolves each boundary point once.
+so a map step resolves each boundary point once.  Between the two frames
+they work on Python floats: the frame's coordinates, the chord direction
+``v`` (two floats, handed from the chord to the arc) and every residual,
+slope and angle.  The one array computation is the 512-sample sweep.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class ChordHit:
     frame1: Frame   # boundary frame at the exit point P1
     theta1: float   # angle in (0, pi) between chord direction and tangent at P1
     ell1: float     # chord length |P0 P1|
-    v: np.ndarray   # unit chord direction, built from the launch frame
+    v: tuple[float, float]  # unit chord direction, built from the launch frame
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ def chord_exit(curve: Curve, frame0: Frame, theta0: float) -> ChordHit:
     if theta0 < ANGLE_EPS or theta0 > math.pi - ANGLE_EPS:
         raise TangentialChord(f"launch angle {theta0!r} is within {ANGLE_EPS} of 0 or pi")
 
-    x0, y0 = frame0.point.tolist()
+    x0, y0 = frame0.x, frame0.y
     vx, vy = frame0.direction(theta0)
     r = 1.01 * curve.diameter_bound()
     if curve.implicit_xy(x0 + r * vx, y0 + r * vy) <= 0.0:  # pragma: no cover - conservative bound
@@ -135,25 +138,26 @@ def chord_exit(curve: Curve, frame0: Frame, theta0: float) -> ChordHit:
             "rounding floor 8 eps / |dF/dr|: the ray exits immediately"
         )
 
-    v = np.array([vx, vy])
-    frame1 = curve.frame_of(np.array([x0 + r * vx, y0 + r * vy]))
-    return ChordHit(frame1=frame1, theta1=frame1.angle(v, entering=False), ell1=float(r), v=v)
+    v = (vx, vy)
+    frame1 = curve.frame_of((x0 + r * vx, y0 + r * vy))
+    return ChordHit(frame1=frame1, theta1=frame1.angle(v, entering=False), ell1=r, v=v)
 
 
-def larmor_reentry(curve: Curve, frame1: Frame, v: np.ndarray, mu: float) -> LarmorHit:
+def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float) -> LarmorHit:
     """First boundary crossing of the anticlockwise Larmor arc from the exit
     point ``frame1``.
 
-    ``v`` is the unit chord direction at the exit point; the Larmor center
-    sits at P1 + mu * rot90(v).  The crossing is located on the implicit
-    function sampled along the circle, refined by Brent + Newton, and must
-    be transversal; otherwise :class:`TangentialContact` is raised.
+    ``v`` is the unit chord direction at the exit point (two floats, or an
+    array); the Larmor center sits at P1 + mu * rot90(v).  The crossing is
+    located on the implicit function sampled along the circle, refined by
+    Brent + Newton, and must be transversal; otherwise
+    :class:`TangentialContact` is raised.
     """
     if mu <= 0:
         raise ValueError(f"Larmor radius must be positive, got {mu}")
     s1 = frame1.s
-    x1, y1 = frame1.point.tolist()
-    vx, vy = v.tolist()
+    x1, y1 = frame1.x, frame1.y
+    vx, vy = float(v[0]), float(v[1])
     cx, cy = x1 - mu * vy, y1 + mu * vx  # P1 + mu * rot90(v)
     rx, ry = x1 - cx, y1 - cy  # radius vector, |rel| = mu
     args = (curve, cx, cy, rx, ry)
@@ -171,13 +175,13 @@ def larmor_reentry(curve: Curve, frame1: Frame, v: np.ndarray, mu: float) -> Lar
 
     inside = np.signbit(vals)
     n_crossings = int(np.count_nonzero(inside[1:] != inside[:-1]))
-    entering = np.flatnonzero((vals[:-1] > 0.0) & inside[1:])
-    if entering.size == 0:
+    entering = (vals[:-1] > 0.0) & inside[1:]
+    i = int(entering.argmax())  # the first entering interval, or 0 if none
+    if not entering[i]:
         raise NoReentry(
             f"no boundary crossing along the full Larmor sweep from s1={s1!r} "
             f"(mu={mu!r}); the table is not convex around this arc"
         )
-    i = int(entering[0])
     a, b = SWEEP_ANGLES.item(i), SWEEP_ANGLES.item(i + 1)
     if _arc_residual(a, *args) <= 0.0 or _arc_residual(b, *args) >= 0.0:  # pragma: no cover - defensive
         raise TangentialContact("bracketing sign change collapsed under refinement")
@@ -192,20 +196,19 @@ def larmor_reentry(curve: Curve, frame1: Frame, v: np.ndarray, mu: float) -> Lar
     for _ in range(2):
         psi -= _arc_residual(psi, *args) / _arc_slope(psi, *args)
 
-    p2 = np.array(_arc_point(psi, cx, cy, rx, ry))
-    frame2 = curve.frame_of(p2)
+    x2, y2 = _arc_point(psi, cx, cy, rx, ry)
+    frame2 = curve.frame_of((x2, y2))
     c, s = math.cos(psi), math.sin(psi)
-    v2 = np.array([c * vx - s * vy, s * vx + c * vy])
-    theta2 = frame2.angle(v2)
+    theta2 = frame2.angle((c * vx - s * vy, s * vx + c * vy))
 
-    delta = p2 - frame1.point
-    ell2 = float(np.hypot(*delta))
+    dx, dy = x2 - x1, y2 - y1
+    ell2 = math.hypot(dx, dy)
     # chi: angle from the exit velocity v to the chord P1->P2, positive for
     # the anticlockwise arc.
-    chi = math.atan2(float(v[0] * delta[1] - v[1] * delta[0]), float(v @ delta))
+    chi = math.atan2(vx * dy - vy * dx, vx * dx + vy * dy)
     if chi <= 0.0:
         chi += 2.0 * math.pi  # numerically hugging pi from above
     return LarmorHit(
-        frame2=frame2, theta2=theta2, chi=chi, ell2=ell2, arc_sweep=float(psi),
+        frame2=frame2, theta2=theta2, chi=chi, ell2=ell2, arc_sweep=psi,
         n_crossings=n_crossings,
     )

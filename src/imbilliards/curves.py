@@ -6,14 +6,16 @@ with the positive x-axis).  A curve exposes
 
 * ``frame_at(s)`` — the :class:`Frame` (point, unit tangent, curvature) of
   the boundary point at arclength ``s``;
-* ``frame_of(p)`` — the frame of a point ``p`` on the boundary, including
-  its arclength; the inverse of ``frame_at``;
+* ``frame_of(p)`` — the frame of a point ``p`` (two floats, or an array) on
+  the boundary, including its arclength; the inverse of ``frame_at``;
 * ``implicit_xy(x, y)`` / ``gradient_xy(x, y)`` — a defining function F with
   F < 0 strictly inside, and its gradient, in coordinates;
 * ``total_length()``.
 
-These are the only boundary queries.  :class:`Frame` also owns the angle
-convention of the map: theta in (0, pi) is measured from the positive
+These are the only boundary queries.  A :class:`Frame` holds its point and
+unit tangent as Python floats, which is all a map step reads, and builds
+the arrays ``point`` and ``tangent`` only when asked.  It also owns the
+angle convention of the map: theta in (0, pi) is measured from the positive
 tangent towards the inward normal.  ``Frame.direction(theta)`` is the unit
 velocity launched at theta and ``Frame.angle(v)`` reads theta back; an
 exiting velocity is reflected (``entering=False``), so its angle is read
@@ -26,7 +28,9 @@ Python floats and on numpy arrays alike.  The collision routines evaluate
 them on floats one point at a time and on arrays for dense sampling.
 
 One map step builds one frame per boundary point it visits and passes it
-on, so each point is resolved once.
+on, and an orbit launches each step from the re-entry frame of the step
+before, so each boundary point of an orbit is resolved once: only the
+orbit's first launch point goes through ``frame_at``.
 
 Circle and stadium have exact arclength formulas.  Ellipse and
 superellipse are defined through a native angle parameter and carry an
@@ -51,7 +55,6 @@ import bisect
 import functools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -105,28 +108,58 @@ def rot90(v: np.ndarray) -> np.ndarray:
     return np.array([-v[1], v[0]])
 
 
-@dataclass(frozen=True)
 class Frame:
-    """A boundary point with its arclength, unit tangent and curvature."""
+    """A boundary point with its arclength, unit tangent and curvature.
 
-    s: float
-    point: np.ndarray
-    tangent: np.ndarray
-    curvature: float
+    The point and the tangent are held as the floats ``x, y`` and ``tx, ty``,
+    which the map step reads.  ``point`` and ``tangent`` are the same values
+    as arrays, built on first access and kept, so repeated reads return the
+    same object.  A frame is not changed after it is built.
+    """
+
+    __slots__ = ("s", "x", "y", "tx", "ty", "curvature", "_point", "_tangent")
+
+    def __init__(self, s: float, x: float, y: float, tx: float, ty: float, curvature: float):
+        self.s = s
+        self.x = x
+        self.y = y
+        self.tx = tx
+        self.ty = ty
+        self.curvature = curvature
+        self._point = self._tangent = None
+
+    def __repr__(self) -> str:
+        return (f"Frame(s={self.s!r}, x={self.x!r}, y={self.y!r}, tx={self.tx!r}, "
+                f"ty={self.ty!r}, curvature={self.curvature!r})")
+
+    @property
+    def point(self) -> np.ndarray:
+        if self._point is None:
+            self._point = np.array([self.x, self.y])
+        return self._point
+
+    @property
+    def tangent(self) -> np.ndarray:
+        if self._tangent is None:
+            self._tangent = np.array([self.tx, self.ty])
+        return self._tangent
 
     def direction(self, theta: float) -> tuple[float, float]:
         """Unit velocity leaving the point at angle ``theta`` from the tangent."""
-        tx, ty = self.tangent.tolist()
+        tx, ty = self.tx, self.ty
         c, s = math.cos(theta), math.sin(theta)
         return c * tx - s * ty, c * ty + s * tx
 
-    def angle(self, v: np.ndarray, entering: bool = True) -> float:
-        """Angle of the unit velocity ``v`` from the tangent, in (0, pi) when
-        ``v`` enters the table; an exiting ``v`` is reflected first."""
-        normal_part = float(v @ rot90(self.tangent))
+    def angle(self, v, entering: bool = True) -> float:
+        """Angle of the unit velocity ``v`` (two floats, or an array) from the
+        tangent, in (0, pi) when ``v`` enters the table; an exiting ``v`` is
+        reflected first."""
+        vx, vy = v
+        tx, ty = self.tx, self.ty
+        normal_part = vy * tx - vx * ty  # v . rot90(tangent)
         if not entering:
             normal_part = -normal_part
-        return math.atan2(normal_part, float(v @ self.tangent))
+        return math.atan2(normal_part, vx * tx + vy * ty)
 
 
 def _panel_of(t: float) -> int:
@@ -239,8 +272,9 @@ class Curve(ABC):
         """Frame of the boundary point at arclength ``s`` (taken mod L)."""
 
     @abstractmethod
-    def frame_of(self, p: np.ndarray) -> Frame:
-        """Frame of a point on (or within 1e-8 of) the boundary."""
+    def frame_of(self, p) -> Frame:
+        """Frame of a point ``p`` (two floats, or an array) on, or within
+        1e-8 of, the boundary."""
 
     @abstractmethod
     def implicit_xy(self, x, y):
@@ -258,15 +292,14 @@ class Curve(ABC):
     @abstractmethod
     def diameter_bound(self) -> float: ...
 
-    def _check_on_boundary(self, p: np.ndarray) -> None:
-        """Raise ``ValueError`` unless ``p`` lies within ``1e-8 * max(1,
+    def _check_on_boundary(self, x: float, y: float) -> None:
+        """Raise ``ValueError`` unless ``(x, y)`` lies within ``1e-8 * max(1,
         diameter bound)`` of the boundary (first-order distance)."""
-        x, y = float(p[0]), float(p[1])
-        val = float(self.implicit_xy(x, y))
+        val = self.implicit_xy(x, y)
         dist = abs(val) / max(math.hypot(*self.gradient_xy(x, y)), 1e-300)
         if dist > 1e-8 * max(1.0, self.diameter_bound()):
             raise ValueError(
-                f"point {p!r} is not on the boundary: implicit value {val:.3e} "
+                f"point {(x, y)!r} is not on the boundary: implicit value {val:.3e} "
                 f"corresponds to distance ~{dist:.3e}"
             )
 
@@ -286,12 +319,12 @@ class Circle(Curve):
         s = self.wrap(s)
         a = s / self.R
         c, sn = math.cos(a), math.sin(a)
-        return Frame(s, self.R * np.array([c, sn]), np.array([-sn, c]), 1.0 / self.R)
+        return Frame(s, self.R * c, self.R * sn, -sn, c, 1.0 / self.R)
 
     def frame_of(self, p) -> Frame:
-        p = np.asarray(p, dtype=float)
-        self._check_on_boundary(p)
-        return self.frame_at(self.R * math.atan2(p[1], p[0]))
+        x, y = float(p[0]), float(p[1])
+        self._check_on_boundary(x, y)
+        return self.frame_at(self.R * math.atan2(y, x))
 
     def implicit_xy(self, x, y):
         return x * x + y * y - self.R**2
@@ -313,24 +346,24 @@ class _TableCurve(Curve):
         """Point ``(x, y)``, parametric velocity ``(vx, vy)`` and curvature at
         the native parameter whose cosine and sine are ``c`` and ``s``."""
 
-    def _t_of_point(self, p: np.ndarray) -> float: ...
+    def _t_of_point(self, x: float, y: float) -> float: ...
 
     def total_length(self) -> float:
         return self._table.total_length
 
     def _frame(self, s: float, t: float) -> Frame:
         x, y, vx, vy, kappa = self._geometry(math.cos(t), math.sin(t))
-        speed = float(np.hypot(vx, vy))
-        return Frame(s, np.array([x, y]), np.array([vx / speed, vy / speed]), kappa)
+        speed = math.hypot(vx, vy)
+        return Frame(s, x, y, vx / speed, vy / speed, kappa)
 
     def frame_at(self, s: float) -> Frame:
         s = self.wrap(s)
         return self._frame(s, self._table.t_of_s(s))
 
     def frame_of(self, p) -> Frame:
-        p = np.asarray(p, dtype=float)
-        self._check_on_boundary(p)
-        t = self._t_of_point(p)
+        x, y = float(p[0]), float(p[1])
+        self._check_on_boundary(x, y)
+        t = self._t_of_point(x, y)
         return self._frame(self.wrap(self._table.s_of_t(t)), t)
 
 
@@ -374,8 +407,8 @@ class Ellipse(_TableCurve):
         kappa = a * b / math.hypot(a * sn, b * c) ** 3
         return a * c, b * sn, -a * sn, b * c, kappa
 
-    def _t_of_point(self, p):
-        return math.atan2(p[1] / self.b, p[0] / self.a) % _TWO_PI
+    def _t_of_point(self, x, y):
+        return math.atan2(y / self.b, x / self.a) % _TWO_PI
 
     # squares with ``*``, not ``**``: see the note on Superellipse.implicit_xy
     def implicit_xy(self, x, y):
@@ -415,8 +448,8 @@ class Superellipse(_TableCurve):
         num = 2 * k * (2 * k - 1) * ((x * x) ** (k - 1) * (fy * fy) + (y * y) ** (k - 1) * (fx * fx))
         return x, y, rp * c - r * s, rp * s + r * c, num / math.hypot(fx, fy) ** 3
 
-    def _t_of_point(self, p):
-        return math.atan2(p[1], p[0]) % _TWO_PI
+    def _t_of_point(self, x, y):
+        return math.atan2(y, x) % _TWO_PI
 
     # On floats ``x ** 2`` is the C library's pow and may differ from ``x * x``
     # in the last bit, so every square here, and in the speed and curvature
@@ -476,9 +509,9 @@ class Stadium(Curve):
         hx = 0.5 * self.side
         R = self.R
         if piece == "top":
-            return Frame(s, np.array([hx - u, R]), np.array([-1.0, 0.0]), 0.0)
+            return Frame(s, hx - u, R, -1.0, 0.0, 0.0)
         if piece == "bottom":
-            return Frame(s, np.array([-hx + u, -R]), np.array([1.0, 0.0]), 0.0)
+            return Frame(s, -hx + u, -R, 1.0, 0.0, 0.0)
         if piece == "cap_r":
             cx, a = hx, u / R
         elif piece == "cap_l":
@@ -486,14 +519,13 @@ class Stadium(Curve):
         else:
             cx, a = hx, 3 * math.pi / 2 + u / R
         c, sn = math.cos(a), math.sin(a)
-        return Frame(s, np.array([cx + R * c, R * sn]), np.array([-sn, c]), 1.0 / R)
+        return Frame(s, cx + R * c, R * sn, -sn, c, 1.0 / R)
 
     def frame_of(self, p) -> Frame:
-        p = np.asarray(p, dtype=float)
-        self._check_on_boundary(p)
+        x, y = float(p[0]), float(p[1])
+        self._check_on_boundary(x, y)
         hx = 0.5 * self.side
         h = 0.5 * self._cap
-        x, y = float(p[0]), float(p[1])
         if x >= hx:
             a = math.atan2(y, x - hx)  # in (-pi/2, pi/2)
             return self.frame_at(self.R * a)

@@ -65,10 +65,15 @@ class StepData:
     chord lengths ell1 (straight) and ell2 (Larmor chord), tangent-chord
     angle chi of the arc, boundary curvatures kappa0 and kappa2 at the two
     phase points (kappa1 is kept for diagnostics only; the closed-form DT
-    does not involve it), and the Larmor radius mu.  ``frames`` holds the
-    boundary frames of the launch, exit and re-entry points when the record
-    comes from :func:`step` (empty for a hand-built record); it takes no
-    part in comparisons.
+    does not involve it), and the Larmor radius mu.
+
+    Three fields describe how the step was found and take no part in
+    comparisons; a hand-built record gets their defaults.  ``frames`` holds
+    the boundary frames of the launch, exit and re-entry points (empty by
+    default).  ``arc_sweep`` and ``n_crossings`` are the Larmor sweep angle
+    of the re-entry and the number of boundary crossings the sweep saw, as
+    :class:`~imbilliards.collision.LarmorHit` reports them (nan and 0 by
+    default).
     """
 
     s0: float
@@ -85,6 +90,8 @@ class StepData:
     kappa2: float
     mu: float
     frames: tuple[Frame, ...] = field(default=(), compare=False, repr=False)
+    arc_sweep: float = field(default=math.nan, compare=False)
+    n_crossings: int = field(default=0, compare=False)
 
 
 def step(curve: Curve, mu: float, z: PhasePoint) -> tuple[PhasePoint, StepData | None]:
@@ -94,10 +101,18 @@ def step(curve: Curve, mu: float, z: PhasePoint) -> tuple[PhasePoint, StepData |
     The launch point's frame is built once and the exit and re-entry
     frames come back from the collision routines, so a step resolves each
     of its three boundary points once."""
+    return _step(curve, mu, z, None)
+
+
+def _step(
+    curve: Curve, mu: float, z: PhasePoint, frame0: Frame | None
+) -> tuple[PhasePoint, StepData | None]:
+    """:func:`step` from the launch frame ``frame0`` of ``z``, when the
+    caller has it, or from ``frame_at(z.s)``."""
     if z.theta < ANGLE_EPS or z.theta > math.pi - ANGLE_EPS:
         return z, None
-
-    frame0 = curve.frame_at(z.s)
+    if frame0 is None:
+        frame0 = curve.frame_at(z.s)
     hit1 = chord_exit(curve, frame0, z.theta)
     hit2 = larmor_reentry(curve, hit1.frame1, hit1.v, mu)
 
@@ -116,6 +131,8 @@ def step(curve: Curve, mu: float, z: PhasePoint) -> tuple[PhasePoint, StepData |
         kappa2=hit2.frame2.curvature,
         mu=mu,
         frames=(frame0, hit1.frame1, hit2.frame2),
+        arc_sweep=hit2.arc_sweep,
+        n_crossings=hit2.n_crossings,
     )
     return PhasePoint(hit2.frame2.s, hit2.theta2), data
 
@@ -125,20 +142,25 @@ def iterate(
 ) -> list[tuple[PhasePoint, StepData | None]]:
     """n successive steps; element i holds the image of the i-th step.
 
+    Each step launches from the re-entry frame of the step before, so the
+    orbit resolves each of its boundary points once: only the first launch
+    point goes through ``frame_at``.
+
     When a step leaves the domain of the map, the raised
     :class:`~imbilliards.errors.BilliardError` carries the completed prefix
     in its ``partial`` attribute, so callers can inspect how far the orbit
     got.  Any other exception is a fault and propagates untouched.
     """
     out: list[tuple[PhasePoint, StepData | None]] = []
-    current = z
+    current, frame = z, None
     for _ in range(n):
         try:
-            current, data = step(curve, mu, current)
+            current, data = _step(curve, mu, current, frame)
         except BilliardError as exc:
             exc.partial = out  # type: ignore[attr-defined]
             raise
         out.append((current, data))
+        frame = None if data is None else data.frames[2]
     return out
 
 

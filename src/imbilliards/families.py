@@ -1173,20 +1173,28 @@ def dual_orbit(orbit: PeriodicOrbit) -> PeriodicOrbit:
 def _newton_state(curve: Curve, mu: float, z: PhasePoint, n: int):
     """One evaluation of F(z) = T^n(z) - z in the (s, u) chart.
 
-    Returns ``(residual_vector, composed_jacobian, scaled_residual,
-    trajectory)`` or ``None`` when the trajectory leaves the domain of the
-    map or touches its identity region.
+    Returns ``(residual_vector, trajectory, scaled_residual)`` or ``None``
+    when the trajectory leaves the domain of the map.  The scaled residual
+    stays third: ``perfbench/tracing.py`` reads it there.
     """
     try:
         traj = iterate(curve, mu, z, n)
-        S = compose(d for _, d in traj)
     except BilliardError:
         return None
     z_end = traj[-1][0]
     length = curve.total_length()
     ds = (z_end.s - z.s + 0.5 * length) % length - 0.5 * length
     F = np.array([ds, z_end.u - z.u])
-    return F, S, orbit_closure_residual(curve, z, z_end), traj
+    return F, traj, orbit_closure_residual(curve, z, z_end)
+
+
+def _composed(traj) -> np.ndarray | None:
+    """The composed step Jacobian of a trajectory, or ``None`` when a step
+    has none (it touched the identity region, or is degenerate)."""
+    try:
+        return compose(d for _, d in traj)
+    except BilliardError:
+        return None
 
 
 def find_periodic_newton(
@@ -1203,7 +1211,9 @@ def find_periodic_newton(
     Works in the ``(s, u)`` chart with the arclength difference taken modulo
     the perimeter, using the composed step Jacobian minus the identity as the
     derivative of ``F(z) = T^n(z) - z``.  Steps that increase the residual
-    are repeatedly halved.  Raises :class:`SingularJacobian` when
+    are repeatedly halved; only the accepted trial's Jacobians are composed,
+    and a trial whose composition fails is rejected.  Raises
+    :class:`SingularJacobian` when
     ``|det(S_n - I)| < 1e-10`` — the expected degeneracy on parabolic
     families, where periodic points are not isolated — and
     :class:`NoConvergence` when the iteration stalls.
@@ -1211,12 +1221,13 @@ def find_periodic_newton(
     if n < 1:
         raise ValueError(f"period must be a positive integer, got {n}")
     state = _newton_state(curve, mu, z0, n)
-    if state is None:
+    S = None if state is None else _composed(state[1])
+    if S is None:
         raise NoConvergence("seed trajectory leaves the domain of the map")
     z = z0
     length = curve.total_length()
     for _ in range(max_iter):
-        F, S, residual, traj = state
+        F, traj, residual = state
         if residual <= tol:
             return _package_orbit(curve, mu, z, traj, None)
         J = S - np.eye(2)
@@ -1233,8 +1244,10 @@ def find_periodic_newton(
             z_new = PhasePoint.from_u((z.s - step_scale * delta[0]) % length, u_new)
             trial = _newton_state(curve, mu, z_new, n)
             if trial is not None and trial[2] < residual:
-                z, state = z_new, trial
-                break
+                S_new = _composed(trial[1])
+                if S_new is not None:
+                    z, state, S = z_new, trial, S_new
+                    break
             step_scale *= 0.5
         else:
             raise NoConvergence(

@@ -469,8 +469,9 @@ def test_trace_geometry_reads_the_step_frames(monkeypatch):
 
 
 def test_trace_samples_the_boundary_once(tmp_path, monkeypatch):
-    """One trace inverts the arclength chart for its steps and for the 720
-    boundary points it draws, which also fit the frame, and no more."""
+    """One trace inverts the arclength chart once for its steps, for the
+    orbit's first launch point, and once for each of the 720 boundary points
+    it draws, which also fit the frame, and no more."""
     calls = []
     t_of_s = ArclengthTable.t_of_s
 
@@ -480,15 +481,14 @@ def test_trace_samples_the_boundary_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ArclengthTable, "t_of_s", counted)
     iterate(Ellipse(2.0, 1.0), 0.3, PhasePoint(1.0, 1.2), 40)
-    per_steps = len(calls)
-    assert per_steps >= 40
+    assert len(calls) == 1
     calls.clear()
     config = write_config(tmp_path, {
         "curve": {"kind": "ellipse", "a": 2.0, "b": 1.0},
         "trace": {"mu": 0.3, "s": 1.0, "theta": 1.2, "steps": 40},
     })
     assert main(["trace", "--config", config, "--out", str(tmp_path)]) == 0
-    assert len(calls) == per_steps + 720
+    assert len(calls) == 1 + 720
 
 
 def test_trace_raw_requires_all_parameters(tmp_path, capsys):

@@ -20,7 +20,7 @@ from imbilliards.collision import (
 )
 from imbilliards.curves import Circle, Ellipse, Stadium, Superellipse, rot90
 from imbilliards.dynamics import iterate
-from imbilliards.errors import NoInteriorHit, TangentialChord
+from imbilliards.errors import NoInteriorHit, NoReentry, TangentialChord, TangentialContact
 
 CURVE_IDS = [name for name, _, _ in CURVE_MENU]
 
@@ -113,6 +113,18 @@ def test_larmor_reentry_circle_oracle(rng):
         chi_alg = math.atan2(cross2(v, w), float(v @ w)) % (2.0 * math.pi)
         assert abs(hit.chi - chi_alg) < 1e-9
         assert hit.n_crossings == 1
+
+
+@pytest.mark.parametrize("v,error", [((0.0, 1.0), TangentialContact), ((0.0, -1.0), NoReentry)],
+                         ids=["inside", "outside"])
+def test_larmor_guards(v, error):
+    """From (1, 0) on the unit circle, a Larmor circle of radius 0.3 tangent
+    to the boundary lies inside the table when the exit velocity runs along
+    the tangent, and outside it when the velocity runs against it: the
+    first has no transversal re-entry, the second no crossing at all."""
+    circle = Circle(1.0)
+    with pytest.raises(error):
+        larmor_reentry(circle, circle.frame_at(0.0), v, 0.3)
 
 
 @pytest.mark.parametrize("name", CURVE_IDS)

@@ -128,6 +128,28 @@ def test_frame_of_inverts_frame_at(name, curves, rng):
 
 
 @pytest.mark.parametrize("name", CURVE_IDS)
+def test_frame_of_rejects_points_off_the_boundary(name, curves):
+    curve, _ = curves[name]
+    with pytest.raises(ValueError, match="is not on the boundary"):
+        curve.frame_of((0.0, 0.0))
+
+
+@pytest.mark.parametrize("name", CURVE_IDS)
+def test_frame_floats_are_its_point_and_tangent(name, curves, rng):
+    """A frame's floats x, y, tx, ty are its point and tangent bit for bit,
+    on frames from an arclength and from a point; the arrays are built once
+    and the same object is returned on every read."""
+    curve, _ = curves[name]
+    for s in rng.uniform(0.0, curve.total_length(), size=20):
+        at = curve.frame_at(float(s))
+        for frame in (at, curve.frame_of((at.x, at.y))):
+            assert frame.point.tolist() == [frame.x, frame.y]
+            assert frame.tangent.tolist() == [frame.tx, frame.ty]
+            assert all(type(v) is float for v in (frame.x, frame.y, frame.tx, frame.ty))
+            assert frame.point is frame.point and frame.tangent is frame.tangent
+
+
+@pytest.mark.parametrize("name", CURVE_IDS)
 def test_frame_angle_inverts_direction(name, curves, rng):
     """The angle of a launched velocity is its launch angle; the velocity
     launched at -theta exits at angle theta, read inside the table."""

@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import composed_trace
-from imbilliards import cli, dynamics
+from imbilliards import cli, dynamics, families, stability
 from imbilliards.curves import ArclengthTable, Ellipse
 from imbilliards.dynamics import PhasePoint, StepData, jacobian_analytic
 from imbilliards.errors import (
@@ -753,18 +753,19 @@ def test_newton_recovers_perturbed_orbits():
 
 def test_newton_returns_the_orbit_it_converged_on(monkeypatch):
     """Newton packages the trajectory of its last residual evaluation, not a
-    second iteration of the converged point: 3 evaluations of 4 steps."""
+    second iteration of the converged point: 3 evaluations of 4 steps, each
+    run by ``iterate`` through ``dynamics._step``."""
     orbit, _, _ = four_periodic_ellipse(3.0, 2.0, 2.7, "1/4")
     z = orbit.points[0]
     seed = PhasePoint(s=z.s + 1e-4, theta=z.theta + 1e-4)
     calls = []
-    step = dynamics.step
+    step = dynamics._step
 
     def counted(*args):
         calls.append(args)
         return step(*args)
 
-    monkeypatch.setattr(dynamics, "step", counted)
+    monkeypatch.setattr(dynamics, "_step", counted)
     found = find_periodic_newton(orbit.curve, orbit.mu, orbit.n, seed, max_iter=10)
     assert len(calls) == 12
     again = _orbit_from_seed(orbit.curve, orbit.mu, found.points[0], 4, None)
@@ -774,6 +775,38 @@ def test_newton_returns_the_orbit_it_converged_on(monkeypatch):
             assert all(np.array_equal(p, q) for p, q in zip(ours, theirs, strict=True))
         else:
             assert ours == theirs
+
+
+def test_newton_composes_the_jacobians_of_accepted_states_only(monkeypatch):
+    """The line search evaluates trials by their residual alone; the n step
+    Jacobians are composed once per accepted state, the seed included.  On
+    se-diag-4-rot14 the search rejects some trials, so composing every trial
+    would call ``jacobian_analytic`` more often."""
+    orbit, _ = four_periodic_superellipse_diag(2, 0.9, "1/4")
+    z = orbit.points[0]
+    seed = PhasePoint(s=z.s - 1e-4, theta=z.theta - 1e-4)
+    residuals, jacobians = [], []
+    state, jacobian = families._newton_state, stability.jacobian_analytic
+
+    def counted_state(*args):
+        result = state(*args)
+        residuals.append(None if result is None else result[2])
+        return result
+
+    def counted_jacobian(d):
+        jacobians.append(d)
+        return jacobian(d)
+
+    monkeypatch.setattr(families, "_newton_state", counted_state)
+    monkeypatch.setattr(stability, "jacobian_analytic", counted_jacobian)
+    found = find_periodic_newton(orbit.curve, orbit.mu, orbit.n, seed, max_iter=10)
+    accepted, best = 0, math.inf
+    for r in residuals:
+        if r is not None and r < best:
+            accepted, best = accepted + 1, r
+    assert found.residual == best
+    assert len(residuals) > accepted
+    assert len(jacobians) == orbit.n * accepted
 
 
 def test_newton_raises_on_parabolic_families():
@@ -804,7 +837,7 @@ def test_newton_lets_programming_errors_through(monkeypatch):
     def broken_step(*args, **kwargs):
         raise RuntimeError("bug in a map step")
 
-    monkeypatch.setattr(dynamics, "step", broken_step)
+    monkeypatch.setattr(dynamics, "_step", broken_step)
     with pytest.raises(RuntimeError, match="bug in a map step"):
         find_periodic_newton(orbit.curve, orbit.mu, orbit.n, orbit.points[0])
 
@@ -986,9 +1019,10 @@ def test_array_traces_reject_any_point_outside_the_domain(trace, error, bad, mes
 
 
 def test_orbit_boundary_points_come_from_the_step_frames(monkeypatch):
-    """A family member inverts the arclength chart once per step, for the
-    step's launch point; its boundary points are the points of the launch
-    and exit frames of its steps."""
+    """A family member inverts the arclength chart once, for the orbit's
+    first launch point: each later step launches from the re-entry frame of
+    the step before.  Its boundary points are the points of the launch and
+    exit frames of its steps."""
     calls = []
     t_of_s = ArclengthTable.t_of_s
 
@@ -998,7 +1032,7 @@ def test_orbit_boundary_points_come_from_the_step_frames(monkeypatch):
 
     monkeypatch.setattr(ArclengthTable, "t_of_s", counted)
     orbit, _ = four_periodic_superellipse_axis(2, 0.9, "1/4")
-    assert len(calls) == orbit.n == 4
+    assert len(calls) == 1 and orbit.n == 4
     frames = [frame for d in orbit.steps for frame in d.frames[:2]]
     assert len(orbit.boundary_points) == len(frames) == 8
     assert all(p is frame.point for p, frame in zip(orbit.boundary_points, frames))
