@@ -132,9 +132,10 @@ def test_iterate_forwarded_frames_agree_with_frame_at(name, factory, mu, rng):
     within 2 ulp of L.  The step images agree within 16 ulp of L in s and
     16 eps in u, times 1 + the largest entry of the step's |DT|: a launch
     point that moves by an ulp moves the image by DT times that.  Measured
-    over 7200 steps of Ellipse(2, 1), k = 2 and k = 3 at mu in {0.1, 0.3,
-    1, 3}: at most 3.4 ulp of L and 8.3 eps per unit of 1 + |DT|, while the
-    unscaled gap in s reached 30 ulp of L."""
+    over 7200 steps on each of Ellipse(2, 1), k = 2 and k = 3, at mu in
+    {0.1, 0.3, 1, 3}: launch points within 0.97 ulp of L, images within
+    3.4 ulp of L and 8.3 eps per unit of 1 + |DT|, while the unscaled gap
+    in s reached 30 ulp of L."""
     curve = factory()
     length = curve.total_length()
     ulp_l = math.ulp(length)
