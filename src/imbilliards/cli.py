@@ -46,6 +46,7 @@ import json
 import math
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -539,10 +540,15 @@ def cmd_trace(config: dict, args) -> int:
 # invariant suite
 # --------------------------------------------------------------------------
 
-def _sample_points(curve: Curve, mu: float, n: int, rng) -> list[tuple[PhasePoint, StepData]]:
-    """Up to n random phase points with a well-conditioned first step, and that step."""
+def _sample_points(
+    curve: Curve, mu: float, n: int, rng
+) -> tuple[list[tuple[PhasePoint, StepData]], int, Counter]:
+    """Up to n random phase points with a well-conditioned first step, and
+    that step; the number of points drawn; and the draws whose step raised,
+    counted by error tag."""
     length = curve.total_length()
     points = []
+    failed: Counter = Counter()
     attempts = 0
     while len(points) < n and attempts < 80 * n:
         attempts += 1
@@ -552,11 +558,12 @@ def _sample_points(curve: Curve, mu: float, n: int, rng) -> list[tuple[PhasePoin
         )
         try:
             _, d = iterate(curve, mu, z, 1)[0]
-        except BilliardError:
+        except BilliardError as exc:
+            failed[type(exc).__name__] += 1
             continue
         if well_conditioned(d):
             points.append((z, d))
-    return points
+    return points, attempts, failed
 
 
 _CIRCLE = {"kind": "circle", "R": 1.0}
@@ -613,13 +620,16 @@ def cmd_check(config: dict, args) -> int:
 
     for name, curve_cfg, mu in _CHECK_TABLES:
         curve = make_curve(curve_cfg)
-        samples = [(z, jacobian_analytic(d)) for z, d in _sample_points(curve, mu, n_points, rng)]
+        points, drawn, failed = _sample_points(curve, mu, n_points, rng)
+        samples = [(z, jacobian_analytic(d)) for z, d in points]
         worst_det = 0.0
         for _, J in samples:
             worst_det = max(worst_det, abs(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0] - 1.0))
         report(
             f"det[{name}]", worst_det <= det_tol,
-            f"worst |det-1| = {worst_det:.3e} over {len(samples)} points (tol {det_tol:g})")
+            f"worst |det-1| = {worst_det:.3e} over {len(samples)} points (tol {det_tol:g}); "
+            f"{drawn} drawn, failed: "
+            + (", ".join(f"{tag} {count}" for tag, count in sorted(failed.items())) or "none"))
 
         worst_jac = 0.0
         for z, A in samples[: max(10, n_points // 10)]:

@@ -13,8 +13,8 @@ monotonically to the exit root and needs no bracket; it stops once the
 Newton step is no longer positive.  Along the Larmor circle F has no such
 shape: we sample N=512 sweep angles, take the first transversal crossing
 past a small sweep guard (the circle is tangent to the chord at P1, so
-re-detection of P1 is excluded by sweep angle, not by distance), refine
-it with Brent's method and polish with two Newton steps.
+re-detection of P1 is excluded by sweep angle, not by distance) and refine
+it by one safeguarded Newton loop ("rtsafe", Numerical Recipes 9.4).
 
 Both routines take the boundary frame (:class:`~imbilliards.curves.Frame`)
 of the point they start from and return the frame of the point they reach,
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._solvers import brentq
 from .curves import Curve, Frame
 from .errors import NoInteriorHit, NoReentry, TangentialChord, TangentialContact
 
@@ -41,6 +40,8 @@ ANGLE_EPS = 1e-12      # theta within this of {0, pi} counts as tangential
 SWEEP_GUARD = 1e-7     # smallest admissible Larmor sweep angle
 N_SWEEP_SAMPLES = 512  # dense sampling of the Larmor circle
 _EPS = 2.0**-52        # float64 machine epsilon
+ROOT_STEP_TOL = 1e-12  # after a Newton step this small the next is below rounding
+MAX_ROOT_ITERATIONS = 100  # a transversal crossing takes 2 or 3
 #: the sampled Larmor sweep angles, with their cosines and sines
 SWEEP_ANGLES = np.linspace(SWEEP_GUARD, 2.0 * math.pi - SWEEP_GUARD, N_SWEEP_SAMPLES)
 SWEEP_COS, SWEEP_SIN = np.cos(SWEEP_ANGLES), np.sin(SWEEP_ANGLES)
@@ -67,7 +68,8 @@ class LarmorHit:
     full revolution (the return to the exit point itself is excluded): 1
     for a clean re-entry, 3 when the Larmor circle meets the boundary at
     four points — a diagnostic for geometries where the circle "clips a
-    corner" of the table.
+    corner" of the table.  ``iterations`` counts the steps of the root
+    solve, each one evaluation of F and its gradient.
     """
 
     frame2: Frame  # boundary frame at the re-entry point P2
@@ -76,25 +78,12 @@ class LarmorHit:
     ell2: float
     arc_sweep: float
     n_crossings: int
+    iterations: int
 
 
-# The arc residuals live at module level and take the curve and plain float
-# coordinates as arguments, so no closure over the curve outlives a solve and
-# no array is built per evaluation.
 def _arc_point(psi: float, cx: float, cy: float, rx: float, ry: float) -> tuple[float, float]:
     c, s = math.cos(psi), math.sin(psi)
     return cx + (c * rx - s * ry), cy + (s * rx + c * ry)
-
-
-def _arc_residual(psi: float, curve: Curve, cx: float, cy: float, rx: float, ry: float) -> float:
-    return curve.implicit_xy(*_arc_point(psi, cx, cy, rx, ry))
-
-
-def _arc_slope(psi: float, curve: Curve, cx: float, cy: float, rx: float, ry: float) -> float:
-    # d/dpsi F(arc_point) = grad F . rot90(arc_point - center)
-    x, y = _arc_point(psi, cx, cy, rx, ry)
-    gx, gy = curve.gradient_xy(x, y)
-    return gy * (x - cx) - gx * (y - cy)
 
 
 def chord_exit(curve: Curve, frame0: Frame, theta0: float) -> ChordHit:
@@ -149,9 +138,10 @@ def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float) -> LarmorHit:
 
     ``v`` is the unit chord direction at the exit point (two floats, or an
     array); the Larmor center sits at P1 + mu * rot90(v).  The crossing is
-    located on the implicit function sampled along the circle, refined by
-    Brent + Newton, and must be transversal; otherwise
-    :class:`TangentialContact` is raised.
+    bracketed on the implicit function sampled along the circle, refined by
+    one safeguarded Newton loop, and must be transversal; otherwise
+    :class:`TangentialContact` is raised, also when the loop does not
+    converge within ``MAX_ROOT_ITERATIONS`` steps.
     """
     if mu <= 0:
         raise ValueError(f"Larmor radius must be positive, got {mu}")
@@ -160,7 +150,6 @@ def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float) -> LarmorHit:
     vx, vy = float(v[0]), float(v[1])
     cx, cy = x1 - mu * vy, y1 + mu * vx  # P1 + mu * rot90(v)
     rx, ry = x1 - cx, y1 - cy  # radius vector, |rel| = mu
-    args = (curve, cx, cy, rx, ry)
 
     # Dense sweep sampling, one vectorized implicit evaluation.
     vals = curve.implicit_xy(cx + SWEEP_COS * rx - SWEEP_SIN * ry,
@@ -183,18 +172,29 @@ def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float) -> LarmorHit:
             f"(mu={mu!r}); the table is not convex around this arc"
         )
     a, b = SWEEP_ANGLES.item(i), SWEEP_ANGLES.item(i + 1)
-    if _arc_residual(a, *args) <= 0.0 or _arc_residual(b, *args) >= 0.0:  # pragma: no cover - defensive
+    fa, fb = (curve.implicit_xy(*_arc_point(t, cx, cy, rx, ry)) for t in (a, b))
+    if fa <= 0.0 or fb >= 0.0:  # pragma: no cover - defensive
         raise TangentialContact("bracketing sign change collapsed under refinement")
-    psi = brentq(_arc_residual, a, b, args=args, xtol=1e-13, rtol=8.9e-16)
 
-    slope = _arc_slope(psi, *args)
-    arc_scale = math.hypot(*curve.gradient_xy(*_arc_point(psi, cx, cy, rx, ry))) * mu
-    if abs(slope) < 1e-10 * max(arc_scale, 1e-30):
-        raise TangentialContact(
-            f"Larmor circle grazes the boundary tangentially at sweep {psi!r}"
-        )
-    for _ in range(2):
-        psi -= _arc_residual(psi, *args) / _arc_slope(psi, *args)
+    # Newton from the regula falsi point; the sign of F at each iterate moves an
+    # end of [a, b].  A Newton step that leaves [a, b] or fails to halve the last bisects.
+    psi, dpsi = a + (b - a) * fa / (fa - fb), b - a
+    for iterations in range(1, MAX_ROOT_ITERATIONS + 1):
+        x, y = _arc_point(psi, cx, cy, rx, ry)
+        f = curve.implicit_xy(x, y)
+        gx, gy = curve.gradient_xy(x, y)
+        slope = gy * (x - cx) - gx * (y - cy)  # dF/dpsi = grad F . rot90(p - c)
+        if f:
+            a, b = (psi, b) if f > 0.0 else (a, psi)
+        in_bracket = ((psi - a) * slope - f) * ((psi - b) * slope - f) < 0.0
+        dpsi = f / slope if in_bracket and abs(2.0 * f) <= abs(dpsi * slope) else psi - 0.5 * (a + b)
+        psi -= dpsi
+        if abs(dpsi) <= ROOT_STEP_TOL:
+            break
+    else:
+        raise TangentialContact(f"Larmor re-entry from s1={s1!r} did not converge")
+    if abs(slope) < 1e-10 * max(math.hypot(gx, gy) * mu, 1e-30):
+        raise TangentialContact(f"Larmor circle grazes the boundary tangentially at sweep {psi!r}")
 
     x2, y2 = _arc_point(psi, cx, cy, rx, ry)
     frame2 = curve.frame_of((x2, y2))
@@ -210,5 +210,5 @@ def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float) -> LarmorHit:
         chi += 2.0 * math.pi  # numerically hugging pi from above
     return LarmorHit(
         frame2=frame2, theta2=theta2, chi=chi, ell2=ell2, arc_sweep=psi,
-        n_crossings=n_crossings,
+        n_crossings=n_crossings, iterations=iterations,
     )

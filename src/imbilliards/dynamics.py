@@ -67,12 +67,13 @@ class StepData:
     phase points (kappa1 is kept for diagnostics only; the closed-form DT
     does not involve it), and the Larmor radius mu.
 
-    Three fields describe how the step was found and take no part in
+    Four fields describe how the step was found and take no part in
     comparisons; a hand-built record gets their defaults.  ``frames`` holds
     the boundary frames of the launch, exit and re-entry points (empty by
-    default).  ``arc_sweep`` and ``n_crossings`` are the Larmor sweep angle
-    of the re-entry and the number of boundary crossings the sweep saw, as
-    :class:`~imbilliards.collision.LarmorHit` reports them (nan and 0 by
+    default).  ``arc_sweep``, ``n_crossings`` and ``root_iterations`` are the
+    Larmor sweep angle of the re-entry, the number of boundary crossings the
+    sweep saw and the number of steps of the re-entry root solve, as
+    :class:`~imbilliards.collision.LarmorHit` reports them (nan, 0 and 0 by
     default).
     """
 
@@ -92,6 +93,7 @@ class StepData:
     frames: tuple[Frame, ...] = field(default=(), compare=False, repr=False)
     arc_sweep: float = field(default=math.nan, compare=False)
     n_crossings: int = field(default=0, compare=False)
+    root_iterations: int = field(default=0, compare=False)
 
 
 def step(curve: Curve, mu: float, z: PhasePoint) -> tuple[PhasePoint, StepData | None]:
@@ -133,6 +135,7 @@ def _step(
         frames=(frame0, hit1.frame1, hit2.frame2),
         arc_sweep=hit2.arc_sweep,
         n_crossings=hit2.n_crossings,
+        root_iterations=hit2.iterations,
     )
     return PhasePoint(hit2.frame2.s, hit2.theta2), data
 

@@ -6,12 +6,13 @@ direction that a solve starts from as exact binary inputs, and returns the
 exact result of those inputs, rounded to a float at the end.
 
 Covered so far: the chord exit on conics (the larger root of a quadratic)
-and on the stadium (segment and arc intersections).
+and on the stadium (segment and arc intersections), and the root of every
+table's implicit function along a bracketed piece of a Larmor arc.
 """
 
 from __future__ import annotations
 
-from mpmath import mp, mpf, sqrt
+from mpmath import cos, findroot, mp, mpf, sin, sqrt
 
 DIGITS = 40
 
@@ -66,3 +67,52 @@ def chord_exit_stadium(
                     hits.append((r, sqrt(disc) / (2 * R)))
         r, slope = max(hits)
         return float(r), float(slope)
+
+
+def _implicit(table: dict, x, y):
+    """The defining function of ``table`` (a curve config: kind and
+    parameters) at mp coordinates, negative inside, and its gradient."""
+    kind = table["kind"]
+    if kind == "circle":
+        return x * x + y * y - mpf(table["R"]) ** 2, (2 * x, 2 * y)
+    if kind == "ellipse":
+        a2, b2 = mpf(table["a"]) ** 2, mpf(table["b"]) ** 2
+        return x * x / a2 + y * y / b2 - 1, (2 * x / a2, 2 * y / b2)
+    if kind == "superellipse":
+        k = int(table["k"])
+        return x ** (2 * k) + y ** (2 * k) - 1, (2 * k * x ** (2 * k - 1), 2 * k * y ** (2 * k - 1))
+    if kind == "stadium":
+        # distance to the segment [-side/2, side/2] x {0}, minus R
+        h = mpf(table["side"]) / 2
+        qx = max(abs(x) - h, 0) * (1 if x >= 0 else -1)
+        dist = sqrt(qx * qx + y * y)
+        return dist - mpf(table["R"]), (qx / dist, y / dist)
+    raise ValueError(f"unknown table kind {kind!r}")
+
+
+def larmor_root(
+    table: dict, cx: float, cy: float, rx: float, ry: float, lo: float, hi: float,
+) -> tuple[float, float]:
+    """Sweep angle psi in [lo, hi] at which the Larmor arc
+    (cx, cy) + rot(psi) (rx, ry) crosses the boundary of ``table``, and the
+    slope dF/dpsi = grad F . rot90(p - c) of its defining function there.
+
+    ``table`` is a curve config (``{"kind": "ellipse", "a": 2.0, "b": 1.0}``);
+    F is the circle's x^2 + y^2 - R^2, the ellipse's x^2/a^2 + y^2/b^2 - 1,
+    the superellipse's x^2k + y^2k - 1 and the stadium's distance to its
+    segment minus R.  F must change sign on [lo, hi]; the root is found there
+    by the bracketed Anderson-Bjorck solver."""
+    with mp.workdps(DIGITS):
+        cx, cy, rx, ry = map(mpf, (cx, cy, rx, ry))
+
+        def point(psi):
+            c, s = cos(psi), sin(psi)
+            return cx + c * rx - s * ry, cy + s * rx + c * ry
+
+        def residual(psi):
+            return _implicit(table, *point(psi))[0]
+
+        psi = findroot(residual, (mpf(lo), mpf(hi)), solver="anderson")
+        x, y = point(psi)
+        gx, gy = _implicit(table, x, y)[1]
+        return float(psi), float(gy * (x - cx) - gx * (y - cy))

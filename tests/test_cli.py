@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from imbilliards import cli
 from imbilliards.cli import main
 from imbilliards.curves import ArclengthTable, Ellipse
 from imbilliards.dynamics import PhasePoint, iterate
-from imbilliards.errors import NoConvergence
+from imbilliards.errors import NoConvergence, NoReentry, TangentialContact
 from imbilliards.families import FAMILIES
 from imbilliards.stability import COMPOSED_TOL, compose
 
@@ -533,6 +534,41 @@ def test_check_prints_the_seventeen_trace_names_in_order(tmp_path, capsys):
         "circle-4-rot14", "circle-4-rot34", "ellipse-4-rot14", "ellipse-4-rot34",
         "se-diag-4-rot14", "se-diag-4-rot34", "se-axis-4-rot14", "se-axis-4-rot34",
     )]
+
+
+def test_check_counts_the_draws_it_drops(tmp_path, capsys, monkeypatch):
+    """Each det line reports how many points were drawn and, by error tag,
+    how many of them raised instead of making a step.  On seed 3 none
+    raises; with every fifth step raising ``NoReentry`` and every seventh
+    ``TangentialContact``, the lines count them."""
+    config = write_config(tmp_path, {"check": {"n_points": 15, "seed": 3}})
+    assert main(["check", "--config", config]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if " det[" in line]
+    assert len(lines) == 5
+    assert all(line.endswith("over 15 points (tol 1e-09); 15 drawn, failed: none")
+               for line in lines)
+
+    calls = itertools.count()
+
+    def failing(curve, mu, z, n):
+        k = next(calls)
+        if k % 5 == 4:
+            raise NoReentry("every fifth step")
+        if k % 7 == 6:
+            raise TangentialContact("every seventh step")
+        return iterate(curve, mu, z, n)
+
+    monkeypatch.setattr(cli, "iterate", failing)
+    assert main(["check", "--config", config]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if " det[" in line]
+    assert lines[0].endswith(
+        "over 15 points (tol 1e-09); 22 drawn, failed: NoReentry 4, TangentialContact 3")
+    for line in lines:
+        kept, drawn, failed = re.search(r"over (\d+) points .*; (\d+) drawn, failed: (.*)$",
+                                        line).groups()
+        counts = {tag: int(n) for tag, n in (item.split() for item in failed.split(", "))}
+        assert set(counts) == {"NoReentry", "TangentialContact"}
+        assert int(kept) == 15 and int(drawn) == 15 + sum(counts.values())
 
 
 def test_check_fails_with_impossible_tolerance(tmp_path, capsys):
