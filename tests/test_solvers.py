@@ -82,8 +82,7 @@ def brent_reentry(curve, cx, cy, rx, ry, lo, hi):
 @pytest.mark.parametrize("factory, mu", [(f, mu) for _, f, mu in CURVE_MENU]
                          + [(lambda: Ellipse(3.0, 1.0), 0.3)],
                          ids=[name for name, _, _ in CURVE_MENU] + ["ellipse-3-1"])
-def test_larmor_reentry_agrees_with_scipy_brentq_on_the_collision_solves(
-        monkeypatch, rng, factory, mu):
+def test_brentq_repeats_scipy_on_the_collision_solves(monkeypatch, rng, factory, mu):
     """Every Larmor re-entry of 150 random steps lies in its sweep bracket
     and agrees with SciPy's Brent solve there, polished by two Newton steps.
 
