@@ -30,16 +30,20 @@ ranges), 3 geometric failure inside the map, 4 numerical non-convergence.
 Error output is a single machine-readable line ``error: <Tag>: <detail>``
 on stderr.
 
-All CSV numbers are written with 17 significant digits, and row order is a
-pure function of the config, so outputs are byte-for-byte reproducible.
-SVG output uses a fixed 1000x1000 viewBox with the drawing scaled to fit
-the boundary box of everything drawn, one ``<path>`` element per geometric
-primitive.
+Each verb takes only the flags it reads: ``--config`` names the JSON config,
+``--out`` picks the directory of the four verbs that write files, and
+``--format`` picks ``scan``'s artifacts (the CSV table, the SVG diagram or
+both).  Every output byte is a function of the config: all CSV numbers are
+written with 17 significant digits and row order is fixed, so outputs are
+byte-for-byte reproducible.  SVG output uses a fixed 1000x1000 viewBox with
+the drawing scaled to fit the boundary box of everything drawn, one
+``<path>`` element per geometric primitive.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -49,7 +53,7 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -339,42 +343,27 @@ def _draw_steps(root: ET.Element, frame: _Frame, geos: Sequence[dict],
 
 def _write_svg(root: ET.Element, path: Path) -> None:
     ET.indent(root)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(ET.tostring(root, encoding="unicode") + "\n")
 
 
+@contextlib.contextmanager
+def _csv_writer(path: Path):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        yield csv.writer(fh, lineterminator="\n")
+
+
 # --------------------------------------------------------------------------
-# verb implementations
+# verb implementations: each takes the config and the paths of the artifacts
+# it is to write, by kind ("csv", "svg")
 # --------------------------------------------------------------------------
 
-def _out_paths(config: dict, args, default_stem: str) -> tuple[Path, str]:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = config.get("output", {}).get("stem", default_stem)
-    return out_dir, stem
-
-
-def _formats(args, natural: set[str]) -> set[str]:
-    wanted = {"csv", "svg"} if args.format == "both" else {args.format}
-    chosen = wanted & natural
-    _require(
-        bool(chosen),
-        f"--format {args.format} produces nothing for this verb "
-        f"(it emits {', '.join(sorted(natural))})",
-    )
-    return chosen
-
-
-def cmd_orbit(config: dict, args) -> int:
-    _require("curve" in config, "orbit verb needs a 'curve' section")
-    _require("orbit" in config, "orbit verb needs an 'orbit' section")
-    _formats(args, {"csv"})
+def cmd_orbit(config: dict, paths: dict[str, Path]) -> int:
     orbit, trace, extras = _member(config["curve"], config["orbit"])
-    tol = args.tol if args.tol is not None else 1e-9
-    verdict = classify(trace, tol=tol)
-    out_dir, stem = _out_paths(config, args, "orbit")
-    csv_path = out_dir / f"{stem}.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    verdict = classify(trace)
+    csv_path = paths["csv"]
+    with _csv_writer(csv_path) as writer:
         writer.writerow(["record", "index", "key", "value"])
         meta = [("curve", config["curve"]["kind"]), ("family", config["orbit"]["family"]),
                 ("n", str(orbit.n)), ("mu", _fmt(orbit.mu)), ("rotation", str(orbit.rotation)),
@@ -393,10 +382,7 @@ def cmd_orbit(config: dict, args) -> int:
     return 0
 
 
-def cmd_scan(config: dict, args) -> int:
-    _require("curve" in config, "scan verb needs a 'curve' section")
-    _require("scan" in config, "scan verb needs a 'scan' section")
-    formats = _formats(args, {"csv", "svg"})
+def cmd_scan(config: dict, paths: dict[str, Path]) -> int:
     section = config["scan"]
     row, rotation = _family(config["curve"], section, scan=True)
     trace_fn, (lo, hi), (dom_lo, dom_hi), refs = row.scan(config["curve"], rotation)
@@ -407,41 +393,32 @@ def cmd_scan(config: dict, args) -> int:
         raise error(
             f"scan window [{_fmt(lo)}, {_fmt(hi)}] must lie inside the open interval "
             f"({dom_lo:.12g}, {dom_hi:.12g}) on which {section['family']!r} exists")
-    n_grid = args.grid if args.grid is not None else section.get("n_grid", 500)
-    tol = args.tol if args.tol is not None else 1e-9
-    scan = fam.scan_family(trace_fn, lo, hi, parameter=row.param, n_grid=n_grid)
+    scan = fam.scan_family(trace_fn, lo, hi, parameter=row.param,
+                           n_grid=section.get("n_grid", 500))
 
-    out_dir, stem = _out_paths(config, args, "scan")
-    written = []
-    if "csv" in formats:
-        csv_path = out_dir / f"{stem}.csv"
-        with csv_path.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+    if "csv" in paths:
+        with _csv_writer(paths["csv"]) as writer:
             writer.writerow(["kind", row.param, "trace", "class"])
             for x, t in zip(scan.grid.tolist(), scan.traces.tolist()):
-                writer.writerow(["grid", _fmt(x), _fmt(t), classify(t, tol).cls.value])
+                writer.writerow(["grid", _fmt(x), _fmt(t), classify(t).cls.value])
             for x in scan.thresholds:
                 writer.writerow(["threshold", _fmt(x), _fmt(trace_fn(x)), "parabolic"])
             for ref, inside in refs:
                 nearest = min(scan.thresholds, key=lambda x: abs(x - ref), default=math.nan)
                 writer.writerow(["reference", _fmt(ref), _fmt(nearest if inside else math.nan),
                                  "in-interval" if inside else "out-of-interval"])
-        written.append(csv_path)
-    if "svg" in formats:
-        svg_path = out_dir / f"{stem}.svg"
-        _scan_svg(scan, tol, svg_path)
-        written.append(svg_path)
+    if "svg" in paths:
+        _scan_svg(scan, paths["svg"])
     print(
         f"{len(scan.thresholds)} threshold(s) on [{_fmt(lo)}, {_fmt(hi)}] -> "
-        + ", ".join(str(p) for p in written)
+        + ", ".join(str(p) for p in paths.values())
     )
     return 0
 
 
-def _scan_svg(scan, tol: float, path: Path) -> None:
+def _scan_svg(scan, path: Path) -> None:
     """Stability diagram: class bands, clipped trace curve, threshold lines.
-    Each band takes the class, at ``tol``, of the grid trace nearest its
-    midpoint."""
+    Each band takes the class of the grid trace nearest its midpoint."""
     root = _svg_root()
     lo, hi = float(scan.grid[0]), float(scan.grid[-1])
     t_lo, t_hi = -6.0, 6.0
@@ -454,7 +431,7 @@ def _scan_svg(scan, tol: float, path: Path) -> None:
     for left, right in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (left + right)
         i = int(np.argmin(np.abs(scan.grid - mid)))
-        color = band_colors[classify(scan.traces.item(i), tol).cls.value]
+        color = band_colors[classify(scan.traces.item(i)).cls.value]
         d = (
             f"M {x_of(left):.3f} 60 L {x_of(right):.3f} 60 "
             f"L {x_of(right):.3f} 940 L {x_of(left):.3f} 940 Z"
@@ -486,10 +463,7 @@ def _scan_svg(scan, tol: float, path: Path) -> None:
     _write_svg(root, path)
 
 
-def cmd_trace(config: dict, args) -> int:
-    _require("curve" in config, "trace verb needs a 'curve' section")
-    _require("trace" in config, "trace verb needs a 'trace' section")
-    _formats(args, {"svg"})
+def cmd_trace(config: dict, paths: dict[str, Path]) -> int:
     section = config["trace"]
     curve = make_curve(config["curve"])
     overlay = None
@@ -529,10 +503,8 @@ def cmd_trace(config: dict, args) -> int:
     _add_path(root, _boundary_path(boundary, frame), "#000000", width=2.5)
     for layer in layers:
         _draw_steps(root, frame, *layer)
-    out_dir, stem = _out_paths(config, args, "trace")
-    svg_path = out_dir / f"{stem}.svg"
-    _write_svg(root, svg_path)
-    print(f"{len(steps)} step(s) -> {svg_path}")
+    _write_svg(root, paths["svg"])
+    print(f"{len(steps)} step(s) -> {paths['svg']}")
     return 0
 
 
@@ -604,7 +576,7 @@ _CHECK_MEMBERS = [
 ]
 
 
-def cmd_check(config: dict, args) -> int:
+def cmd_check(config: dict, paths: dict[str, Path]) -> int:
     section = config.get("check", {})
     det_tol = section.get("det_tol", 1e-9)
     jac_tol = section.get("jacobian_tol", 1e-5)
@@ -655,9 +627,7 @@ def cmd_check(config: dict, args) -> int:
     return 1 if failures else 0
 
 
-def cmd_rot(config: dict, args) -> int:
-    _require("rot" in config, "rot verb needs a 'rot' section")
-    _formats(args, {"csv"})
+def cmd_rot(config: dict, paths: dict[str, Path]) -> int:
     section = config["rot"]
     a, b = section["a"], section["b"]
     _require(a > b, f"need a > b, got a={a}, b={b}")
@@ -666,19 +636,16 @@ def cmd_rot(config: dict, args) -> int:
     else:
         lo = section.get("lo", 1e-3 * b * b)
         hi = section.get("hi", a * a * (1.0 - 1e-3))
-        n = args.grid if args.grid is not None else section.get("n", 100)
+        n = section.get("n", 100)
         _require(n >= 2, f"rotation grid needs at least 2 points, got {n}")
         _require(hi > lo, f"empty lambda interval [{lo}, {hi}]")
         lambdas = list(np.linspace(lo, hi, n))
     rows = rotation_table(a, b, lambdas)
-    out_dir, stem = _out_paths(config, args, "rot")
-    csv_path = out_dir / f"{stem}.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with _csv_writer(paths["csv"]) as writer:
         writer.writerow(["lambda", "kind", "rot"])
         for lam, kind, rho in rows:
             writer.writerow([_fmt(lam), kind, _fmt(rho) if math.isfinite(rho) else "nan"])
-    print(f"{len(rows)} row(s) -> {csv_path}")
+    print(f"{len(rows)} row(s) -> {paths['csv']}")
     return 0
 
 
@@ -686,37 +653,44 @@ def cmd_rot(config: dict, args) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
-_DISPATCH = {
-    "orbit": cmd_orbit,
-    "scan": cmd_scan,
-    "trace": cmd_trace,
-    "check": cmd_check,
-    "rot": cmd_rot,
+class _Verb(NamedTuple):
+    """A row of :data:`_VERBS`: the verb's function, its help text, the config
+    sections it needs and the kinds of file it writes, named ``<stem>.<kind>``."""
+
+    run: Callable[[dict, dict[str, Path]], int]
+    help: str
+    sections: tuple[str, ...]
+    writes: tuple[str, ...]
+
+
+#: every verb, the one home of the flags it takes and the sections it reads
+_VERBS = {
+    "orbit": _Verb(cmd_orbit, "construct a periodic orbit family member, write CSV",
+                   ("curve", "orbit"), ("csv",)),
+    "scan": _Verb(cmd_scan, "sweep a family parameter, write CSV + stability SVG",
+                  ("curve", "scan"), ("csv", "svg")),
+    "trace": _Verb(cmd_trace, "draw a trajectory as SVG", ("curve", "trace"), ("svg",)),
+    "check": _Verb(cmd_check, "run the invariant suite", (), ()),
+    "rot": _Verb(cmd_rot, "tabulate caustic rotation numbers, write CSV", ("rot",), ("csv",)),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """``--config`` on every verb (required where it needs a section), ``--out``
+    on the verbs that write files and ``--format`` on the one that writes two."""
     parser = argparse.ArgumentParser(
         prog="imbil",
         description="inverse magnetic billiards: orbits, stability scans, figures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for verb, blurb in (
-        ("orbit", "construct a periodic orbit family member, write CSV"),
-        ("scan", "sweep a family parameter, write CSV + stability SVG"),
-        ("trace", "draw a trajectory as SVG"),
-        ("check", "run the invariant suite"),
-        ("rot", "tabulate caustic rotation numbers, write CSV"),
-    ):
-        p = sub.add_parser(verb, help=blurb)
-        p.add_argument("--config", required=(verb != "check"), help="JSON config file")
-        p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="classification tolerance override")
-        p.add_argument("--grid", type=int, default=None,
-                       help="grid size override for scans/tables")
-        p.add_argument("--format", choices=("csv", "svg", "both"), default="both",
-                       help="which artifacts to write (default: both)")
+    for name, verb in _VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
+        p.add_argument("--config", required=bool(verb.sections), help="JSON config file")
+        if verb.writes:
+            p.add_argument("--out", default=".", help="output directory (default: .)")
+        if len(verb.writes) > 1:
+            p.add_argument("--format", choices=(*verb.writes, "both"), default="both",
+                           help="which artifacts to write (default: both)")
     return parser
 
 
@@ -741,11 +715,17 @@ def _load_config(path: str | None) -> dict:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    verb = _VERBS[args.command]
     try:
         config = _load_config(args.config)
-        return _DISPATCH[args.command](config, args)
+        for section in verb.sections:
+            _require(section in config, f"{args.command} verb needs the config section {section!r}")
+        chosen = vars(args).get("format", "both")
+        stem = config.get("output", {}).get("stem", args.command)
+        paths = {kind: Path(args.out) / f"{stem}.{kind}"
+                 for kind in verb.writes if chosen in (kind, "both")}
+        return verb.run(config, paths)
     except BilliardError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -96,21 +96,16 @@ class StepData:
     root_iterations: int = field(default=0, compare=False)
 
 
-def step(curve: Curve, mu: float, z: PhasePoint) -> tuple[PhasePoint, StepData | None]:
+def step(
+    curve: Curve, mu: float, z: PhasePoint, frame0: Frame | None = None
+) -> tuple[PhasePoint, StepData | None]:
     """One application of the map.  Near theta in {0, pi} the map is the
     identity; that guarded case returns ``(z, None)``.
 
-    The launch point's frame is built once and the exit and re-entry
+    The step launches from ``frame0``, the boundary frame of ``z`` when the
+    caller has it, or else from ``frame_at(z.s)``; the exit and re-entry
     frames come back from the collision routines, so a step resolves each
     of its three boundary points once."""
-    return _step(curve, mu, z, None)
-
-
-def _step(
-    curve: Curve, mu: float, z: PhasePoint, frame0: Frame | None
-) -> tuple[PhasePoint, StepData | None]:
-    """:func:`step` from the launch frame ``frame0`` of ``z``, when the
-    caller has it, or from ``frame_at(z.s)``."""
     if z.theta < ANGLE_EPS or z.theta > math.pi - ANGLE_EPS:
         return z, None
     if frame0 is None:
@@ -158,7 +153,7 @@ def iterate(
     current, frame = z, None
     for _ in range(n):
         try:
-            current, data = _step(curve, mu, current, frame)
+            current, data = step(curve, mu, current, frame)
         except BilliardError as exc:
             exc.partial = out  # type: ignore[attr-defined]
             raise
@@ -224,10 +219,12 @@ def jacobian_numeric(
 ) -> np.ndarray:
     """Finite-difference derivative of one map step in the (s, u) chart.
 
-    Central differences with step ``h * max(1, L)`` in s and ``h`` in u;
-    the stencil falls back to one-sided differences when u +/- h would
-    leave (-1, 1).  s-differences are wrapped to the shortest signed
-    representative, so the stencil may straddle s = 0.
+    Central differences with step ``h * max(1, L)`` in s and ``h`` in u.
+    s-differences are wrapped to the shortest signed representative, so the
+    stencil may straddle s = 0.  A stencil point with u +/- h outside
+    (-1, 1) maps to theta in {0, pi}, the identity region, and raises
+    :class:`DegenerateStep`: near grazing the derivative grows like
+    1/sin(theta), and no finite difference is an oracle there.
     """
     L = curve.total_length()
     hs = h * max(1.0, L)
@@ -241,21 +238,9 @@ def jacobian_numeric(
     ds2_ds0 = wrap_diff(s_p, s_m) / (2 * hs)
     du2_ds0 = (u_p - u_m) / (2 * hs)
 
-    u_hi, u_lo = z.u + hu, z.u - hu
-    margin = 1.0 - 1e-9
-    if u_hi < margin and u_lo > -margin:
-        s_p, u_p = _map_su(curve, mu, z.s, u_hi)
-        s_m, u_m = _map_su(curve, mu, z.s, u_lo)
-        denom = 2 * hu
-    elif u_hi >= margin:  # one-sided downwards
-        s_p, u_p = _map_su(curve, mu, z.s, z.u)
-        s_m, u_m = _map_su(curve, mu, z.s, u_lo)
-        denom = hu
-    else:  # one-sided upwards
-        s_p, u_p = _map_su(curve, mu, z.s, u_hi)
-        s_m, u_m = _map_su(curve, mu, z.s, z.u)
-        denom = hu
-    ds2_du0 = wrap_diff(s_p, s_m) / denom
-    du2_du0 = (u_p - u_m) / denom
+    s_p, u_p = _map_su(curve, mu, z.s, z.u + hu)
+    s_m, u_m = _map_su(curve, mu, z.s, z.u - hu)
+    ds2_du0 = wrap_diff(s_p, s_m) / (2 * hu)
+    du2_du0 = (u_p - u_m) / (2 * hu)
 
     return np.array([[ds2_ds0, ds2_du0], [du2_ds0, du2_du0]])

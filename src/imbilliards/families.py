@@ -1365,9 +1365,9 @@ class _Family:
     scan: Callable | None = None
 
 
-def _closed2(orbit, params, names, more=()):
-    """A 2-periodic member: its closed trace; the ``names`` of ``params``, then ``more``."""
-    return orbit, trace2_closed(params), [(n, getattr(params, n)) for n in names] + list(more)
+def _closed2(orbit, params, names):
+    """A 2-periodic member: the closed trace of ``params`` and their ``names``."""
+    return orbit, trace2_closed(params), [(n, getattr(params, n)) for n in names]
 
 
 def _scan(trace_fn, domain, pads, references=()):
@@ -1376,13 +1376,18 @@ def _scan(trace_fn, domain, pads, references=()):
 
 
 def _se_axis2(c, mu, rot):
+    """The superellipse 2-periodic rows report their public closed-form traces,
+    which do not read the orbit's steps, so ``check`` compares two routes."""
     orbit, params, thresholds = two_periodic_superellipse_axis(c["k"], mu)
-    return _closed2(orbit, params, ("alpha", "beta"), zip(("mu_star", "mu_double_star"), thresholds))
+    return (orbit, trace2_superellipse_axis(c["k"], mu),
+            [("alpha", params.alpha), ("beta", params.beta),
+             *zip(("mu_star", "mu_double_star"), thresholds)])
 
 
 def _se_diag2(c, x0, rot):
     orbit, params, f_value = two_periodic_superellipse_diag(c["k"], x0)
-    return _closed2(orbit, params, ("alpha", "beta"), [("f", f_value)])
+    return (orbit, trace2_superellipse_diag(c["k"], x0),
+            [("alpha", params.alpha), ("beta", params.beta), ("f", f_value)])
 
 
 def _theta_extra(orbit, theta, trace):

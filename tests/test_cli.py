@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import itertools
 import json
@@ -176,14 +177,57 @@ def test_unknown_family_is_rejected(tmp_path, capsys):
     assert "no family" in capsys.readouterr().err
 
 
-def test_format_flag_must_produce_something(tmp_path, capsys):
+#: the flags each verb reads, and a value for each flag
+_VERB_FLAGS = {
+    "orbit": {"--config", "--out"},
+    "scan": {"--config", "--out", "--format"},
+    "trace": {"--config", "--out"},
+    "check": {"--config"},
+    "rot": {"--config", "--out"},
+}
+_FLAG_VALUES = {"--config": "c.json", "--out": "out", "--format": "csv",
+                "--tol": "1e-3", "--grid": "300"}
+
+
+def _parser_flags():
+    """``{verb: {flag: required}}`` of the parser's subcommands, ``--help`` aside."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {verb: {flag: action.required for action in p._actions
+                   for flag in action.option_strings if flag.startswith("--") and flag != "--help"}
+            for verb, p in sub.choices.items()}
+
+
+def test_each_verb_takes_only_the_flags_it_reads():
+    flags = _parser_flags()
+    assert {verb: set(f) for verb, f in flags.items()} == _VERB_FLAGS
+    assert [verb for verb, f in flags.items() if not f["--config"]] == ["check"]
+
+
+@pytest.mark.parametrize("verb, flag", [
+    (verb, flag) for verb, taken in _VERB_FLAGS.items() for flag in _FLAG_VALUES if flag not in taken
+])
+def test_a_flag_the_verb_does_not_read_is_a_usage_error(capsys, verb, flag):
+    """15 (verb, flag) pairs, e.g. ``check --tol 1e-3``, ``orbit --format svg``
+    and ``scan --grid 300``: argparse refuses them before any config is read."""
+    with pytest.raises(SystemExit) as info:
+        main([verb, "--config", "c.json", flag, _FLAG_VALUES[flag]])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chosen, written", [
+    ("csv", {"scan.csv"}), ("svg", {"scan.svg"}), ("both", {"scan.csv", "scan.svg"}),
+])
+def test_scan_format_picks_the_artifacts(tmp_path, capsys, chosen, written):
     config = write_config(tmp_path, {
-        "curve": {"kind": "circle", "R": 1.0},
-        "orbit": {"family": "two-periodic", "mu": 0.5},
+        "curve": {"kind": "superellipse", "k": 2},
+        "scan": {"family": "two-periodic-axis", "n_grid": 50},
     })
-    code = main(["orbit", "--config", config, "--out", str(tmp_path), "--format", "svg"])
-    assert code == 2
-    assert "produces nothing" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["scan", "--config", config, "--out", str(out), "--format", chosen]) == 0
+    assert {p.name for p in out.iterdir()} == written
+    assert capsys.readouterr().out.endswith(", ".join(str(out / n) for n in sorted(written)) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -193,9 +237,9 @@ def test_format_flag_must_produce_something(tmp_path, capsys):
 def test_scan_locates_axis_thresholds(tmp_path):
     config = write_config(tmp_path, {
         "curve": {"kind": "superellipse", "k": 2},
-        "scan": {"family": "two-periodic-axis"},
+        "scan": {"family": "two-periodic-axis", "n_grid": 300},
     })
-    code = main(["scan", "--config", config, "--out", str(tmp_path), "--grid", "300"])
+    code = main(["scan", "--config", config, "--out", str(tmp_path)])
     assert code == 0
     rows = read_rows(tmp_path / "scan.csv")
     assert rows[0] == ["kind", "mu", "trace", "class"]
@@ -223,12 +267,9 @@ def test_scan_locates_axis_thresholds(tmp_path):
 def test_scan_reports_out_of_interval_reference(tmp_path):
     config = write_config(tmp_path, {
         "curve": {"kind": "ellipse", "a": 3.0, "b": 2.0},
-        "scan": {"family": "four-periodic"},
+        "scan": {"family": "four-periodic", "n_grid": 400},
     })
-    code = main([
-        "scan", "--config", config, "--out", str(tmp_path),
-        "--grid", "400", "--format", "csv",
-    ])
+    code = main(["scan", "--config", config, "--out", str(tmp_path), "--format", "csv"])
     assert code == 0
     assert not (tmp_path / "scan.svg").exists()
     rows = read_rows(tmp_path / "scan.csv")
@@ -390,6 +431,24 @@ def test_the_readme_lists_the_families_of_the_table():
     for kind, family in FAMILIES:
         table.setdefault(kind, set()).add(family)
     assert listed == table
+
+
+def test_the_readme_names_the_flags_of_the_parser():
+    """The CLI synopsis names each verb's flags, bracketed where optional, and
+    the verb table lists the same flags."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    synopsis = section.split("```\n", 2)[1]
+    written = {}
+    for line in synopsis.splitlines():
+        verb, rest = re.fullmatch(r"imbil (\w+) +(.*)", line).groups()
+        written[verb] = {flag: not bracket for bracket, flag in re.findall(r"(\[?)(--[a-z]+)", rest)}
+    tabled = {}
+    for verb, flags in re.findall(r"^\| `(\w+)` +\| ([^|]*)\|", section, re.MULTILINE):
+        tabled[verb] = set(re.findall(r"`(--[a-z]+)`", flags))
+    parsed = _parser_flags()
+    assert written == parsed
+    assert tabled == {verb: set(flags) for verb, flags in parsed.items()}
 
 
 @pytest.mark.parametrize("curve, family, rotations", [

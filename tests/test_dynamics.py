@@ -25,7 +25,7 @@ from imbilliards.dynamics import (
     step,
     well_conditioned,
 )
-from imbilliards.errors import BilliardError, NoReentry
+from imbilliards.errors import BilliardError, DegenerateStep, NoReentry
 from imbilliards.families import three_periodic_circle, two_periodic_ellipse
 from imbilliards.stability import two_periodic_step_matrix
 
@@ -228,13 +228,11 @@ def test_iterate_chains_steps(name, curves, rng):
                          ids=["billiard-error", "programming-error"])
 def test_iterate_reports_the_completed_prefix(error, monkeypatch):
     """A BilliardError raised by the third step carries the two completed
-    steps in ``.partial``; any other exception passes through untouched.
-    ``iterate`` runs its steps through ``dynamics._step``, which also takes
-    the launch frame."""
+    steps in ``.partial``; any other exception passes through untouched."""
     curve, z = Circle(1.0), PhasePoint(0.3, 1.0)
     expected = iterate(curve, 0.4, z, 2)
     calls = []
-    one_step = dynamics._step
+    one_step = dynamics.step
 
     def failing_step(*args):
         calls.append(args)
@@ -242,7 +240,7 @@ def test_iterate_reports_the_completed_prefix(error, monkeypatch):
             raise error
         return one_step(*args)
 
-    monkeypatch.setattr(dynamics, "_step", failing_step)
+    monkeypatch.setattr(dynamics, "step", failing_step)
     with pytest.raises(type(error)) as info:
         iterate(curve, 0.4, z, 5)
     assert info.value is error and len(calls) == 3
@@ -357,6 +355,14 @@ def test_map_degenerates_on_fixed_lines():
             (z1, _), = iterate(curve, mu, PhasePoint(1.0, theta), 1)
             assert abs(z1.s - 1.0) < 20.0 * theta
             assert abs(z1.theta - theta) < 5.0 * theta * theta
+
+
+def test_finite_differences_refuse_a_stencil_past_grazing():
+    """At theta = 1e-4 the u-stencil leaves (-1, 1): its lower point maps to
+    theta = 0, the identity region, and the check raises instead of taking a
+    one-sided difference of a derivative that grows like 1/sin(theta)."""
+    with pytest.raises(DegenerateStep, match="identity region"):
+        jacobian_numeric(Ellipse(2.0, 1.0), 0.3, PhasePoint(1.0, 1e-4))
 
 
 def test_well_conditioned_flags_narrow_angles(curves, rng):

@@ -753,19 +753,18 @@ def test_newton_recovers_perturbed_orbits():
 
 def test_newton_returns_the_orbit_it_converged_on(monkeypatch):
     """Newton packages the trajectory of its last residual evaluation, not a
-    second iteration of the converged point: 3 evaluations of 4 steps, each
-    run by ``iterate`` through ``dynamics._step``."""
+    second iteration of the converged point: 3 evaluations of 4 steps."""
     orbit, _, _ = four_periodic_ellipse(3.0, 2.0, 2.7, "1/4")
     z = orbit.points[0]
     seed = PhasePoint(s=z.s + 1e-4, theta=z.theta + 1e-4)
     calls = []
-    step = dynamics._step
+    step = dynamics.step
 
     def counted(*args):
         calls.append(args)
         return step(*args)
 
-    monkeypatch.setattr(dynamics, "_step", counted)
+    monkeypatch.setattr(dynamics, "step", counted)
     found = find_periodic_newton(orbit.curve, orbit.mu, orbit.n, seed, max_iter=10)
     assert len(calls) == 12
     again = _orbit_from_seed(orbit.curve, orbit.mu, found.points[0], 4, None)
@@ -837,7 +836,7 @@ def test_newton_lets_programming_errors_through(monkeypatch):
     def broken_step(*args, **kwargs):
         raise RuntimeError("bug in a map step")
 
-    monkeypatch.setattr(dynamics, "_step", broken_step)
+    monkeypatch.setattr(dynamics, "step", broken_step)
     with pytest.raises(RuntimeError, match="bug in a map step"):
         find_periodic_newton(orbit.curve, orbit.mu, orbit.n, orbit.points[0])
 
