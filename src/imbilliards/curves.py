@@ -557,7 +557,8 @@ class Stadium(Curve):
         return self.side + 2.0 * self.R
 
 
-_KINDS = {"circle", "ellipse", "superellipse", "stadium"}
+#: every curve class by its config ``kind``
+_KINDS = {"circle": Circle, "ellipse": Ellipse, "superellipse": Superellipse, "stadium": Stadium}
 
 
 def make_curve(config: dict) -> Curve:
@@ -570,16 +571,10 @@ def make_curve(config: dict) -> Curve:
     if "kind" not in config:
         raise ValueError("curve config needs a 'kind' key")
     kind = config["kind"]
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown curve kind {kind!r}; expected one of {sorted(_KINDS)}")
     params = {key: val for key, val in config.items() if key != "kind"}
     try:
-        if kind == "circle":
-            return Circle(**params)
-        if kind == "ellipse":
-            return Ellipse(**params)
-        if kind == "superellipse":
-            return Superellipse(**params)
-        if kind == "stadium":
-            return Stadium(**params)
+        return _KINDS[kind](**params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for curve kind {kind!r}: {exc}") from exc
-    raise ValueError(f"unknown curve kind {kind!r}; expected one of {sorted(_KINDS)}")

@@ -63,7 +63,6 @@ from .stability import (
     compose,
     orbit_closure_residual,
     trace2_closed,
-    two_periodic_params_from_steps,
 )
 
 __all__ = [
@@ -257,14 +256,24 @@ def _normalize_rotation(rot: Fraction | str, n: int) -> Fraction:
 # 2-periodic families
 # --------------------------------------------------------------------------
 
+def _symmetric(alpha: float, product: float) -> TwoPeriodicParams:
+    """Parameters of a 2-periodic orbit from its closed ``alpha`` and
+    ``alpha*beta``.  In every family here the half-turn about the table's
+    centre maps each chord onto the other and a mirror of the table swaps
+    each chord's two ends, so all four boundary angles agree and
+    ``beta = delta``; the trace is ``(alpha*beta - 2)^2 - 2``."""
+    beta = product / alpha
+    return TwoPeriodicParams(alpha, beta, beta)
+
+
 def two_periodic_circle(R: float, mu: float) -> tuple[PeriodicOrbit, TwoPeriodicParams]:
     """Stadium-shaped 2-periodic orbit in a circle of radius ``R``.
 
     The chord of length ``2*sqrt(R^2 - mu^2)`` runs parallel to a diameter at
     distance ``mu`` below it; both Larmor arcs are half circles.  The launch
-    angle satisfies ``cos(theta0) = mu / R`` and the dimensionless parameters
-    obey ``alpha * beta = 4``, so the trace equals 2 for every radius: the
-    whole family is parabolic.
+    angle satisfies ``cos(theta0) = mu / R``, so ``alpha = 2*sqrt(R^2 - mu^2)/mu``
+    and ``beta = delta = 2*cot(theta0) = 4/alpha``: ``alpha * beta = 4`` and the
+    trace equals 2 for every radius, the whole family is parabolic.
     """
     if R <= 0.0:
         raise ValueError(f"circle radius must be positive, got {R}")
@@ -274,21 +283,7 @@ def two_periodic_circle(R: float, mu: float) -> tuple[PeriodicOrbit, TwoPeriodic
     curve = Circle(R)
     z0 = _launch_phase(curve, (-half_chord, -mu), (1.0, 0.0))
     orbit = _orbit_from_seed(curve, mu, z0, 2, _HALF)
-    params = two_periodic_params_from_steps(orbit.steps)
-    return orbit, params
-
-
-def _ellipse_two_periodic_feasible(a: float, b: float, axis: str) -> float:
-    """Largest Larmor radius for which the stadium fits around the given axis.
-
-    The binding constraint is that the full half-turn Larmor arc beyond the
-    chord endpoint stays outside the ellipse; tangency first occurs when
-    ``mu`` reaches ``2*a*b^2/(a^2+b^2)`` (major axis) or ``2*a^2*b/(a^2+b^2)``
-    (minor axis).
-    """
-    if axis == "major":
-        return 2.0 * a * b * b / (a * a + b * b)
-    return 2.0 * a * a * b / (a * a + b * b)
+    return orbit, _symmetric(2.0 * half_chord / mu, 4.0)
 
 
 def two_periodic_ellipse(
@@ -301,6 +296,14 @@ def two_periodic_ellipse(
     ``alpha*beta = 4a^2/b^2 > 4``); ``axis="minor"`` places it parallel to the
     minor axis (``alpha*beta = 4b^2/a^2 < 4``, elliptic except for the
     aspect ratio ``a^2 = 2b^2``, where the trace is exactly -2).
+
+    The product does not depend on ``mu``: at the major-axis chord's endpoint
+    ``(x1, -mu)`` the normal is along ``(x1/a^2, -mu/b^2)``, so
+    ``cot(theta) = mu a^2/(b^2 x1)``, while ``alpha = 2 x1/mu``; hence
+    ``alpha*beta = 2 alpha cot(theta) = 4a^2/b^2`` (swap ``a`` and ``b`` on
+    the minor axis).  The Larmor half-turn beyond the endpoint first touches
+    the ellipse at ``mu = 2ab^2/(a^2 + b^2)`` (major) or ``2a^2 b/(a^2 + b^2)``
+    (minor), which bounds the family.
     """
     if not a > b > 0.0:
         raise ValueError(f"need a > b > 0, got a={a}, b={b}")
@@ -311,7 +314,7 @@ def two_periodic_ellipse(
         raise MuTooLarge(
             f"need 0 < mu < {cap} for the {axis}-axis chord to exist, got mu={mu}"
         )
-    mu_max = _ellipse_two_periodic_feasible(a, b, axis)
+    mu_max = 2.0 * a * b * cap / (a * a + b * b)
     if mu >= mu_max:
         raise InfeasibleStadium(
             f"Larmor arc of radius mu={mu} re-enters the ellipse prematurely; "
@@ -321,12 +324,13 @@ def two_periodic_ellipse(
     if axis == "major":
         half_chord = a * math.sqrt(b * b - mu * mu) / b
         z0 = _launch_phase(curve, (-half_chord, -mu), (1.0, 0.0))
+        product = 4.0 * a * a / (b * b)
     else:
         half_chord = b * math.sqrt(a * a - mu * mu) / a
         z0 = _launch_phase(curve, (mu, -half_chord), (0.0, 1.0))
+        product = 4.0 * b * b / (a * a)
     orbit = _orbit_from_seed(curve, mu, z0, 2, _HALF)
-    params = two_periodic_params_from_steps(orbit.steps)
-    return orbit, params
+    return orbit, _symmetric(2.0 * half_chord / mu, product)
 
 
 def two_periodic_superellipse_axis(
@@ -354,7 +358,7 @@ def two_periodic_superellipse_axis(
     curve = Superellipse(k)
     z0 = _launch_phase(curve, (-half_chord, -mu), (1.0, 0.0))
     orbit = _orbit_from_seed(curve, mu, z0, 2, _HALF)
-    params = two_periodic_params_from_steps(orbit.steps)
+    params = _symmetric(2.0 * half_chord / mu, _se_axis_product(k, mu))
     return orbit, params, _superellipse_axis_thresholds(k)
 
 
@@ -368,9 +372,14 @@ def trace2_superellipse_axis(k: int, mu: float) -> float:
     bad = _stray(mu, (0.0 < mu) & (mu < 1.0))
     if bad is not None:
         raise MuTooLarge(f"need 0 < mu < 1, got mu={bad}")
+    return _pow_for(mu)(_se_axis_product(k, mu) - 2.0, 2) - 2.0
+
+
+def _se_axis_product(k: int, mu: float) -> float:
+    """``alpha*beta = 4 (mu^{-2k} - 1)^{(1-k)/k}`` of the axis-aligned
+    2-periodic superellipse family, at a float or at every point of an array."""
     pw = _pow_for(mu)
-    ab = 4.0 * pw(pw(mu, -2 * k) - 1.0, (1.0 - k) / k)
-    return pw(ab - 2.0, 2) - 2.0
+    return 4.0 * pw(pw(mu, -2 * k) - 1.0, (1.0 - k) / k)
 
 
 def _superellipse_axis_thresholds(k: int) -> tuple[float, float]:
@@ -420,8 +429,11 @@ def two_periodic_superellipse_diag(
     The chord joins ``(x0, y0)`` to ``(-y0, -x0)`` (direction ``-(1,1)``),
     with ``y0 = (1 - x0^{2k})^{1/(2k)}``; the Larmor centers sit on the
     diagonal ``y = x``.  Here ``ell1 = sqrt(2)*(x0 + y0)`` and
-    ``mu = (y0 - x0)/sqrt(2)``, so ``x0`` ranges over the open interval
-    ``(-q, q)`` with ``q = 2^{-1/(2k)}``.
+    ``mu = (y0 - x0)/sqrt(2)``, so ``alpha = 2(x0 + y0)/(y0 - x0)``, and ``x0``
+    ranges over the open interval ``(-q, q)`` with ``q = 2^{-1/(2k)}``.  With
+    ``m = 2k - 1`` the launch angle has
+    ``cot(theta0) = (y0^m - x0^m)/(y0^m + x0^m)``, so
+    ``alpha*beta = 2 alpha cot(theta0) = 4 f``.
 
     The returned ``f`` value (ratio of power sums, see the trace identities
     ``trace - 2 = 16 f (f - 1)`` and ``trace + 2 = 4 (2f - 1)^2``) classifies
@@ -442,9 +454,8 @@ def two_periodic_superellipse_diag(
     curve = Superellipse(k)
     z0 = _launch_phase(curve, (x0, y0), (-1.0, -1.0))
     orbit = _orbit_from_seed(curve, mu, z0, 2, _HALF)
-    params = two_periodic_params_from_steps(orbit.steps)
     f_value = _diag_power_sum_ratio(k, x0, y0)
-    return orbit, params, f_value
+    return orbit, _symmetric(2.0 * (x0 + y0) / (y0 - x0), 4.0 * f_value), f_value
 
 
 def trace2_superellipse_diag(k: int, x0: float) -> float:
@@ -478,12 +489,14 @@ def two_periodic_stadium(
     """2-periodic orbit of the stadium with flat sides ``y = ±R``.
 
     ``kind="sides"`` bounces between the two straight segments: both chords
-    are orthogonal to the flats, so ``beta = delta = 0`` exactly and the trace
-    is exactly 2 (parabolic) for every ``2*mu < Lside``.  ``kind="caps"``
-    runs along the long axis through both semicircular caps; with
-    ``m = sqrt(R^2 - mu^2)/mu`` one gets ``alpha = Lside/mu + 2m > 2m``, which
-    puts the orbit beyond the upper parabolic threshold of the convex
-    two-bump analysis: hyperbolic for every ``mu < R``.
+    are orthogonal to the flats, so ``alpha = 2R/mu``, ``beta = delta = 0``
+    exactly and the trace is exactly 2 (parabolic) for every
+    ``2*mu < Lside``.  ``kind="caps"`` runs along the long axis through both
+    semicircular caps; with ``m = sqrt(R^2 - mu^2)/mu`` one gets
+    ``alpha = Lside/mu + 2m`` and ``beta = delta = 2/m``, so
+    ``alpha*beta = 4 + 2 Lside/sqrt(R^2 - mu^2) > 4``, beyond the upper
+    parabolic threshold of the convex two-bump analysis: hyperbolic for every
+    ``mu < R``.
     """
     if Lside <= 0.0 or R <= 0.0:
         raise ValueError(f"need positive side length and cap radius, got {Lside}, {R}")
@@ -496,19 +509,13 @@ def two_periodic_stadium(
                 f"side-to-side orbit needs 0 < 2*mu < side length, got mu={mu}, side={Lside}"
             )
         z0 = _launch_phase(curve, (mu, -R), (0.0, 1.0))
-        orbit = _orbit_from_seed(curve, mu, z0, 2, _HALF)
-        # The incidence angles are exactly pi/2; build the parameters with
-        # exact zeros so the closed trace is exactly 2.0.
-        alpha = orbit.steps[0].ell1 / mu
-        params = TwoPeriodicParams(alpha=alpha, beta=0.0, delta=0.0)
-        return orbit, params
+        return _orbit_from_seed(curve, mu, z0, 2, _HALF), _symmetric(2.0 * R / mu, 0.0)
     if not 0.0 < mu < R:
         raise MuTooLarge(f"cap-to-cap orbit needs 0 < mu < R, got mu={mu}, R={R}")
     xr = math.sqrt(R * R - mu * mu)
     z0 = _launch_phase(curve, (-(Lside / 2.0 + xr), -mu), (1.0, 0.0))
     orbit = _orbit_from_seed(curve, mu, z0, 2, _HALF)
-    params = two_periodic_params_from_steps(orbit.steps)
-    return orbit, params
+    return orbit, _symmetric((Lside + 2.0 * xr) / mu, 4.0 + 2.0 * Lside / xr)
 
 
 # --------------------------------------------------------------------------
@@ -1365,29 +1372,18 @@ class _Family:
     scan: Callable | None = None
 
 
-def _closed2(orbit, params, names):
-    """A 2-periodic member: the closed trace of ``params`` and their ``names``."""
-    return orbit, trace2_closed(params), [(n, getattr(params, n)) for n in names]
+def _two(result, names, more=()):
+    """A 2-periodic member from a constructor's ``(orbit, params, *rest)``: the
+    closed trace of ``params``, which reads no step data, and as extras the
+    parameters ``names`` and then ``rest`` flattened, named by ``more``."""
+    orbit, params, *rest = result
+    return (orbit, trace2_closed(params),
+            [(n, getattr(params, n)) for n in names] + list(zip(more, np.ravel(rest).tolist())))
 
 
 def _scan(trace_fn, domain, pads, references=()):
     """A scan whose default window is ``domain`` narrowed by ``pads``."""
     return trace_fn, (domain[0] + pads[0], domain[1] - pads[1]), domain, list(references)
-
-
-def _se_axis2(c, mu, rot):
-    """The superellipse 2-periodic rows report their public closed-form traces,
-    which do not read the orbit's steps, so ``check`` compares two routes."""
-    orbit, params, thresholds = two_periodic_superellipse_axis(c["k"], mu)
-    return (orbit, trace2_superellipse_axis(c["k"], mu),
-            [("alpha", params.alpha), ("beta", params.beta),
-             *zip(("mu_star", "mu_double_star"), thresholds)])
-
-
-def _se_diag2(c, x0, rot):
-    orbit, params, f_value = two_periodic_superellipse_diag(c["k"], x0)
-    return (orbit, trace2_superellipse_diag(c["k"], x0),
-            [("alpha", params.alpha), ("beta", params.beta), ("f", f_value)])
 
 
 def _theta_extra(orbit, theta, trace):
@@ -1423,29 +1419,33 @@ def _se_diag4_scan(c, rot):
 
 #: every closed-form family by (curve kind, family tag), the one home of its facts
 FAMILIES: dict[tuple[str, str], _Family] = {
-    ("circle", "two-periodic"): _Family("mu", (), lambda c, mu, rot: _closed2(
-        *two_periodic_circle(c["R"], mu), ("alpha",))),
+    ("circle", "two-periodic"): _Family("mu", (), lambda c, mu, rot: _two(
+        two_periodic_circle(c["R"], mu), ("alpha",))),
     ("circle", "three-periodic"): _Family("mu", _ROTATIONS[3], lambda c, mu, rot: _theta_extra(
         *three_periodic_circle(c["R"], mu, rot))),
     ("circle", "four-periodic"): _Family("mu", _ROTATIONS[4], lambda c, mu, rot: _theta_extra(
         *four_periodic_circle(c["R"], mu, rot))),
-    ("ellipse", "two-periodic-major"): _Family("mu", (), lambda c, mu, rot: _closed2(
-        *two_periodic_ellipse(c["a"], c["b"], mu, "major"), ("alpha", "beta", "delta"))),
-    ("ellipse", "two-periodic-minor"): _Family("mu", (), lambda c, mu, rot: _closed2(
-        *two_periodic_ellipse(c["a"], c["b"], mu, "minor"), ("alpha", "beta", "delta"))),
+    ("ellipse", "two-periodic-major"): _Family("mu", (), lambda c, mu, rot: _two(
+        two_periodic_ellipse(c["a"], c["b"], mu, "major"), ("alpha", "beta", "delta"))),
+    ("ellipse", "two-periodic-minor"): _Family("mu", (), lambda c, mu, rot: _two(
+        two_periodic_ellipse(c["a"], c["b"], mu, "minor"), ("alpha", "beta", "delta"))),
     ("ellipse", "four-periodic"): _Family("x0", _ROTATIONS[4], _ellipse4, _ellipse4_scan),
-    ("superellipse", "two-periodic-axis"): _Family("mu", (), _se_axis2, lambda c, rot: _scan(
+    ("superellipse", "two-periodic-axis"): _Family("mu", (), lambda c, mu, rot: _two(
+        two_periodic_superellipse_axis(c["k"], mu), ("alpha", "beta"),
+        ("mu_star", "mu_double_star")), lambda c, rot: _scan(
         lambda mu: trace2_superellipse_axis(c["k"], mu), (0.0, 1.0), (0.02, 0.005),
         [(mu, True) for mu in _superellipse_axis_thresholds(c["k"])])),
-    ("superellipse", "two-periodic-diag"): _Family("x0", (), _se_diag2, lambda c, rot: _scan(
+    ("superellipse", "two-periodic-diag"): _Family("x0", (), lambda c, x0, rot: _two(
+        two_periodic_superellipse_diag(c["k"], x0), ("alpha", "beta"), ("f",)),
+        lambda c, rot: _scan(
         lambda x0: trace2_superellipse_diag(c["k"], x0), (-_se_q(c["k"]), _se_q(c["k"])),
         (1e-4, 1e-4))),
     ("superellipse", "four-periodic-axis"): _Family("x0", _ROTATIONS[4], lambda c, x0, rot: (
         *four_periodic_superellipse_axis(c["k"], x0, rot), []), _se_axis4_scan),
     ("superellipse", "four-periodic-diag"): _Family("x0", _ROTATIONS[4], lambda c, x0, rot: (
         *four_periodic_superellipse_diag(c["k"], x0, rot), []), _se_diag4_scan),
-    ("stadium", "two-periodic-sides"): _Family("mu", (), lambda c, mu, rot: _closed2(
-        *two_periodic_stadium(c["side"], c["R"], mu, "sides"), ("alpha", "beta"))),
-    ("stadium", "two-periodic-caps"): _Family("mu", (), lambda c, mu, rot: _closed2(
-        *two_periodic_stadium(c["side"], c["R"], mu, "caps"), ("alpha", "beta"))),
+    ("stadium", "two-periodic-sides"): _Family("mu", (), lambda c, mu, rot: _two(
+        two_periodic_stadium(c["side"], c["R"], mu, "sides"), ("alpha", "beta"))),
+    ("stadium", "two-periodic-caps"): _Family("mu", (), lambda c, mu, rot: _two(
+        two_periodic_stadium(c["side"], c["R"], mu, "caps"), ("alpha", "beta"))),
 }

@@ -41,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from .curves import Curve
-from .dynamics import PhasePoint, StepData, iterate, jacobian_analytic
+from .dynamics import PhasePoint, iterate, jacobian_analytic
 from .errors import NotPeriodic
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "classify2_general",
     "GeneralCaseDiagnosis",
     "two_periodic_step_matrix",
-    "two_periodic_params_from_steps",
     "billiard_trace2",
     "classify_billiard2",
     "CLOSED_FORM_TOL",
@@ -259,18 +258,6 @@ def two_periodic_step_matrix(
     a21 = (kappa0 * ell1 - st0) * (s12 - kappa2 * mu * st1) / (mu * st1) - kappa0 * st2
     a22 = ell1 * (s12 - kappa2 * mu * st1) / (mu * st0 * st1) - st2 / st0
     return np.array([[a11, a12], [a21, a22]])
-
-
-def two_periodic_params_from_steps(
-    steps: tuple[StepData, StepData] | list[StepData],
-) -> TwoPeriodicParams:
-    """Extract (alpha, beta, delta) from the two steps of a 2-periodic
-    orbit: alpha from the first chord, beta from the angles at the chord
-    launch points, delta from those at the chord exit / re-entry points."""
-    d0, d1 = steps
-    beta = 1.0 / math.tan(d0.theta0) + 1.0 / math.tan(d1.theta1)
-    delta = 1.0 / math.tan(d0.theta1) + 1.0 / math.tan(d0.theta2)
-    return TwoPeriodicParams(alpha=d0.ell1 / d0.mu, beta=beta, delta=delta)
 
 
 # --- standard billiard comparison -------------------------------------------

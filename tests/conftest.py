@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from imbilliards.curves import Circle, Curve, Ellipse, Stadium, Superellipse
 from imbilliards.dynamics import PhasePoint, iterate, jacobian_analytic, well_conditioned
 from imbilliards.errors import BilliardError
+from imbilliards.stability import TwoPeriodicParams
 
 #: (name, factory, mu) menu used by sweep-style tests.  Factories, not
 #: instances, so every test builds its own curve (the arclength table of a
@@ -43,9 +45,11 @@ def sample_phase_points(
     conditioned: bool = True,
 ) -> list[PhasePoint]:
     """Random phase points whose first map step succeeds (and is
-    well-conditioned unless ``conditioned=False``)."""
+    well-conditioned unless ``conditioned=False``).  A shortfall raises
+    ``RuntimeError`` naming the draws whose step raised, by error tag."""
     length = curve.total_length()
     out: list[PhasePoint] = []
+    failed: Counter = Counter()
     attempts = 0
     while len(out) < n and attempts < 200 * n:
         attempts += 1
@@ -55,14 +59,39 @@ def sample_phase_points(
         )
         try:
             _, d = iterate(curve, mu, z, 1)[0]
-        except BilliardError:
+        except BilliardError as exc:
+            failed[type(exc).__name__] += 1
             continue
         if conditioned and not well_conditioned(d):
             continue
         out.append(z)
     if len(out) < n:
-        raise RuntimeError(f"could only sample {len(out)}/{n} usable phase points")
+        raise RuntimeError(
+            f"could only sample {len(out)}/{n} usable phase points in {attempts} draws; "
+            "failed: " + (", ".join(f"{tag} {count}" for tag, count in sorted(failed.items()))
+                          or "none"))
     return out
+
+
+def measured_two_periodic_params(orbit) -> TwoPeriodicParams:
+    """The oracle for a 2-periodic orbit's closed parameters, measured from its
+    two steps: alpha from the first chord, beta from the angles at the chord
+    launch points, delta from those at the chord exit / re-entry points."""
+    d0, d1 = orbit.steps
+    beta = 1.0 / math.tan(d0.theta0) + 1.0 / math.tan(d1.theta1)
+    delta = 1.0 / math.tan(d0.theta1) + 1.0 / math.tan(d0.theta2)
+    return TwoPeriodicParams(alpha=d0.ell1 / d0.mu, beta=beta, delta=delta)
+
+
+def closed_and_measured(orbit, params: TwoPeriodicParams, tol: float):
+    """The closed ``params`` of a 2-periodic orbit and the oracle's, after
+    checking that each of alpha, beta, delta agrees to ``tol`` (relative
+    above 1)."""
+    measured = measured_two_periodic_params(orbit)
+    for name in ("alpha", "beta", "delta"):
+        x, y = getattr(params, name), getattr(measured, name)
+        assert abs(x - y) <= tol * max(1.0, abs(x), abs(y)), (name, x, y)
+    return params, measured
 
 
 def composed_trace(orbit) -> float:
@@ -71,3 +100,4 @@ def composed_trace(orbit) -> float:
     for d in orbit.steps:
         S = jacobian_analytic(d) @ S
     return float(S[0, 0] + S[1, 1])
+

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import CURVE_MENU, composed_trace, sample_phase_points
+from conftest import CURVE_MENU, closed_and_measured, composed_trace, sample_phase_points
 from scipy.optimize import brentq
 
 import imbilliards
@@ -91,7 +91,8 @@ def test_circle_orbit_families_are_parabolic():
     for mu in np.linspace(0.05, 0.95, 50):
         mu = float(mu)
         orbit, params = fam.two_periodic_circle(1.0, mu)
-        assert abs(trace2_closed(params)) == pytest.approx(2.0, abs=1e-7)
+        for p in closed_and_measured(orbit, params, 1e-7):
+            assert abs(trace2_closed(p)) == pytest.approx(2.0, abs=1e-7)
         assert abs(composed_trace(orbit)) == pytest.approx(2.0, abs=1e-7)
         for rot in ("1/3", "2/3"):
             orbit, _, trace = fam.three_periodic_circle(1.0, mu, rot)
@@ -120,14 +121,16 @@ def test_ellipse_axis_orbits_hyperbolic_major_elliptic_minor():
                 else min(2.0 * a * a * b / (a * a + b * b), a)
             )
             for mu in np.linspace(0.05, 0.95, 20) * cap:
-                _, params = fam.two_periodic_ellipse(a, b, float(mu), axis)
-                assert abs(params.alpha * params.beta - product) <= 1e-10 * max(1.0, product)
-                assert classify(trace2_closed(params)).cls is expected_cls
+                orbit, params = fam.two_periodic_ellipse(a, b, float(mu), axis)
+                for p in closed_and_measured(orbit, params, 1e-10):
+                    assert abs(p.alpha * p.beta - product) <= 1e-10 * max(1.0, product)
+                    assert classify(trace2_closed(p)).cls is expected_cls
 
     a = math.sqrt(2.0)
     for mu in np.linspace(0.05, 0.95, 20) * (2.0 * a * a / (a * a + 1.0)):
-        _, params = fam.two_periodic_ellipse(a, 1.0, float(mu), "minor")
-        assert trace2_closed(params) == pytest.approx(-2.0, abs=1e-9)
+        orbit, params = fam.two_periodic_ellipse(a, 1.0, float(mu), "minor")
+        for p in closed_and_measured(orbit, params, 1e-9):
+            assert trace2_closed(p) == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_superellipse_axis_thresholds_match_closed_forms():
@@ -157,7 +160,8 @@ def test_superellipse_diagonal_parabolic_point_and_ratio_limits():
         q = 2.0 ** (-1.0 / (2 * k))
         orbit, params, f_value = fam.two_periodic_superellipse_diag(k, 0.0)
         assert orbit.mu == pytest.approx(2.0 ** -0.5, abs=1e-9)
-        assert trace2_closed(params) == pytest.approx(2.0, abs=1e-9)
+        for p in closed_and_measured(orbit, params, 1e-9):
+            assert trace2_closed(p) == pytest.approx(2.0, abs=1e-9)
         assert f_value == pytest.approx(1.0, abs=1e-12)
 
         root = brentq(
@@ -180,12 +184,14 @@ def test_stadium_sides_parabolic_caps_hyperbolic():
     0); cap-bouncing orbits are hyperbolic for 20 mu values in (0, R)."""
     side, R = 2.0, 1.0
     for mu in np.linspace(0.05, 0.95, 10):
-        _, params = fam.two_periodic_stadium(side, R, float(mu), "sides")
+        orbit, params = fam.two_periodic_stadium(side, R, float(mu), "sides")
+        closed_and_measured(orbit, params, 1e-9)
         assert params.beta == 0.0 and params.delta == 0.0
         assert trace2_closed(params) == 2.0
     for mu in np.linspace(0.05, 0.95, 20) * R:
-        _, params = fam.two_periodic_stadium(side, R, float(mu), "caps")
-        assert classify(trace2_closed(params)).cls is StabilityClass.HYPERBOLIC
+        orbit, params = fam.two_periodic_stadium(side, R, float(mu), "caps")
+        for p in closed_and_measured(orbit, params, 1e-9):
+            assert classify(trace2_closed(p)).cls is StabilityClass.HYPERBOLIC
 
 
 def test_interval_classification_agrees_with_trace():

@@ -451,6 +451,20 @@ def test_the_readme_names_the_flags_of_the_parser():
     assert tabled == {verb: set(flags) for verb, flags in parsed.items()}
 
 
+def test_the_readme_orbit_example_prints_what_it_shows(tmp_path, monkeypatch, capsys):
+    """The README's ``orbit`` config, run as its ``$ imbil orbit`` line says,
+    prints the line the README shows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### `orbit`", 1)[1]
+    config, shown = re.search(r"```json\n(.*?)```\n\n```\n\$ imbil (.*?)```", section, re.S).groups()
+    command, *printed = shown.splitlines()
+    args = command.split()
+    (tmp_path / args[args.index("--config") + 1]).write_text(config)
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == printed
+
+
 @pytest.mark.parametrize("curve, family, rotations", [
     (_SE2, "four-periodic-axis", (None, "1/4")),
     (_SE2, "four-periodic-diag", (None, "1/4")),

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import CURVE_MENU, composed_trace, sample_phase_points
 from imbilliards import dynamics
 from imbilliards.collision import MAX_ROOT_ITERATIONS, chord_exit, larmor_reentry
@@ -372,3 +373,15 @@ def test_well_conditioned_flags_narrow_angles(curves, rng):
     assert well_conditioned(d)
     narrow = dataclasses.replace(d, theta1=1e-4)
     assert not well_conditioned(narrow)
+
+
+def test_a_sampling_shortfall_names_the_failed_draws_by_tag(monkeypatch, rng):
+    """A sampler that cannot find enough usable points says how many draws it
+    made and which errors their steps raised."""
+    def no_reentry(*args, **kwargs):
+        raise NoReentry("the Larmor arc does not come back")
+
+    monkeypatch.setattr(conftest, "iterate", no_reentry)
+    with pytest.raises(RuntimeError, match=r"^could only sample 0/3 usable phase points "
+                                           r"in 600 draws; failed: NoReentry 600$"):
+        sample_phase_points(Circle(1.0), 0.35, 3, rng)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import composed_trace
+from conftest import closed_and_measured, composed_trace
 from imbilliards import cli, dynamics, families, stability
 from imbilliards.curves import ArclengthTable, Ellipse
 from imbilliards.dynamics import PhasePoint, StepData, jacobian_analytic
@@ -86,9 +86,10 @@ def test_two_periodic_circle_is_parabolic_throughout():
         for d in orbit.steps:
             assert abs(d.chi - 0.5 * math.pi) < 1e-9
             assert abs(math.cos(d.theta0) - mu) < 1e-9  # cos(theta0) = mu / R
-        assert abs(params.alpha * params.beta - 4.0) < 1e-10
-        assert params.beta == pytest.approx(params.delta, abs=1e-10)
-        assert trace2_closed(params) == pytest.approx(2.0, abs=1e-9)
+        for p in closed_and_measured(orbit, params, 1e-10):
+            assert abs(p.alpha * p.beta - 4.0) < 1e-10
+            assert p.beta == pytest.approx(p.delta, abs=1e-10)
+            assert trace2_closed(p) == pytest.approx(2.0, abs=1e-9)
         assert composed_trace(orbit) == pytest.approx(2.0, abs=1e-7)
 
 
@@ -96,8 +97,9 @@ def test_two_periodic_circle_reference_values():
     orbit, params = two_periodic_circle(1.0, 0.5)
     # theta0 = pi/3, chord sqrt(3), alpha = 2 sqrt(3), beta = 2 cot(pi/3).
     assert orbit.steps[0].theta0 == pytest.approx(math.pi / 3.0, abs=1e-10)
-    assert params.alpha == pytest.approx(2.0 * SQRT3, rel=1e-10)
-    assert params.beta == pytest.approx(2.0 / SQRT3, rel=1e-10)
+    for p in closed_and_measured(orbit, params, 1e-10):
+        assert p.alpha == pytest.approx(2.0 * SQRT3, rel=1e-10)
+        assert p.beta == pytest.approx(2.0 / SQRT3, rel=1e-10)
 
 
 def test_two_periodic_circle_scale_equivariance():
@@ -126,30 +128,34 @@ def test_two_periodic_ellipse_product_identities(a, b):
         for mu in np.linspace(0.1, 0.95, 8) * cap:
             orbit, params = two_periodic_ellipse(a, b, float(mu), axis=axis)
             assert_orbit_sane(orbit, 2, (1, 2))
-            assert abs(params.alpha * params.beta - product) < 1e-10 * max(1.0, product)
-            assert params.beta == pytest.approx(params.delta, abs=1e-9)
             expected = (product - 2.0) ** 2 - 2.0
-            assert rel_close(trace2_closed(params), expected, 1e-9)
+            for p in closed_and_measured(orbit, params, 1e-10):
+                assert abs(p.alpha * p.beta - product) < 1e-10 * max(1.0, product)
+                assert p.beta == pytest.approx(p.delta, abs=1e-9)
+                assert rel_close(trace2_closed(p), expected, 1e-9)
             assert rel_close(composed_trace(orbit), expected, 1e-7)
 
 
 def test_two_periodic_ellipse_reference_values():
     orbit, params = two_periodic_ellipse(2.0, 1.0, 0.5, axis="major")
-    assert params.alpha == pytest.approx(4.0 * SQRT3, rel=1e-9)
-    assert params.beta == pytest.approx(4.0 / SQRT3, rel=1e-9)
-    assert trace2_closed(params) == pytest.approx(194.0, rel=1e-9)
+    for p in closed_and_measured(orbit, params, 1e-9):
+        assert p.alpha == pytest.approx(4.0 * SQRT3, rel=1e-9)
+        assert p.beta == pytest.approx(4.0 / SQRT3, rel=1e-9)
+        assert trace2_closed(p) == pytest.approx(194.0, rel=1e-9)
     assert composed_trace(orbit) == pytest.approx(194.0, rel=1e-7)
 
-    _, params = two_periodic_ellipse(2.0, 1.0, 0.5, axis="minor")
-    assert trace2_closed(params) == pytest.approx(-1.0, abs=1e-9)
+    orbit, params = two_periodic_ellipse(2.0, 1.0, 0.5, axis="minor")
+    for p in closed_and_measured(orbit, params, 1e-9):
+        assert trace2_closed(p) == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_two_periodic_ellipse_root_two_aspect_is_parabolic():
     """a^2 = 2 b^2 makes the minor-axis product alpha*beta = 2: trace -2."""
     a = math.sqrt(2.0)
     for mu in (0.2, 0.5, 0.8):
-        _, params = two_periodic_ellipse(a, 1.0, mu, axis="minor")
-        assert trace2_closed(params) == pytest.approx(-2.0, abs=1e-9)
+        orbit, params = two_periodic_ellipse(a, 1.0, mu, axis="minor")
+        for p in closed_and_measured(orbit, params, 1e-9):
+            assert trace2_closed(p) == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_two_periodic_ellipse_feasibility():
@@ -172,11 +178,12 @@ def test_two_periodic_superellipse_axis_identities(k):
         orbit, params, (mu_star, mu_dstar) = two_periodic_superellipse_axis(k, float(mu))
         assert_orbit_sane(orbit, 2, (1, 2))
         w = mu ** (-2 * k) - 1.0
-        assert rel_close(params.alpha, params.beta * w, 1e-9)
-        assert rel_close(params.alpha * params.beta, 4.0 * w ** ((1.0 - k) / k), 1e-9)
-        assert params.beta == pytest.approx(params.delta, rel=1e-9)
-        expected = (params.alpha * params.beta - 2.0) ** 2 - 2.0
-        assert rel_close(composed_trace(orbit), expected, 1e-7)
+        for p in closed_and_measured(orbit, params, 1e-9):
+            assert rel_close(p.alpha, p.beta * w, 1e-9)
+            assert rel_close(p.alpha * p.beta, 4.0 * w ** ((1.0 - k) / k), 1e-9)
+            assert p.beta == pytest.approx(p.delta, rel=1e-9)
+            expected = (p.alpha * p.beta - 2.0) ** 2 - 2.0
+            assert rel_close(composed_trace(orbit), expected, 1e-7)
 
 
 @pytest.mark.parametrize(
@@ -212,15 +219,16 @@ def test_two_periodic_superellipse_diag_trace_identities(k):
     for x0 in np.linspace(-0.95 * q, 0.95 * q, 9):
         orbit, params, f = two_periodic_superellipse_diag(k, float(x0))
         assert_orbit_sane(orbit, 2, (1, 2))
-        t = trace2_closed(params)
-        assert rel_close(t - 2.0, 16.0 * f * (f - 1.0), 1e-8)
-        assert rel_close(t + 2.0, 4.0 * (2.0 * f - 1.0) ** 2, 1e-8)
-        assert rel_close(composed_trace(orbit), t, 1e-7)
-        # Verdict structure: hyperbolic iff f > 1 iff x0 > 0.
-        if x0 > 1e-6:
-            assert t > 2.0
-        elif x0 < -1e-6:
-            assert -2.0 <= t < 2.0
+        for p in closed_and_measured(orbit, params, 1e-8):
+            t = trace2_closed(p)
+            assert rel_close(t - 2.0, 16.0 * f * (f - 1.0), 1e-8)
+            assert rel_close(t + 2.0, 4.0 * (2.0 * f - 1.0) ** 2, 1e-8)
+            assert rel_close(composed_trace(orbit), t, 1e-7)
+            # Verdict structure: hyperbolic iff f > 1 iff x0 > 0.
+            if x0 > 1e-6:
+                assert t > 2.0
+            elif x0 < -1e-6:
+                assert -2.0 <= t < 2.0
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -246,7 +254,8 @@ def test_superellipse_diag_tangential_point():
     assert mu_t == pytest.approx(0.972065420906982, abs=1e-10)
     orbit, params, f = two_periodic_superellipse_diag(2, x_t)
     assert f == pytest.approx(0.5, abs=1e-12)
-    assert trace2_closed(params) == pytest.approx(-2.0, abs=1e-9)
+    for p in closed_and_measured(orbit, params, 1e-9):
+        assert trace2_closed(p) == pytest.approx(-2.0, abs=1e-9)
     assert composed_trace(orbit) == pytest.approx(-2.0, abs=1e-7)
     # k = 3 also has an interior tangential point in (-q, 0).
     x_t3, _ = superellipse_diag_tangential(3)
@@ -264,6 +273,7 @@ def test_two_periodic_stadium_sides_is_exactly_parabolic():
     for mu in (0.2, 0.5, 0.9):
         orbit, params = two_periodic_stadium(2.0, 1.0, mu, kind="sides")
         assert_orbit_sane(orbit, 2, (1, 2))
+        closed_and_measured(orbit, params, 1e-9)
         assert params.beta == 0.0 and params.delta == 0.0
         assert trace2_closed(params) == 2.0
         assert composed_trace(orbit) == pytest.approx(2.0, abs=1e-9)
@@ -277,8 +287,9 @@ def test_two_periodic_stadium_caps_is_hyperbolic():
     for mu in np.linspace(0.05, 0.95, 10):
         orbit, params = two_periodic_stadium(side, R, float(mu), kind="caps")
         expected_alpha = side / mu + 2.0 * math.sqrt(R * R - mu * mu) / mu
-        assert rel_close(params.alpha, expected_alpha, 1e-9)
-        assert trace2_closed(params) > 2.0
+        for p in closed_and_measured(orbit, params, 1e-9):
+            assert rel_close(p.alpha, expected_alpha, 1e-9)
+            assert trace2_closed(p) > 2.0
         assert composed_trace(orbit) > 2.0
 
 
@@ -289,6 +300,50 @@ def test_two_periodic_stadium_feasibility():
         two_periodic_stadium(2.0, 1.0, 1.0, kind="caps")
     with pytest.raises(ValueError):
         two_periodic_stadium(2.0, 1.0, 0.3, kind="diagonal")
+
+
+def test_the_major_axis_trace_is_exact_at_small_mu():
+    """alpha*beta = 4a^2/b^2 whatever mu is, so the trace is 194 on
+    Ellipse(2, 1); measured from the orbit's steps it read 193.99999995589
+    at mu = 1e-3, 2.3e-10 off."""
+    orbit, params = two_periodic_ellipse(2.0, 1.0, 1e-3, "major")
+    _, trace, _ = families.FAMILIES[("ellipse", "two-periodic-major")].member(
+        {"kind": "ellipse", "a": 2.0, "b": 1.0}, 1e-3, None)
+    for t in (trace, trace2_closed(params)):
+        assert abs(t - 194.0) <= 1e-13 * 194.0
+    assert rel_close(composed_trace(orbit), 194.0, 1e-7)
+
+
+def test_the_circle_row_is_parabolic_to_rounding():
+    """alpha*beta = 4 on the circle; measured from the steps the trace read
+    1.99999999999633 at mu = 0.01."""
+    _, trace, _ = families.FAMILIES[("circle", "two-periodic")].member(
+        {"kind": "circle", "R": 1.0}, 0.01, None)
+    assert abs(trace - 2.0) <= 1e-14
+
+
+def _tampered(iterate):
+    """``iterate`` whose points are the real ones but whose step records
+    have every angle shifted by 1e-6 and the chord stretched by 1e-6."""
+    def tampered(*args, **kwargs):
+        return [(z, dataclasses.replace(
+                    d, theta0=d.theta0 + 1e-6, theta1=d.theta1 + 1e-6,
+                    theta2=d.theta2 + 1e-6, chi=d.chi + 1e-6, ell1=d.ell1 * (1.0 + 1e-6)))
+                for z, d in iterate(*args, **kwargs)]
+    return tampered
+
+
+@pytest.mark.parametrize("name, curve_cfg, section", cli._CHECK_MEMBERS,
+                         ids=[name for name, _, _ in cli._CHECK_MEMBERS])
+def test_check_members_read_no_step_data(monkeypatch, name, curve_cfg, section):
+    """The trace and extras of every ``check`` member are closed forms: step
+    records tampered with after the orbit closed change neither, so the
+    composed product that ``check`` compares them with is a second route."""
+    orbit, trace, extras = cli._member(curve_cfg, section)
+    monkeypatch.setattr(families, "iterate", _tampered(families.iterate))
+    tampered, tampered_trace, tampered_extras = cli._member(curve_cfg, section)
+    assert tampered.steps[0].theta0 == orbit.steps[0].theta0 + 1e-6  # the patch took effect
+    assert (tampered_trace, tampered_extras) == (trace, extras)
 
 
 # ------------------------------------------------------------------
