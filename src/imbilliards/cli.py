@@ -478,7 +478,9 @@ def cmd_trace(config: dict, paths: dict[str, Path]) -> int:
     else:
         for name in ("s", "theta", "mu", "steps"):
             _require(name in section, f"raw trace needs {name!r} (or a 'family')")
-        z = PhasePoint(s=section["s"], theta=section["theta"])
+        theta = section["theta"]
+        _require(0.0 < theta < math.pi, f"raw trace 'theta' must lie in (0, pi), got {theta!r}")
+        z = PhasePoint(s=section["s"], theta=theta)
         mu = section["mu"]
         steps = tuple(d for _, d in iterate(curve, mu, z, section["steps"]))
 

@@ -22,6 +22,10 @@ so a map step resolves each boundary point once.  Between the two frames
 they work on Python floats: the frame's coordinates, the chord direction
 ``v`` (two floats, handed from the chord to the arc) and every residual,
 slope and angle.  The one array computation is the 512-sample sweep.
+
+Both also decide the map's domain, theta in (ANGLE_EPS, pi - ANGLE_EPS): a launch
+outside it raises :class:`TangentialChord` and a re-entry outside it
+:class:`TangentialContact`, so every phase point a step returns can be launched again.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from .errors import NoInteriorHit, NoReentry, TangentialChord, TangentialContact
 
 __all__ = ["ChordHit", "LarmorHit", "chord_exit", "larmor_reentry"]
 
-ANGLE_EPS = 1e-12      # theta within this of {0, pi} counts as tangential
+ANGLE_EPS = 1e-12      # theta within this of {0, pi} lies outside the domain
+_DOMAIN = f"the open interval ({ANGLE_EPS}, pi - {ANGLE_EPS})"
 SWEEP_GUARD = 1e-7     # smallest admissible Larmor sweep angle
 N_SWEEP_SAMPLES = 512  # dense sampling of the Larmor circle
 _EPS = 2.0**-52        # float64 machine epsilon
@@ -90,13 +95,13 @@ def chord_exit(curve: Curve, frame0: Frame, theta0: float) -> ChordHit:
     """First boundary intersection of the chord launched from the boundary
     point ``frame0`` at angle ``theta0`` from its tangent.
 
-    Raises :class:`TangentialChord` for theta0 within ``ANGLE_EPS`` of
-    {0, pi} (the map is the identity there) and :class:`NoInteriorHit`
+    Raises :class:`TangentialChord` for theta0 outside the open interval
+    (``ANGLE_EPS``, pi - ``ANGLE_EPS``) and :class:`NoInteriorHit`
     when the chord is too short for rounding to tell its exit from the
     launch point, as on launches within about 1e-9 of the tangent.
     """
-    if theta0 < ANGLE_EPS or theta0 > math.pi - ANGLE_EPS:
-        raise TangentialChord(f"launch angle {theta0!r} is within {ANGLE_EPS} of 0 or pi")
+    if not ANGLE_EPS < theta0 < math.pi - ANGLE_EPS:
+        raise TangentialChord(f"launch angle {theta0!r} is not in {_DOMAIN}")
 
     x0, y0 = frame0.x, frame0.y
     vx, vy = frame0.direction(theta0)
@@ -139,9 +144,9 @@ def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float) -> LarmorHit:
     ``v`` is the unit chord direction at the exit point (two floats, or an
     array); the Larmor center sits at P1 + mu * rot90(v).  The crossing is
     bracketed on the implicit function sampled along the circle, refined by
-    one safeguarded Newton loop, and must be transversal; otherwise
-    :class:`TangentialContact` is raised, also when the loop does not
-    converge within ``MAX_ROOT_ITERATIONS`` steps.
+    one safeguarded Newton loop, and must be transversal at a re-entry angle
+    in the domain; otherwise :class:`TangentialContact` is raised, also when
+    the loop does not converge within ``MAX_ROOT_ITERATIONS`` steps.
     """
     if mu <= 0:
         raise ValueError(f"Larmor radius must be positive, got {mu}")
@@ -200,6 +205,8 @@ def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float) -> LarmorHit:
     frame2 = curve.frame_of((x2, y2))
     c, s = math.cos(psi), math.sin(psi)
     theta2 = frame2.angle((c * vx - s * vy, s * vx + c * vy))
+    if not ANGLE_EPS < theta2 < math.pi - ANGLE_EPS:
+        raise TangentialContact(f"re-entry angle {theta2!r} from s1={s1!r} is not in {_DOMAIN}")
 
     dx, dy = x2 - x1, y2 - y1
     ell2 = math.hypot(dx, dy)

@@ -4,7 +4,8 @@ Phase space is [0, L) x (0, pi) in coordinates (s, theta): arclength of
 the chord's launch point and its angle from the positive tangent.  One
 application of the map is chord exit followed by Larmor re-entry,
 (s0, theta0) -> (s2, theta2).  The boundary circles theta = 0 and
-theta = pi are fixed pointwise and are guarded, not iterated.
+theta = pi lie outside the domain: a launch or re-entry within
+``collision.ANGLE_EPS`` of them raises.
 
 The map preserves the area form sin(theta) ds ^ dtheta; in the chart
 (s, u) with u = -cos(theta) its derivative DT has determinant one.  The
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collision import ANGLE_EPS, chord_exit, larmor_reentry
+from .collision import chord_exit, larmor_reentry
 from .curves import Curve, Frame
 from .errors import BilliardError, DegenerateStep
 
@@ -98,16 +99,14 @@ class StepData:
 
 def step(
     curve: Curve, mu: float, z: PhasePoint, frame0: Frame | None = None
-) -> tuple[PhasePoint, StepData | None]:
-    """One application of the map.  Near theta in {0, pi} the map is the
-    identity; that guarded case returns ``(z, None)``.
+) -> tuple[PhasePoint, StepData]:
+    """One application of the map: the image of ``z`` and the step's record;
+    a launch or re-entry at the edge of the domain raises.
 
     The step launches from ``frame0``, the boundary frame of ``z`` when the
     caller has it, or else from ``frame_at(z.s)``; the exit and re-entry
     frames come back from the collision routines, so a step resolves each
     of its three boundary points once."""
-    if z.theta < ANGLE_EPS or z.theta > math.pi - ANGLE_EPS:
-        return z, None
     if frame0 is None:
         frame0 = curve.frame_at(z.s)
     hit1 = chord_exit(curve, frame0, z.theta)
@@ -137,7 +136,7 @@ def step(
 
 def iterate(
     curve: Curve, mu: float, z: PhasePoint, n: int
-) -> list[tuple[PhasePoint, StepData | None]]:
+) -> list[tuple[PhasePoint, StepData]]:
     """n successive steps; element i holds the image of the i-th step.
 
     Each step launches from the re-entry frame of the step before, so the
@@ -149,7 +148,7 @@ def iterate(
     in its ``partial`` attribute, so callers can inspect how far the orbit
     got.  Any other exception is a fault and propagates untouched.
     """
-    out: list[tuple[PhasePoint, StepData | None]] = []
+    out: list[tuple[PhasePoint, StepData]] = []
     current, frame = z, None
     for _ in range(n):
         try:
@@ -158,7 +157,7 @@ def iterate(
             exc.partial = out  # type: ignore[attr-defined]
             raise
         out.append((current, data))
-        frame = None if data is None else data.frames[2]
+        frame = data.frames[2]
     return out
 
 
@@ -208,9 +207,7 @@ def well_conditioned(d: StepData) -> bool:
 
 
 def _map_su(curve: Curve, mu: float, s: float, u: float) -> tuple[float, float]:
-    z1, data = step(curve, mu, PhasePoint.from_u(s, u))
-    if data is None:
-        raise DegenerateStep("finite-difference stencil touched the identity region")
+    z1, _ = step(curve, mu, PhasePoint.from_u(s, u))
     return z1.s, z1.u
 
 
@@ -221,14 +218,16 @@ def jacobian_numeric(
 
     Central differences with step ``h * max(1, L)`` in s and ``h`` in u.
     s-differences are wrapped to the shortest signed representative, so the
-    stencil may straddle s = 0.  A stencil point with u +/- h outside
-    (-1, 1) maps to theta in {0, pi}, the identity region, and raises
-    :class:`DegenerateStep`: near grazing the derivative grows like
-    1/sin(theta), and no finite difference is an oracle there.
+    stencil may straddle s = 0.  A stencil with u +/- h outside (-1, 1)
+    reaches theta in {0, pi}, the identity region, and raises
+    :class:`DegenerateStep` before any step: near grazing the derivative
+    grows like 1/sin(theta), and no finite difference is an oracle there.
     """
     L = curve.total_length()
     hs = h * max(1.0, L)
     hu = h
+    if not (-1.0 < z.u - hu and z.u + hu < 1.0):
+        raise DegenerateStep(f"stencil u = {z.u!r} +/- {hu} touches the identity region")
 
     def wrap_diff(a: float, b: float) -> float:
         return (a - b + 0.5 * L) % L - 0.5 * L

@@ -82,8 +82,8 @@ class Nu0OutOfRange(InputError):
 # --- geometric / dynamic family --------------------------------------------
 
 class TangentialChord(GeometricError):
-    """Launch angle within tolerance of 0 or pi: the chord grazes the
-    boundary and the map degenerates to the identity."""
+    """Launch angle outside the map's domain, within tolerance of 0 or pi or
+    past them: the chord grazes the boundary, or there is none."""
 
 
 class NoInteriorHit(GeometricError):
@@ -95,8 +95,8 @@ class NoReentry(GeometricError):
 
 
 class TangentialContact(GeometricError):
-    """The Larmor circle touches the boundary tangentially; the crossing
-    cannot be classified as a transversal re-entry."""
+    """The Larmor circle touches the boundary tangentially, or re-enters at
+    an angle outside the map's domain: no transversal re-entry."""
 
 
 class DegenerateStep(GeometricError):

@@ -1180,28 +1180,16 @@ def dual_orbit(orbit: PeriodicOrbit) -> PeriodicOrbit:
 def _newton_state(curve: Curve, mu: float, z: PhasePoint, n: int):
     """One evaluation of F(z) = T^n(z) - z in the (s, u) chart.
 
-    Returns ``(residual_vector, trajectory, scaled_residual)`` or ``None``
-    when the trajectory leaves the domain of the map.  The scaled residual
-    stays third: ``perfbench/tracing.py`` reads it there.
+    Returns ``(residual_vector, trajectory, scaled_residual)``; a trajectory
+    that leaves the map's domain raises.  The scaled residual stays third:
+    ``perfbench/tracing.py`` reads it there.
     """
-    try:
-        traj = iterate(curve, mu, z, n)
-    except BilliardError:
-        return None
+    traj = iterate(curve, mu, z, n)
     z_end = traj[-1][0]
     length = curve.total_length()
     ds = (z_end.s - z.s + 0.5 * length) % length - 0.5 * length
     F = np.array([ds, z_end.u - z.u])
     return F, traj, orbit_closure_residual(curve, z, z_end)
-
-
-def _composed(traj) -> np.ndarray | None:
-    """The composed step Jacobian of a trajectory, or ``None`` when a step
-    has none (it touched the identity region, or is degenerate)."""
-    try:
-        return compose(d for _, d in traj)
-    except BilliardError:
-        return None
 
 
 def find_periodic_newton(
@@ -1219,18 +1207,20 @@ def find_periodic_newton(
     the perimeter, using the composed step Jacobian minus the identity as the
     derivative of ``F(z) = T^n(z) - z``.  Steps that increase the residual
     are repeatedly halved; only the accepted trial's Jacobians are composed,
-    and a trial whose composition fails is rejected.  Raises
-    :class:`SingularJacobian` when
+    and a trial that leaves the domain of the map, or whose composition
+    fails, is rejected.  Raises :class:`SingularJacobian` when
     ``|det(S_n - I)| < 1e-10`` — the expected degeneracy on parabolic
     families, where periodic points are not isolated — and
-    :class:`NoConvergence` when the iteration stalls.
+    :class:`NoConvergence` when the seed leaves the domain or the iteration
+    stalls.
     """
     if n < 1:
         raise ValueError(f"period must be a positive integer, got {n}")
-    state = _newton_state(curve, mu, z0, n)
-    S = None if state is None else _composed(state[1])
-    if S is None:
-        raise NoConvergence("seed trajectory leaves the domain of the map")
+    try:
+        state = _newton_state(curve, mu, z0, n)
+        S = compose(d for _, d in state[1])
+    except BilliardError:
+        raise NoConvergence("seed trajectory leaves the domain of the map") from None
     z = z0
     length = curve.total_length()
     for _ in range(max_iter):
@@ -1249,12 +1239,13 @@ def find_periodic_newton(
         for _ in range(12):
             u_new = min(1.0 - 1e-12, max(-1.0 + 1e-12, z.u - step_scale * delta[1]))
             z_new = PhasePoint.from_u((z.s - step_scale * delta[0]) % length, u_new)
-            trial = _newton_state(curve, mu, z_new, n)
-            if trial is not None and trial[2] < residual:
-                S_new = _composed(trial[1])
-                if S_new is not None:
-                    z, state, S = z_new, trial, S_new
+            try:
+                trial = _newton_state(curve, mu, z_new, n)
+                if trial[2] < residual:
+                    z, state, S = z_new, trial, compose(d for _, d in trial[1])
                     break
+            except BilliardError:
+                pass
             step_scale *= 0.5
         else:
             raise NoConvergence(

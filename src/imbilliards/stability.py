@@ -137,12 +137,10 @@ def stability_matrix(
 
 
 def compose(steps) -> np.ndarray:
-    """Ordered product DT_n ... DT_1 of the analytic step Jacobians; a guarded
-    step (``None``, theta in {0, pi}) raises :class:`NotPeriodic`."""
+    """Ordered product DT_n ... DT_1 of the analytic Jacobians of the step
+    records ``steps``; the identity for no steps."""
     S = np.eye(2)
     for data in steps:
-        if data is None:
-            raise NotPeriodic("orbit touched the identity region theta in {0, pi}")
         S = jacobian_analytic(data) @ S
     return S
 

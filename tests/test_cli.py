@@ -377,11 +377,16 @@ _ELLIPSE_32 = {"kind": "ellipse", "a": 3.0, "b": 2.0}
     ("trace", {"kind": "circle", "R": 1.0},
      {"mu": 0.3, "s": 1.0, "theta": 1.2, "steps": 10, "overlay_dual": True},
      "a raw trace takes no 'overlay_dual'"),
+    *(("trace", {"kind": "circle", "R": 1.0},
+       {"mu": 0.4, "s": 0.3, "theta": theta, "steps": 2},
+       f"raw trace 'theta' must lie in (0, pi), got {theta!r}")
+      for theta in (-1.0, 0.0, math.pi, 4.0)),
 ])
 def test_verbs_reject_what_the_family_does_not_take(
         tmp_path, capsys, verb, curve, section, message):
     """``orbit``, ``trace`` and ``scan`` share one family, rotation and
-    parameter policy, and ``trace`` reads every key it is given."""
+    parameter policy, ``trace`` reads every key it is given, and a raw launch
+    angle must lie in the phase annulus."""
     config = write_config(tmp_path, {"curve": curve, verb: section})
     assert main([verb, "--config", config, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: ValueError: {message}\n"
@@ -582,6 +587,27 @@ def test_trace_overlay_needs_a_family(tmp_path, capsys):
     })
     assert main(["trace", "--config", config, "--out", str(tmp_path)]) == 2
     assert "overlay_dual" in capsys.readouterr().err
+
+
+def test_trace_never_prints_a_traceback(tmp_path, capsys):
+    """Raw traces launched on, past and near the edge of the domain exit with
+    0, 2, 3 or 4 and write nothing or one ``error: <Tag>: ...`` line to
+    stderr; an uncaught exception would fail the test with its traceback.
+    The last case re-enters past the tangent on its first step."""
+    tables = ({"kind": "circle", "R": 1.0}, {"kind": "ellipse", "a": 2.0, "b": 1.0},
+              {"kind": "superellipse", "k": 3}, {"kind": "stadium", "side": 2.0, "R": 1.0})
+    thetas = (-1.0, 0.0, 1e-13, 1e-9, 1e-6, math.pi - 1e-9, math.pi, 4.0)
+    cases = [(table, 0.3, theta, mu)
+             for table, theta, mu in itertools.product(tables, thetas, (1e-6, 0.3, 5.0))]
+    cases.append((tables[1], -5.0, 1e-6, 1e-6))
+    for table, s, theta, mu in cases:
+        config = write_config(tmp_path, {
+            "curve": table, "trace": {"s": s, "theta": theta, "mu": mu, "steps": 2},
+        })
+        code = main(["trace", "--config", config, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (table, s, theta, mu, err)
+        assert err == "" or re.fullmatch(r"error: \w+: [^\n]*\n", err), (table, s, theta, mu, err)
 
 
 # --------------------------------------------------------------------------

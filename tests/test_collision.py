@@ -228,7 +228,8 @@ def test_chord_exit_lands_on_boundary(name, curves, rng):
 def test_tangential_launch_rejected():
     circle = Circle(1.0)
     for theta in (0.0, 1e-13, math.pi, math.pi - 1e-13):
-        with pytest.raises(TangentialChord):
+        with pytest.raises(TangentialChord,
+                           match=r"is not in the open interval \(1e-12, pi - 1e-12\)"):
             chord_exit(circle, circle.frame_at(0.3), theta)
 
 

@@ -16,7 +16,7 @@ import conftest
 from conftest import CURVE_MENU, composed_trace, sample_phase_points
 from imbilliards import dynamics
 from imbilliards.collision import MAX_ROOT_ITERATIONS, chord_exit, larmor_reentry
-from imbilliards.curves import ArclengthTable, Circle, Ellipse, Superellipse, rot90
+from imbilliards.curves import ArclengthTable, Circle, Ellipse, Superellipse, make_curve, rot90
 from imbilliards.dynamics import (
     PhasePoint,
     StepData,
@@ -26,7 +26,9 @@ from imbilliards.dynamics import (
     step,
     well_conditioned,
 )
-from imbilliards.errors import BilliardError, DegenerateStep, NoReentry
+from imbilliards.errors import (
+    BilliardError, DegenerateStep, NoReentry, TangentialChord, TangentialContact,
+)
 from imbilliards.families import three_periodic_circle, two_periodic_ellipse
 from imbilliards.stability import two_periodic_step_matrix
 
@@ -356,6 +358,50 @@ def test_map_degenerates_on_fixed_lines():
             (z1, _), = iterate(curve, mu, PhasePoint(1.0, theta), 1)
             assert abs(z1.s - 1.0) < 20.0 * theta
             assert abs(z1.theta - theta) < 5.0 * theta * theta
+
+
+def test_a_re_entry_past_the_tangent_leaves_the_domain():
+    """On Ellipse(2, 1) at mu = 1e-6 this launch, 1e-6 from the tangent,
+    re-enters at theta2 = -8.65e-7 by rounding.  The step raises rather than
+    return a point that no step can launch from."""
+    with pytest.raises(TangentialContact, match="not in the open interval"):
+        step(Ellipse(2.0, 1.0), 1e-6, PhasePoint(-5.0, 1e-6))
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi], ids=["zero", "pi"])
+def test_a_launch_on_the_fixed_lines_leaves_the_domain(theta):
+    curve, z = Ellipse(2.0, 1.0), PhasePoint(1.0, theta)
+    with pytest.raises(TangentialChord):
+        step(curve, 0.3, z)
+    with pytest.raises(TangentialChord) as info:
+        iterate(curve, 0.3, z, 3)
+    assert info.value.partial == []
+
+
+def test_every_returned_step_lies_in_the_open_annulus():
+    """Grazing launches, theta log-uniform on [1e-9, 1e-3] and mirrored to
+    pi - theta on half the draws, with mu log-uniform on [1e-3, 10]: every
+    step that returns has its three angles in (0, pi), so it can be launched
+    again.  Steps that raise are left out; most return."""
+    rng = np.random.default_rng(0)
+    returned = 0
+    for table in ({"kind": "circle", "R": 1.0}, {"kind": "ellipse", "a": 2.0, "b": 1.0},
+                  {"kind": "ellipse", "a": 10.0, "b": 1.0}, {"kind": "superellipse", "k": 2},
+                  {"kind": "superellipse", "k": 3}, {"kind": "stadium", "side": 2.0, "R": 1.0}):
+        curve = make_curve(table)
+        for _ in range(200):
+            s = float(rng.uniform(0.0, curve.total_length()))
+            theta = math.exp(rng.uniform(math.log(1e-9), math.log(1e-3)))
+            if rng.random() < 0.5:
+                theta = math.pi - theta
+            mu = math.exp(rng.uniform(math.log(1e-3), math.log(10.0)))
+            try:
+                _, d = step(curve, mu, PhasePoint(s, theta))
+            except BilliardError:
+                continue
+            returned += 1
+            assert all(0.0 < a < math.pi for a in (d.theta0, d.theta1, d.theta2)), (table, d)
+    assert returned > 600
 
 
 def test_finite_differences_refuse_a_stencil_past_grazing():

@@ -16,6 +16,7 @@ from imbilliards.curves import ArclengthTable, Ellipse
 from imbilliards.dynamics import PhasePoint, StepData, jacobian_analytic
 from imbilliards.errors import (
     BeyondXHat,
+    BilliardError,
     InfeasibleStadium,
     MuTooLarge,
     NoConvergence,
@@ -843,8 +844,12 @@ def test_newton_composes_the_jacobians_of_accepted_states_only(monkeypatch):
     state, jacobian = families._newton_state, stability.jacobian_analytic
 
     def counted_state(*args):
-        result = state(*args)
-        residuals.append(None if result is None else result[2])
+        try:
+            result = state(*args)
+        except BilliardError:
+            residuals.append(math.inf)
+            raise
+        residuals.append(result[2])
         return result
 
     def counted_jacobian(d):
@@ -856,7 +861,7 @@ def test_newton_composes_the_jacobians_of_accepted_states_only(monkeypatch):
     found = find_periodic_newton(orbit.curve, orbit.mu, orbit.n, seed, max_iter=10)
     accepted, best = 0, math.inf
     for r in residuals:
-        if r is not None and r < best:
+        if r < best:
             accepted, best = accepted + 1, r
     assert found.residual == best
     assert len(residuals) > accepted
@@ -897,8 +902,8 @@ def test_newton_lets_programming_errors_through(monkeypatch):
 
 
 def test_newton_reports_a_seed_in_the_identity_region():
-    """A guarded step (theta in {0, pi}) has no Jacobian; the composed product
-    raises NotPeriodic and Newton reports the seed as outside the domain."""
+    """A seed at theta = 0 lies outside the domain: its first step raises
+    TangentialChord, and Newton reports the seed as leaving the domain."""
     with pytest.raises(NoConvergence, match="leaves the domain"):
         find_periodic_newton(Ellipse(2.0, 1.0), 0.3, 2, PhasePoint(0.1, 0.0))
 
