@@ -478,9 +478,10 @@ def cmd_trace(config: dict, paths: dict[str, Path]) -> int:
     else:
         for name in ("s", "theta", "mu", "steps"):
             _require(name in section, f"raw trace needs {name!r} (or a 'family')")
-        theta = section["theta"]
+        s, theta = section["s"], section["theta"]
+        _require(math.isfinite(s), f"raw trace 's' must be finite, got {s!r}")
         _require(0.0 < theta < math.pi, f"raw trace 'theta' must lie in (0, pi), got {theta!r}")
-        z = PhasePoint(s=section["s"], theta=theta)
+        z = PhasePoint(s=s, theta=theta)
         mu = section["mu"]
         steps = tuple(d for _, d in iterate(curve, mu, z, section["steps"]))
 

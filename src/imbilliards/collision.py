@@ -10,18 +10,49 @@ function F along its path.  Along a chord, every built-in F is convex with
 F(0) = 0, F < 0 inside and F > 0 beyond the exit, so Newton's method
 started past the far side of the table (Fourier's condition) decreases
 monotonically to the exit root and needs no bracket; it stops once the
-Newton step is no longer positive.  Along the Larmor circle F has no such
-shape: we sample N=512 sweep angles, take the first transversal crossing
-past a small sweep guard (the circle is tangent to the chord at P1, so
-re-detection of P1 is excluded by sweep angle, not by distance) and refine
-it by one safeguarded Newton loop ("rtsafe", Numerical Recipes 9.4).
+Newton step is no longer positive.  Along the Larmor circle C, of radius mu
+and swept by the angle psi from P1, the crossing is bracketed and then
+refined by one safeguarded Newton loop ("rtsafe", Numerical Recipes 9.4).
+The bracket comes from one of two sources.
+
+*Certified, when mu * kappa_max < 1*, with kappa_max the table's largest
+curvature (``Curve.max_curvature``).  Lemma: the arc from P1 then crosses
+the boundary exactly once.  Proof sketch: by Blaschke's rolling theorem
+(*Kreis und Kugel*, 1916) the table K is K' + B_rho, the set of disks of
+radius rho = 1 / kappa_max > mu centred in a convex K'.  For each centre y
+of K' within rho + mu of C's centre, C meets the disk B(y, rho) in one
+nonempty arc, which moves continuously with y; so C meets K in the union
+of these arcs, one connected arc.  It holds P1, and C leaves K at P1, so the
+arc runs from the re-entry round to P1: F > 0 before the crossing and
+F < 0 after it, up to psi = 2 pi.  Two closed-form sweep angles bracket it,
+with theta1 the exit angle:
+- psi = theta1, where C runs farthest, mu (1 - cos theta1), beyond P1's
+  tangent line, which bounds K by convexity: F > 0;
+- psi = pi + atan2(sin theta1, cos theta1 - mu kappa_max), the middle of
+  C's stretch inside the rolling disk of radius rho tangent at P1, which
+  lies in K: F < 0.  C enters that disk at 2 atan2(sin theta1,
+  cos theta1 - mu kappa) with kappa = kappa_max, and crosses the tangent
+  line again at the same formula with kappa = 0, 2 theta1.
+With kappa the curvature at P1 the formula gives the second intersection
+with the osculating circle, the seed; secant steps on F / sin(psi / 2),
+exact on the circle table, move it within about ``LOCALISE_TOL`` of the
+root before Newton takes over.  The crossing count is 1, exactly.
+
+*Sampled, otherwise*: for mu * kappa_max >= 1, where C can meet the
+boundary in four points, and whenever F at a certified end is within its
+rounding floor (a few eps of F's terms), as on arcs that leave the tangent
+line by less than rounding can tell.  We sample N=512 sweep angles, take the
+first transversal crossing past a small sweep guard (the circle is tangent
+to the chord at P1, so re-detection of P1 is excluded by sweep angle, not by
+distance) and start Newton at the regula falsi point of that interval.
 
 Both routines take the boundary frame (:class:`~imbilliards.curves.Frame`)
 of the point they start from and return the frame of the point they reach,
 so a map step resolves each boundary point once.  Between the two frames
 they work on Python floats: the frame's coordinates, the chord direction
 ``v`` (two floats, handed from the chord to the arc) and every residual,
-slope and angle.  The one array computation is the 512-sample sweep.
+slope and angle.  The one array computation is the 512-sample sweep, which
+a certified bracket skips.
 
 Both also decide the map's domain, theta in (ANGLE_EPS, pi - ANGLE_EPS): a launch
 outside it raises :class:`TangentialChord` and a re-entry outside it
@@ -47,6 +78,9 @@ N_SWEEP_SAMPLES = 512  # dense sampling of the Larmor circle
 _EPS = 2.0**-52        # float64 machine epsilon
 ROOT_STEP_TOL = 1e-12  # after a Newton step this small the next is below rounding
 MAX_ROOT_ITERATIONS = 100  # a transversal crossing takes 2 or 3
+LOCALISE_TOL = 1e-3    # a secant step this small leaves Newton 1 to 3 steps
+MAX_LOCALISE_STEPS = 8  # a cap on the secant steps; typical launches take 1 to 4
+_TWO_PI = 2.0 * math.pi
 #: the sampled Larmor sweep angles, with their cosines and sines
 SWEEP_ANGLES = np.linspace(SWEEP_GUARD, 2.0 * math.pi - SWEEP_GUARD, N_SWEEP_SAMPLES)
 SWEEP_COS, SWEEP_SIN = np.cos(SWEEP_ANGLES), np.sin(SWEEP_ANGLES)
@@ -73,8 +107,11 @@ class LarmorHit:
     full revolution (the return to the exit point itself is excluded): 1
     for a clean re-entry, 3 when the Larmor circle meets the boundary at
     four points — a diagnostic for geometries where the circle "clips a
-    corner" of the table.  ``iterations`` counts the steps of the root
-    solve, each one evaluation of F and its gradient.
+    corner" of the table.  On a certified bracket (mu * kappa_max < 1) the
+    count is exact; on the sampled one it is what the 512 samples see.
+    ``iterations`` counts the steps of the Newton loop, each one evaluation
+    of F and its gradient; the evaluations of F that place its bracket and
+    seed are not counted.
     """
 
     frame2: Frame  # boundary frame at the re-entry point P2
@@ -137,25 +174,56 @@ def chord_exit(curve: Curve, frame0: Frame, theta0: float) -> ChordHit:
     return ChordHit(frame1=frame1, theta1=frame1.angle(v, entering=False), ell1=r, v=v)
 
 
-def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float) -> LarmorHit:
-    """First boundary crossing of the anticlockwise Larmor arc from the exit
-    point ``frame1``.
+def _certified_bracket(curve: Curve, frame1: Frame, vx: float, vy: float, mu: float,
+                       cx: float, cy: float, rx: float, ry: float):
+    """``(a, b, psi)``: a bracket of the one crossing and a seed inside it,
+    for mu * kappa_max < 1 (module docstring); ``None`` when the sweep must
+    decide, for larger mu or when an end's sign does not survive rounding."""
+    kappa_max = curve.max_curvature()
+    if mu * kappa_max >= 1.0:
+        return None
+    theta1 = frame1.angle((vx, vy), entering=False)
+    st, ct = math.sin(theta1), math.cos(theta1)
+    gx, gy = curve.gradient_xy(frame1.x, frame1.y)
+    # F is rounded to a few eps of its terms, and the arc point to a few eps
+    # of its coordinates, which F's gradient carries to F.
+    floor = 8.0 * _EPS * math.hypot(gx, gy) * (abs(cx) + abs(cy) + mu)
+    a = theta1  # where the arc runs farthest beyond P1's tangent line
+    b = math.pi + math.atan2(st, ct - mu * kappa_max)  # inside the rolling disk
+    if not (curve.implicit_xy(*_arc_point(a, cx, cy, rx, ry)) > floor
+            and curve.implicit_xy(*_arc_point(b, cx, cy, rx, ry)) < -floor):
+        return None
 
-    ``v`` is the unit chord direction at the exit point (two floats, or an
-    array); the Larmor center sits at P1 + mu * rot90(v).  The crossing is
-    bracketed on the implicit function sampled along the circle, refined by
-    one safeguarded Newton loop, and must be transversal at a re-entry angle
-    in the domain; otherwise :class:`TangentialContact` is raised, also when
-    the loop does not converge within ``MAX_ROOT_ITERATIONS`` steps.
-    """
-    if mu <= 0:
-        raise ValueError(f"Larmor radius must be positive, got {mu}")
-    s1 = frame1.s
-    x1, y1 = frame1.x, frame1.y
-    vx, vy = float(v[0]), float(v[1])
-    cx, cy = x1 - mu * vy, y1 + mu * vx  # P1 + mu * rot90(v)
-    rx, ry = x1 - cx, y1 - cy  # radius vector, |rel| = mu
+    # Localise by secants on g(phi) = F / sin(phi), phi = psi / 2, through
+    # the zeros of the sinusoids A sin(phi* - phi) that g is on the circle
+    # table.  The first secant starts at g(0) = 2 mu grad F(P1) . v and the
+    # second intersection with P1's osculating circle.
+    p0, g0 = 0.0, 2.0 * mu * (gx * vx + gy * vy)
+    psi = 2.0 * math.atan2(st, ct - mu * frame1.curvature)
+    for _ in range(MAX_LOCALISE_STEPS):
+        f = curve.implicit_xy(*_arc_point(psi, cx, cy, rx, ry))
+        if f > 0.0:
+            a = psi
+        elif f < 0.0:
+            b = psi
+        else:
+            break
+        p = 0.5 * psi
+        g = f / math.sin(p)
+        zero = 2.0 * math.atan2(g0 * math.sin(p) - g * math.sin(p0),
+                                g0 * math.cos(p) - g * math.cos(p0)) % _TWO_PI
+        p0, g0 = p, g
+        zero = min(max(zero, a), b)
+        moved, psi = abs(zero - psi), zero
+        if moved <= LOCALISE_TOL:
+            break
+    return a, b, psi
 
+
+def _swept_bracket(curve: Curve, s1: float, mu: float,
+                   cx: float, cy: float, rx: float, ry: float):
+    """``(a, b, psi, n_crossings)``: the first entering sweep interval, its
+    regula falsi point and the number of crossings the sweep sees."""
     # Dense sweep sampling, one vectorized implicit evaluation.
     vals = curve.implicit_xy(cx + SWEEP_COS * rx - SWEEP_SIN * ry,
                              cy + SWEEP_SIN * rx + SWEEP_COS * ry)
@@ -180,10 +248,38 @@ def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float) -> LarmorHit:
     fa, fb = (curve.implicit_xy(*_arc_point(t, cx, cy, rx, ry)) for t in (a, b))
     if fa <= 0.0 or fb >= 0.0:  # pragma: no cover - defensive
         raise TangentialContact("bracketing sign change collapsed under refinement")
+    return a, b, a + (b - a) * fa / (fa - fb), n_crossings
 
-    # Newton from the regula falsi point; the sign of F at each iterate moves an
-    # end of [a, b].  A Newton step that leaves [a, b] or fails to halve the last bisects.
-    psi, dpsi = a + (b - a) * fa / (fa - fb), b - a
+
+def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float) -> LarmorHit:
+    """First boundary crossing of the anticlockwise Larmor arc from the exit
+    point ``frame1``.
+
+    ``v`` is the unit chord direction at the exit point (two floats, or an
+    array); the Larmor center sits at P1 + mu * rot90(v).  The crossing is
+    bracketed, in closed form when mu * ``curve.max_curvature()`` < 1 and
+    else on the implicit function sampled along the circle, refined by
+    one safeguarded Newton loop, and must be transversal at a re-entry angle
+    in the domain; otherwise :class:`TangentialContact` is raised, also when
+    the loop does not converge within ``MAX_ROOT_ITERATIONS`` steps.
+    """
+    if mu <= 0:
+        raise ValueError(f"Larmor radius must be positive, got {mu}")
+    s1 = frame1.s
+    x1, y1 = frame1.x, frame1.y
+    vx, vy = float(v[0]), float(v[1])
+    cx, cy = x1 - mu * vy, y1 + mu * vx  # P1 + mu * rot90(v)
+    rx, ry = x1 - cx, y1 - cy  # radius vector, |rel| = mu
+
+    bracket = _certified_bracket(curve, frame1, vx, vy, mu, cx, cy, rx, ry)
+    if bracket is None:
+        a, b, psi, n_crossings = _swept_bracket(curve, s1, mu, cx, cy, rx, ry)
+    else:
+        (a, b, psi), n_crossings = bracket, 1
+
+    # Newton from the seed; the sign of F at each iterate moves an end of
+    # [a, b].  A Newton step that leaves [a, b] or fails to halve the last bisects.
+    dpsi = b - a
     for iterations in range(1, MAX_ROOT_ITERATIONS + 1):
         x, y = _arc_point(psi, cx, cy, rx, ry)
         f = curve.implicit_xy(x, y)

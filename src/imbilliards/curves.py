@@ -10,7 +10,7 @@ with the positive x-axis).  A curve exposes
   the boundary, including its arclength; the inverse of ``frame_at``;
 * ``implicit_xy(x, y)`` / ``gradient_xy(x, y)`` — a defining function F with
   F < 0 strictly inside, and its gradient, in coordinates;
-* ``total_length()``.
+* ``total_length()`` and ``max_curvature()``, a closed form.
 
 These are the only boundary queries.  A :class:`Frame` holds its point and
 unit tangent as Python floats, which is all a map step reads, and builds
@@ -285,8 +285,20 @@ class Curve(ABC):
     def gradient_xy(self, x, y) -> tuple:
         """``(dF/dx, dF/dy)`` of the defining function, on floats or arrays."""
 
+    @abstractmethod
+    def max_curvature(self) -> float:
+        """The largest curvature of the boundary, in closed form.
+
+        By Blaschke's rolling theorem a disk of radius ``1 / max_curvature()``
+        rolls freely inside the table, touching every boundary point; the
+        Larmor re-entry reads its certified bracket off that disk."""
+
     def wrap(self, s: float) -> float:
-        return float(s) % self.total_length()
+        """``s`` reduced mod L; a non-finite ``s`` raises ``ValueError``."""
+        s = float(s)
+        if not math.isfinite(s):
+            raise ValueError(f"arclength must be finite, got {s!r}")
+        return s % self.total_length()
 
     # A conservative upper bound on the diameter, used to cap chord searches.
     @abstractmethod
@@ -314,6 +326,9 @@ class Circle(Curve):
 
     def total_length(self) -> float:
         return _TWO_PI * self.R
+
+    def max_curvature(self) -> float:
+        return 1.0 / self.R
 
     def frame_at(self, s: float) -> Frame:
         s = self.wrap(s)
@@ -418,6 +433,9 @@ class Ellipse(_TableCurve):
     def gradient_xy(self, x, y):
         return 2.0 * x / self.a**2, 2.0 * y / self.b**2
 
+    def max_curvature(self) -> float:
+        return self.a / (self.b * self.b)  # at the ends of the major axis
+
     def diameter_bound(self) -> float:
         return 2.0 * self.a
 
@@ -462,6 +480,10 @@ class Superellipse(_TableCurve):
         k = self.k
         return 2 * k * x * (x * x) ** (k - 1), 2 * k * y * (y * y) ** (k - 1)
 
+    def max_curvature(self) -> float:
+        # at the diagonal points x = y = 2^(-1/(2k)); k = 1 is the unit circle
+        return (2 * self.k - 1) * 2.0 ** (1.0 / (2 * self.k) - 0.5)
+
     def diameter_bound(self) -> float:
         # farthest points are the diagonal ones, at radius sqrt(2) * 2^(-1/(2k))
         return 2.0 * 2.0 ** (0.5 - 1.0 / (2.0 * self.k))
@@ -488,6 +510,9 @@ class Stadium(Curve):
 
     def total_length(self) -> float:
         return self._L
+
+    def max_curvature(self) -> float:
+        return 1.0 / self.R
 
     # piece boundaries: [0, cap/2) right-upper cap, [cap/2, cap/2+side) top,
     # [cap/2+side, 3cap/2+side) left cap, then bottom, then right-lower cap.

@@ -589,6 +589,25 @@ def test_trace_overlay_needs_a_family(tmp_path, capsys):
     assert "overlay_dual" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_raw_trace_needs_a_finite_arclength(tmp_path, s):
+    """A raw ``s`` of NaN or Infinity (JSON as Python reads it) exits 2 with
+    one message.  The CLI runs in a subprocess under a timeout, so a launch
+    that never returns fails the test instead of hanging the suite."""
+    config = write_config(tmp_path, {
+        "curve": {"kind": "ellipse", "a": 2.0, "b": 1.0},
+        "trace": {"s": s, "theta": 1.0, "mu": 0.3, "steps": 2},
+    })
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "imbilliards", "trace", "--config", config, "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 2
+    assert done.stderr == f"error: ValueError: raw trace 's' must be finite, got {s!r}\n"
+    assert not list(tmp_path.glob("trace.*"))
+
+
 def test_trace_never_prints_a_traceback(tmp_path, capsys):
     """Raw traces launched on, past and near the edge of the domain exit with
     0, 2, 3 or 4 and write nothing or one ``error: <Tag>: ...`` line to

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CURVE_MENU, sample_phase_points
 from reference_map import chord_exit_ellipse, chord_exit_stadium, larmor_root
@@ -19,7 +21,7 @@ from imbilliards.collision import (
     larmor_reentry,
 )
 from imbilliards.curves import Circle, Ellipse, Stadium, Superellipse, make_curve, rot90
-from imbilliards.dynamics import iterate
+from imbilliards.dynamics import PhasePoint, iterate, step
 from imbilliards.errors import (
     BilliardError, NoInteriorHit, NoReentry, TangentialChord, TangentialContact,
 )
@@ -255,3 +257,96 @@ def test_larmor_sweep_constants():
     assert np.array_equal(SWEEP_ANGLES, psis)
     assert np.array_equal(SWEEP_COS, np.cos(psis))
     assert np.array_equal(SWEEP_SIN, np.sin(psis))
+
+
+# --------------------------------------------------------------------------
+# Certified bracket (mu * kappa_max < 1)
+# --------------------------------------------------------------------------
+
+#: sweep angles of the reference sweep, 2^16 midpoints of equal intervals
+REFERENCE_PSIS = 2.0 * math.pi * (np.arange(2**16) + 0.5) / 2**16
+CERTIFIED_TABLES = [Circle(1.0), Ellipse(2.0, 1.0), Ellipse(10.0, 1.0), Superellipse(2),
+                    Superellipse(3), Superellipse(6), Stadium(2.0, 1.0)]
+
+
+def reference_crossings(curve, frame1, v, mu):
+    """The sweep angles after which F changes sign along the Larmor circle,
+    on the 2^16-sample reference grid, and that grid's spacing."""
+    (vx, vy), x1, y1 = v, frame1.x, frame1.y
+    cx, cy = x1 - mu * vy, y1 + mu * vx
+    c, s = np.cos(REFERENCE_PSIS), np.sin(REFERENCE_PSIS)
+    inside = np.signbit(curve.implicit_xy(cx + c * (x1 - cx) - s * (y1 - cy),
+                                          cy + s * (x1 - cx) + c * (y1 - cy)))
+    return REFERENCE_PSIS[np.flatnonzero(inside[1:] != inside[:-1])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    index=st.integers(min_value=0, max_value=len(CERTIFIED_TABLES) - 1),
+    frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    theta=st.floats(min_value=0.05, max_value=math.pi - 0.05),
+    mu_kappa=st.floats(min_value=1e-3, max_value=0.99),
+)
+def test_below_the_rolling_radius_an_arc_crosses_once(index, frac, theta, mu_kappa):
+    """With mu * kappa_max <= 0.99 a 2^16-sample reference sweep from the
+    exit point sees exactly one crossing, the step reports one, and its
+    re-entry lies in the reference interval of that crossing."""
+    curve = CERTIFIED_TABLES[index]
+    mu = mu_kappa / curve.max_curvature()
+    z = PhasePoint(frac * curve.total_length(), theta)
+    hit1 = chord_exit(curve, curve.frame_at(z.s), z.theta)
+    crossings = reference_crossings(curve, hit1.frame1, hit1.v, mu)
+    assert len(crossings) == 1
+    _, d = step(curve, mu, z)
+    assert d.n_crossings == 1
+    lo = crossings.item(0)
+    assert lo <= d.arc_sweep <= lo + REFERENCE_PSIS.item(1) - REFERENCE_PSIS.item(0)
+
+
+def test_past_the_rolling_radius_an_arc_can_cross_three_times():
+    """The certificate is sharp in kind: at mu * kappa_max = 1.2 on
+    Ellipse(2, 1) this arc leaves the tip of the major axis, re-enters, and
+    crosses the boundary twice more, so such steps keep the sampled sweep."""
+    curve = Ellipse(2.0, 1.0)
+    mu = 1.2 / curve.max_curvature()
+    z = PhasePoint(0.1, 0.05)
+    hit1 = chord_exit(curve, curve.frame_at(z.s), z.theta)
+    crossings = reference_crossings(curve, hit1.frame1, hit1.v, mu)
+    assert len(crossings) == 3
+    _, d = step(curve, mu, z)
+    assert d.n_crossings == 3
+    assert crossings.item(0) <= d.arc_sweep <= crossings.item(1)
+
+
+@pytest.mark.parametrize("name, sampled", [
+    ("circle", False), ("ellipse-2-1", False), ("superellipse-k2", False), ("stadium", False),
+    ("superellipse-k3", True),
+])
+def test_a_certified_step_samples_no_array(name, sampled, curves, monkeypatch):
+    """Below the rolling radius a step evaluates F only on floats: 200
+    steps on the circle (mu kappa_max = 0.35), Ellipse(2, 1) (0.6),
+    superellipse k = 2 (0.76) and Stadium(2, 1) (0.3) make no array call.
+    Superellipse k = 3 at mu = 0.3 (1.19) still samples the sweep."""
+    curve, mu = curves[name]
+    arrays = []
+    implicit = type(curve).implicit_xy
+
+    def recording(self, x, y):
+        if isinstance(x, np.ndarray):
+            arrays.append(x.shape)
+        return implicit(self, x, y)
+
+    monkeypatch.setattr(type(curve), "implicit_xy", recording)
+    rng = np.random.default_rng(0)
+    completed = 0
+    for _ in range(200):
+        z = PhasePoint(float(rng.uniform(0.0, curve.total_length())),
+                       float(rng.uniform(0.05, math.pi - 0.05)))
+        try:
+            step(curve, mu, z)
+        except BilliardError:
+            continue
+        completed += 1
+    assert completed >= 190
+    assert (mu * curve.max_curvature() < 1.0) is not sampled
+    assert bool(arrays) is sampled

@@ -341,6 +341,43 @@ def test_wrap_is_periodic():
         assert np.allclose(curve.frame_at(s + length).point, curve.frame_at(s).point)
 
 
+#: every table kind at the sizes the map is run on, and the superellipses
+#: up to k = 6; k = 1 is the unit circle
+MAX_CURVATURE_TABLES = [
+    Circle(1.0), Ellipse(2.0, 1.0), Ellipse(10.0, 1.0),
+    *(Superellipse(k) for k in range(1, 7)), Stadium(2.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("curve", MAX_CURVATURE_TABLES,
+                         ids=["circle", "ellipse-2-1", "ellipse-10-1",
+                              *(f"superellipse-k{k}" for k in range(1, 7)), "stadium"])
+def test_max_curvature_is_the_largest_sampled_curvature(curve):
+    """The closed form bounds the curvature of every frame on a grid of 4096
+    arclengths, to rounding, and is within 1e-9 of the largest.  The grid
+    holds s = 0 and L / 8, where the ellipse and the superellipse peak."""
+    length = curve.total_length()
+    sampled = max(curve.frame_at(length * i / 4096).curvature for i in range(4096))
+    kappa_max = curve.max_curvature()
+    assert sampled <= kappa_max * (1.0 + 1e-13)
+    assert kappa_max <= sampled * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("name", CURVE_IDS)
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_arclength_is_refused(name, s, curves):
+    """``wrap``, and so ``frame_at``, refuses NaN and infinite arclengths, as
+    ``frame_of`` refuses a NaN point, rather than build a NaN frame that a
+    map step cannot launch from."""
+    curve, _ = curves[name]
+    with pytest.raises(ValueError, match="must be finite"):
+        curve.wrap(s)
+    with pytest.raises(ValueError, match="must be finite"):
+        curve.frame_at(s)
+    with pytest.raises(ValueError):
+        curve.frame_of((math.nan, math.nan))
+
+
 @pytest.mark.parametrize("name", CURVE_IDS)
 def test_contains_and_diameter(name, curves, rng):
     curve, _ = curves[name]
