@@ -1,4 +1,4 @@
-"""Scalar solvers: Brent's root finder, Brent's bounded minimizer, Carlson's R_F.
+"""Solvers: Brent's root finder, Brent's bounded minimizer, Carlson's R_F, the AGM.
 
 ``brentq`` is a line-for-line port of SciPy's C routine ``brentq``
 (``optimize/Zeros/brentq.c``) and ``minimize_bounded`` of SciPy's
@@ -9,18 +9,20 @@ SciPy is distributed under the BSD 3-clause licence:
 Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
 
 ``carlson_rf`` evaluates Carlson's symmetric elliptic integral of the first
-kind by duplication (Carlson, *Numer. Algorithms* 10, 1995; DLMF §19.36.1).
+kind by duplication (Carlson, *Numer. Algorithms* 10, 1995; DLMF §19.36.1),
+and ``agm`` the arithmetic-geometric mean, which gives the complete case
+``R_F(0, x^2, y^2) = pi / (2 M(x, y))`` (DLMF §19.22.1).  Both take floats
+or float arrays.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["SameSignError", "brentq", "minimize_bounded", "carlson_rf"]
+__all__ = ["SameSignError", "brentq", "minimize_bounded", "carlson_rf", "agm"]
 
 #: SciPy's smallest admissible relative tolerance of ``brentq``, ``4 * eps``
 RTOL_MIN = 4.0 * sys.float_info.epsilon
@@ -216,15 +218,21 @@ def minimize_bounded(
 _RF_STOP = (3.0 * 2.0 ** -53) ** (-1.0 / 6.0)
 
 
-def carlson_rf(x: float, y: float, z: float) -> float:
+def carlson_rf(x, y, z):
     """Carlson's ``R_F(x, y, z) = 1/2 ∫_0^∞ dt / sqrt((t+x)(t+y)(t+z))`` for
-    ``x, y, z >= 0``, at most one of them zero."""
+    ``x, y, z >= 0``, at most one of them zero.
+
+    The arguments are floats, which give a ``float``, or float arrays of one
+    shape, which give an array.  On arrays the duplication runs until every
+    entry meets the stop rule; the extra duplications of an entry that met it
+    earlier only refine that entry.
+    """
     a0 = (x + y + z) / 3.0
     dx, dy = a0 - x, a0 - y
-    q = _RF_STOP * max(abs(dx), abs(dy), abs(a0 - z))
+    q = _RF_STOP * np.maximum(np.maximum(abs(dx), abs(dy)), abs(a0 - z))
     an, scale = a0, 1.0
-    while q * scale >= abs(an):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+    while (q * scale >= abs(an)).any():
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
         lam = sx * (sy + sz) + sy * sz
         x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
         an = 0.25 * (an + lam)
@@ -236,4 +244,28 @@ def carlson_rf(x: float, y: float, z: float) -> float:
     e3 = X * Y * Z
     series = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
               - 5.0 * e2 * e2 * e2 / 208.0 + 3.0 * e3 * e3 / 104.0 + e2 * e2 * e3 / 16.0)
-    return series / math.sqrt(an)
+    rf = series / np.sqrt(an)
+    return rf if isinstance(rf, np.ndarray) else float(rf)
+
+
+#: relative gap ``|x - y| / x`` below which the AGM takes its last step: the
+#: arithmetic mean is then within ``gap^2 / 16 < 2^-56`` of ``M(x, y)``
+_AGM_GAP = 2.0 ** -26
+#: most AGM steps: from ``y / x = 1e-300`` the gap falls below ``_AGM_GAP``
+#: in 12 steps, as ``y / x`` goes ``r -> 2 sqrt(r) / (1 + r)``
+_AGM_STEPS = 16
+
+
+def agm(x, y):
+    """Arithmetic-geometric mean ``M(x, y)`` of ``x >= y > 0`` (DLMF §19.8(i)).
+
+    Floats or float arrays of one shape, like :func:`carlson_rf`.  The two
+    means can stay an ulp apart indefinitely, so the loop stops on the relative
+    gap ``_AGM_GAP``, not on equality, and after at most ``_AGM_STEPS`` steps.
+    """
+    for _ in range(_AGM_STEPS):
+        if not (np.abs(x - y) > _AGM_GAP * x).any():
+            break
+        x, y = 0.5 * (x + y), np.sqrt(x * y)
+    m = 0.5 * (x + y)
+    return m if isinstance(m, np.ndarray) else float(m)

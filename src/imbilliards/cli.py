@@ -61,7 +61,7 @@ from . import families as fam
 from .curves import Curve, make_curve, rot90
 from .dynamics import PhasePoint, StepData, iterate, jacobian_analytic, jacobian_numeric, well_conditioned
 from .errors import BilliardError, MuTooLarge, X0OutOfRange
-from .rotation import rotation_table
+from .rotation import check_axes, rotation_table
 from .stability import classify, compose
 
 __all__ = ["main", "CONFIG_SCHEMA"]
@@ -633,7 +633,7 @@ def cmd_check(config: dict, paths: dict[str, Path]) -> int:
 def cmd_rot(config: dict, paths: dict[str, Path]) -> int:
     section = config["rot"]
     a, b = section["a"], section["b"]
-    _require(a > b, f"need a > b, got a={a}, b={b}")
+    check_axes(a, b)
     if "lambdas" in section:
         lambdas = [float(x) for x in section["lambdas"]]
     else:
@@ -641,8 +641,10 @@ def cmd_rot(config: dict, paths: dict[str, Path]) -> int:
         hi = section.get("hi", a * a * (1.0 - 1e-3))
         n = section.get("n", 100)
         _require(n >= 2, f"rotation grid needs at least 2 points, got {n}")
+        _require(math.isfinite(lo) and math.isfinite(hi),
+                 f"lambda interval ends must be finite, got [{lo}, {hi}]")
         _require(hi > lo, f"empty lambda interval [{lo}, {hi}]")
-        lambdas = list(np.linspace(lo, hi, n))
+        lambdas = np.linspace(lo, hi, n).tolist()
     rows = rotation_table(a, b, lambdas)
     with _csv_writer(paths["csv"]) as writer:
         writer.writerow(["lambda", "kind", "rot"])

@@ -307,6 +307,8 @@ class Curve(ABC):
     def _check_on_boundary(self, x: float, y: float) -> None:
         """Raise ``ValueError`` unless ``(x, y)`` lies within ``1e-8 * max(1,
         diameter bound)`` of the boundary (first-order distance)."""
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"boundary point must be finite, got {(x, y)!r}")
         val = self.implicit_xy(x, y)
         dist = abs(val) / max(math.hypot(*self.gradient_xy(x, y)), 1e-300)
         if dist > 1e-8 * max(1.0, self.diameter_bound()):

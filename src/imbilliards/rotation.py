@@ -20,9 +20,13 @@ both caustic branches.  Both are complete integrals in Carlson's symmetric
 form (``R_F`` as in DLMF §19.16.1, reduced as in §19.29),
 
 ``num = 2 sqrt(lo) R_F(hi (a^2 - lo), a^2 (hi - lo), (hi - lo)(a^2 - lo))``,
-``den = 2 R_F(a^2 - lo, hi - lo, 0)``,
+``den = 2 R_F(a^2 - lo, hi - lo, 0) = pi / M(sqrt(a^2 - lo), sqrt(hi - lo))``.
 
-and ``R_F`` is evaluated by duplication to full double precision.  This
+``num`` is evaluated by Carlson's duplication and ``den``, a complete
+integral, by the arithmetic-geometric mean ``M`` (DLMF §19.22.1), both to full
+double precision.  :func:`rotation_table` classifies each ``lam`` with
+:func:`caustic_kind` and then evaluates every caustic of the table in one
+array pass; :func:`rot_lambda` is that pass on one ``lam``.  This
 normalization is pinned down by its endpoint behaviour, which the tests
 check:
 
@@ -39,7 +43,9 @@ import math
 from enum import Enum
 from typing import Sequence
 
-from ._solvers import carlson_rf
+import numpy as np
+
+from ._solvers import agm, carlson_rf
 from .errors import LambdaDegenerate, Nu0OutOfRange
 
 __all__ = [
@@ -49,6 +55,7 @@ __all__ = [
     "limiting_rotation",
     "confocal_param",
     "rotation_table",
+    "check_axes",
 ]
 
 #: Relative half-width (times ``a^2``) of the degeneracy guard around
@@ -67,6 +74,15 @@ class CausticKind(Enum):
     IMAGINARY = "imaginary"
 
 
+def check_axes(a: float, b: float) -> None:
+    """Raise ``ValueError`` unless ``a > b > 0`` are finite semi-axes."""
+    for name, value in (("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise ValueError(f"semi-axis {name} must be finite, got {value}")
+    if not a > b > 0.0:
+        raise ValueError(f"need a > b > 0, got a={a}, b={b}")
+
+
 def caustic_kind(a: float, b: float, lam: float) -> CausticKind:
     """Classify the confocal conic with parameter ``lam``.
 
@@ -75,8 +91,7 @@ def caustic_kind(a: float, b: float, lam: float) -> CausticKind:
     major axis, and the minor axis line) are detected within an absolute
     tolerance of ``1e-12 * a^2``.
     """
-    if not a > b > 0.0:
-        raise ValueError(f"need a > b > 0, got a={a}, b={b}")
+    check_axes(a, b)
     if not math.isfinite(lam):
         raise ValueError(f"caustic parameter must be finite, got {lam}")
     tol = DEGENERACY_TOL * a * a
@@ -93,15 +108,28 @@ def caustic_kind(a: float, b: float, lam: float) -> CausticKind:
     return CausticKind.IMAGINARY
 
 
+#: the kinds with a rotation number
+_CAUSTICS = (CausticKind.ELLIPSE, CausticKind.HYPERBOLA)
+
+
+def _rho(a2: float, b2: float, lam):
+    """Rotation numbers at the caustic parameters ``lam``, a float or an array
+    of ellipse and hyperbola caustics: ``num / den`` of the module docstring."""
+    lo, hi = np.minimum(b2, lam), np.maximum(b2, lam)
+    num = 2.0 * np.sqrt(lo) * carlson_rf(hi * (a2 - lo), a2 * (hi - lo), (hi - lo) * (a2 - lo))
+    den = math.pi / agm(np.sqrt(a2 - lo), np.sqrt(hi - lo))
+    return num / den
+
+
 def rot_lambda(a: float, b: float, lam: float) -> float:
     """Rotation number of the chord family tangent to the caustic ``lam``.
 
     Defined for ellipse caustics (``0 < lam < b^2``), where it increases from
     0 to 1, and for hyperbola caustics (``b^2 < lam < a^2``), where it
     decreases from 1 to ``(2/pi)*arcsin(b/a)``.  Both integrals are
-    evaluated in Carlson's form (see the module docstring), which has no
-    endpoint singularity left to integrate and keeps full relative precision
-    up to the degeneracy guards at ``b^2`` and ``a^2``.
+    evaluated as complete elliptic integrals (see the module docstring),
+    which have no endpoint singularity left to integrate and keep full
+    relative precision up to the degeneracy guards at ``b^2`` and ``a^2``.
     """
     kind = caustic_kind(a, b, lam)
     if kind in (CausticKind.DEGENERATE_MAJOR, CausticKind.DEGENERATE_MINOR):
@@ -109,16 +137,12 @@ def rot_lambda(a: float, b: float, lam: float) -> float:
             f"rotation number is not defined at the degenerate caustic "
             f"lam={lam} (a^2={a*a}, b^2={b*b})"
         )
-    if kind not in (CausticKind.ELLIPSE, CausticKind.HYPERBOLA):
+    if kind not in _CAUSTICS:
         raise ValueError(
             f"rotation number requires a real interior caustic; "
             f"lam={lam} gives a {kind.value} conic"
         )
-    a2, b2 = a * a, b * b
-    lo, hi = min(b2, lam), max(b2, lam)
-    num = 2.0 * math.sqrt(lo) * carlson_rf(hi * (a2 - lo), a2 * (hi - lo), (hi - lo) * (a2 - lo))
-    den = 2.0 * carlson_rf(a2 - lo, hi - lo, 0.0)
-    return num / den
+    return float(_rho(a * a, b * b, lam))
 
 
 def limiting_rotation(nu0: float) -> float:
@@ -138,8 +162,7 @@ def limiting_rotation(nu0: float) -> float:
 
 def confocal_param(a: float, b: float) -> float:
     """Shape parameter ``a^2 / (a^2 - b^2)`` of an ellipse with ``a > b``."""
-    if not a > b > 0.0:
-        raise ValueError(f"need a > b > 0, got a={a}, b={b}")
+    check_axes(a, b)
     return a * a / (a * a - b * b)
 
 
@@ -149,14 +172,14 @@ def rotation_table(
     """Rows ``(lam, caustic kind, rotation number)`` for a list of parameters.
 
     Degenerate or non-caustic parameters get a NaN rotation number instead of
-    raising, so tables can span the full range of ``lam``.
+    raising, so tables can span the full range of ``lam``.  The caustics are
+    evaluated together, in one array pass.
     """
-    rows: list[tuple[float, str, float]] = []
-    for lam in lambdas:
-        kind = caustic_kind(a, b, lam)
-        if kind in (CausticKind.ELLIPSE, CausticKind.HYPERBOLA):
-            rho = rot_lambda(a, b, lam)
-        else:
-            rho = math.nan
-        rows.append((float(lam), kind.value, rho))
-    return rows
+    lams = [float(lam) for lam in lambdas]
+    kinds = [caustic_kind(a, b, lam) for lam in lams]
+    rhos = [math.nan] * len(lams)
+    caustic = [i for i, kind in enumerate(kinds) if kind in _CAUSTICS]
+    values = _rho(a * a, b * b, np.array([lams[i] for i in caustic]))
+    for i, rho in zip(caustic, values.tolist()):
+        rhos[i] = rho
+    return [(lam, kind.value, rho) for lam, kind, rho in zip(lams, kinds, rhos)]

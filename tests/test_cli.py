@@ -14,6 +14,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,6 +27,7 @@ from imbilliards.families import FAMILIES
 from imbilliards.stability import COMPOSED_TOL, compose
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -743,3 +745,54 @@ def test_rot_grid_mode_and_validation(tmp_path, capsys):
     config = write_config(tmp_path, {"rot": {"a": 1.0, "b": 2.0}}, "bad.json")
     assert main(["rot", "--config", config, "--out", str(tmp_path)]) == 2
     assert "need a > b" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"a": math.inf, "b": 1.0, "lambdas": [0.5, 2.0]}, "semi-axis a must be finite, got inf"),
+    ({"a": math.inf, "b": 1.0, "lo": 0.1, "hi": 3.9, "n": 5}, "semi-axis a must be finite, got inf"),
+    ({"a": math.inf, "b": 1.0}, "semi-axis a must be finite, got inf"),
+    ({"a": 2.0, "b": 1.0, "hi": math.inf, "n": 5},
+     "lambda interval ends must be finite, got [0.001, inf]"),
+], ids=["a-lambdas", "a-grid", "a-default-grid", "hi"])
+def test_rot_refuses_non_finite_sizes(tmp_path, capsys, section, message):
+    """JSON ``Infinity`` (as Python reads it) for ``a`` or for a grid end
+    exits 2 with a message that names it, and writes no file."""
+    config = write_config(tmp_path, {"rot": section})
+    assert main(["rot", "--config", config, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+    assert not (tmp_path / "rot.csv").exists()
+
+
+def test_rot_grid_is_within_8_ulp_of_40_digits(tmp_path):
+    """Every fourth row of the benchmark's 400-row ``rot`` grid, as printed,
+    against ``sqrt(lo) R_F(...) / R_F(a^2 - lo, hi - lo, 0)`` by mpmath's
+    ``elliprf`` at 40 digits."""
+    config = REPO / "perfbench" / "configs" / "rot.json"
+    assert main(["rot", "--config", str(config), "--out", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path / "rot.csv")[1:]
+    assert len(rows) == 400
+    section = json.loads(config.read_text())["rot"]
+    mpf, rf = mpmath.mpf, mpmath.elliprf
+    with mpmath.mp.workdps(40):
+        a2, b2 = mpf(section["a"]) ** 2, mpf(section["b"]) ** 2
+        for lam, kind, rho in rows[::4]:
+            assert kind in ("ellipse", "hyperbola")
+            lo, hi = min(b2, mpf(lam)), max(b2, mpf(lam))
+            exact = (mpmath.sqrt(lo) * rf(hi * (a2 - lo), a2 * (hi - lo), (hi - lo) * (a2 - lo))
+                     / rf(a2 - lo, hi - lo, 0))
+            assert abs(mpf(rho) - exact) <= 8 * np.spacing(float(exact))
+
+
+def test_readme_rot_example_is_what_the_cli_prints(tmp_path, capsys):
+    """The README's ``rot`` config and session, run through the CLI."""
+    text = (REPO / "README.md").read_text()
+    fenced = text[text.index("### `rot`"):].split("```")
+    config = tmp_path / "rot.json"
+    config.write_text(fenced[1].removeprefix("json\n"))
+    assert main(["rot", "--config", str(config), "--out", str(tmp_path)]) == 0
+    session = fenced[3].strip("\n").splitlines()
+    out = capsys.readouterr().out.replace(str(tmp_path / "rot.csv"), "rot.csv")
+    assert session[0] == "$ imbil rot --config rot.json --out ."
+    assert session[1] == out.rstrip("\n")
+    assert session[2] == "$ cat rot.csv"
+    assert (tmp_path / "rot.csv").read_text().splitlines() == session[3:]

@@ -379,6 +379,17 @@ def test_a_non_finite_arclength_is_refused(name, s, curves):
 
 
 @pytest.mark.parametrize("name", CURVE_IDS)
+@pytest.mark.parametrize("p", [(math.nan, math.nan), (math.nan, 0.0), (0.0, math.inf),
+                               (-math.inf, 0.0)], ids=["nan", "nan-x", "inf-y", "-inf-x"])
+def test_a_non_finite_point_is_refused(name, p, curves):
+    """``frame_of`` names a non-finite point; with NaN, every distance test
+    of ``_check_on_boundary`` would be false and let it through."""
+    curve, _ = curves[name]
+    with pytest.raises(ValueError, match=r"boundary point must be finite, got \("):
+        curve.frame_of(p)
+
+
+@pytest.mark.parametrize("name", CURVE_IDS)
 def test_contains_and_diameter(name, curves, rng):
     curve, _ = curves[name]
     assert curve.implicit_xy(0.0, 0.0) < 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from imbilliards import rotation
 from imbilliards.errors import LambdaDegenerate, Nu0OutOfRange
 from imbilliards.rotation import (
     CausticKind,
@@ -223,3 +225,90 @@ def test_hyperbola_branch_rational_values_take_even_periods(a, b):
     if abs(a * a - 2.0 * b * b) < 1e-12:
         grid = np.linspace(lo, hi, 50)
         assert all(rot_lambda(a, b, float(x)) > 0.5 for x in grid)
+
+
+@pytest.mark.parametrize("a, b, name", [
+    (math.inf, 1.0, "a"), (math.nan, 1.0, "a"), (2.0, math.inf, "b"), (2.0, math.nan, "b"),
+])
+def test_non_finite_semi_axes_are_refused(a, b, name):
+    """An infinite ``a`` used to pass ``a > b > 0`` and make the degeneracy
+    tolerance infinite, so every ``lam`` read as degenerate."""
+    message = f"semi-axis {name} must be finite, got {a if name == 'a' else b}"
+    for call in (lambda: caustic_kind(a, b, 0.5), lambda: confocal_param(a, b),
+                 lambda: rot_lambda(a, b, 0.5), lambda: rotation_table(a, b, [0.5, 2.0])):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+# --------------------------------------------------------------------------
+# rotation_table: one array pass over the caustics of a table
+# --------------------------------------------------------------------------
+
+EPS = sys.float_info.epsilon
+
+
+def mixed_lambdas(a, b):
+    """Every kind of ``lam``, near-degenerate ones included."""
+    a2, b2 = a * a, b * b
+    near = [lam for ta, tb, lam, _ in NEAR_DEGENERATE if (ta, tb) == (a, b)]
+    grid = np.linspace(-0.5, a2 + 0.5, 97).tolist()
+    return [*grid, *near, b2, a2, b2 * (1.0 + 1e-9), a2 * (1.0 - 1e-12), 1e-300]
+
+
+@pytest.mark.parametrize("a, b", TABLES)
+def test_rotation_table_equals_rot_lambda_on_every_caustic(a, b):
+    """The array pass agrees with the one-entry pass of ``rot_lambda`` to the
+    few roundings that extra duplication and AGM steps add, and leaves NaN
+    on every row without a caustic."""
+    lambdas = mixed_lambdas(a, b)
+    rows = rotation_table(a, b, np.array(lambdas))
+    assert [lam for lam, _, _ in rows] == lambdas
+    for lam, kind, rho in rows:
+        assert type(lam) is float and type(kind) is str and type(rho) is float
+        if kind in ("ellipse", "hyperbola"):
+            assert rho == pytest.approx(rot_lambda(a, b, lam), rel=8 * EPS)
+        else:
+            assert math.isnan(rho)
+
+
+@pytest.mark.parametrize("a, b", sorted({(a, b) for a, b, _, _ in NEAR_DEGENERATE}))
+def test_a_mixed_table_meets_the_near_degenerate_bound(a, b):
+    """The array loops run until their slowest entry, here a caustic within
+    1e-12 ... 1e-7 of a degenerate value, converges, and then end: each
+    near-degenerate row of a mixed table meets the one-entry test's bound."""
+    expected = {lam: float(value) for ta, tb, lam, value in NEAR_DEGENERATE if (ta, tb) == (a, b)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = rotation_table(a, b, mixed_lambdas(a, b))
+    checked = [(rho, expected[lam]) for lam, _, rho in rows if lam in expected]
+    assert len(checked) == len(expected)
+    for rho, value in checked:
+        assert abs(rho - value) <= 1e-14 * value
+
+
+def test_rotation_table_refuses_nan_and_takes_an_empty_list():
+    with pytest.raises(ValueError, match="caustic parameter must be finite"):
+        rotation_table(2.0, 1.0, [0.5, math.nan, 2.0])
+    assert rotation_table(2.0, 1.0, []) == []
+    assert rotation_table(2.0, 1.0, np.array([])) == []
+
+
+def test_a_table_is_one_array_pass(monkeypatch):
+    """A 400-entry table makes one call of each kernel, on all 400 caustics,
+    not one call per entry."""
+    calls = []
+
+    def counted(name):
+        kernel = getattr(rotation, name)
+
+        def wrapper(*args):
+            calls.append((name, np.shape(args[0])))
+            return kernel(*args)
+
+        monkeypatch.setattr(rotation, name, wrapper)
+
+    counted("carlson_rf")
+    counted("agm")
+    rows = rotation_table(2.0, 1.0, np.linspace(1e-3, 3.996, 400))
+    assert sum(kind in ("ellipse", "hyperbola") for _, kind, _ in rows) == 400
+    assert calls == [("carlson_rf", (400,)), ("agm", (400,))]

@@ -1,10 +1,10 @@
-"""The in-house scalar solvers, checked against SciPy as the second route.
+"""The in-house solvers, checked against SciPy and mpmath as second routes.
 
 SciPy is a test dependency only: every comparison below runs SciPy's
-``brentq``, ``minimize_scalar`` or ``elliprf`` on the same inputs that the
-package's own solvers see.  It asks for the same floats, except from the
-Larmor re-entry's Newton loop, which must agree with SciPy's Brent solve
-within the rounding of the boundary's implicit function.
+``brentq``, ``minimize_scalar`` or ``elliprf``, or mpmath's ``agm``, on the
+same inputs that the package's own solvers see.  It asks for the same
+floats, except from the Larmor re-entry's Newton loop, which must agree with
+SciPy's Brent solve within the rounding of the boundary's implicit function.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 from scipy.optimize import brentq as scipy_brentq
 from scipy.optimize import minimize_scalar
 from scipy.special import elliprf
@@ -25,7 +26,7 @@ from scipy.special import elliprf
 import imbilliards
 from conftest import CURVE_MENU
 from imbilliards import cli, dynamics, families
-from imbilliards._solvers import RTOL_MIN, brentq, carlson_rf, minimize_bounded
+from imbilliards._solvers import RTOL_MIN, agm, brentq, carlson_rf, minimize_bounded
 from imbilliards.collision import SWEEP_ANGLES, SWEEP_COS, SWEEP_SIN, larmor_reentry
 from imbilliards.curves import Ellipse
 from imbilliards.dynamics import PhasePoint, step
@@ -226,6 +227,48 @@ def test_carlson_rf_against_scipy(rng):
     args[::3, 2] = 0.0
     for x, y, z in args:
         assert carlson_rf(x, y, z) == pytest.approx(elliprf(x, y, z), rel=4e-15)
+
+
+EPS = sys.float_info.epsilon
+
+
+def test_carlson_rf_on_arrays_matches_the_scalar_call(rng):
+    """One array call equals the scalar calls entry by entry, to the few
+    roundings that the extra duplications of early-converged entries add."""
+    args = 10.0 ** rng.uniform(-8.0, 4.0, size=(400, 3))
+    args[::3, 2] = 0.0
+    values = carlson_rf(args[:, 0], args[:, 1], args[:, 2])
+    assert isinstance(values, np.ndarray) and values.shape == (400,)
+    for (x, y, z), value in zip(args.tolist(), values.tolist()):
+        scalar = carlson_rf(x, y, z)
+        assert type(scalar) is float
+        assert value == pytest.approx(scalar, rel=8 * EPS)
+
+
+def test_agm_gives_the_complete_integral(rng):
+    """pi / M(sqrt(x), sqrt(y)) = 2 R_F(x, y, 0) (DLMF §19.22.1), on arrays
+    and on floats, against duplication and against SciPy."""
+    xy = 10.0 ** rng.uniform(-8.0, 4.0, size=(400, 2))
+    x, y = xy.max(axis=1), xy.min(axis=1)
+    den = math.pi / agm(np.sqrt(x), np.sqrt(y))
+    assert isinstance(den, np.ndarray)
+    for xi, yi, d in zip(x.tolist(), y.tolist(), den.tolist()):
+        assert d == pytest.approx(2.0 * carlson_rf(xi, yi, 0.0), rel=4e-15)
+        assert d == pytest.approx(2.0 * elliprf(xi, yi, 0.0), rel=4e-15)
+        assert math.pi / agm(math.sqrt(xi), math.sqrt(yi)) == pytest.approx(d, rel=4e-15)
+
+
+def test_agm_ends_at_extreme_ratios_and_equal_means():
+    """Gauss's constant 1 / M(1, sqrt 2); means one ulp apart, which a stop
+    on equality would iterate for ever; and a ratio of 1e-300, the far end
+    of the step bound."""
+    gauss = 0.83462684167407318628142973279904680
+    assert agm(math.sqrt(2.0), 1.0) == pytest.approx(1.0 / gauss, rel=2 * EPS)
+    x = 1.2345
+    assert agm(x, math.nextafter(x, 0.0)) == pytest.approx(x, rel=EPS)
+    with mp.workdps(40):
+        reference = float(mp.agm(1, mpf(1e-300)))
+    assert agm(1.0, 1e-300) == pytest.approx(reference, rel=4 * EPS)
 
 
 # --------------------------------------------------------------------------
