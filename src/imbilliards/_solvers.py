@@ -226,12 +226,21 @@ def carlson_rf(x, y, z):
     shape, which give an array.  On arrays the duplication runs until every
     entry meets the stop rule; the extra duplications of an entry that met it
     earlier only refine that entry.
+
+    Raises ``ValueError`` when two or more arguments of an entry are zero:
+    the integral diverges there, and duplication never meets the stop rule.
+    On every other input the strict stop test ends the loop: ``q * scale``
+    falls to 0 as ``scale`` underflows (to NaN if ``q`` is infinite), and
+    neither passes the test, even where ``A_n`` has underflowed to 0 too.
+    Such an entry, for example ``(5e-324, 5e-324, 0)``, comes out NaN.
     """
+    if (np.maximum(np.minimum(x, y), np.minimum(np.maximum(x, y), z)) == 0.0).any():
+        raise ValueError("R_F diverges: two or more of its arguments are zero")
     a0 = (x + y + z) / 3.0
     dx, dy = a0 - x, a0 - y
     q = _RF_STOP * np.maximum(np.maximum(abs(dx), abs(dy)), abs(a0 - z))
     an, scale = a0, 1.0
-    while (q * scale >= abs(an)).any():
+    while (q * scale > abs(an)).any():
         sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
         lam = sx * (sy + sz) + sy * sz
         x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)

@@ -23,9 +23,9 @@ Families implemented:
   number of ``1/4`` or ``3/4``.
 * The complementary-orbit duality that turns a rotation-``1/4`` orbit into a
   rotation-``3/4`` orbit through the same eight boundary points.
-* A damped Newton finder for periodic points of ``T^n`` in the ``(s, u)``
-  chart, used to validate the closed-form constructions and to detect the
-  degeneracy of parabolic families.
+* A damped Newton finder for periodic points of ``T^n`` in the map's own
+  coordinates ``(s, theta)``, used to validate the closed-form constructions
+  and to detect the degeneracy of parabolic families.
 
 Rational trace formulas are evaluated exactly as closed forms in the boundary
 coordinates; each one is cross-checked in the test-suite against the composed
@@ -1203,16 +1203,24 @@ def find_periodic_newton(
 ) -> PeriodicOrbit:
     """Newton's method for an n-periodic point of the map near ``z0``.
 
-    Works in the ``(s, u)`` chart with the arclength difference taken modulo
-    the perimeter, using the composed step Jacobian minus the identity as the
-    derivative of ``F(z) = T^n(z) - z``.  Steps that increase the residual
-    are repeatedly halved; only the accepted trial's Jacobians are composed,
-    and a trial that leaves the domain of the map, or whose composition
-    fails, is rejected.  Raises :class:`SingularJacobian` when
-    ``|det(S_n - I)| < 1e-10`` — the expected degeneracy on parabolic
-    families, where periodic points are not isolated — and
-    :class:`NoConvergence` when the seed leaves the domain or the iteration
-    stalls.
+    The unknowns are the map's own coordinates ``(s, theta)``; the residual
+    ``F = T^n(z) - z`` stays in the ``(s, u)`` chart, with the arclength
+    difference taken modulo the perimeter.  With ``S_n`` the composed step
+    Jacobian in ``(s, u)``, the derivative of ``F`` in ``(s, theta)`` is
+    ``(S_n - I) diag(1, sin theta)``, so the step solves ``(S_n - I) d = F``
+    and moves to ``(s - d_s, theta - d_u / sin theta)``.  A step that does
+    not decrease the residual is halved, at most five times (six trial
+    scales, 1 down to 1/32); only the accepted trial's Jacobians are
+    composed.  A trial outside the annulus is refused by the map itself
+    (:class:`TangentialChord` from the chord exit), so the search adds no
+    domain test and no clamp: such a trial, or one whose orbit fails, is
+    rejected like a trial that raises the residual.  The state accepted in
+    the last of the ``max_iter`` iterations is tested against ``tol`` too.
+
+    Raises :class:`SingularJacobian` when ``|det(S_n - I)| < 1e-10`` — the
+    expected degeneracy on parabolic families, where periodic points are not
+    isolated — and :class:`NoConvergence` when the seed leaves the domain,
+    the line search stalls, or ``max_iter`` steps do not reach ``tol``.
     """
     if n < 1:
         raise ValueError(f"period must be a positive integer, got {n}")
@@ -1223,10 +1231,12 @@ def find_periodic_newton(
         raise NoConvergence("seed trajectory leaves the domain of the map") from None
     z = z0
     length = curve.total_length()
-    for _ in range(max_iter):
+    for iteration in range(max_iter + 1):
         F, traj, residual = state
         if residual <= tol:
             return _package_orbit(curve, mu, z, traj, None)
+        if iteration == max_iter:
+            break
         J = S - np.eye(2)
         det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
         if abs(det) < 1e-10:
@@ -1234,11 +1244,11 @@ def find_periodic_newton(
                 f"det(S_n - I) = {det:.3e}; periodic point is degenerate "
                 "(parabolic family or non-isolated orbit)"
             )
-        delta = np.linalg.solve(J, F)
+        ds, du = np.linalg.solve(J, F).tolist()
+        dtheta = du / math.sin(z.theta)
         step_scale = 1.0
-        for _ in range(12):
-            u_new = min(1.0 - 1e-12, max(-1.0 + 1e-12, z.u - step_scale * delta[1]))
-            z_new = PhasePoint.from_u((z.s - step_scale * delta[0]) % length, u_new)
+        for _ in range(6):
+            z_new = PhasePoint((z.s - step_scale * ds) % length, z.theta - step_scale * dtheta)
             try:
                 trial = _newton_state(curve, mu, z_new, n)
                 if trial[2] < residual:

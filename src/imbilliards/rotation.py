@@ -24,7 +24,10 @@ form (``R_F`` as in DLMF §19.16.1, reduced as in §19.29),
 
 ``num`` is evaluated by Carlson's duplication and ``den``, a complete
 integral, by the arithmetic-geometric mean ``M`` (DLMF §19.22.1), both to full
-double precision.  :func:`rotation_table` classifies each ``lam`` with
+double precision.  ``rho`` is unchanged when ``a^2``, ``b^2`` and ``lam`` are
+scaled together, so both are evaluated at ``a = 1``, on ``b^2/a^2`` and
+``lam/a^2``: no square of a size leaves the float range, and at ``a = 2`` the
+scaling is exact.  :func:`rotation_table` classifies each ``lam`` with
 :func:`caustic_kind` and then evaluates every caustic of the table in one
 array pass; :func:`rot_lambda` is that pass on one ``lam``.  This
 normalization is pinned down by its endpoint behaviour, which the tests
@@ -89,21 +92,27 @@ def caustic_kind(a: float, b: float, lam: float) -> CausticKind:
     Confocal ellipses for ``0 < lam < b^2``, confocal hyperbolas for
     ``b^2 < lam < a^2``; the two degenerate values (the focal segment of the
     major axis, and the minor axis line) are detected within an absolute
-    tolerance of ``1e-12 * a^2``.
+    tolerance of ``1e-12 * a^2``.  The tests run on ``b^2/a^2`` and
+    ``lam/a^2``, so no square of a size leaves the float range.
     """
     check_axes(a, b)
+    return _kind((b / a) * (b / a), lam, lam / a / a)
+
+
+def _kind(rb: float, lam: float, rl: float) -> CausticKind:
+    """:func:`caustic_kind` on the ratios ``rb = b^2/a^2`` and ``rl = lam/a^2``;
+    ``lam`` itself gives the sign, which ``rl`` loses if it underflows."""
     if not math.isfinite(lam):
         raise ValueError(f"caustic parameter must be finite, got {lam}")
-    tol = DEGENERACY_TOL * a * a
-    if abs(lam - b * b) <= tol:
+    if abs(rl - rb) <= DEGENERACY_TOL:
         return CausticKind.DEGENERATE_MAJOR
-    if abs(lam - a * a) <= tol:
+    if abs(rl - 1.0) <= DEGENERACY_TOL:
         return CausticKind.DEGENERATE_MINOR
     if lam <= 0.0:
         return CausticKind.EXTERIOR
-    if lam < b * b:
+    if rl < rb:
         return CausticKind.ELLIPSE
-    if lam < a * a:
+    if rl < 1.0:
         return CausticKind.HYPERBOLA
     return CausticKind.IMAGINARY
 
@@ -112,12 +121,13 @@ def caustic_kind(a: float, b: float, lam: float) -> CausticKind:
 _CAUSTICS = (CausticKind.ELLIPSE, CausticKind.HYPERBOLA)
 
 
-def _rho(a2: float, b2: float, lam):
-    """Rotation numbers at the caustic parameters ``lam``, a float or an array
-    of ellipse and hyperbola caustics: ``num / den`` of the module docstring."""
-    lo, hi = np.minimum(b2, lam), np.maximum(b2, lam)
-    num = 2.0 * np.sqrt(lo) * carlson_rf(hi * (a2 - lo), a2 * (hi - lo), (hi - lo) * (a2 - lo))
-    den = math.pi / agm(np.sqrt(a2 - lo), np.sqrt(hi - lo))
+def _rho(rb: float, rl):
+    """Rotation numbers at ``rl = lam/a^2``, a float or an array of ellipse
+    and hyperbola caustics, with ``rb = b^2/a^2``: ``num / den`` of the module
+    docstring at ``a = 1``."""
+    lo, hi = np.minimum(rb, rl), np.maximum(rb, rl)
+    num = 2.0 * np.sqrt(lo) * carlson_rf(hi * (1.0 - lo), hi - lo, (hi - lo) * (1.0 - lo))
+    den = math.pi / agm(np.sqrt(1.0 - lo), np.sqrt(hi - lo))
     return num / den
 
 
@@ -131,7 +141,9 @@ def rot_lambda(a: float, b: float, lam: float) -> float:
     which have no endpoint singularity left to integrate and keep full
     relative precision up to the degeneracy guards at ``b^2`` and ``a^2``.
     """
-    kind = caustic_kind(a, b, lam)
+    check_axes(a, b)
+    rb, rl = (b / a) * (b / a), lam / a / a
+    kind = _kind(rb, lam, rl)
     if kind in (CausticKind.DEGENERATE_MAJOR, CausticKind.DEGENERATE_MINOR):
         raise LambdaDegenerate(
             f"rotation number is not defined at the degenerate caustic "
@@ -142,7 +154,7 @@ def rot_lambda(a: float, b: float, lam: float) -> float:
             f"rotation number requires a real interior caustic; "
             f"lam={lam} gives a {kind.value} conic"
         )
-    return float(_rho(a * a, b * b, lam))
+    return float(_rho(rb, rl))
 
 
 def limiting_rotation(nu0: float) -> float:
@@ -163,7 +175,7 @@ def limiting_rotation(nu0: float) -> float:
 def confocal_param(a: float, b: float) -> float:
     """Shape parameter ``a^2 / (a^2 - b^2)`` of an ellipse with ``a > b``."""
     check_axes(a, b)
-    return a * a / (a * a - b * b)
+    return 1.0 / (1.0 - (b / a) * (b / a))
 
 
 def rotation_table(
@@ -175,11 +187,13 @@ def rotation_table(
     raising, so tables can span the full range of ``lam``.  The caustics are
     evaluated together, in one array pass.
     """
+    check_axes(a, b)
+    rb = (b / a) * (b / a)
     lams = [float(lam) for lam in lambdas]
-    kinds = [caustic_kind(a, b, lam) for lam in lams]
+    kinds = [_kind(rb, lam, lam / a / a) for lam in lams]
     rhos = [math.nan] * len(lams)
     caustic = [i for i, kind in enumerate(kinds) if kind in _CAUSTICS]
-    values = _rho(a * a, b * b, np.array([lams[i] for i in caustic]))
+    values = _rho(rb, np.array([lams[i] / a / a for i in caustic]))
     for i, rho in zip(caustic, values.tolist()):
         rhos[i] = rho
     return [(lam, kind.value, rho) for lam, kind, rho in zip(lams, kinds, rhos)]

@@ -763,6 +763,22 @@ def test_rot_refuses_non_finite_sizes(tmp_path, capsys, section, message):
     assert not (tmp_path / "rot.csv").exists()
 
 
+def test_rot_ends_at_extreme_scales(tmp_path):
+    """``a = 1e-100`` used to underflow every R_F argument to 0, and ``imbil
+    rot`` never returned.  The CLI runs in a subprocess under a timeout, so a
+    hang fails the test instead of the suite."""
+    config = write_config(tmp_path, {"rot": {"a": 1e-100, "b": 5e-101, "lambdas": [1e-201, 5e-201]}})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "imbilliards", "rot", "--config", config, "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = read_rows(tmp_path / "rot.csv")[1:]
+    assert [kind for _, kind, _ in rows] == ["ellipse", "hyperbola"]
+    assert 0.0 < float(rows[0][2]) < float(rows[1][2]) < 1.0
+
+
 def test_rot_grid_is_within_8_ulp_of_40_digits(tmp_path):
     """Every fourth row of the benchmark's 400-row ``rot`` grid, as printed,
     against ``sqrt(lo) R_F(...) / R_F(a^2 - lo, hi - lo, 0)`` by mpmath's

@@ -916,6 +916,136 @@ def test_newton_rejects_hopeless_seeds():
         find_periodic_newton(curve, 0.3, 0, PhasePoint(0.1, 1.0))
 
 
+def test_newton_tests_the_state_of_its_last_iteration():
+    """A state accepted in the last allowed iteration is tested against tol:
+    these two solves converge in their final iteration, and must return the
+    orbit that one more iteration would return, not raise NoConvergence.
+    One iteration fewer does not converge, and ``max_iter=0`` only tests the
+    seed."""
+    for orbit, max_iter in (
+        (four_periodic_ellipse(3.0, 2.0, 2.7, "1/4")[0], 2),
+        (two_periodic_ellipse(2.0, 1.0, 0.5, axis="major")[0], 3),
+    ):
+        z = orbit.points[0]
+        seed = PhasePoint(s=z.s + 1e-4, theta=z.theta + 1e-4)
+        found = find_periodic_newton(orbit.curve, orbit.mu, orbit.n, seed, max_iter=max_iter)
+        assert found.residual <= 1e-10
+        again = find_periodic_newton(orbit.curve, orbit.mu, orbit.n, seed, max_iter=max_iter + 1)
+        assert found.points == again.points
+        with pytest.raises(NoConvergence, match=f"within {max_iter - 1} iterations"):
+            find_periodic_newton(orbit.curve, orbit.mu, orbit.n, seed, max_iter=max_iter - 1)
+        assert find_periodic_newton(orbit.curve, orbit.mu, orbit.n, z, max_iter=0).points[0] == z
+
+
+def _recorded_newton_states(monkeypatch):
+    """Wrap ``families._newton_state``: each call appends (theta, scaled
+    residual) to the returned list, with an infinite residual for a trial
+    that the map refuses."""
+    states, state = [], families._newton_state
+
+    def recorded(curve, mu, z, n):
+        try:
+            result = state(curve, mu, z, n)
+        except BilliardError:
+            states.append((z.theta, math.inf))
+            raise
+        states.append((z.theta, result[2]))
+        return result
+
+    monkeypatch.setattr(families, "_newton_state", recorded)
+    return states
+
+
+def _line_searches(states):
+    """Split recorded evaluations after the seed into line searches: each
+    ends at the first trial whose residual falls below the current one."""
+    searches, current = [[]], states[0][1]
+    for theta, residual in states[1:]:
+        searches[-1].append(theta)
+        if residual < current:
+            searches.append([])
+            current = residual
+    return [s for s in searches if s]
+
+
+#: the two strongly hyperbolic superellipse members (traces 5.5e4 and 789)
+_HYPERBOLIC_SE = {
+    "se-diag-4-rot14": lambda: four_periodic_superellipse_diag(2, 0.9, "1/4")[0],
+    "se-axis-4-rot14": lambda: four_periodic_superellipse_axis(2, 0.9, "1/4")[0],
+}
+
+
+def test_newton_trials_of_one_line_search_differ_in_theta(monkeypatch):
+    """The trial points of one line search are the Newton point and its
+    halvings towards the current state, so no two share theta.  A step that
+    overshoots the annulus is refused by the map, not clamped onto the
+    grazing edge, where a clamp would put several trials on one theta."""
+    orbit = _HYPERBOLIC_SE["se-axis-4-rot14"]()
+    z = orbit.points[0]
+    states = _recorded_newton_states(monkeypatch)
+    find_periodic_newton(orbit.curve, orbit.mu, orbit.n,
+                         PhasePoint(s=z.s + 1e-4, theta=z.theta + 1e-4), max_iter=10)
+    searches = _line_searches(states)
+    assert searches
+    for thetas in searches:
+        assert len(set(thetas)) == len(thetas), thetas
+        assert len(thetas) <= 6
+
+
+@pytest.mark.parametrize("name, sign, most", [
+    ("se-axis-4-rot14", 1.0, 14),
+    ("se-axis-4-rot14", -1.0, 8),
+    ("se-diag-4-rot14", 1.0, 10),
+    ("se-diag-4-rot14", -1.0, 12),
+])
+def test_newton_evaluations_from_the_benchmark_kicks(monkeypatch, name, sign, most):
+    """Residual evaluations of one solve from the kicks (+1e-4, +1e-4) and
+    (-1e-4, -1e-4), tol 1e-10, at most 10 iterations, the settings of the
+    family-menu benchmark.  Measured: 13 and 6 on se-axis-4-rot14, 7 and 12
+    on se-diag-4-rot14; a u-chart search with a clamp and 12 trial scales took
+    19 and 40 from the + kick.  Whether the solve converges is not asserted
+    here: on se-diag-4-rot14 the + kick stalls and the - kick reaches another
+    orbit, as the benchmark tallies them."""
+    orbit = _HYPERBOLIC_SE[name]()
+    z = orbit.points[0]
+    states = _recorded_newton_states(monkeypatch)
+    seed = PhasePoint(s=z.s + sign * 1e-4, theta=z.theta + sign * 1e-4)
+    try:
+        find_periodic_newton(orbit.curve, orbit.mu, orbit.n, seed, tol=1e-10, max_iter=10)
+    except NoConvergence:
+        pass
+    assert 0 < len(states) <= most
+
+
+def test_newton_census_on_the_hyperbolic_superellipse_members(monkeypatch):
+    """20 seeded kicks on each strongly hyperbolic member, in random
+    directions with sizes log-uniform on [1e-6, 1e-3], tol 1e-10 and at most
+    10 iterations.  A u-chart search with a clamp and 12 trial scales recovered
+    the members from 1 and 16 of these kicks in 989 evaluations; this search
+    recovers them from 1 and 17 in 586.  Pin the recoveries at no fewer than
+    the u-chart search's and cap the evaluations."""
+    rng = np.random.default_rng(2210)
+    states = _recorded_newton_states(monkeypatch)
+    recovered = {}
+    for name, build in _HYPERBOLIC_SE.items():
+        orbit = build()
+        z, length = orbit.points[0], orbit.curve.total_length()
+        recovered[name] = 0
+        for _ in range(20):
+            phi, size = rng.uniform(0.0, 2.0 * math.pi), 10.0 ** rng.uniform(-6.0, -3.0)
+            seed = PhasePoint(s=z.s + size * math.cos(phi), theta=z.theta + size * math.sin(phi))
+            try:
+                w = find_periodic_newton(orbit.curve, orbit.mu, orbit.n, seed,
+                                         tol=1e-10, max_iter=10).points[0]
+            except NoConvergence:
+                continue
+            ds = abs((w.s - z.s + 0.5 * length) % length - 0.5 * length)
+            recovered[name] += ds <= 1e-6 and abs(w.theta - z.theta) <= 1e-6
+    assert recovered["se-diag-4-rot14"] >= 1
+    assert recovered["se-axis-4-rot14"] >= 16
+    assert len(states) <= 650
+
+
 # ------------------------------------------------------------------
 # family scans
 # ------------------------------------------------------------------

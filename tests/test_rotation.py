@@ -240,6 +240,29 @@ def test_non_finite_semi_axes_are_refused(a, b, name):
             call()
 
 
+def test_rotation_works_on_ratios_at_extreme_scales():
+    """rho depends only on ``b^2/a^2`` and ``lam/a^2``, and is evaluated on
+    them.  With ``a^2`` formed, ``a = 1e-100`` underflowed every R_F argument
+    to 0 and ``rot_lambda`` never returned; ``a = 1e200`` overflowed the
+    degeneracy tolerance ``1e-12 a^2`` to infinity, so every ``lam`` read as
+    degenerate; ``confocal_param(1e160, 1)`` was inf / inf.  At ``a = 1e160``
+    and ``b = 1``, ``lam = 0.5`` lies within ``1e-12 a^2 = 1e308`` of
+    ``b^2``: degenerate by the tolerance's own definition."""
+    assert rot_lambda(1e-100, 5e-101, 1e-201) == pytest.approx(rot_lambda(2.0, 1.0, 0.4),
+                                                               rel=4 * EPS)
+    assert rot_lambda(1e-100, 5e-101, 5e-201) == pytest.approx(rot_lambda(2.0, 1.0, 2.0),
+                                                               rel=4 * EPS)
+    assert caustic_kind(1e200, 5e199, 1e300) is CausticKind.ELLIPSE
+    assert rot_lambda(1e200, 5e199, 1e300) == pytest.approx(rot_lambda(2.0, 1.0, 4e-100),
+                                                            rel=4 * EPS)
+    assert caustic_kind(1e160, 1.0, 0.5) is CausticKind.DEGENERATE_MAJOR
+    assert confocal_param(1e160, 1.0) == 1.0
+    rows = rotation_table(1e-100, 5e-101, [1e-201, 2.5e-201, 5e-201, 1e-200, 2e-200, -1e-300])
+    assert [kind for _, kind, _ in rows] == [
+        "ellipse", "degenerate-major", "hyperbola", "degenerate-minor", "imaginary", "exterior"]
+    assert rows[0][2] == rot_lambda(1e-100, 5e-101, 1e-201)
+
+
 # --------------------------------------------------------------------------
 # rotation_table: one array pass over the caustics of a table
 # --------------------------------------------------------------------------

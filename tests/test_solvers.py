@@ -271,6 +271,31 @@ def test_agm_ends_at_extreme_ratios_and_equal_means():
     assert agm(1.0, 1e-300) == pytest.approx(reference, rel=4 * EPS)
 
 
+@pytest.mark.parametrize("args", [
+    (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (2.0, 0.0, 0.0), (0.0, 3.0, 0.0),
+    (np.array([1.0, 0.0]), np.array([2.0, 0.0]), np.array([3.0, 4.0])),
+], ids=["000", "001", "200", "030", "array"])
+def test_carlson_rf_refuses_two_zero_arguments(args):
+    """R_F diverges when two or more of its arguments are zero.  Duplication
+    keeps such an entry's deviations in a fixed ratio to A_n, so the loop
+    never met its stop rule: ``carlson_rf(0, 0, 0)`` ran for ever.  One such
+    entry refuses a whole array."""
+    with pytest.raises(ValueError, match="two or more of its arguments are zero"):
+        carlson_rf(*args)
+
+
+def test_carlson_rf_ends_when_its_means_underflow():
+    """On subnormal arguments A_n and the stop threshold both underflow to
+    0; a stop test of ``>=`` then held for ever.  The strict test ends the
+    loop (the entry comes out NaN, as the docstring says), and a normal
+    argument next to a subnormal one keeps full precision."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert isinstance(carlson_rf(5e-324, 5e-324, 0.0), float)
+    with mp.workdps(40):
+        reference = float(mp.elliprf(0, 1, mpf(1e-320)))
+    assert carlson_rf(0.0, 1.0, 1e-320) == pytest.approx(reference, rel=4 * EPS)
+
+
 # --------------------------------------------------------------------------
 # runtime dependencies
 # --------------------------------------------------------------------------
