@@ -48,11 +48,12 @@ distance) and start Newton at the regula falsi point of that interval.
 
 Both routines take the boundary frame (:class:`~imbilliards.curves.Frame`)
 of the point they start from and return the frame of the point they reach,
-so a map step resolves each boundary point once.  Between the two frames
-they work on Python floats: the frame's coordinates, the chord direction
-``v`` (two floats, handed from the chord to the arc) and every residual,
-slope and angle.  The one array computation is the 512-sample sweep, which
-a certified bracket skips.
+so a map step resolves each boundary point once; ``dynamics.step`` builds
+the one record of a step from the plain tuples they return.  Between the
+two frames they work on Python floats: the frame's coordinates, the chord
+direction ``v`` (two floats, handed from the chord to the arc) and every
+residual, slope and angle.  The one array computation is the 512-sample
+sweep, which a certified bracket skips.
 
 Both also decide the map's domain, theta in (ANGLE_EPS, pi - ANGLE_EPS): a launch
 outside it raises :class:`TangentialChord` and a re-entry outside it
@@ -62,14 +63,13 @@ outside it raises :class:`TangentialChord` and a re-entry outside it
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import Curve, Frame
 from .errors import NoInteriorHit, NoReentry, TangentialChord, TangentialContact
 
-__all__ = ["ChordHit", "LarmorHit", "chord_exit", "larmor_reentry"]
+__all__ = ["chord_exit", "larmor_reentry"]
 
 ANGLE_EPS = 1e-12      # theta within this of {0, pi} lies outside the domain
 _DOMAIN = f"the open interval ({ANGLE_EPS}, pi - {ANGLE_EPS})"
@@ -86,51 +86,19 @@ SWEEP_ANGLES = np.linspace(SWEEP_GUARD, 2.0 * math.pi - SWEEP_GUARD, N_SWEEP_SAM
 SWEEP_COS, SWEEP_SIN = np.cos(SWEEP_ANGLES), np.sin(SWEEP_ANGLES)
 
 
-@dataclass(frozen=True)
-class ChordHit:
-    """Where the straight chord leaves the table."""
-
-    frame1: Frame   # boundary frame at the exit point P1
-    theta1: float   # angle in (0, pi) between chord direction and tangent at P1
-    ell1: float     # chord length |P0 P1|
-    v: tuple[float, float]  # unit chord direction, built from the launch frame
-
-
-@dataclass(frozen=True)
-class LarmorHit:
-    """Where the Larmor arc re-enters the table.
-
-    ``chi`` is the angle between the exit velocity and the ray P1->P2; it
-    satisfies ell2 = 2 mu sin(chi), and the arc sweep equals 2 chi (the
-    tangent-chord angle of the Larmor circle).  ``n_crossings`` counts the
-    transversal boundary crossings strictly after the exit point over one
-    full revolution (the return to the exit point itself is excluded): 1
-    for a clean re-entry, 3 when the Larmor circle meets the boundary at
-    four points — a diagnostic for geometries where the circle "clips a
-    corner" of the table.  On a certified bracket (mu * kappa_max < 1) the
-    count is exact; on the sampled one it is what the 512 samples see.
-    ``iterations`` counts the steps of the Newton loop, each one evaluation
-    of F and its gradient; the evaluations of F that place its bracket and
-    seed are not counted.
-    """
-
-    frame2: Frame  # boundary frame at the re-entry point P2
-    theta2: float
-    chi: float
-    ell2: float
-    arc_sweep: float
-    n_crossings: int
-    iterations: int
-
-
 def _arc_point(psi: float, cx: float, cy: float, rx: float, ry: float) -> tuple[float, float]:
     c, s = math.cos(psi), math.sin(psi)
     return cx + (c * rx - s * ry), cy + (s * rx + c * ry)
 
 
-def chord_exit(curve: Curve, frame0: Frame, theta0: float) -> ChordHit:
+def chord_exit(curve: Curve, frame0: Frame, theta0: float
+               ) -> tuple[Frame, float, float, tuple[float, float]]:
     """First boundary intersection of the chord launched from the boundary
     point ``frame0`` at angle ``theta0`` from its tangent.
+
+    Returns ``(frame1, theta1, ell1, v)``: the exit point's frame, the angle
+    in (0, pi) from its tangent to the chord, the chord length and the unit
+    chord direction.
 
     Raises :class:`TangentialChord` for theta0 outside the open interval
     (``ANGLE_EPS``, pi - ``ANGLE_EPS``) and :class:`NoInteriorHit`
@@ -171,7 +139,7 @@ def chord_exit(curve: Curve, frame0: Frame, theta0: float) -> ChordHit:
 
     v = (vx, vy)
     frame1 = curve.frame_of((x0 + r * vx, y0 + r * vy))
-    return ChordHit(frame1=frame1, theta1=frame1.angle(v, entering=False), ell1=r, v=v)
+    return frame1, frame1.angle(v, entering=False), r, v
 
 
 def _certified_bracket(curve: Curve, frame1: Frame, vx: float, vy: float, mu: float,
@@ -251,7 +219,8 @@ def _swept_bracket(curve: Curve, s1: float, mu: float,
     return a, b, a + (b - a) * fa / (fa - fb), n_crossings
 
 
-def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float) -> LarmorHit:
+def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float
+                   ) -> tuple[Frame, float, float, float, float, int, int]:
     """First boundary crossing of the anticlockwise Larmor arc from the exit
     point ``frame1``.
 
@@ -262,6 +231,18 @@ def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float) -> LarmorHit:
     one safeguarded Newton loop, and must be transversal at a re-entry angle
     in the domain; otherwise :class:`TangentialContact` is raised, also when
     the loop does not converge within ``MAX_ROOT_ITERATIONS`` steps.
+
+    Returns ``(frame2, theta2, chi, ell2, arc_sweep, n_crossings,
+    iterations)``: the re-entry point's frame and angle, the angle chi from
+    the exit velocity to the ray P1->P2, the Larmor chord ell2 = 2 mu sin(chi)
+    and the sweep angle of the arc, 2 chi.  ``n_crossings`` counts the
+    transversal boundary crossings strictly after the exit point over one
+    full revolution (the return to the exit point itself is excluded): 1 for
+    a clean re-entry, 3 when the Larmor circle "clips a corner" of the table.
+    It is exact on a certified bracket and what the 512 samples see on the
+    sampled one.  ``iterations`` counts the steps of the Newton loop, each
+    one evaluation of F and its gradient; the evaluations of F that place its
+    bracket and seed are not counted.
     """
     if mu <= 0:
         raise ValueError(f"Larmor radius must be positive, got {mu}")
@@ -311,7 +292,4 @@ def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float) -> LarmorHit:
     chi = math.atan2(vx * dy - vy * dx, vx * dx + vy * dy)
     if chi <= 0.0:
         chi += 2.0 * math.pi  # numerically hugging pi from above
-    return LarmorHit(
-        frame2=frame2, theta2=theta2, chi=chi, ell2=ell2, arc_sweep=psi,
-        n_crossings=n_crossings, iterations=iterations,
-    )
+    return frame2, theta2, chi, ell2, psi, n_crossings, iterations

@@ -5,7 +5,8 @@ the chord's launch point and its angle from the positive tangent.  One
 application of the map is chord exit followed by Larmor re-entry,
 (s0, theta0) -> (s2, theta2).  The boundary circles theta = 0 and
 theta = pi lie outside the domain: a launch or re-entry within
-``collision.ANGLE_EPS`` of them raises.
+``collision.ANGLE_EPS`` of them raises.  :func:`step` builds the one record
+of a step, :class:`StepData`, from what the two collision routines return.
 
 The map preserves the area form sin(theta) ds ^ dtheta; in the chart
 (s, u) with u = -cos(theta) its derivative DT has determinant one.  The
@@ -53,9 +54,10 @@ class PhasePoint:
     def u(self) -> float:
         return -math.cos(self.theta)
 
-    @staticmethod
-    def from_u(s: float, u: float) -> "PhasePoint":
-        return PhasePoint(s, math.acos(-min(1.0, max(-1.0, u))))
+
+def _arc_gap(a: float, b: float, length: float) -> float:
+    """a - b as the shortest signed arc on a boundary of perimeter ``length``."""
+    return (a - b + 0.5 * length) % length - 0.5 * length
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,8 @@ class StepData:
     default).  ``arc_sweep``, ``n_crossings`` and ``root_iterations`` are the
     Larmor sweep angle of the re-entry, the number of boundary crossings the
     sweep saw and the number of steps of the re-entry root solve, as
-    :class:`~imbilliards.collision.LarmorHit` reports them (nan, 0 and 0 by
-    default).
+    :func:`~imbilliards.collision.larmor_reentry` returns them (nan, 0 and 0
+    by default).
     """
 
     s0: float
@@ -109,29 +111,30 @@ def step(
     of its three boundary points once."""
     if frame0 is None:
         frame0 = curve.frame_at(z.s)
-    hit1 = chord_exit(curve, frame0, z.theta)
-    hit2 = larmor_reentry(curve, hit1.frame1, hit1.v, mu)
+    frame1, theta1, ell1, v = chord_exit(curve, frame0, z.theta)
+    frame2, theta2, chi, ell2, arc_sweep, n_crossings, iterations = larmor_reentry(
+        curve, frame1, v, mu)
 
     data = StepData(
         s0=frame0.s,
         theta0=z.theta,
-        s1=hit1.frame1.s,
-        theta1=hit1.theta1,
-        s2=hit2.frame2.s,
-        theta2=hit2.theta2,
-        ell1=hit1.ell1,
-        ell2=hit2.ell2,
-        chi=hit2.chi,
+        s1=frame1.s,
+        theta1=theta1,
+        s2=frame2.s,
+        theta2=theta2,
+        ell1=ell1,
+        ell2=ell2,
+        chi=chi,
         kappa0=frame0.curvature,
-        kappa1=hit1.frame1.curvature,
-        kappa2=hit2.frame2.curvature,
+        kappa1=frame1.curvature,
+        kappa2=frame2.curvature,
         mu=mu,
-        frames=(frame0, hit1.frame1, hit2.frame2),
-        arc_sweep=hit2.arc_sweep,
-        n_crossings=hit2.n_crossings,
-        root_iterations=hit2.iterations,
+        frames=(frame0, frame1, frame2),
+        arc_sweep=arc_sweep,
+        n_crossings=n_crossings,
+        root_iterations=iterations,
     )
-    return PhasePoint(hit2.frame2.s, hit2.theta2), data
+    return PhasePoint(frame2.s, theta2), data
 
 
 def iterate(
@@ -207,7 +210,7 @@ def well_conditioned(d: StepData) -> bool:
 
 
 def _map_su(curve: Curve, mu: float, s: float, u: float) -> tuple[float, float]:
-    z1, _ = step(curve, mu, PhasePoint.from_u(s, u))
+    z1, _ = step(curve, mu, PhasePoint(s, math.acos(-u)))
     return z1.s, z1.u
 
 
@@ -229,17 +232,14 @@ def jacobian_numeric(
     if not (-1.0 < z.u - hu and z.u + hu < 1.0):
         raise DegenerateStep(f"stencil u = {z.u!r} +/- {hu} touches the identity region")
 
-    def wrap_diff(a: float, b: float) -> float:
-        return (a - b + 0.5 * L) % L - 0.5 * L
-
     s_p, u_p = _map_su(curve, mu, z.s + hs, z.u)
     s_m, u_m = _map_su(curve, mu, z.s - hs, z.u)
-    ds2_ds0 = wrap_diff(s_p, s_m) / (2 * hs)
+    ds2_ds0 = _arc_gap(s_p, s_m, L) / (2 * hs)
     du2_ds0 = (u_p - u_m) / (2 * hs)
 
     s_p, u_p = _map_su(curve, mu, z.s, z.u + hu)
     s_m, u_m = _map_su(curve, mu, z.s, z.u - hu)
-    ds2_du0 = wrap_diff(s_p, s_m) / (2 * hu)
+    ds2_du0 = _arc_gap(s_p, s_m, L) / (2 * hu)
     du2_du0 = (u_p - u_m) / (2 * hu)
 
     return np.array([[ds2_ds0, ds2_du0], [du2_ds0, du2_du0]])

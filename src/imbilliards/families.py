@@ -44,7 +44,7 @@ import numpy as np
 
 from ._solvers import SameSignError, brentq, minimize_bounded
 from .curves import Circle, Curve, Ellipse, Stadium, Superellipse
-from .dynamics import PhasePoint, StepData, iterate
+from .dynamics import PhasePoint, StepData, _arc_gap, iterate
 from .errors import (
     BeyondXHat,
     BilliardError,
@@ -60,8 +60,8 @@ from .errors import (
 from .stability import (
     CLOSURE_TOL,
     TwoPeriodicParams,
+    _closed_orbit,
     compose,
-    orbit_closure_residual,
     trace2_closed,
 )
 
@@ -148,27 +148,20 @@ def _orbit_from_seed(
     expected_rotation: Fraction | None,
 ) -> PeriodicOrbit:
     """Iterate a seed n steps, check closure, and package the orbit."""
-    return _package_orbit(curve, mu, z0, iterate(curve, mu, z0, n), expected_rotation)
+    traj, residual = _closed_orbit(curve, mu, z0, n)
+    return _package_orbit(curve, mu, z0, traj, residual, expected_rotation)
 
 
 def _package_orbit(curve: Curve, mu: float, z0: PhasePoint,
-                   traj: list[tuple[PhasePoint, StepData]],
+                   traj: list[tuple[PhasePoint, StepData]], residual: float,
                    expected_rotation: Fraction | None) -> PeriodicOrbit:
-    """The orbit of the trajectory ``traj`` of the seed ``z0``.
+    """The orbit of the closed trajectory ``traj`` of the seed ``z0``, whose
+    closure residual is ``residual``.
 
-    Raises :class:`NotPeriodic` when the trajectory fails to return to the
-    seed within ``CLOSURE_TOL`` (in the scale-free metric combining arclength
-    and ``u = -cos(theta)``), or when the measured winding disagrees with
+    Raises :class:`NotPeriodic` when the measured winding disagrees with
     ``expected_rotation``.
     """
     n = len(traj)
-    z_end = traj[-1][0]
-    residual = orbit_closure_residual(curve, z0, z_end)
-    if residual > CLOSURE_TOL:
-        raise NotPeriodic(
-            f"seed does not close after {n} steps: residual {residual:.3e} "
-            f"exceeds {CLOSURE_TOL:.1e}"
-        )
     steps = tuple(d for _, d in traj)
     length = curve.total_length()
     advance = sum((d.s2 - d.s0) % length for d in steps)
@@ -275,12 +268,10 @@ def two_periodic_circle(R: float, mu: float) -> tuple[PeriodicOrbit, TwoPeriodic
     and ``beta = delta = 2*cot(theta0) = 4/alpha``: ``alpha * beta = 4`` and the
     trace equals 2 for every radius, the whole family is parabolic.
     """
-    if R <= 0.0:
-        raise ValueError(f"circle radius must be positive, got {R}")
+    curve = Circle(R)
     if not 0.0 < mu < R:
         raise MuTooLarge(f"need 0 < mu < R for the chord to exist, got mu={mu}, R={R}")
     half_chord = math.sqrt(R * R - mu * mu)
-    curve = Circle(R)
     z0 = _launch_phase(curve, (-half_chord, -mu), (1.0, 0.0))
     orbit = _orbit_from_seed(curve, mu, z0, 2, _HALF)
     return orbit, _symmetric(2.0 * half_chord / mu, 4.0)
@@ -305,8 +296,7 @@ def two_periodic_ellipse(
     the ellipse at ``mu = 2ab^2/(a^2 + b^2)`` (major) or ``2a^2 b/(a^2 + b^2)``
     (minor), which bounds the family.
     """
-    if not a > b > 0.0:
-        raise ValueError(f"need a > b > 0, got a={a}, b={b}")
+    curve = Ellipse(a, b)
     if axis not in ("major", "minor"):
         raise ValueError(f"axis must be 'major' or 'minor', got {axis!r}")
     cap = b if axis == "major" else a
@@ -320,7 +310,6 @@ def two_periodic_ellipse(
             f"Larmor arc of radius mu={mu} re-enters the ellipse prematurely; "
             f"the {axis}-axis stadium requires mu < {mu_max:.12g}"
         )
-    curve = Ellipse(a, b)
     if axis == "major":
         half_chord = a * math.sqrt(b * b - mu * mu) / b
         z0 = _launch_phase(curve, (-half_chord, -mu), (1.0, 0.0))
@@ -498,11 +487,9 @@ def two_periodic_stadium(
     parabolic threshold of the convex two-bump analysis: hyperbolic for every
     ``mu < R``.
     """
-    if Lside <= 0.0 or R <= 0.0:
-        raise ValueError(f"need positive side length and cap radius, got {Lside}, {R}")
+    curve = Stadium(Lside, R)
     if kind not in ("sides", "caps"):
         raise ValueError(f"kind must be 'sides' or 'caps', got {kind!r}")
-    curve = Stadium(Lside, R)
     if kind == "sides":
         if not 0.0 < 2.0 * mu < Lside:
             raise MuTooLarge(
@@ -644,8 +631,7 @@ def three_periodic_circle(
     parabolic throughout.
     """
     rotation = _normalize_rotation(rot, 3)
-    if R <= 0.0:
-        raise ValueError(f"circle radius must be positive, got {R}")
+    curve = Circle(R)
     if not 0.0 < mu < R:
         raise MuTooLarge(f"need 0 < mu < R, got mu={mu}, R={R}")
     disc = math.sqrt(4.0 * R * R - 3.0 * mu * mu)
@@ -660,7 +646,6 @@ def three_periodic_circle(
             f"closed-form incidence angle {theta!r} disagrees with the "
             f"re-entry relation root {theta_implicit!r}"
         )
-    curve = Circle(R)
     orbit = _orbit_from_seed(curve, mu, PhasePoint(s=0.0, theta=theta), 3, rotation)
     ell = 2.0 * R * math.sin(theta)
     trace = trace3_symmetric(theta, ell / mu, rotation)
@@ -705,12 +690,10 @@ def four_periodic_circle(
     parabolic for every ``mu < R``.
     """
     rotation = _normalize_rotation(rot, 4)
-    if R <= 0.0:
-        raise ValueError(f"circle radius must be positive, got {R}")
+    curve = Circle(R)
     if not 0.0 < mu < R:
         raise MuTooLarge(f"need 0 < mu < R, got mu={mu}, R={R}")
     theta = _circle_polygon_angle(R, mu, 4, rotation.numerator)
-    curve = Circle(R)
     orbit = _orbit_from_seed(curve, mu, PhasePoint(s=0.0, theta=theta), 4, rotation)
     trace = trace4_circle_quartic(theta, R / mu)
     return orbit, theta, trace
@@ -1187,9 +1170,9 @@ def _newton_state(curve: Curve, mu: float, z: PhasePoint, n: int):
     traj = iterate(curve, mu, z, n)
     z_end = traj[-1][0]
     length = curve.total_length()
-    ds = (z_end.s - z.s + 0.5 * length) % length - 0.5 * length
-    F = np.array([ds, z_end.u - z.u])
-    return F, traj, orbit_closure_residual(curve, z, z_end)
+    ds, du = _arc_gap(z_end.s, z.s, length), z_end.u - z.u
+    # the metric of stability.orbit_closure_residual
+    return np.array([ds, du]), traj, max(abs(ds) / length, abs(du))
 
 
 def find_periodic_newton(
@@ -1216,6 +1199,8 @@ def find_periodic_newton(
     domain test and no clamp: such a trial, or one whose orbit fails, is
     rejected like a trial that raises the residual.  The state accepted in
     the last of the ``max_iter`` iterations is tested against ``tol`` too.
+    ``tol`` may not exceed the closure tolerance ``CLOSURE_TOL`` (else
+    ``ValueError``), so a state that meets it is a closed orbit.
 
     Raises :class:`SingularJacobian` when ``|det(S_n - I)| < 1e-10`` — the
     expected degeneracy on parabolic families, where periodic points are not
@@ -1224,6 +1209,8 @@ def find_periodic_newton(
     """
     if n < 1:
         raise ValueError(f"period must be a positive integer, got {n}")
+    if not tol <= CLOSURE_TOL:
+        raise ValueError(f"tol {tol!r} exceeds the closure tolerance {CLOSURE_TOL!r}")
     try:
         state = _newton_state(curve, mu, z0, n)
         S = compose(d for _, d in state[1])
@@ -1234,7 +1221,7 @@ def find_periodic_newton(
     for iteration in range(max_iter + 1):
         F, traj, residual = state
         if residual <= tol:
-            return _package_orbit(curve, mu, z, traj, None)
+            return _package_orbit(curve, mu, z, traj, residual, None)
         if iteration == max_iter:
             break
         J = S - np.eye(2)

@@ -41,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from .curves import Curve
-from .dynamics import PhasePoint, iterate, jacobian_analytic
+from .dynamics import PhasePoint, StepData, _arc_gap, iterate, jacobian_analytic
 from .errors import NotPeriodic
 
 __all__ = [
@@ -109,8 +109,24 @@ def classify(trace: float, tol: float = CLOSED_FORM_TOL) -> StabilityVerdict:
 def orbit_closure_residual(curve: Curve, z: PhasePoint, z_end: PhasePoint) -> float:
     """max(|ds|/L, |du|) between an orbit's start and end points."""
     L = curve.total_length()
-    ds = abs((z_end.s - z.s + 0.5 * L) % L - 0.5 * L)
+    ds = abs(_arc_gap(z_end.s, z.s, L))
     return max(ds / L, abs(z_end.u - z.u))
+
+
+def _closed_orbit(curve: Curve, mu: float, z: PhasePoint, n: int
+                  ) -> tuple[list[tuple[PhasePoint, StepData]], float]:
+    """The n steps of the orbit of z, as :func:`iterate` returns them, and
+    its closure residual; :class:`NotPeriodic` above ``CLOSURE_TOL``."""
+    if n < 1:
+        raise ValueError(f"period must be at least 1, got {n}")
+    traj = iterate(curve, mu, z, n)
+    res = orbit_closure_residual(curve, z, traj[-1][0])
+    if res > CLOSURE_TOL:
+        raise NotPeriodic(
+            f"orbit of {z!r} does not close to period {n}: residual {res:.3e} "
+            f"> {CLOSURE_TOL}"
+        )
+    return traj, res
 
 
 def stability_matrix(
@@ -124,16 +140,7 @@ def stability_matrix(
     The orbit must close to period n within ``CLOSURE_TOL`` in the
     max(|ds|/L, |du|) metric; otherwise :class:`NotPeriodic` is raised.
     """
-    if n < 1:
-        raise ValueError(f"period must be at least 1, got {n}")
-    traj = iterate(curve, mu, z, n)
-    res = orbit_closure_residual(curve, z, traj[-1][0])
-    if res > CLOSURE_TOL:
-        raise NotPeriodic(
-            f"orbit of {z!r} does not close to period {n}: residual {res:.3e} "
-            f"> {CLOSURE_TOL}"
-        )
-    return compose(data for _, data in traj)
+    return compose(data for _, data in _closed_orbit(curve, mu, z, n)[0])
 
 
 def compose(steps) -> np.ndarray:

@@ -458,6 +458,18 @@ def test_the_readme_names_the_flags_of_the_parser():
     assert tabled == {verb: set(flags) for verb, flags in parsed.items()}
 
 
+def test_the_readme_quick_start_prints_what_it_shows(capsys):
+    """The README's Python quick start runs and prints the verdict and the
+    rotation number its comments show; its det J is 1 to rounding."""
+    section = (REPO / "README.md").read_text().split("## Quick start (Python)", 1)[1]
+    namespace = {}
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], namespace)
+    verdict, rho = capsys.readouterr().out.splitlines()
+    assert verdict == "StabilityClass.HYPERBOLIC"
+    assert abs(float(rho) - 0.38382791586982007) <= 1e-12
+    assert abs(np.linalg.det(namespace["J"]) - 1.0) <= 1e-12
+
+
 def test_the_readme_orbit_example_prints_what_it_shows(tmp_path, monkeypatch, capsys):
     """The README's ``orbit`` config, run as its ``$ imbil orbit`` line says,
     prints the line the README shows."""

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import CURVE_MENU, sample_phase_points
 from reference_map import chord_exit_ellipse, chord_exit_stadium, larmor_root
 from imbilliards.collision import (
+    MAX_ROOT_ITERATIONS,
     N_SWEEP_SAMPLES,
     SWEEP_ANGLES,
     SWEEP_COS,
@@ -43,11 +44,11 @@ def test_chord_exit_circle_oracle(rng):
     for _ in range(50):
         s0 = float(rng.uniform(0.0, length))
         theta = float(rng.uniform(0.05, math.pi - 0.05))
-        hit = chord_exit(circle, circle.frame_at(s0), theta)
-        gap = abs((hit.frame1.s - s0 - 2.0 * R * theta + 0.5 * length) % length - 0.5 * length)
+        frame1, theta1, ell1, _ = chord_exit(circle, circle.frame_at(s0), theta)
+        gap = abs((frame1.s - s0 - 2.0 * R * theta + 0.5 * length) % length - 0.5 * length)
         assert gap < 1e-9
-        assert abs(hit.theta1 - theta) < 1e-9
-        assert abs(hit.ell1 - 2.0 * R * math.sin(theta)) < 1e-9
+        assert abs(theta1 - theta) < 1e-9
+        assert abs(ell1 - 2.0 * R * math.sin(theta)) < 1e-9
 
 
 @pytest.mark.parametrize("curve, exact", [
@@ -71,7 +72,8 @@ def test_chord_exit_matches_the_40_digit_root(curve, exact, rng):
         theta = float(rng.uniform(0.05, math.pi - 0.05))
         frame = curve.frame_at(s0)
         r, slope = exact(*frame.point.tolist(), *frame.direction(theta))
-        assert abs(chord_exit(curve, frame, theta).ell1 - r) * slope <= 8.0 * 2.0**-52
+        _, _, ell1, _ = chord_exit(curve, frame, theta)
+        assert abs(ell1 - r) * slope <= 8.0 * 2.0**-52
 
 
 @pytest.mark.parametrize("curve", [Circle(1.0), Ellipse(2.0, 1.0)], ids=["circle", "ellipse21"])
@@ -95,11 +97,12 @@ def test_larmor_reentry_circle_oracle(rng):
     for _ in range(50):
         s0 = float(rng.uniform(0.0, length))
         theta = float(rng.uniform(0.1, math.pi - 0.1))
-        chord = chord_exit(circle, circle.frame_at(s0), theta)
-        p1 = circle.frame_at(chord.frame1.s).point
-        t1 = circle.frame_at(chord.frame1.s).tangent
-        v = math.cos(chord.theta1) * t1 - math.sin(chord.theta1) * rot90(t1)
-        hit = larmor_reentry(circle, circle.frame_at(chord.frame1.s), v, mu)
+        frame1, theta1, _, _ = chord_exit(circle, circle.frame_at(s0), theta)
+        p1 = circle.frame_at(frame1.s).point
+        t1 = circle.frame_at(frame1.s).tangent
+        v = math.cos(theta1) * t1 - math.sin(theta1) * rot90(t1)
+        frame2, _, chi, _, _, n_crossings, _ = larmor_reentry(
+            circle, circle.frame_at(frame1.s), v, mu)
 
         # Two-circle intersection: boundary (origin, R), Larmor (c, mu).
         c = p1 + mu * rot90(v)
@@ -110,13 +113,13 @@ def test_larmor_reentry_circle_oracle(rng):
         perp = rot90(axis)
         candidates = [x * axis + h * perp, x * axis - h * perp]
         p2_alg = max(candidates, key=lambda p: np.linalg.norm(p - p1))
-        assert np.linalg.norm(circle.frame_at(hit.frame2.s).point - p2_alg) < 1e-8
+        assert np.linalg.norm(circle.frame_at(frame2.s).point - p2_alg) < 1e-8
 
         w = p2_alg - p1
         w = w / np.linalg.norm(w)
         chi_alg = math.atan2(cross2(v, w), float(v @ w)) % (2.0 * math.pi)
-        assert abs(hit.chi - chi_alg) < 1e-9
-        assert hit.n_crossings == 1
+        assert abs(chi - chi_alg) < 1e-9
+        assert n_crossings == 1
 
 
 @pytest.mark.parametrize("table, bound", [
@@ -148,17 +151,39 @@ def test_larmor_reentry_matches_the_40_digit_root(table, bound, rng):
         mu = math.exp(rng.uniform(math.log(0.1), math.log(3.0)))
         frame = curve.frame_at(float(rng.uniform(0.0, length)))
         try:
-            chord = chord_exit(curve, frame, float(rng.uniform(0.05, math.pi - 0.05)))
-            hit = larmor_reentry(curve, chord.frame1, chord.v, mu)
+            frame1, _, _, v = chord_exit(curve, frame, float(rng.uniform(0.05, math.pi - 0.05)))
+            _, _, _, _, arc_sweep, _, _ = larmor_reentry(curve, frame1, v, mu)
         except BilliardError:
             continue
         n_steps += 1
-        (vx, vy), x1, y1 = chord.v, chord.frame1.x, chord.frame1.y
+        (vx, vy), x1, y1 = v, frame1.x, frame1.y
         cx, cy = x1 - mu * vy, y1 + mu * vx
-        j = int(np.searchsorted(SWEEP_ANGLES, hit.arc_sweep))
+        j = int(np.searchsorted(SWEEP_ANGLES, arc_sweep))
         psi, slope = larmor_root(table, cx, cy, x1 - cx, y1 - cy,
                                  SWEEP_ANGLES.item(j - 1), SWEEP_ANGLES.item(j))
-        assert abs(hit.arc_sweep - psi) * abs(slope) <= bound * 2.0**-52
+        assert abs(arc_sweep - psi) * abs(slope) <= bound * 2.0**-52
+
+
+def test_a_reentry_beside_the_exit_root_converges_to_the_40_digit_root():
+    """An exit near the tangent on the sampled sweep (mu * kappa_max = 6.8):
+    the arc re-enters 1.0e-4 rad before it returns to its own exit point,
+    which is a root of F at psi = 2 pi, so both roots lie in the last sweep
+    interval.  The regula falsi seed lands beside the exit root and the
+    loop bisects once; Newton then halves its distance to the pair of roots
+    for about ten steps, and once it is at rounding a step that fails to
+    halve the last makes it bisect the bracket, whose far end stayed by the
+    exit root, 27 more times: 39 steps in all.  The root is still right,
+    within 16 eps / |dF/dpsi| of the 40-digit root of the same float arc."""
+    table = {"kind": "superellipse", "k": 2}
+    curve, mu = make_curve(table), 2.69
+    z = PhasePoint(2.982521626014709, math.pi - 1.8e-4)
+    _, d = step(curve, mu, z)
+    assert d.root_iterations < MAX_ROOT_ITERATIONS and d.n_crossings == 1
+    (vx, vy), x1, y1 = d.frames[0].direction(z.theta), d.frames[1].x, d.frames[1].y
+    cx, cy = x1 - mu * vy, y1 + mu * vx
+    psi, slope = larmor_root(table, cx, cy, x1 - cx, y1 - cy,
+                             SWEEP_ANGLES.item(-2), SWEEP_ANGLES.item(-1))
+    assert abs(d.arc_sweep - psi) * abs(slope) <= 16.0 * 2.0**-52
 
 
 @pytest.mark.parametrize("v,error", [((0.0, 1.0), TangentialContact), ((0.0, -1.0), NoReentry)],
@@ -183,30 +208,31 @@ def test_larmor_invariants(name, curves, rng):
         p1 = curve.frame_at(d.s1).point
         t1 = curve.frame_at(d.s1).tangent
         v = math.cos(d.theta1) * t1 - math.sin(d.theta1) * rot90(t1)
-        hit = larmor_reentry(curve, curve.frame_at(d.s1), v, mu)
+        frame2, theta2, chi, ell2, arc_sweep, _, _ = larmor_reentry(
+            curve, curve.frame_at(d.s1), v, mu)
 
-        assert abs(hit.ell2 - 2.0 * mu * math.sin(hit.chi)) < 1e-9
-        assert abs(hit.arc_sweep - 2.0 * hit.chi) < 1e-12
-        assert 0.0 < hit.theta2 < math.pi
-        assert 0.0 < hit.chi < math.pi
+        assert abs(ell2 - 2.0 * mu * math.sin(chi)) < 1e-9
+        assert abs(arc_sweep - 2.0 * chi) < 1e-12
+        assert 0.0 < theta2 < math.pi
+        assert 0.0 < chi < math.pi
 
         # Endpoint of the swept arc coincides with the located re-entry.
         center = p1 + mu * rot90(v)
         rot = np.array(
             [
-                [math.cos(hit.arc_sweep), -math.sin(hit.arc_sweep)],
-                [math.sin(hit.arc_sweep), math.cos(hit.arc_sweep)],
+                [math.cos(arc_sweep), -math.sin(arc_sweep)],
+                [math.sin(arc_sweep), math.cos(arc_sweep)],
             ]
         )
         p2 = center + rot @ (p1 - center)
         assert abs(curve.implicit_xy(*p2)) < 1e-8
-        assert np.linalg.norm(p2 - curve.frame_at(hit.frame2.s).point) < 1e-7
+        assert np.linalg.norm(p2 - curve.frame_at(frame2.s).point) < 1e-7
 
         # The arc midpoint lies strictly outside the table.
         half = np.array(
             [
-                [math.cos(0.5 * hit.arc_sweep), -math.sin(0.5 * hit.arc_sweep)],
-                [math.sin(0.5 * hit.arc_sweep), math.cos(0.5 * hit.arc_sweep)],
+                [math.cos(0.5 * arc_sweep), -math.sin(0.5 * arc_sweep)],
+                [math.sin(0.5 * arc_sweep), math.cos(0.5 * arc_sweep)],
             ]
         )
         assert curve.implicit_xy(*(center + half @ (p1 - center))) > 0.0
@@ -216,15 +242,15 @@ def test_larmor_invariants(name, curves, rng):
 def test_chord_exit_lands_on_boundary(name, curves, rng):
     curve, _ = curves[name]
     for z in sample_phase_points(curve, 0.3, 25, rng, conditioned=False):
-        hit = chord_exit(curve, curve.frame_at(z.s), z.theta)
+        frame1, theta1, ell1, _ = chord_exit(curve, curve.frame_at(z.s), z.theta)
         p0 = curve.frame_at(z.s).point
         v = np.array(curve.frame_at(z.s).direction(z.theta))
-        p1 = p0 + hit.ell1 * v
+        p1 = p0 + ell1 * v
         assert abs(curve.implicit_xy(*p1)) < 1e-9
-        assert np.linalg.norm(p1 - curve.frame_at(hit.frame1.s).point) < 1e-7
-        assert 0.0 < hit.theta1 < math.pi
+        assert np.linalg.norm(p1 - curve.frame_at(frame1.s).point) < 1e-7
+        assert 0.0 < theta1 < math.pi
         # Chord midpoint is interior (convexity).
-        assert curve.implicit_xy(*(p0 + 0.5 * hit.ell1 * v)) < 0.0
+        assert curve.implicit_xy(*(p0 + 0.5 * ell1 * v)) < 0.0
 
 
 def test_tangential_launch_rejected():
@@ -246,8 +272,8 @@ def test_corner_clipping_crossing_count():
         y0 = (1.0 - x0 ** (2 * k)) ** (1.0 / (2 * k))
         mu = x0 - y0
         s1 = curve.frame_of(np.array([x0, y0])).s
-        hit = larmor_reentry(curve, curve.frame_at(s1), v, mu)
-        assert hit.n_crossings == expected
+        _, _, _, _, _, n_crossings, _ = larmor_reentry(curve, curve.frame_at(s1), v, mu)
+        assert n_crossings == expected
 
 
 def test_larmor_sweep_constants():
@@ -294,8 +320,8 @@ def test_below_the_rolling_radius_an_arc_crosses_once(index, frac, theta, mu_kap
     curve = CERTIFIED_TABLES[index]
     mu = mu_kappa / curve.max_curvature()
     z = PhasePoint(frac * curve.total_length(), theta)
-    hit1 = chord_exit(curve, curve.frame_at(z.s), z.theta)
-    crossings = reference_crossings(curve, hit1.frame1, hit1.v, mu)
+    frame1, _, _, v = chord_exit(curve, curve.frame_at(z.s), z.theta)
+    crossings = reference_crossings(curve, frame1, v, mu)
     assert len(crossings) == 1
     _, d = step(curve, mu, z)
     assert d.n_crossings == 1
@@ -310,8 +336,8 @@ def test_past_the_rolling_radius_an_arc_can_cross_three_times():
     curve = Ellipse(2.0, 1.0)
     mu = 1.2 / curve.max_curvature()
     z = PhasePoint(0.1, 0.05)
-    hit1 = chord_exit(curve, curve.frame_at(z.s), z.theta)
-    crossings = reference_crossings(curve, hit1.frame1, hit1.v, mu)
+    frame1, _, _, v = chord_exit(curve, curve.frame_at(z.s), z.theta)
+    crossings = reference_crossings(curve, frame1, v, mu)
     assert len(crossings) == 3
     _, d = step(curve, mu, z)
     assert d.n_crossings == 3

@@ -20,6 +20,7 @@ from imbilliards.errors import (
     InfeasibleStadium,
     MuTooLarge,
     NoConvergence,
+    NotPeriodic,
     NotSymmetric,
     RootNotBracketed,
     SingularJacobian,
@@ -56,7 +57,7 @@ from imbilliards.families import (
     two_periodic_superellipse_diag,
     x_hat,
 )
-from imbilliards.stability import trace2_closed
+from imbilliards.stability import CLOSURE_TOL, trace2_closed
 
 SQRT3 = math.sqrt(3.0)
 
@@ -157,6 +158,22 @@ def test_two_periodic_ellipse_root_two_aspect_is_parabolic():
         orbit, params = two_periodic_ellipse(a, 1.0, mu, axis="minor")
         for p in closed_and_measured(orbit, params, 1e-9):
             assert trace2_closed(p) == pytest.approx(-2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("construct", [
+    lambda: two_periodic_circle(0.0, 0.1),
+    lambda: three_periodic_circle(-1.0, 0.1),
+    lambda: four_periodic_circle(0.0, 0.1, "3/4"),
+    lambda: two_periodic_ellipse(2.0, 0.0, 0.1),
+    lambda: two_periodic_ellipse(1.0, 1.0, 0.1, axis="minor"),
+    lambda: two_periodic_stadium(0.0, 1.0, 0.1, kind="caps"),
+    lambda: two_periodic_stadium(2.0, -1.0, 0.1, kind="sides"),
+], ids=["circle-2", "circle-3", "circle-4", "ellipse-b0", "ellipse-a-eq-b",
+        "stadium-side0", "stadium-R-negative"])
+def test_constructors_refuse_bad_table_sizes(construct):
+    """The curve class refuses a table of bad size, before any orbit test."""
+    with pytest.raises(ValueError):
+        construct()
 
 
 def test_two_periodic_ellipse_feasibility():
@@ -341,7 +358,7 @@ def test_check_members_read_no_step_data(monkeypatch, name, curve_cfg, section):
     records tampered with after the orbit closed change neither, so the
     composed product that ``check`` compares them with is a second route."""
     orbit, trace, extras = cli._member(curve_cfg, section)
-    monkeypatch.setattr(families, "iterate", _tampered(families.iterate))
+    monkeypatch.setattr(stability, "iterate", _tampered(stability.iterate))
     tampered, tampered_trace, tampered_extras = cli._member(curve_cfg, section)
     assert tampered.steps[0].theta0 == orbit.steps[0].theta0 + 1e-6  # the patch took effect
     assert (tampered_trace, tampered_extras) == (trace, extras)
@@ -771,6 +788,18 @@ def test_dual_orbit_superellipse_axis_keeps_parameter():
         assert rel_close(composed_trace(dual), trace4_superellipse_axis(k, x0, "3/4"), 1e-6)
 
 
+def test_an_orbit_from_a_seed_must_close_and_wind_as_expected():
+    """A seed kicked off its orbit does not close, and a closed orbit that
+    winds 1/4 per period is refused where 3/4 is expected."""
+    orbit = four_periodic_ellipse(3.0, 2.0, 2.7, "1/4")[0]
+    z = orbit.points[0]
+    kicked = PhasePoint(s=z.s + 1e-4, theta=z.theta + 1e-4)
+    with pytest.raises(NotPeriodic, match="does not close"):
+        _orbit_from_seed(orbit.curve, orbit.mu, kicked, 4, None)
+    with pytest.raises(NotPeriodic, match="winds 1/4 per period, expected 3/4"):
+        _orbit_from_seed(orbit.curve, orbit.mu, z, 4, Fraction(3, 4))
+
+
 def test_dual_orbit_rejects_unsuitable_orbits():
     orbit2, _ = two_periodic_circle(1.0, 0.4)
     with pytest.raises(ValueError):
@@ -914,6 +943,22 @@ def test_newton_rejects_hopeless_seeds():
         find_periodic_newton(curve, 0.3, 5, PhasePoint(0.123, 1.234), max_iter=4)
     with pytest.raises(ValueError):
         find_periodic_newton(curve, 0.3, 0, PhasePoint(0.1, 1.0))
+
+
+def test_newton_refuses_a_tol_above_the_closure_tolerance():
+    """A state that meets ``tol`` must close as an orbit, so ``tol`` may not
+    exceed ``CLOSURE_TOL``.  This kicked seed's residual is 5.1e-7: it meets
+    ``tol=1e-4`` but does not close, so that tol is refused, and
+    ``tol=CLOSURE_TOL`` takes Newton steps from it."""
+    orbit = four_periodic_ellipse(3.0, 2.0, 2.7, "1/4")[0]
+    z = orbit.points[0]
+    seed = PhasePoint(s=z.s + 1e-6, theta=z.theta + 1e-6)
+    with pytest.raises(ValueError, match=r"tol 0\.0001 exceeds the closure tolerance 1e-07"):
+        find_periodic_newton(orbit.curve, orbit.mu, orbit.n, seed, tol=1e-4, max_iter=0)
+    with pytest.raises(NoConvergence, match="within 0 iterations"):
+        find_periodic_newton(orbit.curve, orbit.mu, orbit.n, seed, tol=CLOSURE_TOL, max_iter=0)
+    found = find_periodic_newton(orbit.curve, orbit.mu, orbit.n, seed, tol=CLOSURE_TOL)
+    assert found.residual <= CLOSURE_TOL
 
 
 def test_newton_tests_the_state_of_its_last_iteration():

@@ -107,7 +107,7 @@ def test_brentq_repeats_scipy_on_the_collision_solves(monkeypatch, rng, factory,
         except BilliardError:
             pass
     assert len(hits) >= 150
-    for frame1, (vx, vy), hit in hits:
+    for frame1, (vx, vy), (_, _, _, _, arc_sweep, _, _) in hits:
         cx, cy = frame1.x - mu * vy, frame1.y + mu * vx
         rx, ry = frame1.x - cx, frame1.y - cy
         vals = curve.implicit_xy(cx + SWEEP_COS * rx - SWEEP_SIN * ry,
@@ -115,8 +115,8 @@ def test_brentq_repeats_scipy_on_the_collision_solves(monkeypatch, rng, factory,
         i = int(np.flatnonzero((vals[:-1] > 0.0) & np.signbit(vals[1:]))[0])
         lo, hi = SWEEP_ANGLES.item(i), SWEEP_ANGLES.item(i + 1)
         psi, slope = brent_reentry(curve, cx, cy, rx, ry, lo, hi)
-        assert lo <= hit.arc_sweep <= hi
-        assert abs(hit.arc_sweep - psi) * abs(slope) <= 16.0 * 2.0**-52
+        assert lo <= arc_sweep <= hi
+        assert abs(arc_sweep - psi) * abs(slope) <= 16.0 * 2.0**-52
 
 
 # --------------------------------------------------------------------------
