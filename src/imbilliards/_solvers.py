@@ -3,9 +3,13 @@
 ``brentq`` is a line-for-line port of SciPy's C routine ``brentq``
 (``optimize/Zeros/brentq.c``) and ``minimize_bounded`` of SciPy's
 pure-Python ``_minimize_scalar_bounded`` (both after Brent, *Algorithms for
-Minimization without Derivatives*, 1973, ch. 4 and 5).  They keep SciPy's
-arithmetic step for step, so they return the same floats, bit for bit.
-SciPy is distributed under the BSD 3-clause licence:
+Minimization without Derivatives*, 1973, ch. 4 and 5).  Both compute on
+Python floats.  Where SciPy's minimizer calls ``np.abs``, ``np.maximum``
+and ``np.sign`` on numpy scalars, ``minimize_bounded`` uses ``abs``, ``max``
+and comparisons: the same IEEE operations on the same values.  So both keep
+SciPy's arithmetic step for step and return the same floats, bit for bit,
+which the twin tests in ``tests/test_solvers.py`` check on the package's
+own solves.  SciPy is distributed under the BSD 3-clause licence:
 Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
 
 ``carlson_rf`` evaluates Carlson's symmetric elliptic integral of the first
@@ -17,6 +21,7 @@ or float arrays.
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import Callable
 
@@ -122,17 +127,20 @@ def minimize_bounded(
     golden-section search with parabolic steps to absolute tolerance
     ``xatol``; stops after ``maxiter`` evaluations.
 
-    The arithmetic runs on numpy scalars as in SciPy, so ``func`` sees the
-    same arguments, of the same type, that SciPy would pass it.
+    The bounds are taken as floats and the search runs on floats, so ``func``
+    receives floats.  Where SciPy calls ``np.abs``, ``np.maximum`` and
+    ``np.sign`` on numpy scalars, this uses ``abs``, ``max`` and comparisons,
+    which are the same IEEE operations on the same values, NaN included: the
+    sign of a NaN is NaN, and ``max`` keeps a NaN given first.
     """
-    x1, x2 = bounds
-    if not (np.isfinite(x1) and np.isfinite(x2)):
+    x1, x2 = float(bounds[0]), float(bounds[1])
+    if not (math.isfinite(x1) and math.isfinite(x2)):
         raise ValueError("Optimization bounds must be finite scalars.")
     if x1 > x2:
         raise ValueError("The lower bound exceeds the upper bound.")
 
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     a, b = x1, x2
     fulc = a + golden_mean * (b - a)
     nfc, xf = fulc, fulc
@@ -143,13 +151,13 @@ def minimize_bounded(
 
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
     tol2 = 2.0 * tol1
 
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
         golden = 1
         # Check for parabolic fit
-        if np.abs(e) > tol1:
+        if abs(e) > tol1:
             golden = 0
             r = (xf - nfc) * (fx - ffulc)
             q = (xf - fulc) * (fx - fnfc)
@@ -157,18 +165,19 @@ def minimize_bounded(
             q = 2.0 * (q - r)
             if q > 0.0:
                 p = -p
-            q = np.abs(q)
+            q = abs(q)
             r = e
             e = rat
 
             # Check for acceptability of parabola
-            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and
+            if ((abs(p) < abs(0.5 * q * r)) and (p > q * (a - xf)) and
                     (p < q * (b - xf))):
                 rat = (p + 0.0) / q
                 x = xf + rat
                 if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
+                    # SciPy's np.sign(d) + (d == 0): 1 at +-0, NaN at NaN
+                    d = xm - xf
+                    rat = tol1 * (1.0 if d >= 0.0 else -1.0 if d < 0.0 else d)
             else:  # do a golden-section step
                 golden = 1
 
@@ -179,8 +188,8 @@ def minimize_bounded(
                 e = b - xf
             rat = golden_mean * e
 
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
+        si = 1.0 if rat >= 0.0 else -1.0 if rat < 0.0 else rat
+        x = xf + si * max(abs(rat), tol1)
         fu = func(x)
         num += 1
 
@@ -204,7 +213,7 @@ def minimize_bounded(
                 fulc, ffulc = x, fu
 
         xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
 
         if num >= maxiter:
@@ -216,6 +225,11 @@ def minimize_bounded(
 #: series: duplication stops once ``4^n |A_n|`` exceeds this times the
 #: largest ``|A_0 - x|``
 _RF_STOP = (3.0 * 2.0 ** -53) ** (-1.0 / 6.0)
+#: binary exponents of the band ``[2^-500, 2^1000]`` of largest arguments
+#: that the duplication takes as they are: below it bits go to underflow,
+#: and above it ``A_0`` or the stop threshold can overflow
+_RF_EXPS = (-500, 1000)
+_RF_TINY, _RF_HUGE = 2.0 ** _RF_EXPS[0], 2.0 ** _RF_EXPS[1]
 
 
 def carlson_rf(x, y, z):
@@ -229,18 +243,37 @@ def carlson_rf(x, y, z):
 
     Raises ``ValueError`` when two or more arguments of an entry are zero:
     the integral diverges there, and duplication never meets the stop rule.
-    On every other input the strict stop test ends the loop: ``q * scale``
-    falls to 0 as ``scale`` underflows (to NaN if ``q`` is infinite), and
-    neither passes the test, even where ``A_n`` has underflowed to 0 too.
-    Such an entry, for example ``(5e-324, 5e-324, 0)``, comes out NaN.
+    An entry whose largest argument lies outside ``[2^-500, 2^1000]`` is
+    duplicated at ``R_F(4^m x, 4^m y, 4^m z) = 2^-m R_F(x, y, z)``, with
+    ``m`` taken from the binary exponent of its largest argument so as to
+    bring that argument to the band's nearer edge, to within a factor 4.
+    Powers of two scale exactly, so this keeps the mean ``A_0`` and the stop
+    threshold in range at both ends of the float range:
+    ``R_F(5e-324, 5e-324, 0)`` and ``R_F(1e308, 1e308, 1e308)`` are finite.
+    Every other entry keeps its bits.
     """
-    if (np.maximum(np.minimum(x, y), np.minimum(np.maximum(x, y), z)) == 0.0).any():
+    xy = np.maximum(x, y)
+    big = np.maximum(xy, z)
+    mid = np.maximum(np.minimum(x, y), np.minimum(xy, z))
+    # the reductions start at the band's edges, so an empty array passes
+    if mid.min(initial=_RF_TINY) >= _RF_TINY and big.max(initial=_RF_HUGE) <= _RF_HUGE:
+        return _rf_duplication(x, y, z)
+    if (mid == 0.0).any():
         raise ValueError("R_F diverges: two or more of its arguments are zero")
+    e = np.frexp(big)[1]
+    m = (np.clip(e, *_RF_EXPS) - e) // 2
+    rf = np.ldexp(_rf_duplication(np.ldexp(x, 2 * m), np.ldexp(y, 2 * m), np.ldexp(z, 2 * m)), m)
+    return rf if isinstance(rf, np.ndarray) else float(rf)
+
+
+def _rf_duplication(x, y, z):
+    """``R_F`` by duplication, on arguments that need no scaling."""
     a0 = (x + y + z) / 3.0
     dx, dy = a0 - x, a0 - y
     q = _RF_STOP * np.maximum(np.maximum(abs(dx), abs(dy)), abs(a0 - z))
     an, scale = a0, 1.0
-    while (q * scale > abs(an)).any():
+    # A_n > 0 on every admitted entry, so the stop test takes no abs
+    while (q * scale > an).any():
         sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
         lam = sx * (sy + sz) + sy * sz
         x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)

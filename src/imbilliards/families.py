@@ -1193,12 +1193,14 @@ def find_periodic_newton(
     ``(S_n - I) diag(1, sin theta)``, so the step solves ``(S_n - I) d = F``
     and moves to ``(s - d_s, theta - d_u / sin theta)``.  A step that does
     not decrease the residual is halved, at most five times (six trial
-    scales, 1 down to 1/32); only the accepted trial's Jacobians are
-    composed.  A trial outside the annulus is refused by the map itself
-    (:class:`TangentialChord` from the chord exit), so the search adds no
-    domain test and no clamp: such a trial, or one whose orbit fails, is
-    rejected like a trial that raises the residual.  The state accepted in
-    the last of the ``max_iter`` iterations is tested against ``tol`` too.
+    scales, 1 down to 1/32).  Only an accepted state that misses ``tol``
+    has its Jacobians composed, so a state that meets ``tol`` is returned
+    even if one of its step Jacobians is degenerate.  A trial outside the
+    annulus is refused by the map itself (:class:`TangentialChord` from the
+    chord exit), so the search adds no domain test and no clamp: such a
+    trial, or one whose orbit fails, is rejected like a trial that raises
+    the residual.  The state accepted in the last of the ``max_iter``
+    iterations is tested against ``tol`` too.
     ``tol`` may not exceed the closure tolerance ``CLOSURE_TOL`` (else
     ``ValueError``), so a state that meets it is a closed orbit.
 
@@ -1213,7 +1215,7 @@ def find_periodic_newton(
         raise ValueError(f"tol {tol!r} exceeds the closure tolerance {CLOSURE_TOL!r}")
     try:
         state = _newton_state(curve, mu, z0, n)
-        S = compose(d for _, d in state[1])
+        S = None if state[2] <= tol else compose(d for _, d in state[1])
     except BilliardError:
         raise NoConvergence("seed trajectory leaves the domain of the map") from None
     z = z0
@@ -1239,7 +1241,8 @@ def find_periodic_newton(
             try:
                 trial = _newton_state(curve, mu, z_new, n)
                 if trial[2] < residual:
-                    z, state, S = z_new, trial, compose(d for _, d in trial[1])
+                    S = None if trial[2] <= tol else compose(d for _, d in trial[1])
+                    z, state = z_new, trial
                     break
             except BilliardError:
                 pass

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import itertools
 import json
 import math
@@ -809,6 +810,19 @@ def test_rot_grid_is_within_8_ulp_of_40_digits(tmp_path):
             exact = (mpmath.sqrt(lo) * rf(hi * (a2 - lo), a2 * (hi - lo), (hi - lo) * (a2 - lo))
                      / rf(a2 - lo, hi - lo, 0))
             assert abs(mpf(rho) - exact) <= 8 * np.spacing(float(exact))
+
+
+@pytest.mark.parametrize("verb", ["orbit", "scan", "trace", "rot"])
+def test_cli_outputs_match_the_benchmark_goldens(tmp_path, verb):
+    """Each verb on its ``perfbench/configs`` file writes what
+    ``perfbench/golden`` holds, as ``perfbench/golden.py`` compares them:
+    numbers within 1e-12 relative, text exact."""
+    spec = importlib.util.spec_from_file_location("perfbench_golden", REPO / "perfbench" / "golden.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    config = golden.CONFIG_DIR / f"{verb}.json"
+    assert main([verb, "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert golden.check_outputs(verb, tmp_path) == []
 
 
 def test_readme_rot_example_is_what_the_cli_prints(tmp_path, capsys):

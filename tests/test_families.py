@@ -863,7 +863,8 @@ def test_newton_returns_the_orbit_it_converged_on(monkeypatch):
 
 def test_newton_composes_the_jacobians_of_accepted_states_only(monkeypatch):
     """The line search evaluates trials by their residual alone; the n step
-    Jacobians are composed once per accepted state, the seed included.  On
+    Jacobians are composed once per accepted state that misses ``tol``, the
+    seed included, and not for the converged state that is returned.  On
     se-diag-4-rot14 the search rejects some trials, so composing every trial
     would call ``jacobian_analytic`` more often."""
     orbit, _ = four_periodic_superellipse_diag(2, 0.9, "1/4")
@@ -894,7 +895,7 @@ def test_newton_composes_the_jacobians_of_accepted_states_only(monkeypatch):
             accepted, best = accepted + 1, r
     assert found.residual == best
     assert len(residuals) > accepted
-    assert len(jacobians) == orbit.n * accepted
+    assert len(jacobians) == orbit.n * (accepted - 1)
 
 
 def test_newton_raises_on_parabolic_families():

@@ -200,6 +200,74 @@ def test_minimize_bounded_repeats_scipy_on_the_scan_refinements(monkeypatch):
         assert float(fun).hex() == float(sfun).hex()
 
 
+def scipy_minimize(func, bounds, xatol):
+    res = minimize_scalar(func, bounds=bounds, method="bounded", options={"xatol": xatol})
+    return res.x, res.fun
+
+
+def assert_hex_equal(pairs):
+    for (x, fun), (sx, sfun) in pairs:
+        assert (float(x).hex(), float(fun).hex()) == (float(sx).hex(), float(sfun).hex())
+
+
+SCAN_CURVES = [{"kind": "superellipse", "k": k} for k in (2, 3, 6)] + [
+    {"kind": "ellipse", "a": 3.0, "b": 2.0}, {"kind": "ellipse", "a": 2.0, "b": 1.0}]
+
+
+def test_minimize_bounded_repeats_scipy_on_every_scan_family(monkeypatch):
+    """Every tangential-touch refinement of every scannable family row, on
+    superellipses k = 2, 3, 6 and the ellipses (3, 2) and (2, 1), at every
+    rotation on the default window, with ``x`` and ``fun`` bit for bit; the
+    traces are called on Python floats."""
+    pairs, arg_types = [], set()
+
+    def both(func, bounds, xatol):
+        def recorded(x):
+            arg_types.add(type(x))
+            return func(x)
+
+        ours = minimize_bounded(recorded, bounds, xatol)
+        pairs.append((ours, scipy_minimize(func, bounds, xatol)))
+        return ours
+
+    monkeypatch.setattr(families, "minimize_bounded", both)
+    n_scans = 0
+    for curve_cfg in SCAN_CURVES:
+        for (kind, _), row in families.FAMILIES.items():
+            if kind != curve_cfg["kind"] or row.scan is None:
+                continue
+            for rotation in row.rotations or (None,):
+                trace_fn, (lo, hi), _, _ = row.scan(curve_cfg, rotation)
+                families.scan_family(trace_fn, lo, hi, n_grid=400)
+                n_scans += 1
+    assert n_scans == 3 * 6 + 2 * 2
+    assert len(pairs) >= n_scans
+    assert arg_types == {float}
+    assert_hex_equal(pairs)
+
+
+@pytest.mark.parametrize("func", [
+    lambda x: (x - 0.3) ** 2 if x < 0.6 else math.nan,
+    lambda x: math.nan if 0.35 < x < 0.4 else (x - 0.7) ** 2,
+    lambda x: math.nan,
+    lambda x: (x - 0.5) ** 2,
+], ids=["nan-beyond", "nan-at-the-first-point", "nan-everywhere", "zero-step"])
+def test_minimize_bounded_repeats_scipy_on_nan_values_and_a_zero_step(func):
+    """A NaN value, at the first point or later, steers the search as in
+    SciPy, and so does a parabolic step of exactly 0 (on ``(x - 0.5)^2``),
+    whose sign SciPy takes as +1: ``x`` and ``fun`` bit for bit, NaN
+    included, and ``func`` is called on Python floats only."""
+    arg_types = set()
+
+    def recorded(x):
+        arg_types.add(type(x))
+        return func(x)
+
+    assert_hex_equal([(minimize_bounded(recorded, (0.0, 1.0), 1e-12),
+                       scipy_minimize(func, (0.0, 1.0), 1e-12))])
+    assert arg_types == {float}
+
+
 def test_minimize_bounded_checks_its_bounds():
     with pytest.raises(ValueError, match="finite"):
         minimize_bounded(abs, (0.0, math.inf), 1e-12)
@@ -285,15 +353,33 @@ def test_carlson_rf_refuses_two_zero_arguments(args):
 
 
 def test_carlson_rf_ends_when_its_means_underflow():
-    """On subnormal arguments A_n and the stop threshold both underflow to
-    0; a stop test of ``>=`` then held for ever.  The strict test ends the
-    loop (the entry comes out NaN, as the docstring says), and a normal
-    argument next to a subnormal one keeps full precision."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        assert isinstance(carlson_rf(5e-324, 5e-324, 0.0), float)
+    """On subnormal arguments A_n and the stop threshold both underflowed to
+    0; a stop test of ``>=`` then held for ever, and the strict test ended
+    the loop with NaN.  Scaled by a power of 4, ``R_F(5e-324, 5e-324, 0)``
+    is ``pi / (2 sqrt x)``, and a normal argument next to a subnormal one
+    keeps full precision."""
     with mp.workdps(40):
+        closed_form = float(mp.pi / (2 * mp.sqrt(mpf(5e-324))))
         reference = float(mp.elliprf(0, 1, mpf(1e-320)))
+    assert carlson_rf(5e-324, 5e-324, 0.0) == pytest.approx(closed_form, rel=2 * EPS)
     assert carlson_rf(0.0, 1.0, 1e-320) == pytest.approx(reference, rel=4 * EPS)
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 1e300, 1e308])
+def test_carlson_rf_closed_forms_at_the_ends_of_the_float_range(x):
+    """R_F(x, x, 0) = pi / (2 sqrt x) and R_F(x, x, x) = 1 / sqrt x, to an ulp,
+    as floats and as entries of an array beside a normal one.  Unscaled,
+    duplication gives NaN at 5e-324, where A_n underflows, and at 1e308,
+    where A_0 and the stop threshold overflow."""
+    with mp.workdps(40):
+        two_equal = float(mp.pi / (2 * mp.sqrt(mpf(x))))
+        three_equal = float(1 / mp.sqrt(mpf(x)))
+    assert carlson_rf(x, x, 0.0) == pytest.approx(two_equal, rel=2 * EPS)
+    assert carlson_rf(x, x, x) == pytest.approx(three_equal, rel=2 * EPS)
+    values = carlson_rf(np.array([x, x, 1.0]), np.array([x, x, 2.0]), np.array([0.0, x, 3.0]))
+    assert values[0] == pytest.approx(two_equal, rel=2 * EPS)
+    assert values[1] == pytest.approx(three_equal, rel=2 * EPS)
+    assert values[2] == pytest.approx(carlson_rf(1.0, 2.0, 3.0), rel=8 * EPS)
 
 
 # --------------------------------------------------------------------------
