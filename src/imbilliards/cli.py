@@ -30,6 +30,12 @@ ranges), 3 geometric failure inside the map, 4 numerical non-convergence.
 Error output is a single machine-readable line ``error: <Tag>: <detail>``
 on stderr.
 
+Before a verb runs, each config section is checked against a table of its
+keys, the kind of value each holds and the keys it needs: any other key, a
+missing key or a value of the wrong kind is a ``ConfigValidation`` naming the
+section and the key.  Family and rotation names are checked where the family
+is looked up, against ``families.FAMILIES``.
+
 Each verb takes only the flags it reads: ``--config`` names the JSON config,
 ``--out`` picks the directory of the four verbs that write files, and
 ``--format`` picks ``scan``'s artifacts (the CSV table, the SVG diagram or
@@ -45,13 +51,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
 import json
 import math
+import re
 import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -64,130 +69,84 @@ from .errors import BilliardError, MuTooLarge, X0OutOfRange
 from .rotation import check_axes, rotation_table
 from .stability import classify, compose
 
-__all__ = ["main", "CONFIG_SCHEMA"]
+__all__ = ["main"]
 
-_POS = {"type": "number", "exclusiveMinimum": 0}
-_NUM = {"type": "number"}
-_FAMILY = {"enum": list(dict.fromkeys(family for _, family in fam.FAMILIES))}
-_ROT = {"enum": list(dict.fromkeys(str(r) for row in fam.FAMILIES.values() for r in row.rotations))}
 
-CONFIG_SCHEMA: dict = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "curve": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {"kind": {"const": "circle"}, "R": _POS},
-                    "required": ["kind", "R"],
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {"kind": {"const": "ellipse"}, "a": _POS, "b": _POS},
-                    "required": ["kind", "a", "b"],
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"const": "superellipse"},
-                        "k": {"type": "integer", "minimum": 2},
-                    },
-                    "required": ["kind", "k"],
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {"kind": {"const": "stadium"}, "side": _POS, "R": _POS},
-                    "required": ["kind", "side", "R"],
-                },
-            ]
-        },
-        "orbit": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "family": _FAMILY,
-                "mu": _POS,
-                "x0": _NUM,
-                "rotation": _ROT,
-            },
-            "required": ["family"],
-        },
-        "scan": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "family": _FAMILY,
-                "rotation": _ROT,
-                "lo": _NUM,
-                "hi": _NUM,
-                "n_grid": {"type": "integer", "minimum": 0},
-            },
-            "required": ["family"],
-        },
-        "trace": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "family": _FAMILY,
-                "mu": _POS,
-                "x0": _NUM,
-                "rotation": _ROT,
-                "s": _NUM,
-                "theta": _NUM,
-                "steps": {"type": "integer", "minimum": 1},
-                "overlay_dual": {"type": "boolean"},
-            },
-        },
-        "check": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "det_tol": _POS,
-                "jacobian_tol": _POS,
-                "trace_tol": _POS,
-                "n_points": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-        "rot": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "a": _POS,
-                "b": _POS,
-                "lambdas": {"type": "array", "items": _NUM, "minItems": 1},
-                "lo": _NUM,
-                "hi": _NUM,
-                "n": {"type": "integer", "minimum": 0},
-            },
-            "required": ["a", "b"],
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"stem": {"type": "string", "pattern": "^[A-Za-z0-9._-]+$"}},
-        },
-    },
+def _number(value) -> bool:
+    return type(value) in (int, float)  # a bool is no number
+
+
+def _integer(least: int) -> tuple[str, Callable]:
+    return f"an integer >= {least}", lambda v: type(v) is int and v >= least
+
+
+# each kind of config value: what it must be, and the test of it
+_NUMBER = ("a number", _number)
+_POSITIVE = ("a positive number", lambda v: _number(v) and not v <= 0)
+_STRING = ("a string", lambda v: type(v) is str)
+_BOOLEAN = ("a boolean", lambda v: type(v) is bool)
+_NUMBERS = ("a non-empty list of numbers", lambda v: type(v) is list and v and all(map(_number, v)))
+_STEM = ("made of letters, digits, '.', '_' and '-'",
+         lambda v: type(v) is str and re.fullmatch(r"[A-Za-z0-9._-]+", v) is not None)
+_OBJECT = ("an object", lambda v: type(v) is dict)
+
+#: the parameters of each curve kind, all required
+_CURVES = {
+    "circle": {"R": _POSITIVE},
+    "ellipse": {"a": _POSITIVE, "b": _POSITIVE},
+    "superellipse": {"k": _integer(2)},
+    "stadium": {"side": _POSITIVE, "R": _POSITIVE},
+}
+_KIND = (f"one of {', '.join(_CURVES)}", lambda v: type(v) is str and v in _CURVES)
+
+#: the keys of each config section but ``curve``, the kind of value each
+#: holds, and the keys the section needs; family and rotation names are
+#: checked by ``_family``
+_SECTIONS = {
+    "orbit": ({"family": _STRING, "mu": _POSITIVE, "x0": _NUMBER, "rotation": _STRING},
+              ("family",)),
+    "scan": ({"family": _STRING, "rotation": _STRING, "lo": _NUMBER, "hi": _NUMBER,
+              "n_grid": _integer(0)}, ("family",)),
+    "trace": ({"family": _STRING, "mu": _POSITIVE, "x0": _NUMBER, "rotation": _STRING,
+               "s": _NUMBER, "theta": _NUMBER, "steps": _integer(1), "overlay_dual": _BOOLEAN}, ()),
+    "check": ({"det_tol": _POSITIVE, "jacobian_tol": _POSITIVE, "trace_tol": _POSITIVE,
+               "n_points": _integer(1), "seed": _integer(0)}, ()),
+    "rot": ({"a": _POSITIVE, "b": _POSITIVE, "lambdas": _NUMBERS, "lo": _NUMBER, "hi": _NUMBER,
+             "n": _integer(0)}, ("a", "b")),
+    "output": ({"stem": _STEM}, ()),
 }
 
 
 class ConfigValidation(ValueError):
-    """A config that does not match ``CONFIG_SCHEMA``."""
+    """A config key the verbs do not read, a key missing, or a value of the
+    wrong kind."""
 
 
-@functools.cache
-def _validator():
-    """The schema validator, built on the first config read: verbs that read
-    no config (``check``, ``--help``) never import jsonschema."""
-    from jsonschema import Draft202012Validator
+def _check_keys(where: str, section, keys: dict, required: Sequence[str] = ()) -> None:
+    """Raise ``ConfigValidation`` unless ``section`` is an object holding only
+    ``keys``, each value of its kind, and every ``required`` key."""
+    if not isinstance(section, dict):
+        raise ConfigValidation(f"{where} must be an object, got {section!r}")
+    for key, (kind, test) in keys.items():
+        if key in section and not test(section[key]):
+            raise ConfigValidation(f"{where}: {key!r} must be {kind}, got {section[key]!r}")
+        if key in required and key not in section:
+            raise ConfigValidation(f"{where} needs the key {key!r}")
+    unknown = [key for key in section if key not in keys]
+    if unknown:
+        raise ConfigValidation(f"{where}: unknown key {unknown[0]!r}; the keys are {', '.join(keys)}")
 
-    return Draft202012Validator(CONFIG_SCHEMA)
+
+def _check_config(config) -> None:
+    """Check every section of ``config`` against its table, the curve against
+    the parameters of its kind."""
+    curve = config.get("curve") if isinstance(config, dict) else None
+    kind = curve.get("kind") if isinstance(curve, dict) else None
+    params = _CURVES.get(kind, {}) if isinstance(kind, str) else {}
+    sections = {"curve": ({"kind": _KIND, **params}, ("kind", *params)), **_SECTIONS}
+    _check_keys("config", config, dict.fromkeys(sections, _OBJECT))
+    for name, section in config.items():
+        _check_keys(name, section, *sections[name])
 
 
 def _fmt(x: float) -> str:
@@ -205,7 +164,8 @@ def _require(condition: bool, message: str) -> None:
 
 def _family(curve_cfg: dict, section: dict, scan: bool = False):
     """The table row of the configured family and its rotation, the row's first
-    unless the section names another (``None`` on a 2-periodic family).  A
+    unless the section names another as the table prints it, ``"3/4"``
+    (``None`` on a 2-periodic family).  A
     family, rotation or parameter the kind lacks is a ``ValueError``, as is a
     family with no scan for a ``scan`` and a missing parameter otherwise."""
     kind, family = curve_cfg["kind"], section["family"]
@@ -214,17 +174,16 @@ def _family(curve_cfg: dict, section: dict, scan: bool = False):
     _require(family in rows, f"no {scope}family {family!r} for curve kind {kind!r}; "
              f"its {scope}families are {', '.join(rows) or 'none'}")
     row = rows[family]
-    given = rotation = section.get("rotation")
-    if row.rotations:
-        rotation = Fraction(given or row.rotations[0])
-        _require(rotation in row.rotations,
-                 f"rotation must be one of {', '.join(map(str, row.rotations))}, got {given!r}")
+    names = [str(r) for r in row.rotations]
+    given = section.get("rotation", names[0] if names else None)
+    if names:
+        _require(given in names, f"rotation must be one of {', '.join(names)}, got {given!r}")
     else:
         _require(given is None, f"family {family!r} has no rotation to choose, got {given!r}")
     other = "mu" if row.param == "x0" else "x0"
     _require(other not in section, f"family {family!r} on {kind!r} takes {row.param!r}, not {other!r}")
     _require(scan or row.param in section, f"family {family!r} on {kind!r} needs {row.param!r}")
-    return row, rotation
+    return row, row.rotations[names.index(given)] if names else None
 
 
 def _member(curve_cfg: dict, section: dict):
@@ -710,12 +669,7 @@ def _load_config(path: str | None) -> dict:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path!r} is not valid JSON: {exc}") from exc
-    error = next(_validator().iter_errors(config), None)
-    if error is not None and error.validator == "enum":  # a family tag or a rotation
-        raise ConfigValidation(f"no {error.path[-1]} {error.instance!r}; "
-                               f"the names are {', '.join(error.validator_value)}")
-    if error is not None:
-        raise ConfigValidation(error.message)
+    _check_config(config)
     return config
 
 

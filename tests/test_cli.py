@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
+import functools
 import importlib.util
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -19,7 +22,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from imbilliards import cli
+from imbilliards import cli, curves
 from imbilliards.cli import main
 from imbilliards.curves import ArclengthTable, Ellipse
 from imbilliards.dynamics import PhasePoint, iterate
@@ -137,6 +140,191 @@ def test_missing_and_malformed_configs(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["orbit", "--config", str(bad)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# config validation: what a config may hold
+# --------------------------------------------------------------------------
+
+_DROP = object()  # a value that removes its key
+
+_CIRCLE_ORBIT = {"curve": {"kind": "circle", "R": 1.0},
+                 "orbit": {"family": "two-periodic", "mu": 0.5}}
+_ELLIPSE_ORBIT = {"curve": {"kind": "ellipse", "a": 2.0, "b": 1.0},
+                  "orbit": {"family": "two-periodic-major", "mu": 0.5}}
+_SE2_ORBIT = {"curve": {"kind": "superellipse", "k": 2},
+              "orbit": {"family": "two-periodic-axis", "mu": 0.5}}
+_STADIUM_ORBIT = {"curve": {"kind": "stadium", "side": 2.0, "R": 1.0},
+                  "orbit": {"family": "two-periodic-sides", "mu": 0.4}}
+_ROTATION_ORBIT = {"curve": {"kind": "circle", "R": 1.0},
+                   "orbit": {"family": "three-periodic", "mu": 0.4, "rotation": "1/3"}}
+_SCAN = {"curve": {"kind": "superellipse", "k": 2},
+         "scan": {"family": "four-periodic-axis", "rotation": "1/4", "n_grid": 50}}
+_RAW_TRACE = {"curve": {"kind": "circle", "R": 1.0},
+              "trace": {"mu": 0.35, "s": 0.3, "theta": 1.1, "steps": 6}}
+_FAMILY_TRACE = {"curve": {"kind": "ellipse", "a": 3.0, "b": 2.0},
+                 "trace": {"family": "four-periodic", "x0": 2.7, "rotation": "1/4"}}
+_CHECK = {"check": {"n_points": 15, "seed": 3}}
+_ROT = {"rot": {"a": 2.0, "b": 1.0, "n": 4}}
+_ROT_LAMBDAS = {"rot": {"a": 2.0, "b": 1.0, "lambdas": [0.5, 2.0]}}
+_STEM = {**_CIRCLE_ORBIT, "output": {"stem": "bouncing"}}
+
+#: (valid config, path to a key or list item, values that make it invalid):
+#: one row per rule a config obeys, each value refused before any output
+_REFUSED = [
+    (_CIRCLE_ORBIT, (), [[], "orbit", None]),
+    (_CIRCLE_ORBIT, ("surprise",), [True]),
+    (_CIRCLE_ORBIT, ("curve",), ["circle", []]),
+    (_CIRCLE_ORBIT, ("curve", "kind"), [_DROP, "square", "Circle", 1, None]),
+    (_CIRCLE_ORBIT, ("curve", "R"), [_DROP, 0.0, -1.0, -math.inf, True, "1", None, [1.0]]),
+    (_CIRCLE_ORBIT, ("curve", "a"), [2.0]),
+    (_ELLIPSE_ORBIT, ("curve", "a"), [_DROP, 0.0]),
+    (_ELLIPSE_ORBIT, ("curve", "b"), [_DROP, -1.0, False]),
+    (_ELLIPSE_ORBIT, ("curve", "R"), [1.0]),
+    (_SE2_ORBIT, ("curve", "k"), [_DROP, 1, 0, -2, 2.5, True, "2"]),
+    (_SE2_ORBIT, ("curve", "panels"), [2048]),
+    (_STADIUM_ORBIT, ("curve", "side"), [_DROP, 0.0]),
+    (_STADIUM_ORBIT, ("curve", "R"), [_DROP, -1.0, "1"]),
+    (_CIRCLE_ORBIT, ("orbit",), [[], "two-periodic"]),
+    (_CIRCLE_ORBIT, ("orbit", "surprise"), [1]),
+    (_CIRCLE_ORBIT, ("orbit", "family"),
+     [_DROP, "two-periodc", "", 3, None, ["two-periodic"], "two-periodic-sides",
+      "four-periodic-axis"]),
+    (_CIRCLE_ORBIT, ("orbit", "mu"), [0.0, -0.5, True, "0.5"]),
+    (_CIRCLE_ORBIT, ("orbit", "x0"), ["0.1", False]),
+    (_ROTATION_ORBIT, ("orbit", "rotation"), ["", "1/0", "0/0", "1/5", "2/6", "1/4", 0.25, None]),
+    (_SCAN, ("scan",), [[]]),
+    (_SCAN, ("scan", "surprise"), [1]),
+    (_SCAN, ("scan", "mu"), [0.5]),
+    (_SCAN, ("scan", "family"), [_DROP, "four-periodc", 4, "four-periodic"]),
+    (_SCAN, ("scan", "rotation"), ["", "1/0", "1/3", 0.25]),
+    (_SCAN, ("scan", "n_grid"), [-1, 1.5, True, "50", None]),
+    (_SCAN, ("scan", "lo"), ["0.1", False]),
+    (_SCAN, ("scan", "hi"), ["0.9", None]),
+    (_RAW_TRACE, ("trace",), ["raw"]),
+    (_RAW_TRACE, ("trace", "surprise"), [1]),
+    (_RAW_TRACE, ("trace", "mu"), [0.0, -1.0, True]),
+    (_RAW_TRACE, ("trace", "s"), ["0.3", None]),
+    (_RAW_TRACE, ("trace", "theta"), [True, "1.1"]),
+    (_RAW_TRACE, ("trace", "steps"), [0, -1, 1.5, True, "6"]),
+    (_RAW_TRACE, ("trace", "family"), [7]),
+    (_FAMILY_TRACE, ("trace", "overlay_dual"), [1, "true", None]),
+    (_FAMILY_TRACE, ("trace", "rotation"), ["", "1/0", "1/3"]),
+    (_FAMILY_TRACE, ("trace", "x0"), ["2.7"]),
+    (_FAMILY_TRACE, ("trace", "family"), ["four-periodic-axis", "fourperiodic"]),
+    (_CHECK, ("check",), [[], 15]),
+    (_CHECK, ("check", "surprise"), [1]),
+    (_CHECK, ("check", "det_tol"), [0.0, -1e-9, True, "1e-9"]),
+    (_CHECK, ("check", "jacobian_tol"), [-1.0, None]),
+    (_CHECK, ("check", "trace_tol"), ["x", 0]),
+    (_CHECK, ("check", "n_points"), [0, -3, 1.5, True]),
+    (_CHECK, ("check", "seed"), [-1, 0.5, True, "3"]),
+    (_ROT, ("rot",), [[2.0, 1.0]]),
+    (_ROT, ("rot", "surprise"), [1]),
+    (_ROT, ("rot", "a"), [_DROP, 0.0, -2.0, "2"]),
+    (_ROT, ("rot", "b"), [_DROP, True]),
+    (_ROT, ("rot", "lambdas"), [[], "0.5", 0.5, {"0": 0.5}]),
+    (_ROT_LAMBDAS, ("rot", "lambdas", 1), ["x", True, None, [2.0]]),
+    (_ROT, ("rot", "lo"), ["0.1", False]),
+    (_ROT, ("rot", "hi"), [None]),
+    (_ROT, ("rot", "n"), [-1, 1.5, True, "4"]),
+    (_STEM, ("output",), ["bouncing"]),
+    (_STEM, ("output", "surprise"), [1]),
+    (_STEM, ("output", "stem"), ["", "a/b", "a b", "../up", "é", 3, None, True]),
+]
+
+
+def _edited(config, path, value):
+    """A copy of ``config`` with the value at ``path`` set to ``value``, or
+    its key removed where ``value`` is ``_DROP``."""
+    if not path:
+        return value
+    config = copy.deepcopy(config)
+    *parents, key = path
+    node = functools.reduce(operator.getitem, parents, config)
+    if value is _DROP:
+        del node[key]
+    else:
+        node[key] = value
+    return config
+
+
+@pytest.mark.parametrize("base, path, value", [
+    pytest.param(base, path, value, id="/".join(map(str, path or ["config"])) + "="
+                 + ("missing" if value is _DROP else json.dumps(value)))
+    for base, path, values in _REFUSED for value in values
+])
+def test_a_config_that_breaks_a_rule_exits_2_naming_the_key(tmp_path, capsys, base, path, value):
+    """Every value a config may not hold, and every key it may not lack or
+    have, exits 2 before any output is written, with a message that names the
+    key, the value, or the object that lacks the key."""
+    config = _edited(base, path, value)
+    verb = next(name for name in base if name not in ("curve", "output"))
+    out = tmp_path / "out"
+    flags = ["--out", str(out)] if verb != "check" else []
+    assert main([verb, "--config", write_config(tmp_path, config), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: \w+: [^\n]*\n", captured.err)
+    holder = functools.reduce(operator.getitem, path[:-1], config)
+    named = [repr(path[-1])] if path and isinstance(path[-1], str) else []
+    named += [repr(value)] if value is not _DROP else [repr(holder)]
+    assert any(name in captured.err for name in named), (named, captured.err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, where, key", [
+    ({"curve": {"kind": "superellipse", "k": 2.0},
+      "orbit": {"family": "two-periodic-axis", "mu": 0.5}}, "curve", "k"),
+    ({"curve": {"kind": "superellipse", "k": 2},
+      "scan": {"family": "two-periodic-axis", "n_grid": 16.0}}, "scan", "n_grid"),
+    ({"curve": {"kind": "circle", "R": 1.0},
+      "trace": {"mu": 0.35, "s": 0.3, "theta": 1.1, "steps": 2.0}}, "trace", "steps"),
+    ({"check": {"n_points": 3.0}}, "check", "n_points"),
+    ({"check": {"n_points": 3, "seed": 1.0}}, "check", "seed"),
+    ({"rot": {"a": 2.0, "b": 1.0, "n": 5.0}}, "rot", "n"),
+], ids=["k", "n_grid", "steps", "n_points", "seed", "n"])
+def test_an_integer_key_written_as_a_float_exits_2(tmp_path, capsys, config, where, key):
+    """Each integer key takes a JSON integer only: ``16.0`` is refused with a
+    message that names the key, not passed on to end in a ``TypeError``."""
+    verb = next(name for name in config if name != "curve")
+    out = tmp_path / "out"
+    flags = ["--out", str(out)] if verb != "check" else []
+    assert main([verb, "--config", write_config(tmp_path, config), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigValidation: {where}: {key!r} must be an integer >= ")
+    assert err.endswith(f", got {config[where][key]!r}\n")
+    assert not out.exists()
+
+
+def test_a_stem_with_a_trailing_newline_exits_2_and_writes_nothing(tmp_path, capsys):
+    config = write_config(tmp_path, {**_CIRCLE_ORBIT, "output": {"stem": "abc\n"}})
+    out = tmp_path / "out"
+    assert main(["orbit", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ConfigValidation: output: 'stem' must be ")
+    assert not out.exists()
+
+
+def test_the_config_curve_kinds_are_the_curve_kinds():
+    assert list(cli._CURVES) == list(curves._KINDS)
+
+
+def _readme_configs():
+    """Each JSON block of the README, a curve taken as a config's ``curve``."""
+    text = (REPO / "README.md").read_text()
+    blocks = [block.removeprefix("json\n") for block in text.split("```")[1::2]
+              if block.startswith("json\n")]
+    return ([{"curve": json.loads(line)} for line in blocks[0].splitlines()]
+            + [json.loads(block) for block in blocks[1:]])
+
+
+def test_the_benchmark_and_readme_configs_are_accepted(tmp_path):
+    configs = [json.loads(path.read_text())
+               for path in sorted((REPO / "perfbench" / "configs").glob("*.json"))]
+    configs += _readme_configs()
+    assert len(configs) == 4 + 4 + 5
+    for config in configs:
+        assert cli._load_config(write_config(tmp_path, config)) == config
 
 
 def test_input_error_exits_2(tmp_path, capsys):
@@ -401,16 +589,21 @@ def test_verbs_reject_what_the_family_does_not_take(
     ("scan", {"family": "four-periodc"}, "family", None),
     ("trace", {"family": "four-periodc", "x0": 2.7}, "family", None),
     ("orbit", {"family": "four-periodic", "x0": 2.7, "rotation": "1/5"}, "rotation",
-     ["1/3", "2/3", "1/4", "3/4"]),
+     ["1/4", "3/4"]),
 ])
 def test_a_misspelt_name_is_a_schema_error_that_lists_the_valid_names(
         tmp_path, capsys, verb, section, key, names):
+    """A misspelt family or rotation exits 2 with a message that names it and
+    lists exactly the names the curve kind (for ``scan``, the scannable ones)
+    or the family has, as ``families.FAMILIES`` holds them."""
     config = write_config(tmp_path, {"curve": _ELLIPSE_32, verb: section})
     assert main([verb, "--config", config, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: ConfigValidation: no {key} {section[key]!r}; ")
-    for name in names or [family for _, family in FAMILIES]:
-        assert f" {name}," in err or f" {name}\n" in err
+    assert err.startswith("error: ValueError: ") and f" {section[key]!r}" in err
+    listed = re.search(r"(?:families are|one of) (.*?)(?:, got .*)?$", err.rstrip("\n")).group(1)
+    assert listed.split(", ") == (names or [
+        family for (kind, family), row in FAMILIES.items()
+        if kind == "ellipse" and (row.scan or verb != "scan")])
     assert not list(tmp_path.glob(f"{verb}.*"))
 
 
@@ -420,12 +613,6 @@ def test_check_members_cover_every_family_and_rotation_of_the_table():
              for (kind, family), row in FAMILIES.items() for r in row.rotations or (None,)}
     assert len(cli._CHECK_MEMBERS) == len(members) == 17
     assert members == table
-
-
-def test_the_generated_config_schema_is_a_valid_schema():
-    from jsonschema import Draft202012Validator
-
-    Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
 
 
 def test_the_readme_lists_the_families_of_the_table():
@@ -712,10 +899,11 @@ def test_check_fails_with_impossible_tolerance(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_cli_loads_jsonschema_only_to_validate_a_config():
-    """``check`` and ``--help`` read no config, so neither importing the CLI
-    nor running ``check`` imports the schema validator."""
+def test_no_verb_loads_jsonschema(tmp_path):
+    """Importing the CLI, running ``check`` and running ``orbit`` on a config
+    import no schema validator: the CLI checks its configs itself."""
     src = str(Path(cli.__file__).resolve().parents[1])
+    config = REPO / "perfbench" / "configs" / "orbit.json"
     program = (
         "import contextlib, io, sys\n"
         "import imbilliards.cli as cli\n"
@@ -723,12 +911,16 @@ def test_cli_loads_jsonschema_only_to_validate_a_config():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['check'])\n"
         "print(code, 'jsonschema' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['orbit', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'jsonschema' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", program], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out.split() == ["False", "0", "False"]
+    assert out.split() == ["False", "0", "False", "0", "False"]
+    assert (tmp_path / "orbit.csv").exists()
 
 
 # --------------------------------------------------------------------------
