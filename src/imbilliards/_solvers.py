@@ -31,6 +31,8 @@ __all__ = ["SameSignError", "brentq", "minimize_bounded", "carlson_rf", "agm"]
 
 #: SciPy's smallest admissible relative tolerance of ``brentq``, ``4 * eps``
 RTOL_MIN = 4.0 * sys.float_info.epsilon
+#: SciPy's default cap on the evaluations of its bounded minimizer
+_BOUNDED_MAXITER = 500
 
 
 class SameSignError(ValueError):
@@ -42,10 +44,9 @@ def _nan_at(x: float) -> ValueError:
 
 
 def brentq(
-    f: Callable[..., float],
+    f: Callable[[float], float],
     a: float,
     b: float,
-    args: tuple = (),
     xtol: float = 2e-12,
     rtol: float = RTOL_MIN,
     maxiter: int = 100,
@@ -62,10 +63,10 @@ def brentq(
     if rtol < RTOL_MIN:
         raise ValueError(f"rtol too small ({rtol:g} < {RTOL_MIN:g})")
     xpre, xcur = float(a), float(b)
-    fpre = float(f(xpre, *args))
+    fpre = float(f(xpre))
     if fpre != fpre:
         raise _nan_at(xpre)
-    fcur = float(f(xcur, *args))
+    fcur = float(f(xcur))
     if fcur != fcur:
         raise _nan_at(xcur)
     if fpre == 0.0:
@@ -111,7 +112,7 @@ def brentq(
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur, *args))
+        fcur = float(f(xcur))
         if fcur != fcur:
             raise _nan_at(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
@@ -121,11 +122,10 @@ def minimize_bounded(
     func: Callable[[float], float],
     bounds: tuple[float, float],
     xatol: float,
-    maxiter: int = 500,
 ) -> tuple[float, float]:
     """``(x, func(x))`` at a local minimum of ``func`` on ``bounds``, found by
     golden-section search with parabolic steps to absolute tolerance
-    ``xatol``; stops after ``maxiter`` evaluations.
+    ``xatol``; stops after ``_BOUNDED_MAXITER`` evaluations.
 
     The bounds are taken as floats and the search runs on floats, so ``func``
     receives floats.  Where SciPy calls ``np.abs``, ``np.maximum`` and
@@ -216,7 +216,7 @@ def minimize_bounded(
         tol1 = sqrt_eps * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
 
-        if num >= maxiter:
+        if num >= _BOUNDED_MAXITER:
             break
     return xf, fx
 

@@ -116,7 +116,8 @@ def chord_exit(curve: Curve, frame0: Frame, theta0: float
 
     # F is convex along the ray with F(0) = 0 and F < 0 on (0, r_exit), so
     # from F(r) > 0 each Newton step moves down towards r_exit and never
-    # past it, up to rounding: stop once the step is no longer positive.
+    # past it, up to rounding: stop once a step does not move r down, as a
+    # NaN step from a non-finite F does not.
     while True:
         x, y = x0 + r * vx, y0 + r * vy
         gx, gy = curve.gradient_xy(x, y)
@@ -125,7 +126,7 @@ def chord_exit(curve: Curve, frame0: Frame, theta0: float
         if f <= 0.0 or df <= 0.0:
             break
         r_next = r - f / df
-        if r_next >= r:
+        if not r_next < r:
             break
         r = r_next
 

@@ -322,8 +322,8 @@ class Circle(Curve):
     """Circle of radius R centered at the origin."""
 
     def __init__(self, R: float):
-        if R <= 0:
-            raise ValueError(f"circle radius must be positive, got {R}")
+        if not 0 < R < math.inf:
+            raise ValueError(f"circle radius must be positive and finite, got {R}")
         self.R = float(R)
 
     def total_length(self) -> float:
@@ -344,7 +344,7 @@ class Circle(Curve):
         return self.frame_at(self.R * math.atan2(y, x))
 
     def implicit_xy(self, x, y):
-        return x * x + y * y - self.R**2
+        return x * x + y * y - self.R * self.R
 
     def gradient_xy(self, x, y):
         return 2.0 * x, 2.0 * y
@@ -413,8 +413,8 @@ class Ellipse(_TableCurve):
     """Ellipse x^2/a^2 + y^2/b^2 = 1 with a > b > 0."""
 
     def __init__(self, a: float, b: float):
-        if not a > b > 0:
-            raise ValueError(f"ellipse semi-axes must satisfy a > b > 0, got a={a}, b={b}")
+        if not math.inf > a > b > 0:
+            raise ValueError(f"ellipse semi-axes must be finite with a > b > 0, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
         self._table = _arclength_table(_ellipse_speed2, self.a, self.b)
@@ -433,7 +433,7 @@ class Ellipse(_TableCurve):
         return u * u + v * v - 1.0
 
     def gradient_xy(self, x, y):
-        return 2.0 * x / self.a**2, 2.0 * y / self.b**2
+        return 2.0 * x / (self.a * self.a), 2.0 * y / (self.b * self.b)
 
     def max_curvature(self) -> float:
         return self.a / (self.b * self.b)  # at the ends of the major axis
@@ -503,8 +503,8 @@ class Stadium(Curve):
     """
 
     def __init__(self, side: float, R: float):
-        if side <= 0 or R <= 0:
-            raise ValueError(f"stadium needs side > 0 and R > 0, got side={side}, R={R}")
+        if not (0 < side < math.inf and 0 < R < math.inf):
+            raise ValueError(f"stadium needs finite side > 0 and R > 0, got side={side}, R={R}")
         self.side = float(side)
         self.R = float(R)
         self._cap = math.pi * self.R  # length of one semicircular cap

@@ -1,12 +1,12 @@
 """Closed-form periodic-orbit families of the inverse magnetic billiard map.
 
-Every symmetric periodic orbit constructed here is seeded from explicit
-Cartesian data (a launch point on the boundary and a launch direction) and is
-then *re-validated dynamically*: the seed is pushed through the actual
-chord/arc map and must return to its starting phase point within a closure
-tolerance.  The resulting :class:`PeriodicOrbit` carries the measured step
-data, so every closed-form trace formula in this module can be checked against
-the numerically composed stability matrix.
+Every symmetric periodic orbit constructed here is seeded from explicit data
+(a launch point on the boundary and a launch direction, or in the circle a
+closed-form launch angle) and is then *re-validated dynamically*: the seed is
+pushed through the actual chord/arc map and must return to its starting phase
+point within a closure tolerance.  The resulting :class:`PeriodicOrbit` carries
+the measured step data, so every closed-form trace formula in this module can
+be checked against the numerically composed stability matrix.
 
 Families implemented:
 
@@ -14,9 +14,9 @@ Families implemented:
   minor axis), the superellipse ``x^{2k} + y^{2k} = 1`` (Larmor centers on an
   axis or on a diagonal), and the stadium curve itself (orbit through the flat
   sides or through the caps).
-* Symmetric 3-periodic orbits in the circle, with the cubic-in-``alpha`` trace
-  for equal incidence angles and the constant/cubic coefficients of the
-  general dihedral trace.
+* Symmetric 3-periodic orbits in the circle at a closed-form launch angle,
+  with the cubic-in-``alpha`` trace for equal incidence angles and the
+  constant/cubic coefficients of the general dihedral trace.
 * Symmetric 4-periodic orbits in the circle, the ellipse (Larmor centers on
   the diagonals of the inscribed rectangle) and the superellipse (Larmor
   centers on the diagonals or on the coordinate axes), each with a rotation
@@ -264,7 +264,8 @@ def two_periodic_circle(R: float, mu: float) -> tuple[PeriodicOrbit, TwoPeriodic
 
     The chord of length ``2*sqrt(R^2 - mu^2)`` runs parallel to a diameter at
     distance ``mu`` below it; both Larmor arcs are half circles.  The launch
-    angle satisfies ``cos(theta0) = mu / R``, so ``alpha = 2*sqrt(R^2 - mu^2)/mu``
+    angle satisfies ``cos(theta0) = mu / R``, the ``n = 2`` case of
+    :func:`_circle_polygon_angle`, so ``alpha = 2*sqrt(R^2 - mu^2)/mu``
     and ``beta = delta = 2*cot(theta0) = 4/alpha``: ``alpha * beta = 4`` and the
     trace equals 2 for every radius, the whole family is parabolic.
     """
@@ -516,35 +517,25 @@ def trace3_symmetric(theta: float, alpha: float, rot: Fraction | str = "1/3") ->
     equal ``theta``, all chords equal ``ell``, all arc half-turning angles
     equal ``pi/3`` (rotation 1/3) or ``2*pi/3`` (rotation 2/3), and
     ``alpha = ell / mu``.  The trace is the cubic polynomial in ``alpha``
-    below; its coefficients are independent of the boundary curvature.
+    below, with ``sign`` +1 for rotation 1/3 and -1 for rotation 2/3; its
+    coefficients are independent of the boundary curvature.
     """
     rotation = _normalize_rotation(rot, 3)
     s, c = math.sin(theta), math.cos(theta)
     if s == 0.0:
         raise ValueError("incidence angle must have a nonzero sine")
     cot = c / s
-    if rotation == _THIRD:
-        c0 = 2.0 - 9.0 * cot**2 - 3.0 * _SQRT3 * cot**3
-        c1 = (3.0 * c / (4.0 * s**4)) * (
-            5.0 * _SQRT3 * c + _SQRT3 * math.cos(3.0 * theta)
-            - 3.0 * s + 9.0 * math.sin(3.0 * theta)
-        )
-        c2 = (
-            -3.0 * math.sin(math.pi / 3.0 + 2.0 * theta)
-            * (c + math.sin(math.pi / 6.0 + 3.0 * theta)) / s**5
-        )
-        c3 = math.cos(math.pi / 6.0 - 2.0 * theta) ** 3 / s**6
-    else:
-        c0 = 2.0 - 9.0 * cot**2 + 3.0 * _SQRT3 * cot**3
-        c1 = (3.0 * c / (4.0 * s**4)) * (
-            -5.0 * _SQRT3 * c - _SQRT3 * math.cos(3.0 * theta)
-            - 3.0 * s + 9.0 * math.sin(3.0 * theta)
-        )
-        c2 = (
-            3.0 * math.sin(math.pi / 3.0 - 2.0 * theta)
-            * (c + math.sin(math.pi / 6.0 - 3.0 * theta)) / s**5
-        )
-        c3 = -math.cos(math.pi / 6.0 + 2.0 * theta) ** 3 / s**6
+    sign = 1.0 if rotation == _THIRD else -1.0
+    c0 = 2.0 - 9.0 * cot**2 - sign * 3.0 * _SQRT3 * cot**3
+    c1 = (3.0 * c / (4.0 * s**4)) * (
+        sign * 5.0 * _SQRT3 * c + sign * _SQRT3 * math.cos(3.0 * theta)
+        - 3.0 * s + 9.0 * math.sin(3.0 * theta)
+    )
+    c2 = (
+        -sign * 3.0 * math.sin(math.pi / 3.0 + sign * 2.0 * theta)
+        * (c + math.sin(math.pi / 6.0 + sign * 3.0 * theta)) / s**5
+    )
+    c3 = sign * math.cos(math.pi / 6.0 - sign * 2.0 * theta) ** 3 / s**6
     return c0 + alpha * (c1 + alpha * (c2 + alpha * c3))
 
 
@@ -598,24 +589,29 @@ def trace3_coefficients(
 
 
 def _circle_polygon_angle(R: float, mu: float, n: int, winding: int) -> float:
-    """Incidence angle of the symmetric n-periodic circle orbit.
+    """Incidence angle of the symmetric n-periodic circle orbit of winding ``q``.
 
-    The angle is pinned down by the re-entry condition
-    ``sin(q*pi/n - theta) * sqrt(R^2 + mu^2 - 2*R*mu*cos(theta)) = mu*sin(theta)``
-    with ``q`` the winding; the admissible branch lies in
-    ``((q-1)*pi/n, q*pi/n)``, where the left endpoint makes the left side
-    positive and the right endpoint makes it negative, so the bracket always
-    contains exactly the geometric root.
+    Its Larmor chords, each from a chord exit to the next launch, are chords
+    of the table too.  Such a chord subtends the central angle
+    ``2*(q*pi/n - theta)`` and meets the exit velocity at ``chi = q*pi/n``, so
+    its two lengths agree when ``R*sin(q*pi/n - theta) = mu*sin(q*pi/n)``:
+    ``theta = q*pi/n - asin((mu/R)*sin(q*pi/n))``, in ``((q-1)*pi/n, q*pi/n)``
+    for every ``0 < mu < R``.
     """
-    q = winding
+    chi = winding * math.pi / n
+    return chi - math.asin(mu / R * math.sin(chi))
 
-    def g(theta: float) -> float:
-        gap = math.sqrt(R * R + mu * mu - 2.0 * R * mu * math.cos(theta))
-        return math.sin(q * math.pi / n - theta) * gap - mu * math.sin(theta)
 
-    lo = (q - 1) * math.pi / n + 1e-12
-    hi = q * math.pi / n - 1e-12
-    return _root(g, lo, hi, f"the re-entry relation for R={R}, mu={mu}")
+def _circle_polygon(R: float, mu: float, n: int,
+                    rot: Fraction | str) -> tuple[PeriodicOrbit, float]:
+    """The symmetric n-periodic circle orbit of rotation ``rot`` and its
+    incidence angle, launched at ``s = 0`` and validated through the map."""
+    rotation = _normalize_rotation(rot, n)
+    curve = Circle(R)
+    if not 0.0 < mu < R:
+        raise MuTooLarge(f"need 0 < mu < R, got mu={mu}, R={R}")
+    theta = _circle_polygon_angle(R, mu, n, rotation.numerator)
+    return _orbit_from_seed(curve, mu, PhasePoint(0.0, theta), n, rotation), theta
 
 
 def three_periodic_circle(
@@ -623,33 +619,13 @@ def three_periodic_circle(
 ) -> tuple[PeriodicOrbit, float, float]:
     """Symmetric 3-periodic orbit of the circle; returns (orbit, theta, trace).
 
-    The incidence angle has the closed form
-    ``cos(theta) = (3*mu + sqrt(4R^2 - 3mu^2)) / (4R)`` for rotation 1/3 and
-    ``cos(theta) = (3*mu - sqrt(4R^2 - 3mu^2)) / (4R)`` for rotation 2/3,
-    cross-checked here against the re-entry relation.  The closed trace
-    evaluates to exactly 2 for every ``mu < R``: both rotation classes are
-    parabolic throughout.
+    The incidence angle is that of :func:`_circle_polygon_angle`, which for
+    ``n = 3`` reads ``cos(theta) = (3*mu ± sqrt(4R^2 - 3mu^2)) / (4R)``, the
+    upper sign for rotation 1/3.  The closed trace evaluates to exactly 2
+    for every ``mu < R``: both rotation classes are parabolic throughout.
     """
-    rotation = _normalize_rotation(rot, 3)
-    curve = Circle(R)
-    if not 0.0 < mu < R:
-        raise MuTooLarge(f"need 0 < mu < R, got mu={mu}, R={R}")
-    disc = math.sqrt(4.0 * R * R - 3.0 * mu * mu)
-    if rotation == _THIRD:
-        cos_theta = (3.0 * mu + disc) / (4.0 * R)
-    else:
-        cos_theta = (3.0 * mu - disc) / (4.0 * R)
-    theta = math.acos(cos_theta)
-    theta_implicit = _circle_polygon_angle(R, mu, 3, rotation.numerator)
-    if abs(theta - theta_implicit) > 1e-9:
-        raise NotPeriodic(
-            f"closed-form incidence angle {theta!r} disagrees with the "
-            f"re-entry relation root {theta_implicit!r}"
-        )
-    orbit = _orbit_from_seed(curve, mu, PhasePoint(s=0.0, theta=theta), 3, rotation)
-    ell = 2.0 * R * math.sin(theta)
-    trace = trace3_symmetric(theta, ell / mu, rotation)
-    return orbit, theta, trace
+    orbit, theta = _circle_polygon(R, mu, 3, rot)
+    return orbit, theta, trace3_symmetric(theta, 2.0 * R * math.sin(theta) / mu, orbit.rotation)
 
 
 # --------------------------------------------------------------------------
@@ -684,19 +660,13 @@ def four_periodic_circle(
 ) -> tuple[PeriodicOrbit, float, float]:
     """Symmetric 4-periodic orbit of the circle; returns (orbit, theta, trace).
 
-    The incidence angle solves the re-entry relation on
+    The incidence angle (:func:`_circle_polygon_angle`) lies in
     ``(0, pi/4)`` (rotation 1/4) or ``(pi/2, 3*pi/4)`` (rotation 3/4); the
     quartic closed form then evaluates to exactly 2, so both families are
     parabolic for every ``mu < R``.
     """
-    rotation = _normalize_rotation(rot, 4)
-    curve = Circle(R)
-    if not 0.0 < mu < R:
-        raise MuTooLarge(f"need 0 < mu < R, got mu={mu}, R={R}")
-    theta = _circle_polygon_angle(R, mu, 4, rotation.numerator)
-    orbit = _orbit_from_seed(curve, mu, PhasePoint(s=0.0, theta=theta), 4, rotation)
-    trace = trace4_circle_quartic(theta, R / mu)
-    return orbit, theta, trace
+    orbit, theta = _circle_polygon(R, mu, 4, rot)
+    return orbit, theta, trace4_circle_quartic(theta, R / mu)
 
 
 # --------------------------------------------------------------------------

@@ -791,23 +791,57 @@ def test_trace_overlay_needs_a_family(tmp_path, capsys):
     assert "overlay_dual" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-def test_a_raw_trace_needs_a_finite_arclength(tmp_path, s):
-    """A raw ``s`` of NaN or Infinity (JSON as Python reads it) exits 2 with
-    one message.  The CLI runs in a subprocess under a timeout, so a launch
-    that never returns fails the test instead of hanging the suite."""
+def trace_in_subprocess(tmp_path, curve, s=0.3):
+    """``imbil trace`` of a raw two-step launch from ``s`` on ``curve``, run in
+    a subprocess under a timeout, so a launch that never returns fails the
+    test instead of hanging the suite."""
     config = write_config(tmp_path, {
-        "curve": {"kind": "ellipse", "a": 2.0, "b": 1.0},
-        "trace": {"s": s, "theta": 1.0, "mu": 0.3, "steps": 2},
+        "curve": curve, "trace": {"s": s, "theta": 1.0, "mu": 0.3, "steps": 2},
     })
     src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "imbilliards", "trace", "--config", config, "--out", str(tmp_path)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
     )
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_raw_trace_needs_a_finite_arclength(tmp_path, s):
+    """A raw ``s`` of NaN or Infinity (JSON as Python reads it) exits 2 with
+    one message."""
+    done = trace_in_subprocess(tmp_path, {"kind": "ellipse", "a": 2.0, "b": 1.0}, s)
     assert done.returncode == 2
     assert done.stderr == f"error: ValueError: raw trace 's' must be finite, got {s!r}\n"
     assert not list(tmp_path.glob("trace.*"))
+
+
+#: each size key of each curve kind, with finite values for the other keys
+SIZES = [("circle", "R", {}), ("ellipse", "a", {"b": 1.0}), ("ellipse", "b", {"a": 2.0}),
+         ("stadium", "side", {"R": 1.0}), ("stadium", "R", {"side": 2.0})]
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("kind, key, others", SIZES, ids=[f"{k}-{key}" for k, key, _ in SIZES])
+def test_a_non_finite_table_size_exits_2(tmp_path, kind, key, others, value):
+    """A table size of Infinity or NaN (JSON as Python reads it) exits 2 with
+    one message naming the value.  Circles, stadiums and an infinite ellipse
+    ``a`` used to be accepted, and the chord exit's Newton loop never ended."""
+    done = trace_in_subprocess(tmp_path, {"kind": kind, key: value, **others})
+    assert done.returncode == 2, done.stderr
+    assert re.fullmatch(rf"error: ValueError: [^\n]*{value!r}[^\n]*\n", done.stderr), done.stderr
+    assert not list(tmp_path.glob("trace.*"))
+
+
+@pytest.mark.parametrize("size", [1e200, 1e300])
+@pytest.mark.parametrize("kind, key, others", SIZES[:2], ids=["circle-R", "ellipse-a"])
+def test_a_huge_table_ends_without_a_traceback(tmp_path, kind, key, others, size):
+    """Squaring a size above about 1.3e154 with ``**`` raised
+    ``OverflowError``, and the process ended in a traceback; with ``*`` the
+    square is inf, and the trace ends with one ``error:`` line."""
+    done = trace_in_subprocess(tmp_path, {"kind": kind, key: size, **others})
+    assert done.returncode in (2, 3), done.stderr
+    assert "Traceback" not in done.stderr
+    assert len(re.findall(r"(?m)^error: \w+: ", done.stderr)) == 1, done.stderr
 
 
 def test_trace_never_prints_a_traceback(tmp_path, capsys):

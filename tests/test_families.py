@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 from scipy.optimize import brentq
 
 from conftest import closed_and_measured, composed_trace
@@ -27,6 +28,7 @@ from imbilliards.errors import (
     X0OutOfRange,
 )
 from imbilliards.families import (
+    _circle_polygon_angle,
     _orbit_from_seed,
     _root,
     _se_y,
@@ -469,8 +471,36 @@ def test_four_periodic_circle_is_parabolic(rot, q):
         orbit, theta, trace = four_periodic_circle(R, float(mu), rot)
         assert_orbit_sane(orbit, 4, (q, 4))
         assert (q - 1) * math.pi / 4.0 < theta < q * math.pi / 4.0
+        # Re-entry relation satisfied.
+        gap = math.sqrt(R * R + mu * mu - 2.0 * R * mu * math.cos(theta))
+        assert abs(math.sin(q * math.pi / 4.0 - theta) * gap - mu * math.sin(theta)) < 1e-10
         assert trace == pytest.approx(2.0, abs=1e-7)
         assert composed_trace(orbit) == pytest.approx(2.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("n, q", [(3, 1), (3, 2), (4, 1), (4, 3)])
+def test_circle_polygon_angle_is_within_4_ulp_of_the_50_digit_reentry_root(n, q):
+    """The closed-form launch angle against a 50-digit root of the re-entry
+    relation ``sin(q pi/n - theta) sqrt(R^2 + mu^2 - 2 R mu cos(theta)) =
+    mu sin(theta)`` on ``((q-1) pi/n, q pi/n)``, which states that the Larmor
+    chord closes the polygon rather than equating its two lengths.  The error
+    bound is 4 ulp of ``q pi/n``, absolute."""
+    bound = 4.0 * math.ulp(q * math.pi / n)
+    with mp.workdps(50):
+        lo, hi = (q - 1) * mp.pi / n, q * mp.pi / n
+        for R in (1.0, 2.5):
+            for ratio in (1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.5, 0.8, 0.95, 0.999, 0.9999):
+                mu = ratio * R
+                Rm, mum = mpf(R), mpf(mu)
+
+                def reentry(theta):
+                    gap = mp.sqrt(Rm * Rm + mum * mum - 2 * Rm * mum * mp.cos(theta))
+                    return mp.sin(hi - theta) * gap - mum * mp.sin(theta)
+
+                exact = mp.findroot(reentry, (lo, hi), solver="anderson")
+                assert lo < exact < hi
+                got = _circle_polygon_angle(R, mu, n, q)
+                assert abs(got - exact) <= bound, (R, mu, float(got - exact))
 
 
 def test_four_periodic_circle_chebyshev_structure():

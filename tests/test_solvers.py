@@ -132,11 +132,20 @@ SCANS = [
 
 
 def test_brentq_repeats_scipy_on_the_family_solves(monkeypatch):
-    """The root solves of the 17 check members (all through ``_root``) and of
-    four scans, with their threshold refinements, bit for bit."""
+    """The family root solves, bit for bit: the one of the 17 check members
+    (``x_hat`` for se-diag-4-rot14; the circle angles are closed forms), the
+    seven of the other ``_root`` callers (``x_hat`` at k = 3 and 6, the
+    diagonal tangential point at k = 2, the axis family's parabolic values at
+    k = 3, rotation 3/4, and k = 2, rotation 1/4), and those of four scans
+    with their threshold refinements."""
     pairs = twin(monkeypatch, families, "brentq", scipy_brentq)
     for _, curve_cfg, section in cli._CHECK_MEMBERS:
         cli._member(curve_cfg, section)
+    families.x_hat(3)
+    families.x_hat(6)
+    families.superellipse_diag_tangential(2)
+    families.parabolic_roots(3, "3/4")
+    families.parabolic_roots(2, "1/4")
     n_members = len(pairs)
     for curve_cfg, section in SCANS:
         row, rotation = cli._family(curve_cfg, section, scan=True)
