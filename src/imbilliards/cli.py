@@ -73,7 +73,9 @@ __all__ = ["main"]
 
 
 def _number(value) -> bool:
-    return type(value) in (int, float)  # a bool is no number
+    """A finite float, or an integer within the float range; a bool is no
+    number, and NaN fails the comparison."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _integer(least: int) -> tuple[str, Callable]:
@@ -81,11 +83,11 @@ def _integer(least: int) -> tuple[str, Callable]:
 
 
 # each kind of config value: what it must be, and the test of it
-_NUMBER = ("a number", _number)
-_POSITIVE = ("a positive number", lambda v: _number(v) and not v <= 0)
+_NUMBER = ("a finite number", _number)
+_POSITIVE = ("a positive finite number", lambda v: _number(v) and v > 0)
 _STRING = ("a string", lambda v: type(v) is str)
 _BOOLEAN = ("a boolean", lambda v: type(v) is bool)
-_NUMBERS = ("a non-empty list of numbers", lambda v: type(v) is list and v and all(map(_number, v)))
+_NUMBERS = ("a non-empty list of finite numbers", lambda v: type(v) is list and v and all(map(_number, v)))
 _STEM = ("made of letters, digits, '.', '_' and '-'",
          lambda v: type(v) is str and re.fullmatch(r"[A-Za-z0-9._-]+", v) is not None)
 _OBJECT = ("an object", lambda v: type(v) is dict)
@@ -112,7 +114,7 @@ _SECTIONS = {
     "check": ({"det_tol": _POSITIVE, "jacobian_tol": _POSITIVE, "trace_tol": _POSITIVE,
                "n_points": _integer(1), "seed": _integer(0)}, ()),
     "rot": ({"a": _POSITIVE, "b": _POSITIVE, "lambdas": _NUMBERS, "lo": _NUMBER, "hi": _NUMBER,
-             "n": _integer(0)}, ("a", "b")),
+             "n": _integer(2)}, ("a", "b")),
     "output": ({"stem": _STEM}, ()),
 }
 
@@ -437,10 +439,9 @@ def cmd_trace(config: dict, paths: dict[str, Path]) -> int:
     else:
         for name in ("s", "theta", "mu", "steps"):
             _require(name in section, f"raw trace needs {name!r} (or a 'family')")
-        s, theta = section["s"], section["theta"]
-        _require(math.isfinite(s), f"raw trace 's' must be finite, got {s!r}")
+        theta = section["theta"]
         _require(0.0 < theta < math.pi, f"raw trace 'theta' must lie in (0, pi), got {theta!r}")
-        z = PhasePoint(s=s, theta=theta)
+        z = PhasePoint(s=section["s"], theta=theta)
         mu = section["mu"]
         steps = tuple(d for _, d in iterate(curve, mu, z, section["steps"]))
 
@@ -598,12 +599,11 @@ def cmd_rot(config: dict, paths: dict[str, Path]) -> int:
     else:
         lo = section.get("lo", 1e-3 * b * b)
         hi = section.get("hi", a * a * (1.0 - 1e-3))
-        n = section.get("n", 100)
-        _require(n >= 2, f"rotation grid needs at least 2 points, got {n}")
+        # the default hi is not finite once a * a overflows
         _require(math.isfinite(lo) and math.isfinite(hi),
                  f"lambda interval ends must be finite, got [{lo}, {hi}]")
         _require(hi > lo, f"empty lambda interval [{lo}, {hi}]")
-        lambdas = np.linspace(lo, hi, n).tolist()
+        lambdas = np.linspace(lo, hi, section.get("n", 100)).tolist()
     rows = rotation_table(a, b, lambdas)
     with _csv_writer(paths["csv"]) as writer:
         writer.writerow(["lambda", "kind", "rot"])

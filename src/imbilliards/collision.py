@@ -12,8 +12,9 @@ started past the far side of the table (Fourier's condition) decreases
 monotonically to the exit root and needs no bracket; it stops once the
 Newton step is no longer positive.  Along the Larmor circle C, of radius mu
 and swept by the angle psi from P1, the crossing is bracketed and then
-refined by one safeguarded Newton loop ("rtsafe", Numerical Recipes 9.4).
-The bracket comes from one of two sources.
+refined by one safeguarded Newton loop ("rtsafe", Numerical Recipes 9.4);
+its root psi gives the tangent-chord angle chi = psi / 2 and the chord
+2 mu sin(chi).  The bracket comes from one of two sources.
 
 *Certified, when mu * kappa_max < 1*, with kappa_max the table's largest
 curvature (``Curve.max_curvature``).  Lemma: the arc from P1 then crosses
@@ -221,7 +222,7 @@ def _swept_bracket(curve: Curve, s1: float, mu: float,
 
 
 def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float
-                   ) -> tuple[Frame, float, float, float, float, int, int]:
+                   ) -> tuple[Frame, float, float, float, int, int]:
     """First boundary crossing of the anticlockwise Larmor arc from the exit
     point ``frame1``.
 
@@ -233,20 +234,20 @@ def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float
     in the domain; otherwise :class:`TangentialContact` is raised, also when
     the loop does not converge within ``MAX_ROOT_ITERATIONS`` steps.
 
-    Returns ``(frame2, theta2, chi, ell2, arc_sweep, n_crossings,
-    iterations)``: the re-entry point's frame and angle, the angle chi from
-    the exit velocity to the ray P1->P2, the Larmor chord ell2 = 2 mu sin(chi)
-    and the sweep angle of the arc, 2 chi.  ``n_crossings`` counts the
-    transversal boundary crossings strictly after the exit point over one
-    full revolution (the return to the exit point itself is excluded): 1 for
-    a clean re-entry, 3 when the Larmor circle "clips a corner" of the table.
-    It is exact on a certified bracket and what the 512 samples see on the
-    sampled one.  ``iterations`` counts the steps of the Newton loop, each
+    Returns ``(frame2, theta2, chi, ell2, n_crossings, iterations)``: the
+    re-entry point's frame and angle, the tangent-chord angle chi from the
+    exit velocity to the chord P1->P2, half the arc's sweep psi by the
+    tangent-chord angle theorem, and the chord ell2 = 2 mu sin(chi).
+    ``n_crossings`` counts the transversal boundary crossings strictly after
+    the exit point over one full revolution (the return to the exit point
+    itself is excluded): 1 for a clean re-entry, 3 when the Larmor circle
+    "clips a corner" of the table.  It is exact on a certified bracket and
+    what the 512 samples see on the sampled one.  ``iterations`` counts the steps of the Newton loop, each
     one evaluation of F and its gradient; the evaluations of F that place its
     bracket and seed are not counted.
     """
-    if mu <= 0:
-        raise ValueError(f"Larmor radius must be positive, got {mu}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"Larmor radius must be positive and finite, got {mu}")
     s1 = frame1.s
     x1, y1 = frame1.x, frame1.y
     vx, vy = float(v[0]), float(v[1])
@@ -286,11 +287,5 @@ def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float
     if not ANGLE_EPS < theta2 < math.pi - ANGLE_EPS:
         raise TangentialContact(f"re-entry angle {theta2!r} from s1={s1!r} is not in {_DOMAIN}")
 
-    dx, dy = x2 - x1, y2 - y1
-    ell2 = math.hypot(dx, dy)
-    # chi: angle from the exit velocity v to the chord P1->P2, positive for
-    # the anticlockwise arc.
-    chi = math.atan2(vx * dy - vy * dx, vx * dx + vy * dy)
-    if chi <= 0.0:
-        chi += 2.0 * math.pi  # numerically hugging pi from above
-    return frame2, theta2, chi, ell2, psi, n_crossings, iterations
+    chi = 0.5 * psi  # the tangent-chord angle is half the arc it cuts off
+    return frame2, theta2, chi, 2.0 * mu * math.sin(chi), n_crossings, iterations

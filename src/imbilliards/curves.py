@@ -318,13 +318,30 @@ class Curve(ABC):
             )
 
 
+def _check_sizes(curve: Curve, **sizes: float) -> None:
+    """Raise ``ValueError``, naming the size, unless each size of ``curve``
+    is positive and finite with a square above 0, and the chord search,
+    which evaluates F up to about 1.5 diameter bounds from the centre,
+    squares no coordinate there to inf."""
+    kind = type(curve).__name__.lower()
+    for name, size in sizes.items():
+        if not 0.0 < size < math.inf:
+            raise ValueError(f"{kind} {name} must be positive and finite, got {size!r}")
+        if size * size == 0.0:
+            raise ValueError(f"{kind} {name} = {size!r} is too small: its square is 0")
+    reach = 1.5 * curve.diameter_bound()
+    if reach * reach == math.inf:
+        given = ", ".join(f"{name} = {size!r}" for name, size in sizes.items())
+        raise ValueError(f"{kind} {given} is too large: the chord search squares "
+                         f"coordinates up to {reach:.3e}")
+
+
 class Circle(Curve):
     """Circle of radius R centered at the origin."""
 
     def __init__(self, R: float):
-        if not 0 < R < math.inf:
-            raise ValueError(f"circle radius must be positive and finite, got {R}")
         self.R = float(R)
+        _check_sizes(self, R=self.R)
 
     def total_length(self) -> float:
         return _TWO_PI * self.R
@@ -413,10 +430,11 @@ class Ellipse(_TableCurve):
     """Ellipse x^2/a^2 + y^2/b^2 = 1 with a > b > 0."""
 
     def __init__(self, a: float, b: float):
-        if not math.inf > a > b > 0:
-            raise ValueError(f"ellipse semi-axes must be finite with a > b > 0, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
+        _check_sizes(self, a=self.a, b=self.b)
+        if not self.a > self.b:
+            raise ValueError(f"ellipse semi-axes need a > b, got a={a}, b={b}")
         self._table = _arclength_table(_ellipse_speed2, self.a, self.b)
 
     def _geometry(self, c, sn):
@@ -503,10 +521,9 @@ class Stadium(Curve):
     """
 
     def __init__(self, side: float, R: float):
-        if not (0 < side < math.inf and 0 < R < math.inf):
-            raise ValueError(f"stadium needs finite side > 0 and R > 0, got side={side}, R={R}")
         self.side = float(side)
         self.R = float(R)
+        _check_sizes(self, side=self.side, R=self.R)
         self._cap = math.pi * self.R  # length of one semicircular cap
         self._L = 2.0 * self.side + 2.0 * self._cap
 

@@ -66,18 +66,17 @@ class StepData:
 
     Angles theta0/theta1/theta2 at the launch, exit and re-entry points,
     chord lengths ell1 (straight) and ell2 (Larmor chord), tangent-chord
-    angle chi of the arc, boundary curvatures kappa0 and kappa2 at the two
-    phase points (kappa1 is kept for diagnostics only; the closed-form DT
-    does not involve it), and the Larmor radius mu.
+    angle chi of the arc (its sweep is 2 chi), boundary curvatures kappa0
+    and kappa2 at the two phase points (kappa1 is kept for diagnostics only;
+    the closed-form DT does not involve it), and the Larmor radius mu.
 
-    Four fields describe how the step was found and take no part in
+    Three fields describe how the step was found and take no part in
     comparisons; a hand-built record gets their defaults.  ``frames`` holds
     the boundary frames of the launch, exit and re-entry points (empty by
-    default).  ``arc_sweep``, ``n_crossings`` and ``root_iterations`` are the
-    Larmor sweep angle of the re-entry, the number of boundary crossings the
-    sweep saw and the number of steps of the re-entry root solve, as
-    :func:`~imbilliards.collision.larmor_reentry` returns them (nan, 0 and 0
-    by default).
+    default).  ``n_crossings`` and ``root_iterations`` are the number of
+    boundary crossings the re-entry saw and the number of steps of its root
+    solve, as :func:`~imbilliards.collision.larmor_reentry` returns them (0
+    and 0 by default).
     """
 
     s0: float
@@ -94,7 +93,6 @@ class StepData:
     kappa2: float
     mu: float
     frames: tuple[Frame, ...] = field(default=(), compare=False, repr=False)
-    arc_sweep: float = field(default=math.nan, compare=False)
     n_crossings: int = field(default=0, compare=False)
     root_iterations: int = field(default=0, compare=False)
 
@@ -112,8 +110,7 @@ def step(
     if frame0 is None:
         frame0 = curve.frame_at(z.s)
     frame1, theta1, ell1, v = chord_exit(curve, frame0, z.theta)
-    frame2, theta2, chi, ell2, arc_sweep, n_crossings, iterations = larmor_reentry(
-        curve, frame1, v, mu)
+    frame2, theta2, chi, ell2, n_crossings, iterations = larmor_reentry(curve, frame1, v, mu)
 
     data = StepData(
         s0=frame0.s,
@@ -130,7 +127,6 @@ def step(
         kappa2=frame2.curvature,
         mu=mu,
         frames=(frame0, frame1, frame2),
-        arc_sweep=arc_sweep,
         n_crossings=n_crossings,
         root_iterations=iterations,
     )

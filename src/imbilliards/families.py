@@ -938,27 +938,18 @@ def _axis_step_trace(k: int, x0: float) -> float:
     the Chebyshev image ``(t^2 - 2)^2 - 2`` of this value ``t``.  The level
     sets ``t ∈ {0, ±sqrt(2), ±2}`` are exactly the parabolic parameters,
     which makes this scalar the natural root-finding target.
+
+    A symmetric step's trace ``-2 sin(2 chi - theta) / sin(theta) + 2 l1
+    sin(chi) sin(2 chi - 2 theta) / (l2 sin(theta)^2)`` is, at this family's
+    chi = 3 pi / 4, l1 = sqrt(2) (x0 + y0) (the chord to (-y0, -x0)) and
+    l2 = 2 mu sin(chi) = 2 y0, ``2 c - (1 + x0 / y0) (c^2 - 1)``, where
+    ``c = cot(theta) = (y0^m - x0^m) / (y0^m + x0^m)``, m = 2k - 1, comes
+    from the chord direction -(1, 1) and the gradient 2k (x0^m, y0^m).
     """
     y0 = _se_y(k, x0)
-    gx = 2 * k * math.copysign(abs(x0) ** (2 * k - 1), x0)
-    gy = 2 * k * y0 ** (2 * k - 1)
-    norm = math.hypot(gx, gy)
-    tangent = (-gy / norm, gx / norm)
-    normal_in = (-gx / norm, -gy / norm)
-    v = (-_SQRT2 / 2.0, -_SQRT2 / 2.0)
-    chi = 3.0 * math.pi / 4.0
-    ell1 = _SQRT2 * (x0 + y0)
-    theta = math.atan2(
-        v[0] * normal_in[0] + v[1] * normal_in[1],
-        v[0] * tangent[0] + v[1] * tangent[1],
-    )
-    mu = _SQRT2 * y0
-    ell2 = 2.0 * mu * math.sin(chi)
-    s = math.sin(theta)
-    return (
-        -2.0 * math.sin(2.0 * chi - theta) / s
-        + 2.0 * ell1 * math.sin(chi) * math.sin(2.0 * chi - 2.0 * theta) / (ell2 * s * s)
-    )
+    xm, ym = x0 ** (2 * k - 1), y0 ** (2 * k - 1)
+    c = (ym - xm) / (ym + xm)
+    return 2.0 * c - (1.0 + x0 / y0) * (c * c - 1.0)
 
 
 def trace4_superellipse_axis(k: int, x0: float, rot: Fraction | str = "1/4") -> float:

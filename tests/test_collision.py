@@ -101,7 +101,7 @@ def test_larmor_reentry_circle_oracle(rng):
         p1 = circle.frame_at(frame1.s).point
         t1 = circle.frame_at(frame1.s).tangent
         v = math.cos(theta1) * t1 - math.sin(theta1) * rot90(t1)
-        frame2, _, chi, _, _, n_crossings, _ = larmor_reentry(
+        frame2, _, chi, _, n_crossings, _ = larmor_reentry(
             circle, circle.frame_at(frame1.s), v, mu)
 
         # Two-circle intersection: boundary (origin, R), Larmor (c, mu).
@@ -152,11 +152,11 @@ def test_larmor_reentry_matches_the_40_digit_root(table, bound, rng):
         frame = curve.frame_at(float(rng.uniform(0.0, length)))
         try:
             frame1, _, _, v = chord_exit(curve, frame, float(rng.uniform(0.05, math.pi - 0.05)))
-            _, _, _, _, arc_sweep, _, _ = larmor_reentry(curve, frame1, v, mu)
+            _, _, chi, _, _, _ = larmor_reentry(curve, frame1, v, mu)
         except BilliardError:
             continue
         n_steps += 1
-        (vx, vy), x1, y1 = v, frame1.x, frame1.y
+        (vx, vy), x1, y1, arc_sweep = v, frame1.x, frame1.y, 2.0 * chi
         cx, cy = x1 - mu * vy, y1 + mu * vx
         j = int(np.searchsorted(SWEEP_ANGLES, arc_sweep))
         psi, slope = larmor_root(table, cx, cy, x1 - cx, y1 - cy,
@@ -183,7 +183,7 @@ def test_a_reentry_beside_the_exit_root_converges_to_the_40_digit_root():
     cx, cy = x1 - mu * vy, y1 + mu * vx
     psi, slope = larmor_root(table, cx, cy, x1 - cx, y1 - cy,
                              SWEEP_ANGLES.item(-2), SWEEP_ANGLES.item(-1))
-    assert abs(d.arc_sweep - psi) * abs(slope) <= 16.0 * 2.0**-52
+    assert abs(2.0 * d.chi - psi) * abs(slope) <= 16.0 * 2.0**-52
 
 
 @pytest.mark.parametrize("v,error", [((0.0, 1.0), TangentialContact), ((0.0, -1.0), NoReentry)],
@@ -198,21 +198,31 @@ def test_larmor_guards(v, error):
         larmor_reentry(circle, circle.frame_at(0.0), v, 0.3)
 
 
+@pytest.mark.parametrize("mu", [0.0, -0.3, math.nan, math.inf])
+def test_a_larmor_radius_must_be_positive_and_finite(mu):
+    circle = Circle(1.0)
+    with pytest.raises(ValueError, match="Larmor radius must be positive and finite"):
+        larmor_reentry(circle, circle.frame_at(0.0), (0.0, -1.0), mu)
+
+
 @pytest.mark.parametrize("name", CURVE_IDS)
 def test_larmor_invariants(name, curves, rng):
-    """ell2 = 2 mu sin(chi), sweep = 2 chi, re-entry lands on the boundary
-    and the re-entry angle is a genuine entering angle in (0, pi)."""
+    """chi and ell2 match the chord P1 -> P2 measured from the two frames,
+    the arc of sweep 2 chi lands on the boundary at the re-entry point, and
+    the re-entry angle is a genuine entering angle in (0, pi)."""
     curve, mu = curves[name]
     for z in sample_phase_points(curve, mu, 25, rng, conditioned=False):
         _, d = iterate(curve, mu, z, 1)[0]
         p1 = curve.frame_at(d.s1).point
         t1 = curve.frame_at(d.s1).tangent
         v = math.cos(d.theta1) * t1 - math.sin(d.theta1) * rot90(t1)
-        frame2, theta2, chi, ell2, arc_sweep, _, _ = larmor_reentry(
-            curve, curve.frame_at(d.s1), v, mu)
+        frame2, theta2, chi, ell2, _, _ = larmor_reentry(curve, curve.frame_at(d.s1), v, mu)
+        arc_sweep = 2.0 * chi
 
-        assert abs(ell2 - 2.0 * mu * math.sin(chi)) < 1e-9
-        assert abs(arc_sweep - 2.0 * chi) < 1e-12
+        chord = frame2.point - p1
+        measured = math.atan2(cross2(v, chord), float(v @ chord))
+        assert abs((chi - measured + math.pi) % (2.0 * math.pi) - math.pi) < 1e-12
+        assert abs(ell2 - float(np.linalg.norm(chord))) < 1e-9
         assert 0.0 < theta2 < math.pi
         assert 0.0 < chi < math.pi
 
@@ -272,7 +282,7 @@ def test_corner_clipping_crossing_count():
         y0 = (1.0 - x0 ** (2 * k)) ** (1.0 / (2 * k))
         mu = x0 - y0
         s1 = curve.frame_of(np.array([x0, y0])).s
-        _, _, _, _, _, n_crossings, _ = larmor_reentry(curve, curve.frame_at(s1), v, mu)
+        _, _, _, _, n_crossings, _ = larmor_reentry(curve, curve.frame_at(s1), v, mu)
         assert n_crossings == expected
 
 
@@ -326,7 +336,7 @@ def test_below_the_rolling_radius_an_arc_crosses_once(index, frac, theta, mu_kap
     _, d = step(curve, mu, z)
     assert d.n_crossings == 1
     lo = crossings.item(0)
-    assert lo <= d.arc_sweep <= lo + REFERENCE_PSIS.item(1) - REFERENCE_PSIS.item(0)
+    assert lo <= 2.0 * d.chi <= lo + REFERENCE_PSIS.item(1) - REFERENCE_PSIS.item(0)
 
 
 def test_past_the_rolling_radius_an_arc_can_cross_three_times():
@@ -341,7 +351,7 @@ def test_past_the_rolling_radius_an_arc_can_cross_three_times():
     assert len(crossings) == 3
     _, d = step(curve, mu, z)
     assert d.n_crossings == 3
-    assert crossings.item(0) <= d.arc_sweep <= crossings.item(1)
+    assert crossings.item(0) <= 2.0 * d.chi <= crossings.item(1)
 
 
 @pytest.mark.parametrize("name, sampled", [

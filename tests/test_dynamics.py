@@ -75,22 +75,22 @@ def test_step_data_is_consistent(name, curves, rng):
 
 @pytest.mark.parametrize("name", CURVE_IDS)
 def test_step_carries_the_sweep_diagnostics(name, curves, rng):
-    """``step`` reports the arc sweep, the crossing count and the number of
-    root-solve steps that ``larmor_reentry`` returns, the same on every
-    solve of the same step; they take no part in comparisons, and a
-    hand-built record gets nan, 0 and 0."""
+    """``step`` reports the arc sweep 2 chi, the crossing count and the
+    number of root-solve steps that ``larmor_reentry`` returns, the same on
+    every solve of the same step; the last two take no part in comparisons,
+    and a hand-built record gets 0 and 0."""
     curve, mu = curves[name]
     for z in sample_phase_points(curve, mu, 15, rng, conditioned=False):
         _, d = step(curve, mu, z)
         frame1, _, _, v = chord_exit(curve, curve.frame_at(z.s), z.theta)
-        *_, arc_sweep, n_crossings, iterations = larmor_reentry(curve, frame1, v, mu)
-        assert (d.arc_sweep, d.n_crossings, d.root_iterations) == (
-            arc_sweep, n_crossings, iterations)
-        assert d.n_crossings >= 1 and 0.0 < d.arc_sweep < 2.0 * math.pi
-        assert dataclasses.replace(d, arc_sweep=0.0, n_crossings=7, root_iterations=9) == d
+        _, _, chi, _, n_crossings, iterations = larmor_reentry(curve, frame1, v, mu)
+        assert (2.0 * d.chi, d.n_crossings, d.root_iterations) == (
+            2.0 * chi, n_crossings, iterations)
+        assert d.n_crossings >= 1 and 0.0 < 2.0 * d.chi < 2.0 * math.pi
+        assert dataclasses.replace(d, n_crossings=7, root_iterations=9) == d
     fields = {f.name: 1.0 for f in dataclasses.fields(StepData) if f.compare}
     hand_built = StepData(**fields)
-    assert math.isnan(hand_built.arc_sweep) and hand_built.n_crossings == 0
+    assert hand_built.n_crossings == 0
     assert hand_built.root_iterations == 0
 
 

@@ -714,7 +714,7 @@ def test_four_periodic_superellipse_diag_domain():
 # 4-periodic: superellipse, axis-aligned arcs
 # ------------------------------------------------------------------
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
 @pytest.mark.parametrize("rot", ["1/4", "3/4"])
 def test_four_periodic_superellipse_axis_closed_vs_composed(k, rot):
     # Stay 0.01 clear of |x0| = q: there mu reaches sqrt(2)*q and the
@@ -736,6 +736,10 @@ def test_four_periodic_superellipse_axis_closed_vs_composed(k, rot):
         assert max(ts) - min(ts) < 1e-6 * max(1.0, abs(ts[0]))
         t_mean = float(np.mean(ts))
         assert rel_close(trace, (t_mean ** 2 - 2.0) ** 2 - 2.0, 1e-6)
+        # Rotation 3/4: the closed-form step trace that parabolic_roots
+        # solves is that of the composed steps.
+        if rot == "3/4":
+            assert rel_close(families._axis_step_trace(k, float(x0)), t_mean, 1e-6)
 
 
 def test_parabolic_roots_axis_quarter():

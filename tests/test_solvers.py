@@ -107,7 +107,8 @@ def test_brentq_repeats_scipy_on_the_collision_solves(monkeypatch, rng, factory,
         except BilliardError:
             pass
     assert len(hits) >= 150
-    for frame1, (vx, vy), (_, _, _, _, arc_sweep, _, _) in hits:
+    for frame1, (vx, vy), (_, _, chi, _, _, _) in hits:
+        arc_sweep = 2.0 * chi
         cx, cy = frame1.x - mu * vy, frame1.y + mu * vx
         rx, ry = frame1.x - cx, frame1.y - cy
         vals = curve.implicit_xy(cx + SWEEP_COS * rx - SWEEP_SIN * ry,
