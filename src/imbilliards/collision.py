@@ -131,8 +131,9 @@ def chord_exit(curve: Curve, frame0: Frame, theta0: float
             break
         r = r_next
 
-    # F's terms are of size about 1, so rounding decides r only to a few
-    # eps / |dF/dr|: a chord within 8 of those units is the launch point again.
+    # Every table writes F in its own units, so F's terms are of size about
+    # 1 at any table size, and rounding decides r only to a few eps / |dF/dr|:
+    # a chord within 8 of those units is the launch point again.
     if r < 1e-9 * curve.total_length() or r * abs(df) <= 8.0 * _EPS:
         raise NoInteriorHit(
             f"chord of {r:.3e} from s0={frame0.s!r} is below 1e-9 L or below the "

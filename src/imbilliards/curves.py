@@ -9,7 +9,9 @@ with the positive x-axis).  A curve exposes
 * ``frame_of(p)`` — the frame of a point ``p`` (two floats, or an array) on
   the boundary, including its arclength; the inverse of ``frame_at``;
 * ``implicit_xy(x, y)`` / ``gradient_xy(x, y)`` — a defining function F with
-  F < 0 strictly inside, and its gradient, in coordinates;
+  F < 0 strictly inside, and its gradient, in coordinates.  F is written in
+  the table's own units (the circle's and the stadium's divide by R), so its
+  terms are of size about 1 at any table size;
 * ``total_length()`` and ``max_curvature()``, a closed form.
 
 These are the only boundary queries.  A :class:`Frame` holds its point and
@@ -32,14 +34,16 @@ on, and an orbit launches each step from the re-entry frame of the step
 before, so each boundary point of an orbit is resolved once: only the
 orbit's first launch point goes through ``frame_at``.
 
-Circle and stadium have exact arclength formulas.  Ellipse and
-superellipse are defined through a native angle parameter and carry an
-:class:`ArclengthTable`, built once per shape and shared by every curve of
-that shape.  It evaluates the parametric speed once, at the Gauss–Legendre
-nodes of 2048 equal panels, and keeps the cumulative arclength at the panel
-ends together with, for each panel, the polynomial integral of the speed's
-interpolant at its nodes.  The arclength at a parameter is then a node
-value plus one polynomial evaluation, with no quadrature per query.
+Circle and stadium have exact arclength formulas; the stadium spells out
+its upper half only, and its lower half is the upper one turned through a
+half-turn about the centre.  Ellipse and superellipse are defined through
+a native angle parameter and carry an :class:`ArclengthTable`, built once
+per shape and shared by every curve of that shape.  It evaluates the
+parametric speed once, at the Gauss–Legendre nodes of 2048 equal panels,
+and keeps the cumulative arclength at the panel ends together with, for
+each panel, the polynomial integral of the speed's interpolant at its
+nodes.  The arclength at a parameter is then a node value plus one
+polynomial evaluation, with no quadrature per query.
 ``frame_of`` reads the native parameter off the point and needs only this
 forward chart; ``frame_at`` inverts it once, seeding by linear
 interpolation between the panel ends and polishing with Newton steps.
@@ -54,6 +58,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from abc import ABC, abstractmethod
 from typing import Callable
 
@@ -274,7 +279,7 @@ class Curve(ABC):
     @abstractmethod
     def frame_of(self, p) -> Frame:
         """Frame of a point ``p`` (two floats, or an array) on, or within
-        1e-8 of, the boundary."""
+        1e-8 diameter bounds of, the boundary."""
 
     @abstractmethod
     def implicit_xy(self, x, y):
@@ -305,13 +310,13 @@ class Curve(ABC):
     def diameter_bound(self) -> float: ...
 
     def _check_on_boundary(self, x: float, y: float) -> None:
-        """Raise ``ValueError`` unless ``(x, y)`` lies within ``1e-8 * max(1,
-        diameter bound)`` of the boundary (first-order distance)."""
+        """Raise ``ValueError`` unless ``(x, y)`` lies within ``1e-8 *
+        diameter_bound()`` of the boundary (first-order distance)."""
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"boundary point must be finite, got {(x, y)!r}")
         val = self.implicit_xy(x, y)
         dist = abs(val) / max(math.hypot(*self.gradient_xy(x, y)), 1e-300)
-        if dist > 1e-8 * max(1.0, self.diameter_bound()):
+        if dist > 1e-8 * self.diameter_bound():
             raise ValueError(
                 f"point {(x, y)!r} is not on the boundary: implicit value {val:.3e} "
                 f"corresponds to distance ~{dist:.3e}"
@@ -320,15 +325,16 @@ class Curve(ABC):
 
 def _check_sizes(curve: Curve, **sizes: float) -> None:
     """Raise ``ValueError``, naming the size, unless each size of ``curve``
-    is positive and finite with a square above 0, and the chord search,
-    which evaluates F up to about 1.5 diameter bounds from the centre,
-    squares no coordinate there to inf."""
+    is positive and finite with a square in the normal float range, which
+    the defining functions in the table's units divide by, and the chord
+    search, which evaluates F up to about 1.5 diameter bounds from the
+    centre, squares no coordinate there to inf."""
     kind = type(curve).__name__.lower()
     for name, size in sizes.items():
         if not 0.0 < size < math.inf:
             raise ValueError(f"{kind} {name} must be positive and finite, got {size!r}")
-        if size * size == 0.0:
-            raise ValueError(f"{kind} {name} = {size!r} is too small: its square is 0")
+        if size * size < sys.float_info.min:
+            raise ValueError(f"{kind} {name} = {size!r} is too small: its square underflows")
     reach = 1.5 * curve.diameter_bound()
     if reach * reach == math.inf:
         given = ", ".join(f"{name} = {size!r}" for name, size in sizes.items())
@@ -337,11 +343,13 @@ def _check_sizes(curve: Curve, **sizes: float) -> None:
 
 
 class Circle(Curve):
-    """Circle of radius R centered at the origin."""
+    """Circle of radius R centered at the origin, with the defining function
+    F = (x^2 + y^2) / R^2 - 1 in units of R."""
 
     def __init__(self, R: float):
         self.R = float(R)
         _check_sizes(self, R=self.R)
+        self._inv_R2 = 1.0 / (self.R * self.R)
 
     def total_length(self) -> float:
         return _TWO_PI * self.R
@@ -361,10 +369,11 @@ class Circle(Curve):
         return self.frame_at(self.R * math.atan2(y, x))
 
     def implicit_xy(self, x, y):
-        return x * x + y * y - self.R * self.R
+        return (x * x + y * y) * self._inv_R2 - 1.0
 
     def gradient_xy(self, x, y):
-        return 2.0 * x, 2.0 * y
+        inv_R2 = self._inv_R2
+        return 2.0 * x * inv_R2, 2.0 * y * inv_R2
 
     def diameter_bound(self) -> float:
         return 2.0 * self.R
@@ -439,7 +448,8 @@ class Ellipse(_TableCurve):
 
     def _geometry(self, c, sn):
         a, b = self.a, self.b
-        kappa = a * b / math.hypot(a * sn, b * c) ** 3
+        h = math.hypot(a * sn, b * c)
+        kappa = (a / h) * (b / h) / h
         return a * c, b * sn, -a * sn, b * c, kappa
 
     def _t_of_point(self, x, y):
@@ -513,79 +523,67 @@ class Stadium(Curve):
     """Stadium: rectangle of width ``side`` and height 2R, capped by two
     radius-R semicircles on the left and right.
 
-    Piecewise-exact arclength; curvature jumps between 0 (sides) and 1/R
-    (caps), and ``frame_at`` returns the curvature of the piece *ahead* in
-    the anticlockwise direction at the four junctions.  The implicit
-    function is the capsule signed-distance field, which is C^1 across the
-    junction normals.
+    Piecewise-exact arclength on the upper half, s in [0, L/2): the right
+    quarter cap about (side/2, 0), the top side and the left quarter cap
+    about (-side/2, 0).  The lower half is its half-turn, p(s + L/2) =
+    -p(s), with the tangent negated and the curvature kept.  Curvature jumps
+    between 0 (sides) and 1/R (caps), and ``frame_at`` returns the curvature
+    of the piece *ahead* in the anticlockwise direction at the four
+    junctions.  The implicit function is the capsule distance field in units
+    of R, which is C^1 across the junction normals.
     """
 
     def __init__(self, side: float, R: float):
         self.side = float(side)
         self.R = float(R)
         _check_sizes(self, side=self.side, R=self.R)
-        self._cap = math.pi * self.R  # length of one semicircular cap
-        self._L = 2.0 * self.side + 2.0 * self._cap
+        self._inv_R = 1.0 / self.R
+        self._quarter = 0.5 * math.pi * self.R  # length of one quarter cap
+        self._half = self.side + math.pi * self.R  # length of the upper half
 
     def total_length(self) -> float:
-        return self._L
+        return 2.0 * self._half
 
     def max_curvature(self) -> float:
-        return 1.0 / self.R
-
-    # piece boundaries: [0, cap/2) right-upper cap, [cap/2, cap/2+side) top,
-    # [cap/2+side, 3cap/2+side) left cap, then bottom, then right-lower cap.
-    def _piece(self, s: float):
-        h = 0.5 * self._cap
-        if s < h:
-            return "cap_r", s
-        if s < h + self.side:
-            return "top", s - h
-        if s < 3 * h + self.side:
-            return "cap_l", s - h - self.side
-        if s < 3 * h + 2 * self.side:
-            return "bottom", s - 3 * h - self.side
-        return "cap_r2", s - 3 * h - 2 * self.side
+        return self._inv_R
 
     def frame_at(self, s: float) -> Frame:
         s = self.wrap(s)
-        piece, u = self._piece(s)
-        hx = 0.5 * self.side
-        R = self.R
-        if piece == "top":
-            return Frame(s, hx - u, R, -1.0, 0.0, 0.0)
-        if piece == "bottom":
-            return Frame(s, -hx + u, -R, 1.0, 0.0, 0.0)
-        if piece == "cap_r":
-            cx, a = hx, u / R
-        elif piece == "cap_l":
-            cx, a = -hx, math.pi / 2 + u / R
-        else:
-            cx, a = hx, 3 * math.pi / 2 + u / R
-        c, sn = math.cos(a), math.sin(a)
-        return Frame(s, cx + R * c, R * sn, -sn, c, 1.0 / R)
+        lower = s >= self._half
+        u = s - self._half if lower else s
+        q, R, side = self._quarter, self.R, self.side
+        hx = 0.5 * side
+        if q <= u < q + side:  # the top side
+            x, y, tx, ty, kappa = hx - (u - q), R, -1.0, 0.0, 0.0
+        else:  # a quarter cap, the left one from the angle pi/2
+            cx, a = (hx, u / R) if u < q else (-hx, math.pi / 2 + (u - q - side) / R)
+            c, sn = math.cos(a), math.sin(a)
+            x, y, tx, ty, kappa = cx + R * c, R * sn, -sn, c, self._inv_R
+        if lower:
+            return Frame(s, -x, -y, -tx, -ty, kappa)
+        return Frame(s, x, y, tx, ty, kappa)
 
     def frame_of(self, p) -> Frame:
         x, y = float(p[0]), float(p[1])
         self._check_on_boundary(x, y)
+        lower = y < 0.0 or (y == 0.0 and x < 0.0)
+        if lower:
+            x, y = -x, -y
         hx = 0.5 * self.side
-        h = 0.5 * self._cap
         if x >= hx:
-            a = math.atan2(y, x - hx)  # in (-pi/2, pi/2)
-            return self.frame_at(self.R * a)
-        if x <= -hx:
-            a = math.atan2(y, x + hx) % _TWO_PI  # in (pi/2, 3pi/2)
-            return self.frame_at(h + self.side + self.R * (a - math.pi / 2))
-        if y > 0:
-            return self.frame_at(h + (hx - x))
-        return self.frame_at(3 * h + self.side + (x + hx))
+            u = self.R * math.atan2(y, x - hx)  # in [0, pi/2]
+        elif x <= -hx:
+            u = self._quarter + self.side + self.R * (math.atan2(y, x + hx) - math.pi / 2)
+        else:
+            u = self._quarter + (hx - x)
+        return self.frame_at(u + self._half if lower else u)
 
     # Plain arithmetic serves floats and arrays without a numpy call per
     # float: max(q, 0) is 0.5 * (q + |q|), exactly.
     def implicit_xy(self, x, y):
         q = abs(x) - 0.5 * self.side
         qx = 0.5 * (q + abs(q))
-        return (qx * qx + y * y) ** 0.5 - self.R
+        return (qx * qx + y * y) ** 0.5 * self._inv_R - 1.0
 
     def gradient_xy(self, x, y):
         hx = 0.5 * self.side
@@ -593,8 +591,8 @@ class Stadium(Curve):
         qx = 0.5 * (right + abs(right)) - 0.5 * (left + abs(left))  # sign(x) * max(|x| - hx, 0)
         # on the inner segment (qx = y = 0) the distance field has a ridge and
         # both components are 0: the smallest positive float keeps 0/h at 0,
-        # and leaves every h above 2^-1021 as it is
-        h = (qx * qx + y * y) ** 0.5 + _SMALLEST
+        # and leaves every h of at least 2^-1020 as it is
+        h = (qx * qx + y * y) ** 0.5 * self.R + _SMALLEST
         return qx / h, y / h
 
     def diameter_bound(self) -> float:

@@ -166,11 +166,12 @@ def jacobian_analytic(d: StepData) -> np.ndarray:
     Returns the 2x2 matrix [[ds2/ds0, ds2/du0], [du2/ds0, du2/du0]].  Its
     determinant is 1 for any valid step.  Raises :class:`DegenerateStep`
     when a denominator (a sine of theta0/theta1/theta2, or ell2) is below
-    ``DEGENERACY_EPS``.
+    ``DEGENERACY_EPS``; ell2, a length, is tested as ell2 / mu = 2 sin(chi),
+    so the test does not depend on the table's size.
     """
     st0, st1, st2 = math.sin(d.theta0), math.sin(d.theta1), math.sin(d.theta2)
     for name, val in (("sin(theta0)", st0), ("sin(theta1)", st1),
-                      ("sin(theta2)", st2), ("ell2", d.ell2)):
+                      ("sin(theta2)", st2), ("ell2/mu", d.ell2 / d.mu)):
         if abs(val) < DEGENERACY_EPS:
             raise DegenerateStep(f"{name} = {val:.3e} below {DEGENERACY_EPS}")
 
@@ -215,7 +216,7 @@ def jacobian_numeric(
 ) -> np.ndarray:
     """Finite-difference derivative of one map step in the (s, u) chart.
 
-    Central differences with step ``h * max(1, L)`` in s and ``h`` in u.
+    Central differences with step ``h * L`` in s and ``h`` in u.
     s-differences are wrapped to the shortest signed representative, so the
     stencil may straddle s = 0.  A stencil with u +/- h outside (-1, 1)
     reaches theta in {0, pi}, the identity region, and raises
@@ -223,7 +224,7 @@ def jacobian_numeric(
     grows like 1/sin(theta), and no finite difference is an oracle there.
     """
     L = curve.total_length()
-    hs = h * max(1.0, L)
+    hs = h * L
     hu = h
     if not (-1.0 < z.u - hu and z.u + hu < 1.0):
         raise DegenerateStep(f"stencil u = {z.u!r} +/- {hu} touches the identity region")

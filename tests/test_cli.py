@@ -838,11 +838,13 @@ def test_a_non_finite_table_size_exits_2(tmp_path, kind, key, others, value):
     assert not list(tmp_path.glob("trace.*"))
 
 
-@pytest.mark.parametrize("size", [1e200, 1e300, 1e-200])
+@pytest.mark.parametrize("size", [1e200, 1e300, 1e-160, 1e-200])
 @pytest.mark.parametrize("kind, key, others", SIZES, ids=[f"{k}-{key}" for k, key, _ in SIZES])
 def test_a_huge_table_ends_without_a_traceback(tmp_path, kind, key, others, size):
-    """A size whose square underflows to 0, or a table whose chord search
-    would square coordinates to inf, is refused before the table is built:
+    """A size whose square is below the normal float range (1e-160 squares
+    to a subnormal, whose reciprocal, which the circle's defining function
+    multiplies by, is inf), or a table whose chord search would square
+    coordinates to inf, is refused before the table is built:
     the trace exits 2 with one ``error:`` line that names the size, and
     numpy prints no ``RuntimeWarning``.  Squaring a size above about 1.3e154
     with ``**`` used to end in a traceback, and with ``*`` in a wrong
@@ -858,9 +860,13 @@ def test_trace_never_prints_a_traceback(tmp_path, capsys):
     """Raw traces launched on, past and near the edge of the domain exit with
     0, 2, 3 or 4 and write nothing or one ``error: <Tag>: ...`` line to
     stderr; an uncaught exception would fail the test with its traceback.
-    The last case re-enters past the tangent on its first step."""
+    The last case re-enters past the tangent on its first step.  The two
+    ellipses far from size 1 ended in an ``OverflowError`` and a
+    ``ZeroDivisionError`` when the curvature cubed a size."""
     tables = ({"kind": "circle", "R": 1.0}, {"kind": "ellipse", "a": 2.0, "b": 1.0},
-              {"kind": "superellipse", "k": 3}, {"kind": "stadium", "side": 2.0, "R": 1.0})
+              {"kind": "superellipse", "k": 3}, {"kind": "stadium", "side": 2.0, "R": 1.0},
+              {"kind": "ellipse", "a": 1e104, "b": 1e103},
+              {"kind": "ellipse", "a": 2e-120, "b": 1e-120})
     thetas = (-1.0, 0.0, 1e-13, 1e-9, 1e-6, math.pi - 1e-9, math.pi, 4.0)
     cases = [(table, 0.3, theta, mu)
              for table, theta, mu in itertools.product(tables, thetas, (1e-6, 0.3, 5.0))]

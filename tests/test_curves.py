@@ -230,6 +230,27 @@ def test_stadium_distance_field_matches_hypot(rng):
     assert not gxs.any() and not gys.any()
 
 
+@pytest.mark.parametrize("side, R", [(2.0, 1.0), (0.3, 1.7)])
+def test_the_stadium_is_its_upper_half_turned_by_a_half_turn(side, R):
+    """On the lower half of the stadium the frame at s is the frame at
+    s - L/2 turned through a half-turn, bit for bit: point and tangent
+    negated, curvature kept.  ``frame_of`` of that point returns s to
+    within 1e-12 L.  The grid holds L/2 and the two lower junctions, where
+    the curvature is that of the piece ahead."""
+    stadium = Stadium(side, R)
+    length = stadium.total_length()
+    half = 0.5 * length
+    grid = np.random.default_rng(20261020).uniform(half, length, 500).tolist()
+    for s in [half, half + 0.5 * math.pi * R, half + 0.5 * math.pi * R + side, *grid]:
+        at, upper = stadium.frame_at(s), stadium.frame_at(s - half)
+        assert (at.s, at.x, at.y, at.tx, at.ty, at.curvature) == (
+            s, -upper.x, -upper.y, -upper.tx, -upper.ty, upper.curvature)
+        gap = stadium.frame_of((at.x, at.y)).s - s
+        assert abs((gap + half) % length - half) <= 1e-12 * length
+    assert stadium.frame_at(half + 0.5 * math.pi * R).curvature == 0.0
+    assert stadium.frame_at(half + 0.5 * math.pi * R + side).curvature == 1.0 / R
+
+
 def test_arclength_tables_are_built_once_per_shape():
     assert Superellipse(2)._table is Superellipse(2)._table
     assert Ellipse(2.0, 1.0)._table is Ellipse(2, 1)._table

@@ -16,7 +16,9 @@ import conftest
 from conftest import CURVE_MENU, composed_trace, sample_phase_points
 from imbilliards import dynamics
 from imbilliards.collision import MAX_ROOT_ITERATIONS, chord_exit, larmor_reentry
-from imbilliards.curves import ArclengthTable, Circle, Ellipse, Superellipse, make_curve, rot90
+from imbilliards.curves import (
+    ArclengthTable, Circle, Ellipse, Stadium, Superellipse, make_curve, rot90,
+)
 from imbilliards.dynamics import (
     PhasePoint,
     StepData,
@@ -291,6 +293,75 @@ def test_analytic_matches_central_differences(name, curves, rng):
         A = jacobian_analytic(d)
         N = jacobian_numeric(curve, mu, z, h=1e-6)
         assert np.linalg.norm(A - N) / np.linalg.norm(A) < 1e-5
+
+
+#: tables and Larmor radii of size 1, each built at sizes scaled by 2^m;
+#: Ellipse(2, 1) at mu = 0.6 has mu * kappa_max = 1.2, so its re-entries
+#: come from the sampled sweep
+SCALED_TABLES = [
+    ("circle", lambda m: Circle(math.ldexp(1.0, m)), 0.35),
+    ("ellipse-2-1", lambda m: Ellipse(math.ldexp(2.0, m), math.ldexp(1.0, m)), 0.3),
+    ("ellipse-2-1-sampled", lambda m: Ellipse(math.ldexp(2.0, m), math.ldexp(1.0, m)), 0.6),
+    ("stadium", lambda m: Stadium(math.ldexp(2.0, m), math.ldexp(1.0, m)), 0.3),
+]
+
+
+def _scaled_map(factory, mu, m, points, n_numeric):
+    """Each step of ``points`` on the table and mu scaled by 2^m, read back
+    in the units of the unscaled table: ``(s2, theta2, chi, ell1)`` and the
+    entries of the analytic Jacobian, with those of the numeric Jacobian for
+    the first ``n_numeric``, or the type of the error a step raised."""
+    curve, mu_m = factory(m), math.ldexp(mu, m)
+    # the (s, u) chart's Jacobian has entries of size 1, 2^m, 2^-m and 1
+    unscale = np.array([[1.0, math.ldexp(1.0, -m)], [math.ldexp(1.0, m), 1.0]])
+    out = []
+    for i, (s, theta) in enumerate(points):
+        z = PhasePoint(math.ldexp(s, m), theta)
+        try:
+            _, d = step(curve, mu_m, z)
+            row = [math.ldexp(d.s2, -m), d.theta2, d.chi, math.ldexp(d.ell1, -m),
+                   *(jacobian_analytic(d) * unscale).ravel().tolist()]
+            if i < n_numeric:
+                row += (jacobian_numeric(curve, mu_m, z) * unscale).ravel().tolist()
+        except BilliardError as exc:
+            row = type(exc)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("name,factory,mu", SCALED_TABLES, ids=[e[0] for e in SCALED_TABLES])
+@pytest.mark.parametrize("m", [-40, -20, 20, 40])
+def test_the_map_commutes_with_power_of_two_scaling(name, factory, mu, m):
+    """Scaling a table and mu by 2^m scales s, ell1 and the Jacobian's
+    entries by powers of two and keeps every angle.  Every defining
+    function is written in its table's units and every threshold of a step
+    is relative, so on the circle and the ellipse each of 300 steps, and
+    the finite-difference Jacobian of 40 of them, is the unscaled one bit
+    for bit.  The stadium's distance field takes ``** 0.5``, whose rounding
+    does not always commute with scaling, so there the steps agree to
+    1e-12 (the worst deviation here is 5.3e-14), and a finite difference
+    would magnify that rounding by 1/h.  Tables of size 2^-40 used to
+    refuse every step, with ``NoInteriorHit`` or ``DegenerateStep``."""
+    rng = np.random.default_rng(20261020)
+    length = factory(0).total_length()
+    points = list(zip(rng.uniform(0.0, length, 300).tolist(),
+                      rng.uniform(0.05, math.pi - 0.05, 300).tolist()))
+    exact = name != "stadium"
+    base = _scaled_map(factory, mu, 0, points, 40 if exact else 0)
+    scaled = _scaled_map(factory, mu, m, points, 40 if exact else 0)
+    assert sum(isinstance(row, list) for row in base) >= 250
+    if exact:
+        assert scaled == base
+        return
+    for b, c in zip(base, scaled, strict=True):
+        if not (isinstance(b, list) and isinstance(c, list)):
+            assert b is c
+            continue
+        assert abs((c[0] - b[0] + 0.5 * length) % length - 0.5 * length) <= 1e-12 * length
+        assert max(abs(c[1] - b[1]), abs(c[2] - b[2])) <= 1e-12
+        assert abs(c[3] - b[3]) <= 1e-12 * length
+        jacobian, jacobian_m = np.array(b[4:]), np.array(c[4:])
+        assert np.linalg.norm(jacobian_m - jacobian) <= 1e-12 * np.linalg.norm(jacobian)
 
 
 def test_finite_difference_error_is_second_order(curves, rng):
