@@ -212,8 +212,9 @@ def _swept_bracket(curve: Curve, s1: float, mu: float,
     i = int(entering.argmax())  # the first entering interval, or 0 if none
     if not entering[i]:
         raise NoReentry(
-            f"no boundary crossing along the full Larmor sweep from s1={s1!r} "
-            f"(mu={mu!r}); the table is not convex around this arc"
+            f"no entering sign change among the {N_SWEEP_SAMPLES} samples of the Larmor "
+            f"sweep on [{SWEEP_GUARD}, 2 pi - {SWEEP_GUARD}] from s1={s1!r} (mu={mu!r}, "
+            f"mu / diameter bound = {mu / curve.diameter_bound():.3e})"
         )
     a, b = SWEEP_ANGLES.item(i), SWEEP_ANGLES.item(i + 1)
     fa, fb = (curve.implicit_xy(*_arc_point(t, cx, cy, rx, ry)) for t in (a, b))

@@ -87,11 +87,13 @@ class TangentialChord(GeometricError):
 
 
 class NoInteriorHit(GeometricError):
-    """The chord ray leaves the domain immediately (concave geometry)."""
+    """The chord is too short for rounding to tell its exit from its launch
+    point."""
 
 
 class NoReentry(GeometricError):
-    """Full Larmor sweep found no boundary crossing (concave geometry)."""
+    """The sampled Larmor sweep shows no entering sign change of the table's
+    defining function."""
 
 
 class TangentialContact(GeometricError):

@@ -15,8 +15,8 @@ Families implemented:
   axis or on a diagonal), and the stadium curve itself (orbit through the flat
   sides or through the caps).
 * Symmetric 3-periodic orbits in the circle at a closed-form launch angle,
-  with the cubic-in-``alpha`` trace for equal incidence angles and the
-  constant/cubic coefficients of the general dihedral trace.
+  with the trace for equal incidence angles and the constant/cubic
+  coefficients of the general dihedral trace.
 * Symmetric 4-periodic orbits in the circle, the ellipse (Larmor centers on
   the diagonals of the inscribed rectangle) and the superellipse (Larmor
   centers on the diagonals or on the coordinate axes), each with a rotation
@@ -27,9 +27,14 @@ Families implemented:
   coordinates ``(s, theta)``, used to validate the closed-form constructions
   and to detect the degeneracy of parabolic families.
 
-Rational trace formulas are evaluated exactly as closed forms in the boundary
-coordinates; each one is cross-checked in the test-suite against the composed
-product of step Jacobians along the dynamically validated orbit.
+Trace formulas are evaluated from their factors, in the table's own units,
+and cross-checked in the test-suite against the composed product of step
+Jacobians along the dynamically validated orbit.  A symmetric n-periodic
+circle orbit is n copies of one unimodular step, so its trace is
+``2 T_n(t/2)`` of that step's trace ``t`` (``T_n`` the Chebyshev polynomial).
+With ``x = x0/a``, ``y = y0/a``, ``B = (b/a)^2`` and ``d = 1 - B`` the
+4-periodic ellipse trace is ``2 - 16 d^2 (x + y)(B x - y)(d x + y)
+(B^2 (x + y) - B x + y) / (B y (d x + 2 y))^2``.
 """
 
 from __future__ import annotations
@@ -294,8 +299,8 @@ def two_periodic_ellipse(
     ``cot(theta) = mu a^2/(b^2 x1)``, while ``alpha = 2 x1/mu``; hence
     ``alpha*beta = 2 alpha cot(theta) = 4a^2/b^2`` (swap ``a`` and ``b`` on
     the minor axis).  The Larmor half-turn beyond the endpoint first touches
-    the ellipse at ``mu = 2ab^2/(a^2 + b^2)`` (major) or ``2a^2 b/(a^2 + b^2)``
-    (minor), which bounds the family.
+    the ellipse at ``mu = 2 cap r/(1 + r^2)``, ``r = b/a``, with ``cap = b``
+    (major) or ``a`` (minor), which bounds the family.
     """
     curve = Ellipse(a, b)
     if axis not in ("major", "minor"):
@@ -305,7 +310,8 @@ def two_periodic_ellipse(
         raise MuTooLarge(
             f"need 0 < mu < {cap} for the {axis}-axis chord to exist, got mu={mu}"
         )
-    mu_max = 2.0 * a * b * cap / (a * a + b * b)
+    r = b / a
+    mu_max = 2.0 * cap * r / (1.0 + r * r)
     if mu >= mu_max:
         raise InfeasibleStadium(
             f"Larmor arc of radius mu={mu} re-enters the ellipse prematurely; "
@@ -510,33 +516,34 @@ def two_periodic_stadium(
 # 3-periodic families
 # --------------------------------------------------------------------------
 
+def _step_trace(theta: float, chi: float, ell_over_mu: float) -> float:
+    """Trace of one symmetric step: both boundary angles ``theta``, the arc's
+    half-turning angle ``chi`` and the chord ``ell = ell_over_mu * mu``.
+
+    It is ``((ell/mu) sin(2 chi - 2 theta)/sin(theta) - 2 sin(2 chi - theta))
+    / sin(theta)``, free of the curvature, which only conjugates the step.
+    """
+    s = math.sin(theta)
+    if s == 0.0:
+        raise ValueError("incidence angle must have a nonzero sine")
+    return (ell_over_mu * math.sin(2.0 * chi - 2.0 * theta) / s
+            - 2.0 * math.sin(2.0 * chi - theta)) / s
+
+
 def trace3_symmetric(theta: float, alpha: float, rot: Fraction | str = "1/3") -> float:
     """Trace of the 3-step stability matrix for equal incidence angles.
 
     Valid for dihedral-symmetric 3-periodic orbits: all six boundary angles
     equal ``theta``, all chords equal ``ell``, all arc half-turning angles
-    equal ``pi/3`` (rotation 1/3) or ``2*pi/3`` (rotation 2/3), and
-    ``alpha = ell / mu``.  The trace is the cubic polynomial in ``alpha``
-    below, with ``sign`` +1 for rotation 1/3 and -1 for rotation 2/3; its
-    coefficients are independent of the boundary curvature.
+    equal ``chi = pi/3`` (rotation 1/3) or ``2*pi/3`` (rotation 2/3), and
+    ``alpha = ell / mu``.  The three step matrices are conjugates of one
+    unimodular matrix of trace ``t`` (:func:`_step_trace`), so the trace is
+    ``2 T_3(t/2) = t^3 - 3t``, a cubic in ``alpha`` whose coefficients are
+    independent of the boundary curvature.
     """
-    rotation = _normalize_rotation(rot, 3)
-    s, c = math.sin(theta), math.cos(theta)
-    if s == 0.0:
-        raise ValueError("incidence angle must have a nonzero sine")
-    cot = c / s
-    sign = 1.0 if rotation == _THIRD else -1.0
-    c0 = 2.0 - 9.0 * cot**2 - sign * 3.0 * _SQRT3 * cot**3
-    c1 = (3.0 * c / (4.0 * s**4)) * (
-        sign * 5.0 * _SQRT3 * c + sign * _SQRT3 * math.cos(3.0 * theta)
-        - 3.0 * s + 9.0 * math.sin(3.0 * theta)
-    )
-    c2 = (
-        -sign * 3.0 * math.sin(math.pi / 3.0 + sign * 2.0 * theta)
-        * (c + math.sin(math.pi / 6.0 + sign * 3.0 * theta)) / s**5
-    )
-    c3 = sign * math.cos(math.pi / 6.0 - sign * 2.0 * theta) ** 3 / s**6
-    return c0 + alpha * (c1 + alpha * (c2 + alpha * c3))
+    chi = float(_normalize_rotation(rot, 3)) * math.pi
+    t = _step_trace(theta, chi, alpha)
+    return t * (t * t - 3.0)
 
 
 def trace3_coefficients(
@@ -635,24 +642,15 @@ def three_periodic_circle(
 def trace4_circle_quartic(theta: float, alpha: float) -> float:
     """Quartic-in-``alpha`` trace of the symmetric 4-periodic circle orbit.
 
-    ``alpha = R / mu``; the same polynomial covers both rotation numbers (the
-    half-turning angles ``pi/4`` and ``3*pi/4`` enter only through
-    ``cos(2*chi)^2`` terms).  Algebraically this expression equals
-    ``(t^2 - 2)^2 - 2`` with ``t`` the trace of the single symmetric step
-    matrix, which is how it was derived and how the tests validate it.
+    ``alpha = R / mu``, so the chord is ``ell = 2 alpha sin(theta) mu``.  The
+    trace is ``2 T_4(t/2) = (t^2 - 2)^2 - 2`` of the single step trace ``t``
+    (:func:`_step_trace`), which changes sign under ``chi -> chi + pi/2``;
+    so one value covers both rotation numbers, and ``chi = pi/4`` stands for
+    either.
     """
-    s, c = math.sin(theta), math.cos(theta)
-    if s == 0.0:
-        raise ValueError("incidence angle must have a nonzero sine")
-    c2 = math.cos(2.0 * theta)
-    poly = (
-        2.0 * (1.0 - 10.0 * c * c + 17.0 * c**4)
-        - 32.0 * alpha * c2 * c * (3.0 * c * c - 1.0)
-        + 8.0 * alpha**2 * c2 * c2 * (5.0 + 7.0 * c2)
-        - 64.0 * alpha**3 * c2**3 * c
-        + 16.0 * alpha**4 * c2**4
-    )
-    return poly / s**4
+    t = _step_trace(theta, math.pi / 4.0, 2.0 * alpha * math.sin(theta))
+    u = t * t - 2.0
+    return u * u - 2.0
 
 
 def four_periodic_circle(
@@ -700,23 +698,31 @@ class EllipseFourRecord:
 def _ellipse4_interval(a: float, b: float) -> tuple[float, float, float]:
     """(lower endpoint, branch point, upper endpoint) of admissible x0.
 
-    Orbits exist for ``x0`` in ``(a(a^2-b^2)/(a^2+b^2), a)``; the Larmor
-    radius shrinks to zero at the interior branch point
-    ``a^2/sqrt(a^2+b^2)``, which separates the rotation-3/4 branch (below)
-    from the rotation-1/4 branch (above).
+    With ``B = (b/a)^2``, orbits exist for ``x0`` in
+    ``(a (1 - B)/(1 + B), a)``; the Larmor radius shrinks to zero at the
+    interior branch point ``a/sqrt(1 + B)``, which separates the rotation-3/4
+    branch (below) from the rotation-1/4 branch (above).
     """
-    lo = a * (a * a - b * b) / (a * a + b * b)
-    split = a * a / math.sqrt(a * a + b * b)
-    return lo, split, a
+    r = b / a
+    B = r * r
+    return a * (1.0 - B) / (1.0 + B), a / math.sqrt(1.0 + B), a
 
 
 def trace4_ellipse(a: float, b: float, x0: float) -> float:
-    """Trace of the symmetric 4-periodic ellipse orbit as a rational function.
+    """Trace of the symmetric 4-periodic ellipse orbit, from its factors.
 
-    One rational function in ``(x0, y0)`` with ``y0 = b*sqrt(1 - x0^2/a^2)``
-    covers both rotation numbers.  All five numerator terms carry positive
-    leading sign except the cubic one; the polynomial coefficients below are
-    validated against the composed product of step Jacobians.
+    One rational function covers both rotation numbers.  With ``x = x0/a``,
+    ``y = y0/a = (b/a) sqrt(1 - x^2)``, ``B = (b/a)^2`` and ``d = 1 - B``,
+
+    ``trace - 2 = -16 d^2 (x + y)(B x - y)(d x + y)(B^2 (x + y) - B x + y)
+    / (B y (d x + 2 y))^2``,
+
+    ``trace + 2 = 4 (2 B d^2 x^2 - d (2 B^2 - 3 B + 2) x y
+    - 2 (B^2 - B + 1) y^2)^2 / (B y (d x + 2 y))^2``.
+
+    On the admissible interval only ``B x - y`` (zero at the branch point)
+    and ``B^2 (x + y) - B x + y`` change the sign of ``trace - 2``; the
+    squared factor of ``trace + 2`` gives its tangential touches of -2.
     """
     if not a > b > 0.0:
         raise ValueError(f"need a > b > 0, got a={a}, b={b}")
@@ -724,29 +730,15 @@ def trace4_ellipse(a: float, b: float, x0: float) -> float:
     if bad is not None:
         raise X0OutOfRange(f"x0 must lie in (-a, a), got {bad}")
     pw = _pow_for(x0)
+    r = b / a
+    B = r * r
+    d = 1.0 - B
+    x = x0 / a
     # |x0| < a keeps the rounded radicand >= 0
-    radicand = 1.0 - pw(x0 / a, 2)
-    y0 = b * (np.sqrt(radicand) if isinstance(radicand, np.ndarray) else math.sqrt(radicand))
-    a2, b2 = a * a, b * b
-    d = a2 - b2
-    num = (
-        16.0 * b2 * b2 * d**4 * pw(x0, 4)
-        - 16.0 * b2 * d**3 * (2.0 * a2**2 - 3.0 * a2 * b2 + 2.0 * b2**2) * pw(x0, 3) * y0
-        + 2.0 * d**2
-        * (8.0 * a2**4 - 40.0 * a2**3 * b2 + 49.0 * a2**2 * b2**2
-           - 40.0 * a2 * b2**3 + 8.0 * b2**4)
-        * pw(x0, 2) * pw(y0, 2)
-        + 8.0 * a2 * d
-        * (4.0 * a2**4 - 10.0 * a2**3 * b2 + 13.0 * a2**2 * b2**2
-           - 10.0 * a2 * b2**3 + 4.0 * b2**4)
-        * x0 * pw(y0, 3)
-        + 8.0 * a2**2
-        * (2.0 * a2**4 - 4.0 * a2**3 * b2 + 5.0 * a2**2 * b2**2
-           - 4.0 * a2 * b2**3 + 2.0 * b2**4)
-        * pw(y0, 4)
-    )
-    den = a2**2 * b2**2 * pw(y0, 2) * pw(b2 * x0 - a2 * (x0 + 2.0 * y0), 2)
-    return num / den
+    radicand = 1.0 - pw(x, 2)
+    y = r * (np.sqrt(radicand) if isinstance(radicand, np.ndarray) else math.sqrt(radicand))
+    num = d * d * (x + y) * (B * x - y) * (d * x + y) * (B * B * (x + y) - B * x + y)
+    return 2.0 - 16.0 * num / pw(B * y * (d * x + 2.0 * y), 2)
 
 
 def four_periodic_ellipse(
@@ -758,13 +750,12 @@ def four_periodic_ellipse(
     up, exits at ``P1 = (x0, y0)`` and re-enters after a quarter Larmor turn
     at ``P2 = (x0 - mu, y0 + mu)``; for rotation 3/4 it starts at
     ``(x0, y0)`` moving straight down and the arc sweeps three quarter turns
-    to ``(x0 + mu, mu - y0)``.  In both cases
-
-    ``mu = 2ab*sqrt(a^2 + b^2 - (x0+y0)^2) / (a^2 + b^2)``,
-
-    positive on each open branch of the admissible interval and vanishing at
-    the branch point where the families meet.  Returns the dynamically
-    validated orbit, the closed-form geometric record and the rational trace.
+    to ``(x0 + mu, mu - y0)``.  Placing ``P2`` on the ellipse gives
+    ``mu = ±2 (B x0 - y0) / (1 + B)``, ``B = (b/a)^2``, the upper sign for
+    rotation 1/4: positive on each open branch of the admissible interval and
+    vanishing at the branch point where the families meet.  Returns the
+    dynamically validated orbit, the closed-form geometric record and the
+    trace of :func:`trace4_ellipse`.
     """
     rotation = _normalize_rotation(rot, 4)
     quarter = rotation == _QUARTER
@@ -782,14 +773,11 @@ def four_periodic_ellipse(
             f"rotation 3/4 lives on the branch ({lo:.12g}, {split:.12g}), got x0={x0}"
         )
     y0 = b * math.sqrt(1.0 - (x0 / a) ** 2)
-    a2, b2 = a * a, b * b
-    c = x0 + y0
-    disc = a2 + b2 - c * c
-    root = math.sqrt(max(0.0, disc))
-    mu = 2.0 * a * b * root / (a2 + b2)
+    r = b / a
+    B = r * r
     sign = 1.0 if quarter else -1.0
-    x2 = (a2 * c - sign * a * b * root) / (a2 + b2)
-    y2 = (b2 * c + sign * a * b * root) / (a2 + b2)
+    mu = sign * 2.0 * (B * x0 - y0) / (1.0 + B)
+    x2, y2 = x0 - sign * mu, y0 + sign * mu
     record = EllipseFourRecord(
         x0=x0,
         y0=y0,
@@ -799,8 +787,8 @@ def four_periodic_ellipse(
         ell1=2.0 * y0,
         ell3=2.0 * x2,
         chi=math.pi / 4.0 if quarter else 3.0 * math.pi / 4.0,
-        cos_theta0=b2 * x0 / math.hypot(a2 * y0, b2 * x0),
-        cos_theta2=a2 * y2 / math.hypot(a2 * y2, b2 * x2),
+        cos_theta0=B * x0 / math.hypot(y0, B * x0),
+        cos_theta2=y2 / math.hypot(y2, B * x2),
     )
     curve = Ellipse(a, b)
     if quarter:
@@ -815,11 +803,13 @@ def four_periodic_ellipse(
 def ellipse4_reference_roots() -> tuple[float, float, float]:
     """Analytic reference values quoted for the ``a=3, b=2`` trace thresholds.
 
-    Returns the triple ``(291/(9*sqrt(13)), sqrt((88731 + 1575*sqrt(217))/14534),
-    291/(13*sqrt(61)))``.  Note that the first value evaluates to about 8.97
-    and therefore lies *outside* the admissible interval ``(15/13, 3)``; the
-    numeric root census of ``imbil scan`` on that ellipse is authoritative for
-    the actual stability thresholds.
+    Returns ``(291/(9*sqrt(13)), sqrt((88731 + 1575*sqrt(217))/14534),
+    291/(13*sqrt(61)))``.  Of the factors of :func:`trace4_ellipse`, the
+    second is the root of the squared factor of ``trace + 2`` (a touch of -2)
+    and the third of ``B^2 (x + y) - B x + y`` (a crossing of +2).  The first,
+    about 8.97, is a root of none and lies outside the admissible interval
+    ``(15/13, 3)``.  The third parabolic point, the branch point
+    ``9/sqrt(13)``, is the root of ``B x - y``.
     """
     return (
         291.0 / (9.0 * math.sqrt(13.0)),

@@ -881,6 +881,44 @@ def test_trace_never_prints_a_traceback(tmp_path, capsys):
         assert err == "" or re.fullmatch(r"error: \w+: [^\n]*\n", err), (table, s, theta, mu, err)
 
 
+@pytest.mark.parametrize("R, mu, s, ratio", [(1.0, 3e7, 0.1, "1.500e+07"),
+                                         (1e18, 0.3, 1e17, "1.500e-19")])
+def test_a_missed_reentry_states_what_the_sweep_saw(tmp_path, capsys, R, mu, s, ratio):
+    """A Larmor radius far from the table's size can leave the re-entry
+    between the sweep's samples or past its last one.  The trace exits 3
+    with ``NoReentry``, and the message states what the sweep saw and
+    mu / ``diameter_bound()``; it used to call the circle not convex."""
+    config = write_config(tmp_path, {
+        "curve": {"kind": "circle", "R": R},
+        "trace": {"s": s, "theta": 1.2, "mu": mu, "steps": 2},
+    })
+    assert main(["trace", "--config", config, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: NoReentry: no entering sign change among the 512 samples "
+                          "of the Larmor sweep on [1e-07, 2 pi - 1e-07]"), err
+    assert f"mu / diameter bound = {ratio})" in err
+    assert "convex" not in err
+
+
+@pytest.mark.parametrize("size", [1e-40, 1e20, 1e40])
+def test_the_ellipse_four_periodic_orbit_runs_far_from_size_one(tmp_path, size):
+    """``orbit four-periodic`` (rotation 1/4) on Ellipse(3s, 2s) at x0 = 2.7s
+    reads the trace of s = 1.  Its closed form raised the sizes to degree 16
+    and ended in a ``ZeroDivisionError`` traceback at s = 1e-40, a nan trace
+    (exit 2) at 1e20 and an ``OverflowError`` traceback at 1e40."""
+    def trace_at(s, stem):
+        config = write_config(tmp_path, {
+            "curve": {"kind": "ellipse", "a": 3.0 * s, "b": 2.0 * s},
+            "orbit": {"family": "four-periodic", "x0": 2.7 * s, "rotation": "1/4"},
+            "output": {"stem": stem},
+        }, name=f"{stem}.json")
+        assert main(["orbit", "--config", config, "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / f"{stem}.csv")
+        return float(next(r[3] for r in rows if r[:3] == ["summary", "", "trace"]))
+
+    assert trace_at(size, "scaled") == pytest.approx(trace_at(1.0, "unit"), rel=1e-12)
+
+
 # --------------------------------------------------------------------------
 # check verb
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from mpmath import mp, mpf
 from scipy.optimize import brentq
 
+import reference_traces
 from conftest import closed_and_measured, composed_trace
 from imbilliards import cli, dynamics, families, stability
 from imbilliards.curves import ArclengthTable, Ellipse
@@ -366,6 +367,37 @@ def test_check_members_read_no_step_data(monkeypatch, name, curve_cfg, section):
     assert (tampered_trace, tampered_extras) == (trace, extras)
 
 
+#: the ``check`` members on the tables that have a size
+SIZED_MEMBERS = [member for member in cli._CHECK_MEMBERS if member[1]["kind"] != "superellipse"]
+#: extras with the dimension of a length; the others are pure numbers
+LENGTH_EXTRAS = ("mu", "ell1", "ell3")
+
+
+@pytest.mark.parametrize("m", [-400, -200, -70, -30, 30, 70, 200, 400])
+@pytest.mark.parametrize("name, curve_cfg, section", SIZED_MEMBERS,
+                         ids=[name for name, _, _ in SIZED_MEMBERS])
+def test_every_sized_family_row_commutes_with_power_of_two_scaling(name, curve_cfg, section, m):
+    """Scaling the table's sizes and the member's ``mu`` or ``x0`` by 2^m
+    keeps the trace, the dimensionless extras, every launch point
+    ``(s/2^m, theta)`` and the residual bit for bit, and scales ``mu``,
+    ``ell1`` and ``ell3`` by exactly 2^m.  The ellipse 4-periodic trace
+    raised the sizes to degree 16 (``ZeroDivisionError`` from m = -70, nan
+    at 70, ``OverflowError`` at 200), and the 2-periodic ellipse bound
+    ``2ab cap/(a^2 + b^2)`` underflowed to 0 at m = -400."""
+    scale = 2.0 ** m
+    orbit, trace, extras = cli._member(curve_cfg, section)
+    got, got_trace, got_extras = cli._member(
+        {key: value * scale if key != "kind" else value for key, value in curve_cfg.items()},
+        {key: value * scale if key in ("mu", "x0") else value for key, value in section.items()})
+    assert got_trace == trace
+    assert got.mu == orbit.mu * scale
+    assert got.residual == orbit.residual
+    assert [(z.s / scale, z.theta) for z in got.points] == [(z.s, z.theta) for z in orbit.points]
+    assert [key for key, _ in got_extras] == [key for key, _ in extras]
+    for (key, value), (_, want) in zip(got_extras, extras):
+        assert value == (want * scale if key in LENGTH_EXTRAS else want), key
+
+
 # ------------------------------------------------------------------
 # 3-periodic families
 # ------------------------------------------------------------------
@@ -553,9 +585,12 @@ def test_four_periodic_ellipse_record_geometry(rot):
         for x, y in ((rec.x0, rec.y0), (rec.x2, rec.y2)):
             assert abs((x / a) ** 2 + (y / b) ** 2 - 1.0) < 1e-10
 
-        # Larmor radius in closed form, positive on either branch.
+        # Larmor radius as the x-extent of the chord that the diagonal
+        # through the chord exit, x ± y = x0 + y0, cuts from the ellipse;
+        # not the constructor's formula.  Positive on either branch.
         assert rec.mu == pytest.approx(
-            sgn * 2.0 * (b * b * rec.x0 - a * a * rec.y0) / (a * a + b * b), rel=1e-9
+            2.0 * a * b * math.sqrt(a * a + b * b - (rec.x0 + rec.y0) ** 2) / (a * a + b * b),
+            rel=1e-9,
         )
         assert rec.mu == pytest.approx(orbit.mu, rel=1e-12)
 
@@ -600,6 +635,47 @@ def test_ellipse4_reference_roots_closed_forms():
         math.sqrt((88731.0 + 1575.0 * math.sqrt(217.0)) / 14534.0), rel=1e-14
     )
     assert r3 == pytest.approx(291.0 / (13.0 * math.sqrt(61.0)), rel=1e-14)
+
+
+def _worst_rel_error(pairs):
+    return max(abs(got - want) / max(1.0, abs(want)) for got, want in pairs)
+
+
+def test_circle_traces_agree_with_their_40_digit_expanded_forms():
+    """The Chebyshev images of the step trace against the cubic and the
+    quartic they replace, each evaluated at 40 digits
+    (``reference_traces``), on a seeded sample of angles and ``alpha``."""
+    rng = np.random.default_rng(20261020)
+    sample = [(float(rng.uniform(0.3, math.pi - 0.3)), float(rng.uniform(0.2, 8.0)))
+              for _ in range(500)]
+    for rot, sign in (("1/3", 1), ("2/3", -1)):
+        assert _worst_rel_error(
+            (trace3_symmetric(theta, alpha, rot), reference_traces.trace3_cubic(theta, alpha, sign))
+            for theta, alpha in sample) < 2e-13, rot
+    assert _worst_rel_error(
+        (trace4_circle_quartic(theta, alpha), reference_traces.trace4_circle_quartic(theta, alpha))
+        for theta, alpha in sample) < 2e-13
+
+
+@pytest.mark.parametrize("a, b", [(3.0, 2.0), (2.0, 1.0), (5.0, 1.0), (1.2, 1.0), (10.0, 1.0)])
+def test_trace4_ellipse_agrees_with_its_40_digit_expanded_form(a, b):
+    """The five-factor trace against the degree-16 rational it replaces, at
+    40 digits, across the admissible window padded by 1e-3 of its span."""
+    lo, _, hi = families._ellipse4_interval(a, b)
+    pad = 1e-3 * (hi - lo)
+    grid = np.linspace(lo + pad, hi - pad, 201).tolist()
+    assert _worst_rel_error(
+        (trace4_ellipse(a, b, x0), reference_traces.trace4_ellipse(a, b, x0)) for x0 in grid
+    ) < 1e-11
+
+
+def test_trace4_ellipse_meets_the_reference_thresholds():
+    """On Ellipse(3, 2): -2 at the root of the squared factor of trace + 2,
+    +2 at the root of ``B^2 (x + y) - B x + y`` and +2 at the branch point
+    ``9/sqrt(13)``, the root of ``B x - y``."""
+    _, r2, r3 = ellipse4_reference_roots()
+    for x0, value in ((r2, -2.0), (r3, 2.0), (9.0 / math.sqrt(13.0), 2.0)):
+        assert abs(trace4_ellipse(3.0, 2.0, x0) - value) < 1e-12, x0
 
 
 def test_ellipse4_root_report_flags_stray_reference():
