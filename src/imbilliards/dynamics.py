@@ -8,6 +8,11 @@ theta = pi lie outside the domain: a launch or re-entry within
 ``collision.ANGLE_EPS`` of them raises.  :func:`step` builds the one record
 of a step, :class:`StepData`, from what the two collision routines return.
 
+:class:`PhasePoint` and :class:`StepData` are slotted dataclasses, compared
+and hashed by value.  Each is built once per step and not changed
+afterwards, as a :class:`~imbilliards.curves.Frame` is; being slotted, not
+frozen, their construction costs only their fields.
+
 The map preserves the area form sin(theta) ds ^ dtheta; in the chart
 (s, u) with u = -cos(theta) its derivative DT has determinant one.  The
 four closed-form entries of DT are assembled in :func:`jacobian_analytic`
@@ -41,11 +46,13 @@ __all__ = [
 DEGENERACY_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PhasePoint:
     """A point of the phase annulus: arclength s in [0, L), angle theta.
 
-    ``u`` is the symplectic vertical coordinate -cos(theta)."""
+    ``u`` is the symplectic vertical coordinate -cos(theta).  A slotted
+    record, compared and hashed by value; it is built once and not changed
+    afterwards."""
 
     s: float
     theta: float
@@ -60,9 +67,12 @@ def _arc_gap(a: float, b: float, length: float) -> float:
     return (a - b + 0.5 * length) % length - 0.5 * length
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StepData:
     """Geometric record of one completed map step.
+
+    A slotted record, compared and hashed by value; :func:`step` builds it
+    once and nothing changes it afterwards.
 
     Angles theta0/theta1/theta2 at the launch, exit and re-entry points,
     chord lengths ell1 (straight) and ell2 (Larmor chord), tangent-chord

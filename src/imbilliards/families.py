@@ -140,9 +140,10 @@ class PeriodicOrbit:
 def _launch_phase(curve: Curve, point: Sequence[float], direction: Sequence[float]) -> PhasePoint:
     """Phase point for a launch from a Cartesian boundary point in a direction
     (of any length) pointing into the table."""
-    v = np.asarray(direction, dtype=float)
+    vx, vy = direction
+    norm = math.sqrt(vx * vx + vy * vy)
     frame = curve.frame_of(point)
-    return PhasePoint(s=frame.s, theta=frame.angle(v / np.linalg.norm(v)))
+    return PhasePoint(s=frame.s, theta=frame.angle((vx / norm, vy / norm)))
 
 
 def _orbit_from_seed(
@@ -270,7 +271,7 @@ def two_periodic_circle(R: float, mu: float) -> tuple[PeriodicOrbit, TwoPeriodic
     The chord of length ``2*sqrt(R^2 - mu^2)`` runs parallel to a diameter at
     distance ``mu`` below it; both Larmor arcs are half circles.  The launch
     angle satisfies ``cos(theta0) = mu / R``, the ``n = 2`` case of
-    :func:`_circle_polygon_angle`, so ``alpha = 2*sqrt(R^2 - mu^2)/mu``
+    :func:`_circle_polygon_delta`, so ``alpha = 2*sqrt(R^2 - mu^2)/mu``
     and ``beta = delta = 2*cot(theta0) = 4/alpha``: ``alpha * beta = 4`` and the
     trace equals 2 for every radius, the whole family is parabolic.
     """
@@ -516,18 +517,30 @@ def two_periodic_stadium(
 # 3-periodic families
 # --------------------------------------------------------------------------
 
-def _step_trace(theta: float, chi: float, ell_over_mu: float) -> float:
-    """Trace of one symmetric step: both boundary angles ``theta``, the arc's
-    half-turning angle ``chi`` and the chord ``ell = ell_over_mu * mu``.
+def _step_trace(delta: float, chi: float, ell_over_mu: float) -> float:
+    """Trace of one symmetric step: both boundary angles ``theta = chi -
+    delta``, the arc's half-turning angle ``chi`` and the chord ``ell =
+    ell_over_mu * mu``.
 
-    It is ``((ell/mu) sin(2 chi - 2 theta)/sin(theta) - 2 sin(2 chi - theta))
-    / sin(theta)``, free of the curvature, which only conjugates the step.
+    It is ``((ell/mu) sin(2 delta)/sin(theta) - 2 sin(chi + delta)) /
+    sin(theta)``, free of the curvature, which only conjugates the step.
+    It takes ``delta`` rather than ``theta``: on the circle ``delta`` is
+    about ``mu/R``, and ``chi - theta`` would carry theta's absolute rounding
+    into it.
     """
-    s = math.sin(theta)
+    s = math.sin(chi - delta)
     if s == 0.0:
         raise ValueError("incidence angle must have a nonzero sine")
-    return (ell_over_mu * math.sin(2.0 * chi - 2.0 * theta) / s
-            - 2.0 * math.sin(2.0 * chi - theta)) / s
+    return (ell_over_mu * math.sin(2.0 * delta) / s - 2.0 * math.sin(chi + delta)) / s
+
+
+def _chebyshev_trace(n: int, t: float) -> float:
+    """``2 T_n(t/2)``, the trace of the n-th power of a unimodular matrix of
+    trace ``t``, for n = 3 (``t^3 - 3t``) and n = 4 (``(t^2 - 2)^2 - 2``)."""
+    if n == 3:
+        return t * (t * t - 3.0)
+    u = t * t - 2.0
+    return u * u - 2.0
 
 
 def trace3_symmetric(theta: float, alpha: float, rot: Fraction | str = "1/3") -> float:
@@ -542,8 +555,7 @@ def trace3_symmetric(theta: float, alpha: float, rot: Fraction | str = "1/3") ->
     independent of the boundary curvature.
     """
     chi = float(_normalize_rotation(rot, 3)) * math.pi
-    t = _step_trace(theta, chi, alpha)
-    return t * (t * t - 3.0)
+    return _chebyshev_trace(3, _step_trace(chi - theta, chi, alpha))
 
 
 def trace3_coefficients(
@@ -595,30 +607,37 @@ def trace3_coefficients(
     return c0, c3
 
 
-def _circle_polygon_angle(R: float, mu: float, n: int, winding: int) -> float:
-    """Incidence angle of the symmetric n-periodic circle orbit of winding ``q``.
+def _circle_polygon_delta(R: float, mu: float, n: int, winding: int) -> tuple[float, float]:
+    """``(chi, delta)`` of the symmetric n-periodic circle orbit of winding
+    ``q``: its incidence angle is ``theta = chi - delta``.
 
     Its Larmor chords, each from a chord exit to the next launch, are chords
     of the table too.  Such a chord subtends the central angle
     ``2*(q*pi/n - theta)`` and meets the exit velocity at ``chi = q*pi/n``, so
     its two lengths agree when ``R*sin(q*pi/n - theta) = mu*sin(q*pi/n)``:
-    ``theta = q*pi/n - asin((mu/R)*sin(q*pi/n))``, in ``((q-1)*pi/n, q*pi/n)``
-    for every ``0 < mu < R``.
+    ``delta = asin((mu/R)*sin(q*pi/n))``, and theta lies in
+    ``((q-1)*pi/n, q*pi/n)`` for every ``0 < mu < R``.
     """
     chi = winding * math.pi / n
-    return chi - math.asin(mu / R * math.sin(chi))
+    return chi, math.asin(mu / R * math.sin(chi))
 
 
 def _circle_polygon(R: float, mu: float, n: int,
-                    rot: Fraction | str) -> tuple[PeriodicOrbit, float]:
-    """The symmetric n-periodic circle orbit of rotation ``rot`` and its
-    incidence angle, launched at ``s = 0`` and validated through the map."""
+                    rot: Fraction | str) -> tuple[PeriodicOrbit, float, float]:
+    """The symmetric n-periodic circle orbit of rotation ``rot``, launched at
+    ``s = 0`` and validated through the map, its incidence angle and its
+    closed trace ``2 T_n(t/2)``.  The step trace ``t`` is evaluated from the
+    closed-form ``delta``, so it keeps its relative accuracy as ``mu/R``
+    goes to 0."""
     rotation = _normalize_rotation(rot, n)
     curve = Circle(R)
     if not 0.0 < mu < R:
         raise MuTooLarge(f"need 0 < mu < R, got mu={mu}, R={R}")
-    theta = _circle_polygon_angle(R, mu, n, rotation.numerator)
-    return _orbit_from_seed(curve, mu, PhasePoint(0.0, theta), n, rotation), theta
+    chi, delta = _circle_polygon_delta(R, mu, n, rotation.numerator)
+    theta = chi - delta
+    orbit = _orbit_from_seed(curve, mu, PhasePoint(0.0, theta), n, rotation)
+    t = _step_trace(delta, chi, 2.0 * R * math.sin(theta) / mu)
+    return orbit, theta, _chebyshev_trace(n, t)
 
 
 def three_periodic_circle(
@@ -626,13 +645,13 @@ def three_periodic_circle(
 ) -> tuple[PeriodicOrbit, float, float]:
     """Symmetric 3-periodic orbit of the circle; returns (orbit, theta, trace).
 
-    The incidence angle is that of :func:`_circle_polygon_angle`, which for
+    The incidence angle ``chi - delta`` (:func:`_circle_polygon_delta`) for
     ``n = 3`` reads ``cos(theta) = (3*mu ± sqrt(4R^2 - 3mu^2)) / (4R)``, the
-    upper sign for rotation 1/3.  The closed trace evaluates to exactly 2
-    for every ``mu < R``: both rotation classes are parabolic throughout.
+    upper sign for rotation 1/3.  The closed trace (:func:`trace3_symmetric`,
+    evaluated in ``delta``) is exactly 2 for every ``mu < R``: both rotation
+    classes are parabolic throughout.
     """
-    orbit, theta = _circle_polygon(R, mu, 3, rot)
-    return orbit, theta, trace3_symmetric(theta, 2.0 * R * math.sin(theta) / mu, orbit.rotation)
+    return _circle_polygon(R, mu, 3, rot)
 
 
 # --------------------------------------------------------------------------
@@ -648,9 +667,8 @@ def trace4_circle_quartic(theta: float, alpha: float) -> float:
     so one value covers both rotation numbers, and ``chi = pi/4`` stands for
     either.
     """
-    t = _step_trace(theta, math.pi / 4.0, 2.0 * alpha * math.sin(theta))
-    u = t * t - 2.0
-    return u * u - 2.0
+    chi = math.pi / 4.0
+    return _chebyshev_trace(4, _step_trace(chi - theta, chi, 2.0 * alpha * math.sin(theta)))
 
 
 def four_periodic_circle(
@@ -658,13 +676,13 @@ def four_periodic_circle(
 ) -> tuple[PeriodicOrbit, float, float]:
     """Symmetric 4-periodic orbit of the circle; returns (orbit, theta, trace).
 
-    The incidence angle (:func:`_circle_polygon_angle`) lies in
+    The incidence angle ``chi - delta`` (:func:`_circle_polygon_delta`) lies in
     ``(0, pi/4)`` (rotation 1/4) or ``(pi/2, 3*pi/4)`` (rotation 3/4); the
-    quartic closed form then evaluates to exactly 2, so both families are
-    parabolic for every ``mu < R``.
+    quartic closed form (:func:`trace4_circle_quartic`, evaluated in
+    ``delta`` at the orbit's own ``chi``) then is exactly 2, so both
+    families are parabolic for every ``mu < R``.
     """
-    orbit, theta = _circle_polygon(R, mu, 4, rot)
-    return orbit, theta, trace4_circle_quartic(theta, R / mu)
+    return _circle_polygon(R, mu, 4, rot)
 
 
 # --------------------------------------------------------------------------

@@ -919,6 +919,23 @@ def test_the_ellipse_four_periodic_orbit_runs_far_from_size_one(tmp_path, size):
     assert trace_at(size, "scaled") == pytest.approx(trace_at(1.0, "unit"), rel=1e-12)
 
 
+@pytest.mark.parametrize("family, rotation, mu", [
+    ("four-periodic", "1/4", 1e-8), ("four-periodic", "3/4", 1e-8),
+    ("four-periodic", "1/4", 1e-12), ("four-periodic", "3/4", 1e-12),
+    ("three-periodic", "1/3", 1e-8)])
+def test_circle_polygons_read_parabolic_far_below_the_radius(tmp_path, capsys, family, rotation, mu):
+    """The symmetric circle orbits are parabolic for every mu < R.  Their
+    closed trace used to be evaluated from theta = q pi/n - delta, whose
+    rounding swamps delta ~ mu/R: at mu = 1e-8 these members read hyperbolic
+    or elliptic, at 1e-12 the 4-periodic ones elliptic."""
+    config = write_config(tmp_path, {
+        "curve": {"kind": "circle", "R": 1.0},
+        "orbit": {"family": family, "mu": mu, "rotation": rotation},
+    })
+    assert main(["orbit", "--config", config, "--out", str(tmp_path)]) == 0
+    assert "class parabolic" in capsys.readouterr().out
+
+
 # --------------------------------------------------------------------------
 # check verb
 # --------------------------------------------------------------------------

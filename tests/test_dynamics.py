@@ -79,17 +79,21 @@ def test_step_data_is_consistent(name, curves, rng):
 def test_step_carries_the_sweep_diagnostics(name, curves, rng):
     """``step`` reports the arc sweep 2 chi, the crossing count and the
     number of root-solve steps that ``larmor_reentry`` returns, the same on
-    every solve of the same step; the last two take no part in comparisons,
-    and a hand-built record gets 0 and 0."""
+    every solve of the same step; the last two take no part in comparisons
+    or hashes, and a hand-built record gets 0 and 0.  Both records of a
+    step are slotted, with no instance ``__dict__``, and hash by value."""
     curve, mu = curves[name]
     for z in sample_phase_points(curve, mu, 15, rng, conditioned=False):
-        _, d = step(curve, mu, z)
+        z2, d = step(curve, mu, z)
         frame1, _, _, v = chord_exit(curve, curve.frame_at(z.s), z.theta)
         _, _, chi, _, n_crossings, iterations = larmor_reentry(curve, frame1, v, mu)
         assert (2.0 * d.chi, d.n_crossings, d.root_iterations) == (
             2.0 * chi, n_crossings, iterations)
         assert d.n_crossings >= 1 and 0.0 < 2.0 * d.chi < 2.0 * math.pi
-        assert dataclasses.replace(d, n_crossings=7, root_iterations=9) == d
+        assert not hasattr(d, "__dict__") and not hasattr(z2, "__dict__")
+        other = dataclasses.replace(d, n_crossings=7, root_iterations=9)
+        assert other == d and hash(other) == hash(d)
+        assert hash(PhasePoint(z2.s, z2.theta)) == hash(z2)
     fields = {f.name: 1.0 for f in dataclasses.fields(StepData) if f.compare}
     hand_built = StepData(**fields)
     assert hand_built.n_crossings == 0

@@ -29,7 +29,7 @@ from imbilliards.errors import (
     X0OutOfRange,
 )
 from imbilliards.families import (
-    _circle_polygon_angle,
+    _circle_polygon_delta,
     _orbit_from_seed,
     _root,
     _se_y,
@@ -510,6 +510,16 @@ def test_four_periodic_circle_is_parabolic(rot, q):
         assert composed_trace(orbit) == pytest.approx(2.0, abs=1e-7)
 
 
+def test_circle_polygon_traces_keep_their_accuracy_far_below_the_radius():
+    """At mu/R = 1e-8 the closed traces, evaluated in the closed-form delta,
+    stay within 1e-12 of 2; from theta they read 1.9999992 … 2.00000028."""
+    for build, rotations in ((three_periodic_circle, ("1/3", "2/3")),
+                             (four_periodic_circle, ("1/4", "3/4"))):
+        for rot in rotations:
+            _, _, trace = build(1.0, 1e-8, rot)
+            assert abs(trace - 2.0) < 1e-12, (build.__name__, rot, trace)
+
+
 @pytest.mark.parametrize("n, q", [(3, 1), (3, 2), (4, 1), (4, 3)])
 def test_circle_polygon_angle_is_within_4_ulp_of_the_50_digit_reentry_root(n, q):
     """The closed-form launch angle against a 50-digit root of the re-entry
@@ -531,7 +541,8 @@ def test_circle_polygon_angle_is_within_4_ulp_of_the_50_digit_reentry_root(n, q)
 
                 exact = mp.findroot(reentry, (lo, hi), solver="anderson")
                 assert lo < exact < hi
-                got = _circle_polygon_angle(R, mu, n, q)
+                chi, delta = _circle_polygon_delta(R, mu, n, q)
+                got = chi - delta
                 assert abs(got - exact) <= bound, (R, mu, float(got - exact))
 
 
