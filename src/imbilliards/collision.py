@@ -5,16 +5,30 @@ positive tangent, travels straight inside the table, exits at P1, then
 follows an anticlockwise circular arc of Larmor radius mu outside the
 table until the first boundary crossing P2.
 
-Root-finding policy: each predicate finds a root of the boundary's implicit
-function F along its path.  Along a chord, every built-in F is convex with
-F(0) = 0, F < 0 inside and F > 0 beyond the exit, so Newton's method
-started past the far side of the table (Fourier's condition) decreases
-monotonically to the exit root and needs no bracket; it stops once the
-Newton step is no longer positive.  Along the Larmor circle C, of radius mu
-and swept by the angle psi from P1, the crossing is bracketed and then
-refined by one safeguarded Newton loop ("rtsafe", Numerical Recipes 9.4);
-its root psi gives the tangent-chord angle chi = psi / 2 and the chord
-2 mu sin(chi).  The bracket comes from one of two sources.
+*The circle table steps as its exact rotation*, for every mu, with no root
+solve.  Its chord is 2 R sin(theta0) by the inscribed angle, and it exits
+at theta1 = theta0 up to the rounding of the exit frame.  The Larmor circle
+meets the table's circle at P1 and at P1's mirror image in the line
+through the two centres, so P2 re-enters at theta2 = theta1, 2 R delta
+further on, with R sin(delta) = mu sin(chi) and chi - delta = theta1:
+delta = atan2(m sin theta1, 1 - m cos theta1) with m = mu / R, which keeps
+its relative precision however far m is from 1, and the Larmor chord is
+the table's, 2 R sin(delta).  Two circles meet in at most two points, so
+the crossing count is 1.  The chord keeps the two ``NoInteriorHit``
+thresholds of every table, in closed form, so the circle's domain does not
+depend on the route.
+
+Root-finding policy on every other table: each predicate finds a root of
+the boundary's implicit function F along its path.  Along a chord, every
+built-in F is convex with F(0) = 0, F < 0 inside and F > 0 beyond the
+exit, so Newton's method started past the far side of the table (Fourier's
+condition) decreases monotonically to the exit root and needs no bracket;
+it stops once the Newton step is no longer positive.  Along the Larmor
+circle C, of radius mu and swept by the angle psi from P1, the crossing is
+bracketed and then refined by one safeguarded Newton loop ("rtsafe",
+Numerical Recipes 9.4); its root psi gives the tangent-chord angle
+chi = psi / 2 and the chord 2 mu sin(chi).  The bracket comes from one of
+two sources.
 
 *Certified, when mu * kappa_max < 1*, with kappa_max the table's largest
 curvature (``Curve.max_curvature``).  Lemma: the arc from P1 then crosses
@@ -36,8 +50,9 @@ with theta1 the exit angle:
   line again at the same formula with kappa = 0, 2 theta1.
 With kappa the curvature at P1 the formula gives the second intersection
 with the osculating circle, the seed; secant steps on F / sin(psi / 2),
-exact on the circle table, move it within about ``LOCALISE_TOL`` of the
-root before Newton takes over.  The crossing count is 1, exactly.
+which would be exact on a circle table, move it within about
+``LOCALISE_TOL`` of the root before Newton takes over.  The crossing count
+is 1, exactly.
 
 *Sampled, otherwise*: for mu * kappa_max >= 1, where C can meet the
 boundary in four points, and whenever F at a certified end is within its
@@ -54,7 +69,7 @@ the one record of a step from the plain tuples they return.  Between the
 two frames they work on Python floats: the frame's coordinates, the chord
 direction ``v`` (two floats, handed from the chord to the arc) and every
 residual, slope and angle.  The one array computation is the 512-sample
-sweep, which a certified bracket skips.
+sweep, which a certified bracket and the circle's rotation skip.
 
 Both also decide the map's domain, theta in (ANGLE_EPS, pi - ANGLE_EPS): a launch
 outside it raises :class:`TangentialChord` and a re-entry outside it
@@ -67,7 +82,7 @@ import math
 
 import numpy as np
 
-from .curves import Curve, Frame
+from .curves import Circle, Curve, Frame
 from .errors import NoInteriorHit, NoReentry, TangentialChord, TangentialContact
 
 __all__ = ["chord_exit", "larmor_reentry"]
@@ -111,29 +126,37 @@ def chord_exit(curve: Curve, frame0: Frame, theta0: float
 
     x0, y0 = frame0.x, frame0.y
     vx, vy = frame0.direction(theta0)
-    r = 1.01 * curve.diameter_bound()
-    if curve.implicit_xy(x0 + r * vx, y0 + r * vy) <= 0.0:  # pragma: no cover - conservative bound
-        raise NoInteriorHit("ray does not leave the table within the diameter bound")
+    # An exact type test: no table subclasses Circle, and isinstance against
+    # an ABC costs every other table about 0.3 us per call.
+    if type(curve) is Circle:
+        # the inscribed-angle chord, and |dF/dr| = 2 sin(theta0) / R at its end
+        sin0 = math.sin(theta0)
+        r, df = 2.0 * curve.R * sin0, 2.0 * sin0 / curve.R
+    else:
+        r = 1.01 * curve.diameter_bound()
+        if curve.implicit_xy(x0 + r * vx, y0 + r * vy) <= 0.0:  # pragma: no cover - conservative bound
+            raise NoInteriorHit("ray does not leave the table within the diameter bound")
 
-    # F is convex along the ray with F(0) = 0 and F < 0 on (0, r_exit), so
-    # from F(r) > 0 each Newton step moves down towards r_exit and never
-    # past it, up to rounding: stop once a step does not move r down, as a
-    # NaN step from a non-finite F does not.
-    while True:
-        x, y = x0 + r * vx, y0 + r * vy
-        gx, gy = curve.gradient_xy(x, y)
-        df = gx * vx + gy * vy
-        f = curve.implicit_xy(x, y)
-        if f <= 0.0 or df <= 0.0:
-            break
-        r_next = r - f / df
-        if not r_next < r:
-            break
-        r = r_next
+        # F is convex along the ray with F(0) = 0 and F < 0 on (0, r_exit), so
+        # from F(r) > 0 each Newton step moves down towards r_exit and never
+        # past it, up to rounding: stop once a step does not move r down, as a
+        # NaN step from a non-finite F does not.
+        while True:
+            x, y = x0 + r * vx, y0 + r * vy
+            gx, gy = curve.gradient_xy(x, y)
+            df = gx * vx + gy * vy
+            f = curve.implicit_xy(x, y)
+            if f <= 0.0 or df <= 0.0:
+                break
+            r_next = r - f / df
+            if not r_next < r:
+                break
+            r = r_next
 
     # Every table writes F in its own units, so F's terms are of size about
     # 1 at any table size, and rounding decides r only to a few eps / |dF/dr|:
-    # a chord within 8 of those units is the launch point again.
+    # a chord within 8 of those units is the launch point again.  The
+    # circle's closed-form chord keeps the same thresholds.
     if r < 1e-9 * curve.total_length() or r * abs(df) <= 8.0 * _EPS:
         raise NoInteriorHit(
             f"chord of {r:.3e} from s0={frame0.s!r} is below 1e-9 L or below the "
@@ -149,7 +172,8 @@ def _certified_bracket(curve: Curve, frame1: Frame, vx: float, vy: float, mu: fl
                        cx: float, cy: float, rx: float, ry: float):
     """``(a, b, psi)``: a bracket of the one crossing and a seed inside it,
     for mu * kappa_max < 1 (module docstring); ``None`` when the sweep must
-    decide, for larger mu or when an end's sign does not survive rounding."""
+    decide, for larger mu or when an end's sign does not survive rounding.
+    The circle table never comes here: it steps as its exact rotation."""
     kappa_max = curve.max_curvature()
     if mu * kappa_max >= 1.0:
         return None
@@ -166,9 +190,9 @@ def _certified_bracket(curve: Curve, frame1: Frame, vx: float, vy: float, mu: fl
         return None
 
     # Localise by secants on g(phi) = F / sin(phi), phi = psi / 2, through
-    # the zeros of the sinusoids A sin(phi* - phi) that g is on the circle
-    # table.  The first secant starts at g(0) = 2 mu grad F(P1) . v and the
-    # second intersection with P1's osculating circle.
+    # the zeros of the sinusoids A sin(phi* - phi) that g would be on a
+    # circle table.  The first secant starts at g(0) = 2 mu grad F(P1) . v
+    # and the second intersection with P1's osculating circle.
     p0, g0 = 0.0, 2.0 * mu * (gx * vx + gy * vy)
     psi = 2.0 * math.atan2(st, ct - mu * frame1.curvature)
     for _ in range(MAX_LOCALISE_STEPS):
@@ -229,30 +253,39 @@ def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float
     point ``frame1``.
 
     ``v`` is the unit chord direction at the exit point (two floats, or an
-    array); the Larmor center sits at P1 + mu * rot90(v).  The crossing is
-    bracketed, in closed form when mu * ``curve.max_curvature()`` < 1 and
-    else on the implicit function sampled along the circle, refined by
-    one safeguarded Newton loop, and must be transversal at a re-entry angle
-    in the domain; otherwise :class:`TangentialContact` is raised, also when
-    the loop does not converge within ``MAX_ROOT_ITERATIONS`` steps.
+    array); the Larmor center sits at P1 + mu * rot90(v).  On the circle
+    table the crossing is the exact rotation of the module docstring, for
+    every mu; an exit at the tangent raises :class:`NoReentry` when the arc
+    lies outside the table and :class:`TangentialContact` when it lies
+    inside.  On every other table it is bracketed, in closed form when mu *
+    ``curve.max_curvature()`` < 1 and else on the implicit function sampled
+    along the circle, refined by one safeguarded Newton loop, and must be
+    transversal at a re-entry angle in the domain; otherwise
+    :class:`TangentialContact` is raised, also when the loop does not
+    converge within ``MAX_ROOT_ITERATIONS`` steps.
 
     Returns ``(frame2, theta2, chi, ell2, n_crossings, iterations)``: the
     re-entry point's frame and angle, the tangent-chord angle chi from the
     exit velocity to the chord P1->P2, half the arc's sweep psi by the
-    tangent-chord angle theorem, and the chord ell2 = 2 mu sin(chi).
+    tangent-chord angle theorem, and the chord ell2 = 2 mu sin(chi), taken
+    on the circle as its equal 2 R sin(delta) (:func:`_circle_reentry`).
     ``n_crossings`` counts the transversal boundary crossings strictly after
     the exit point over one full revolution (the return to the exit point
     itself is excluded): 1 for a clean re-entry, 3 when the Larmor circle
-    "clips a corner" of the table.  It is exact on a certified bracket and
-    what the 512 samples see on the sampled one.  ``iterations`` counts the steps of the Newton loop, each
-    one evaluation of F and its gradient; the evaluations of F that place its
-    bracket and seed are not counted.
+    "clips a corner" of the table.  It is exact on the circle and on a
+    certified bracket, and what the 512 samples see on the sampled one.
+    ``iterations`` counts the steps of the Newton loop, each one evaluation
+    of F and its gradient, and is 0 on the circle; the evaluations of F that
+    place its bracket and seed are not counted.
     """
     if not 0.0 < mu < math.inf:
         raise ValueError(f"Larmor radius must be positive and finite, got {mu}")
+    vx, vy = float(v[0]), float(v[1])
+    if type(curve) is Circle:  # as in chord_exit
+        # two circles meet in at most two points; theta2 = theta1 is in the domain
+        return *_circle_reentry(curve, frame1, vx, vy, mu), 1, 0
     s1 = frame1.s
     x1, y1 = frame1.x, frame1.y
-    vx, vy = float(v[0]), float(v[1])
     cx, cy = x1 - mu * vy, y1 + mu * vx  # P1 + mu * rot90(v)
     rx, ry = x1 - cx, y1 - cy  # radius vector, |rel| = mu
 
@@ -291,3 +324,28 @@ def larmor_reentry(curve: Curve, frame1: Frame, v, mu: float
 
     chi = 0.5 * psi  # the tangent-chord angle is half the arc it cuts off
     return frame2, theta2, chi, 2.0 * mu * math.sin(chi), n_crossings, iterations
+
+
+def _circle_reentry(curve: Circle, frame1: Frame, vx: float, vy: float, mu: float
+                    ) -> tuple[Frame, float, float, float]:
+    """``(frame2, theta2, chi, ell2)`` on the circle table, in closed form.
+
+    The Larmor circle and the table meet at P1 and at its mirror image in
+    the line through both centres, so the re-entry angle is theta1 and the
+    re-entry lies 2 R delta further on, where the tangent-chord angle chi
+    of the arc and the half-angle delta of the table's chord P1 P2 satisfy
+    R sin(delta) = mu sin(chi) and chi - delta = theta1.  The chord is
+    taken as the table's, ell2 = 2 R sin(delta): its equal 2 mu sin(chi)
+    loses the bits of sin(chi) as chi nears pi, 3e-7 relative at
+    mu / R = 1e8."""
+    theta1 = frame1.angle((vx, vy), entering=False)
+    R = curve.R
+    m = mu / R
+    if not ANGLE_EPS < theta1 < math.pi - ANGLE_EPS:
+        if m < 1.0 and math.cos(theta1) > 0.0:
+            raise TangentialContact(f"Larmor arc from s1={frame1.s!r} is tangent to the "
+                                    "boundary at the exit point and runs inside the table")
+        raise NoReentry(f"Larmor arc from s1={frame1.s!r} is tangent to the boundary at the "
+                        "exit point and runs outside the table")
+    delta = math.atan2(m * math.sin(theta1), 1.0 - m * math.cos(theta1))
+    return curve.frame_at(frame1.s + 2.0 * R * delta), theta1, theta1 + delta, 2.0 * R * math.sin(delta)

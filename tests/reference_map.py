@@ -6,13 +6,14 @@ direction that a solve starts from as exact binary inputs, and returns the
 exact result of those inputs, rounded to a float at the end.
 
 Covered so far: the chord exit on conics (the larger root of a quadratic)
-and on the stadium (segment and arc intersections), and the root of every
-table's implicit function along a bracketed piece of a Larmor arc.
+and on the stadium (segment and arc intersections), the root of every
+table's implicit function along a bracketed piece of a Larmor arc, and a
+whole map step on the circle table from its exact phase point.
 """
 
 from __future__ import annotations
 
-from mpmath import cos, findroot, mp, mpf, sin, sqrt
+from mpmath import atan2, cos, findroot, mp, mpf, sin, sqrt
 
 DIGITS = 40
 
@@ -116,3 +117,42 @@ def larmor_root(
         x, y = point(psi)
         gx, gy = _implicit(table, x, y)[1]
         return float(psi), float(gy * (x - cx) - gx * (y - cy))
+
+
+def circle_step(R: float, mu: float, s0: float, theta0: float
+                ) -> tuple[float, float, float, float]:
+    """``(s2, theta2, chi, ell2)``: the image of the phase point ``(s0, theta0)``
+    on the circle of radius R at Larmor radius mu, from those four floats
+    taken as exact.
+
+    The chord from Gamma(s0) = R (cos(s0/R), sin(s0/R)) at angle theta0 from
+    the tangent meets the circle again at the nonzero root of the quadratic
+    |P0 + r v|^2 = R^2.  The Larmor circle of radius mu about
+    P1 + mu rot90(v) meets the table's circle at P1 and at one more point,
+    P2, from the radical line of the two circles.  s2 is P2's polar angle
+    times R in [0, 2 pi R), theta2 the angle from the tangent at P2 to the
+    anticlockwise arc's velocity there, chi in (0, pi) the angle from v to
+    the chord P1 P2, and ell2 that chord's length."""
+    with mp.workdps(DIGITS):
+        R, mu, s0, theta0 = map(mpf, (R, mu, s0, theta0))
+        c0, n0 = cos(s0 / R), sin(s0 / R)
+        tx, ty = -n0, c0  # the tangent at P0; the inward normal is (-c0, -n0)
+        vx = cos(theta0) * tx - sin(theta0) * c0
+        vy = cos(theta0) * ty - sin(theta0) * n0
+        x0, y0 = R * c0, R * n0
+        r = -2 * (x0 * vx + y0 * vy)  # line-circle: r^2 + 2 r P0 . v = 0
+        x1, y1 = x0 + r * vx, y0 + r * vy
+        cx, cy = x1 - mu * vy, y1 + mu * vx  # the Larmor centre
+        d = sqrt(cx * cx + cy * cy)
+        along = (d * d + R * R - mu * mu) / (2 * d)  # the radical line's distance from O
+        across = sqrt(R * R - along * along)
+        ux, uy = cx / d, cy / d
+        x2, y2 = max(((along * ux - side * across * uy, along * uy + side * across * ux)
+                      for side in (1, -1)),
+                     key=lambda p: (p[0] - x1) ** 2 + (p[1] - y1) ** 2)
+        wx, wy = -(y2 - cy) / mu, (x2 - cx) / mu  # the arc's velocity at P2
+        theta2 = atan2(-(wx * x2 + wy * y2) / R, (wy * x2 - wx * y2) / R)
+        chi = atan2(vx * (y2 - y1) - vy * (x2 - x1), vx * (x2 - x1) + vy * (y2 - y1))
+        s2 = R * atan2(y2, x2) % (2 * mp.pi * R)
+        ell2 = sqrt((x2 - x1) ** 2 + (y2 - y1) ** 2)
+        return float(s2), float(theta2), float(chi), float(ell2)

@@ -881,22 +881,36 @@ def test_trace_never_prints_a_traceback(tmp_path, capsys):
         assert err == "" or re.fullmatch(r"error: \w+: [^\n]*\n", err), (table, s, theta, mu, err)
 
 
-@pytest.mark.parametrize("R, mu, s, ratio", [(1.0, 3e7, 0.1, "1.500e+07"),
-                                         (1e18, 0.3, 1e17, "1.500e-19")])
-def test_a_missed_reentry_states_what_the_sweep_saw(tmp_path, capsys, R, mu, s, ratio):
-    """A Larmor radius far from the table's size can leave the re-entry
-    between the sweep's samples or past its last one.  The trace exits 3
-    with ``NoReentry``, and the message states what the sweep saw and
-    mu / ``diameter_bound()``; it used to call the circle not convex."""
+@pytest.mark.parametrize("R, mu, s", [(1.0, 3e7, 0.1), (1.0, 1e8, 0.1),
+                                      (1e16, 0.3, 1e15), (1e18, 0.3, 1e17)])
+def test_the_circle_steps_at_any_larmor_radius(tmp_path, capsys, R, mu, s):
+    """The circle steps as its exact rotation, so a Larmor radius far from
+    the table's size leaves nothing to resolve: each trace exits 0.  The
+    sampled sweep missed the re-entry of the first, second and fourth
+    (``NoReentry``) and found the third's arc inside the table at its first
+    sample (``TangentialContact``)."""
     config = write_config(tmp_path, {
         "curve": {"kind": "circle", "R": R},
         "trace": {"s": s, "theta": 1.2, "mu": mu, "steps": 2},
+    })
+    assert main(["trace", "--config", config, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+
+
+def test_a_missed_reentry_states_what_the_sweep_saw(tmp_path, capsys):
+    """A Larmor radius far from the table's size can leave the re-entry
+    between the sweep's samples or past its last one, as on superellipse
+    k = 2 at mu = 3e7.  The trace exits 3 with ``NoReentry``, and the
+    message states what the sweep saw and mu / ``diameter_bound()``; it
+    used to call the table not convex."""
+    config = write_config(tmp_path, {
+        "curve": {"kind": "superellipse", "k": 2},
+        "trace": {"s": 0.1, "theta": 1.2, "mu": 3e7, "steps": 2},
     })
     assert main(["trace", "--config", config, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: NoReentry: no entering sign change among the 512 samples "
                           "of the Larmor sweep on [1e-07, 2 pi - 1e-07]"), err
-    assert f"mu / diameter bound = {ratio})" in err
+    assert "mu / diameter bound = 1.261e+07)" in err
     assert "convex" not in err
 
 
@@ -922,12 +936,15 @@ def test_the_ellipse_four_periodic_orbit_runs_far_from_size_one(tmp_path, size):
 @pytest.mark.parametrize("family, rotation, mu", [
     ("four-periodic", "1/4", 1e-8), ("four-periodic", "3/4", 1e-8),
     ("four-periodic", "1/4", 1e-12), ("four-periodic", "3/4", 1e-12),
-    ("three-periodic", "1/3", 1e-8)])
+    ("three-periodic", "1/3", 1e-8), ("three-periodic", "1/3", 1e-12),
+    ("three-periodic", "2/3", 1e-12)])
 def test_circle_polygons_read_parabolic_far_below_the_radius(tmp_path, capsys, family, rotation, mu):
     """The symmetric circle orbits are parabolic for every mu < R.  Their
     closed trace used to be evaluated from theta = q pi/n - delta, whose
     rounding swamps delta ~ mu/R: at mu = 1e-8 these members read hyperbolic
-    or elliptic, at 1e-12 the 4-periodic ones elliptic."""
+    or elliptic, at 1e-12 the 4-periodic ones elliptic.  At 1e-12 the
+    3-periodic members were refused as ``NotPeriodic``: the map step's
+    bracketed re-entry root carried an error of about u R / mu in chi."""
     config = write_config(tmp_path, {
         "curve": {"kind": "circle", "R": 1.0},
         "orbit": {"family": family, "mu": mu, "rotation": rotation},

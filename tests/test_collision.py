@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CURVE_MENU, sample_phase_points
-from reference_map import chord_exit_ellipse, chord_exit_stadium, larmor_root
+from reference_map import chord_exit_ellipse, chord_exit_stadium, circle_step, larmor_root
 from imbilliards.collision import (
     MAX_ROOT_ITERATIONS,
     N_SWEEP_SAMPLES,
@@ -354,16 +354,19 @@ def test_past_the_rolling_radius_an_arc_can_cross_three_times():
     assert crossings.item(0) <= 2.0 * d.chi <= crossings.item(1)
 
 
-@pytest.mark.parametrize("name, sampled", [
-    ("circle", False), ("ellipse-2-1", False), ("superellipse-k2", False), ("stadium", False),
-    ("superellipse-k3", True),
-])
-def test_a_certified_step_samples_no_array(name, sampled, curves, monkeypatch):
+@pytest.mark.parametrize("name, mu, sampled", [
+    ("circle", 0.35, False), ("ellipse-2-1", 0.3, False), ("superellipse-k2", 0.3, False),
+    ("stadium", 0.3, False), ("superellipse-k3", 0.3, True), ("circle", 3.0, False),
+], ids=["circle-False", "ellipse-2-1-False", "superellipse-k2-False", "stadium-False",
+        "superellipse-k3-True", "circle-mu3-False"])
+def test_a_certified_step_samples_no_array(name, mu, sampled, curves, monkeypatch):
     """Below the rolling radius a step evaluates F only on floats: 200
     steps on the circle (mu kappa_max = 0.35), Ellipse(2, 1) (0.6),
     superellipse k = 2 (0.76) and Stadium(2, 1) (0.3) make no array call.
-    Superellipse k = 3 at mu = 0.3 (1.19) still samples the sweep."""
-    curve, mu = curves[name]
+    Superellipse k = 3 at mu = 0.3 (1.19) still samples the sweep.  The
+    circle steps as its exact rotation for every mu, so at mu / R = 3 it
+    samples none either; it used to take the sweep there."""
+    curve, _ = curves[name]
     arrays = []
     implicit = type(curve).implicit_xy
 
@@ -384,5 +387,58 @@ def test_a_certified_step_samples_no_array(name, sampled, curves, monkeypatch):
             continue
         completed += 1
     assert completed >= 190
-    assert (mu * curve.max_curvature() < 1.0) is not sampled
+    assert (mu * curve.max_curvature() < 1.0 or isinstance(curve, Circle)) is not sampled
     assert bool(arrays) is sampled
+
+
+# --------------------------------------------------------------------------
+# The circle's exact rotation
+# --------------------------------------------------------------------------
+
+#: Larmor radii in units of R, from far below the table's size to far above
+CIRCLE_RATIOS = [1e-12, 1e-8, 1e-4, 0.35, 1.0, 3.0, 1e4, 1e8]
+
+
+@pytest.mark.parametrize("R", [1.0, 2.0**40], ids=["R1", "R2p40"])
+def test_the_circle_step_matches_the_40_digit_rotation(R, rng):
+    """``step`` on the circle against ``reference_map.circle_step``, which
+    intersects the chord's line and then the Larmor circle with the table
+    at 40 digits from the same float (s0, theta0, mu, R): s2 within 4 ulp
+    of L, theta2 and chi within 4 ulp of pi, and ell2 within 192 ulp of
+    itself, at every mu / R from 1e-12 to 1e8.  Over 600 steps per ratio
+    and R the worst read 3.0 ulp of L, 2.5 and 3.1 ulp of pi and 132 ulp;
+    ell2 carries theta1's absolute rounding times cot(theta1).  The
+    bracketed root this replaced read theta2 off by up to 1.3e12 ulp of pi
+    at mu / R = 1e-12 and 6e4 at 1e4, and raised ``NoReentry`` at 1e8; its
+    chord 2 mu sin(chi) is off by 3e-7 relative at 1e8."""
+    curve = Circle(R)
+    length, ulp_pi = curve.total_length(), math.ulp(math.pi)
+    for ratio in CIRCLE_RATIOS:
+        mu = ratio * R
+        for _ in range(40):
+            z = PhasePoint(float(rng.uniform(0.0, length)), float(rng.uniform(0.05, math.pi - 0.05)))
+            z2, d = step(curve, mu, z)
+            s2, theta2, chi, ell2 = circle_step(R, mu, z.s, z.theta)
+            gap = (z2.s - s2 + 0.5 * length) % length - 0.5 * length
+            assert abs(gap) <= 4.0 * math.ulp(length), (ratio, z)
+            assert abs(z2.theta - theta2) <= 4.0 * ulp_pi, (ratio, z)
+            assert abs(d.chi - chi) <= 4.0 * ulp_pi, (ratio, z)
+            assert abs(d.ell2 - ell2) <= 192.0 * math.ulp(ell2), (ratio, z)
+            assert (d.n_crossings, d.root_iterations) == (1, 0)
+
+
+def test_the_circle_re_enters_beside_the_exit_point_with_no_root_solve(rng):
+    """Exits near the tangent (theta0 = pi - 1.8e-4, mu = 2.69) re-enter
+    about 2e-4 rad of sweep before the arc returns to its exit point.  The
+    sampled sweep's Newton loop took 11 to 14 steps there on the circle;
+    the exact rotation takes none, reports the one crossing, and lands
+    within 4 ulp of the 40-digit step."""
+    curve, mu, theta0 = Circle(1.0), 2.69, math.pi - 1.8e-4
+    length, ulp_pi = curve.total_length(), math.ulp(math.pi)
+    for _ in range(200):
+        z = PhasePoint(float(rng.uniform(0.0, length)), theta0)
+        z2, d = step(curve, mu, z)
+        assert (d.root_iterations, d.n_crossings) == (0, 1)
+        s2, theta2, chi, _ = circle_step(1.0, mu, z.s, z.theta)
+        assert abs((z2.s - s2 + 0.5 * length) % length - 0.5 * length) <= 4.0 * math.ulp(length)
+        assert abs(z2.theta - theta2) <= 4.0 * ulp_pi and abs(d.chi - chi) <= 4.0 * ulp_pi

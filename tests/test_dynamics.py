@@ -100,17 +100,19 @@ def test_step_carries_the_sweep_diagnostics(name, curves, rng):
     assert hand_built.root_iterations == 0
 
 
-@pytest.mark.parametrize("name", CURVE_IDS)
+@pytest.mark.parametrize("name", [name for name in CURVE_IDS if name != "circle"])
 def test_root_iterations_are_few(name, curves, rng):
     """The re-entry root solve starts inside one sweep interval, at the
     regula falsi point, and its Newton steps converge quadratically: here
-    every solve takes 2 or 3 steps.  Elsewhere on the sampled sweep more
-    are seen.  Exits near the tangent (theta0 = pi - 1.8e-4, mu = 2.69)
+    every solve takes 2 or 3 steps.  The circle is left out because no root
+    solve runs there: it steps as its exact rotation, with 0 iterations
+    (``test_collision``).  Elsewhere on the sampled sweep more steps are
+    seen.  Exits near the tangent (theta0 = pi - 1.8e-4, mu = 2.69)
     re-enter within about 2e-4 rad of the exit root at psi = 2 pi.  Over
-    200 such launches per table the median was 12 or 13 steps on the
-    circle, Ellipse(2, 1), the stadium and superellipse k = 2 and 3; the
-    first three took at most 14, and 2 of the k = 2 and 3 of the k = 3
-    steps took 39 (``test_collision``, the re-entry beside the exit root)."""
+    200 such launches per table the median was 12 or 13 steps on
+    Ellipse(2, 1), the stadium and superellipse k = 2 and 3; the first two
+    took at most 14, and 2 of the k = 2 and 3 of the k = 3 steps took 39
+    (``test_collision``, the re-entry beside the exit root)."""
     curve, mu = curves[name]
     counts = [step(curve, mu, z)[1].root_iterations
               for z in sample_phase_points(curve, mu, 300, rng, conditioned=False)]

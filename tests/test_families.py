@@ -423,6 +423,20 @@ def test_three_periodic_circle_is_parabolic(rot, q):
             assert abs(d.chi - q * math.pi / 3.0) < 1e-9
 
 
+@pytest.mark.parametrize("mu", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("rot, q", [("1/3", 1), ("2/3", 2)])
+def test_three_periodic_circle_closes_far_below_the_radius(rot, q, mu):
+    """The circle steps as its exact rotation, so each step of the member
+    has chi within 1e-14 of q pi/3 however small mu/R is (at most 1.1e-15
+    was read).  The bracketed re-entry root it replaced was off by a few
+    u R / mu: 2/3 at mu = 1e-8 closed only to 8e-9, and at 1e-10 and 1e-12
+    both members were refused as ``NotPeriodic``."""
+    orbit, _, trace = three_periodic_circle(1.0, mu, rot)
+    assert_orbit_sane(orbit, 3, (q, 3))
+    assert max(abs(d.chi - q * math.pi / 3.0) for d in orbit.steps) <= 1e-14
+    assert abs(trace - 2.0) < 1e-12
+
+
 def synthetic_cycle(thetas, chi, ell, mu, kappas):
     """Three StepData records with equal chords, equal arc angles and
     consistently chained curvatures (junction i+1 closes junction i)."""
