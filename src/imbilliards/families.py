@@ -14,9 +14,7 @@ Families implemented:
   minor axis), the superellipse ``x^{2k} + y^{2k} = 1`` (Larmor centers on an
   axis or on a diagonal), and the stadium curve itself (orbit through the flat
   sides or through the caps).
-* Symmetric 3-periodic orbits in the circle at a closed-form launch angle,
-  with the trace for equal incidence angles and the constant/cubic
-  coefficients of the general dihedral trace.
+* Symmetric 3-periodic orbits in the circle at a closed-form launch angle.
 * Symmetric 4-periodic orbits in the circle, the ellipse (Larmor centers on
   the diagonals of the inscribed rectangle) and the superellipse (Larmor
   centers on the diagonals or on the coordinate axes), each with a rotation
@@ -29,9 +27,9 @@ Families implemented:
 
 Trace formulas are evaluated from their factors, in the table's own units,
 and cross-checked in the test-suite against the composed product of step
-Jacobians along the dynamically validated orbit.  A symmetric n-periodic
-circle orbit is n copies of one unimodular step, so its trace is
-``2 T_n(t/2)`` of that step's trace ``t`` (``T_n`` the Chebyshev polynomial).
+Jacobians along the dynamically validated orbit.  The circle's map keeps
+theta and moves s by a function of theta alone, so each step's derivative is
+the shear ``[[1, ds2/du0], [0, 1]]`` and every circle orbit has trace 2.
 With ``x = x0/a``, ``y = y0/a``, ``B = (b/a)^2`` and ``d = 1 - B`` the
 4-periodic ellipse trace is ``2 - 16 d^2 (x + y)(B x - y)(d x + y)
 (B^2 (x + y) - B x + y) / (B y (d x + 2 y))^2``.
@@ -84,10 +82,7 @@ __all__ = [
     "superellipse_diag_tangential",
     "two_periodic_stadium",
     "three_periodic_circle",
-    "trace3_symmetric",
-    "trace3_coefficients",
     "four_periodic_circle",
-    "trace4_circle_quartic",
     "four_periodic_ellipse",
     "trace4_ellipse",
     "ellipse4_reference_roots",
@@ -104,12 +99,11 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT3 = math.sqrt(3.0)
 _HALF = Fraction(1, 2)
 _THIRD, _TWO_THIRDS = Fraction(1, 3), Fraction(2, 3)
 _QUARTER, _THREE_QUARTERS = Fraction(1, 4), Fraction(3, 4)
-#: the two rotations of the n-periodic families, by period n
-_ROTATIONS = {3: (_THIRD, _TWO_THIRDS), 4: (_QUARTER, _THREE_QUARTERS)}
+#: the rotations of the n-periodic families, by period n
+_ROTATIONS = {2: (_HALF,), 3: (_THIRD, _TWO_THIRDS), 4: (_QUARTER, _THREE_QUARTERS)}
 
 
 # --------------------------------------------------------------------------
@@ -265,23 +259,40 @@ def _symmetric(alpha: float, product: float) -> TwoPeriodicParams:
     return TwoPeriodicParams(alpha, beta, beta)
 
 
+def _circle_polygon(R: float, mu: float, n: int,
+                    rot: Fraction | str) -> tuple[PeriodicOrbit, float, float]:
+    """The symmetric n-periodic circle orbit of rotation ``rot``, n = 2, 3 or
+    4, launched at ``s = 0`` and validated through the map; its incidence
+    angle; and its closed trace, 2 (each step is a shear).
+
+    Its Larmor chords, each from a chord exit to the next launch, are chords
+    of the table too.  Such a chord subtends the central angle
+    ``2*(q*pi/n - theta)`` and meets the exit velocity at ``chi = q*pi/n``, so
+    its two lengths agree when ``R*sin(q*pi/n - theta) = mu*sin(q*pi/n)``:
+    ``theta = q*pi/n - asin((mu/R)*sin(q*pi/n))``, which lies in
+    ``((q-1)*pi/n, q*pi/n)`` for every ``0 < mu < R``.
+    """
+    rotation = _normalize_rotation(rot, n)
+    curve = Circle(R)
+    if not 0.0 < mu < R:
+        raise MuTooLarge(f"need 0 < mu < R, got mu={mu}, R={R}")
+    chi = rotation.numerator * math.pi / n
+    theta = chi - math.asin(mu / R * math.sin(chi))
+    return _orbit_from_seed(curve, mu, PhasePoint(0.0, theta), n, rotation), theta, 2.0
+
+
 def two_periodic_circle(R: float, mu: float) -> tuple[PeriodicOrbit, TwoPeriodicParams]:
     """Stadium-shaped 2-periodic orbit in a circle of radius ``R``.
 
-    The chord of length ``2*sqrt(R^2 - mu^2)`` runs parallel to a diameter at
-    distance ``mu`` below it; both Larmor arcs are half circles.  The launch
-    angle satisfies ``cos(theta0) = mu / R``, the ``n = 2`` case of
-    :func:`_circle_polygon_delta`, so ``alpha = 2*sqrt(R^2 - mu^2)/mu``
-    and ``beta = delta = 2*cot(theta0) = 4/alpha``: ``alpha * beta = 4`` and the
+    The chord of length ``2*R*sin(theta0)`` runs parallel to a diameter at
+    distance ``mu`` from it; both Larmor arcs are half circles.  The launch
+    angle, the ``n = 2`` case of :func:`_circle_polygon`, satisfies
+    ``cos(theta0) = mu / R``, so ``alpha = 2*R*sin(theta0)/mu`` and
+    ``beta = delta = 2*cot(theta0) = 4/alpha``: ``alpha * beta = 4`` and the
     trace equals 2 for every radius, the whole family is parabolic.
     """
-    curve = Circle(R)
-    if not 0.0 < mu < R:
-        raise MuTooLarge(f"need 0 < mu < R for the chord to exist, got mu={mu}, R={R}")
-    half_chord = math.sqrt(R * R - mu * mu)
-    z0 = _launch_phase(curve, (-half_chord, -mu), (1.0, 0.0))
-    orbit = _orbit_from_seed(curve, mu, z0, 2, _HALF)
-    return orbit, _symmetric(2.0 * half_chord / mu, 4.0)
+    orbit, theta, _ = _circle_polygon(R, mu, 2, _HALF)
+    return orbit, _symmetric(2.0 * R * math.sin(theta) / mu, 4.0)
 
 
 def two_periodic_ellipse(
@@ -517,139 +528,15 @@ def two_periodic_stadium(
 # 3-periodic families
 # --------------------------------------------------------------------------
 
-def _step_trace(delta: float, chi: float, ell_over_mu: float) -> float:
-    """Trace of one symmetric step: both boundary angles ``theta = chi -
-    delta``, the arc's half-turning angle ``chi`` and the chord ``ell =
-    ell_over_mu * mu``.
-
-    It is ``((ell/mu) sin(2 delta)/sin(theta) - 2 sin(chi + delta)) /
-    sin(theta)``, free of the curvature, which only conjugates the step.
-    It takes ``delta`` rather than ``theta``: on the circle ``delta`` is
-    about ``mu/R``, and ``chi - theta`` would carry theta's absolute rounding
-    into it.
-    """
-    s = math.sin(chi - delta)
-    if s == 0.0:
-        raise ValueError("incidence angle must have a nonzero sine")
-    return (ell_over_mu * math.sin(2.0 * delta) / s - 2.0 * math.sin(chi + delta)) / s
-
-
-def _chebyshev_trace(n: int, t: float) -> float:
-    """``2 T_n(t/2)``, the trace of the n-th power of a unimodular matrix of
-    trace ``t``, for n = 3 (``t^3 - 3t``) and n = 4 (``(t^2 - 2)^2 - 2``)."""
-    if n == 3:
-        return t * (t * t - 3.0)
-    u = t * t - 2.0
-    return u * u - 2.0
-
-
-def trace3_symmetric(theta: float, alpha: float, rot: Fraction | str = "1/3") -> float:
-    """Trace of the 3-step stability matrix for equal incidence angles.
-
-    Valid for dihedral-symmetric 3-periodic orbits: all six boundary angles
-    equal ``theta``, all chords equal ``ell``, all arc half-turning angles
-    equal ``chi = pi/3`` (rotation 1/3) or ``2*pi/3`` (rotation 2/3), and
-    ``alpha = ell / mu``.  The three step matrices are conjugates of one
-    unimodular matrix of trace ``t`` (:func:`_step_trace`), so the trace is
-    ``2 T_3(t/2) = t^3 - 3t``, a cubic in ``alpha`` whose coefficients are
-    independent of the boundary curvature.
-    """
-    chi = float(_normalize_rotation(rot, 3)) * math.pi
-    return _chebyshev_trace(3, _step_trace(chi - theta, chi, alpha))
-
-
-def trace3_coefficients(
-    thetas: Sequence[float], rot: Fraction | str = "1/3"
-) -> tuple[float, float]:
-    """Constant and cubic coefficients of the dihedral 3-periodic trace.
-
-    For a 3-periodic orbit with equal chord lengths ``ell`` and equal arc
-    half-turning angles (``pi/3`` or ``2*pi/3``), the trace of the composed
-    stability matrix is a cubic polynomial in ``alpha = ell/mu`` whose
-    coefficients depend only on the six boundary angles ``theta_0..theta_5``
-    (launch, exit, launch, ... in orbit order).  With
-    ``C_A = sum_{i in A} cot(theta_i)``:
-
-    ``c0 = 2 - (3/4) C23 C45 - (3/8) C01 (2 C2345 + sign * sqrt(3) C23 C45)``
-
-    where ``sign`` is +1 for rotation 1/3 and -1 for rotation 2/3, and
-
-    ``c3 = ± cos(pi/6 ∓ (t1+t2)) cos(pi/6 ∓ (t3+t4)) cos(pi/6 ∓ (t0+t5)) / prod sin``
-
-    with the upper signs for rotation 1/3.  Both formulas hold for arbitrary
-    angle six-tuples (the matrix product is exactly cubic in ``alpha`` and
-    curvature-free), which is how they are validated in the tests.  The
-    linear and quadratic coefficients have no comparably compact form and are
-    deliberately not reconstructed; generic work goes through the matrix
-    product instead.
-    """
-    rotation = _normalize_rotation(rot, 3)
-    if len(thetas) != 6:
-        raise ValueError(f"expected six boundary angles, got {len(thetas)}")
-    t = [float(x) for x in thetas]
-    sines = [math.sin(x) for x in t]
-    if any(s == 0.0 for s in sines):
-        raise ValueError("all six angles must have nonzero sines")
-    cot = [math.cos(x) / math.sin(x) for x in t]
-    c01 = cot[0] + cot[1]
-    c23 = cot[2] + cot[3]
-    c45 = cot[4] + cot[5]
-    c2345 = c23 + c45
-    branch = 1.0 if rotation == _THIRD else -1.0
-    c0 = 2.0 - 0.75 * c23 * c45 - 0.375 * c01 * (2.0 * c2345 + branch * _SQRT3 * c23 * c45)
-    pair_sign = -branch  # pi/6 - (sums) for rotation 1/3, pi/6 + (sums) for 2/3
-    num = (
-        math.cos(math.pi / 6.0 + pair_sign * (t[1] + t[2]))
-        * math.cos(math.pi / 6.0 + pair_sign * (t[3] + t[4]))
-        * math.cos(math.pi / 6.0 + pair_sign * (t[0] + t[5]))
-    )
-    c3 = branch * num / math.prod(sines)
-    return c0, c3
-
-
-def _circle_polygon_delta(R: float, mu: float, n: int, winding: int) -> tuple[float, float]:
-    """``(chi, delta)`` of the symmetric n-periodic circle orbit of winding
-    ``q``: its incidence angle is ``theta = chi - delta``.
-
-    Its Larmor chords, each from a chord exit to the next launch, are chords
-    of the table too.  Such a chord subtends the central angle
-    ``2*(q*pi/n - theta)`` and meets the exit velocity at ``chi = q*pi/n``, so
-    its two lengths agree when ``R*sin(q*pi/n - theta) = mu*sin(q*pi/n)``:
-    ``delta = asin((mu/R)*sin(q*pi/n))``, and theta lies in
-    ``((q-1)*pi/n, q*pi/n)`` for every ``0 < mu < R``.
-    """
-    chi = winding * math.pi / n
-    return chi, math.asin(mu / R * math.sin(chi))
-
-
-def _circle_polygon(R: float, mu: float, n: int,
-                    rot: Fraction | str) -> tuple[PeriodicOrbit, float, float]:
-    """The symmetric n-periodic circle orbit of rotation ``rot``, launched at
-    ``s = 0`` and validated through the map, its incidence angle and its
-    closed trace ``2 T_n(t/2)``.  The step trace ``t`` is evaluated from the
-    closed-form ``delta``, so it keeps its relative accuracy as ``mu/R``
-    goes to 0."""
-    rotation = _normalize_rotation(rot, n)
-    curve = Circle(R)
-    if not 0.0 < mu < R:
-        raise MuTooLarge(f"need 0 < mu < R, got mu={mu}, R={R}")
-    chi, delta = _circle_polygon_delta(R, mu, n, rotation.numerator)
-    theta = chi - delta
-    orbit = _orbit_from_seed(curve, mu, PhasePoint(0.0, theta), n, rotation)
-    t = _step_trace(delta, chi, 2.0 * R * math.sin(theta) / mu)
-    return orbit, theta, _chebyshev_trace(n, t)
-
-
 def three_periodic_circle(
     R: float, mu: float, rot: Fraction | str = "1/3"
 ) -> tuple[PeriodicOrbit, float, float]:
     """Symmetric 3-periodic orbit of the circle; returns (orbit, theta, trace).
 
-    The incidence angle ``chi - delta`` (:func:`_circle_polygon_delta`) for
-    ``n = 3`` reads ``cos(theta) = (3*mu ± sqrt(4R^2 - 3mu^2)) / (4R)``, the
-    upper sign for rotation 1/3.  The closed trace (:func:`trace3_symmetric`,
-    evaluated in ``delta``) is exactly 2 for every ``mu < R``: both rotation
-    classes are parabolic throughout.
+    The incidence angle (:func:`_circle_polygon`) for ``n = 3`` reads
+    ``cos(theta) = (3*mu ± sqrt(4R^2 - 3mu^2)) / (4R)``, the upper sign for
+    rotation 1/3.  The trace is 2 for every ``mu < R``: both rotation classes
+    are parabolic throughout.
     """
     return _circle_polygon(R, mu, 3, rot)
 
@@ -658,29 +545,14 @@ def three_periodic_circle(
 # 4-periodic: circle
 # --------------------------------------------------------------------------
 
-def trace4_circle_quartic(theta: float, alpha: float) -> float:
-    """Quartic-in-``alpha`` trace of the symmetric 4-periodic circle orbit.
-
-    ``alpha = R / mu``, so the chord is ``ell = 2 alpha sin(theta) mu``.  The
-    trace is ``2 T_4(t/2) = (t^2 - 2)^2 - 2`` of the single step trace ``t``
-    (:func:`_step_trace`), which changes sign under ``chi -> chi + pi/2``;
-    so one value covers both rotation numbers, and ``chi = pi/4`` stands for
-    either.
-    """
-    chi = math.pi / 4.0
-    return _chebyshev_trace(4, _step_trace(chi - theta, chi, 2.0 * alpha * math.sin(theta)))
-
-
 def four_periodic_circle(
     R: float, mu: float, rot: Fraction | str = "1/4"
 ) -> tuple[PeriodicOrbit, float, float]:
     """Symmetric 4-periodic orbit of the circle; returns (orbit, theta, trace).
 
-    The incidence angle ``chi - delta`` (:func:`_circle_polygon_delta`) lies in
-    ``(0, pi/4)`` (rotation 1/4) or ``(pi/2, 3*pi/4)`` (rotation 3/4); the
-    quartic closed form (:func:`trace4_circle_quartic`, evaluated in
-    ``delta`` at the orbit's own ``chi``) then is exactly 2, so both
-    families are parabolic for every ``mu < R``.
+    The incidence angle (:func:`_circle_polygon`) lies in ``(0, pi/4)``
+    (rotation 1/4) or ``(pi/2, 3*pi/4)`` (rotation 3/4); the trace is 2, so
+    both families are parabolic for every ``mu < R``.
     """
     return _circle_polygon(R, mu, 4, rot)
 

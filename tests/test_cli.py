@@ -937,14 +937,19 @@ def test_the_ellipse_four_periodic_orbit_runs_far_from_size_one(tmp_path, size):
     ("four-periodic", "1/4", 1e-8), ("four-periodic", "3/4", 1e-8),
     ("four-periodic", "1/4", 1e-12), ("four-periodic", "3/4", 1e-12),
     ("three-periodic", "1/3", 1e-8), ("three-periodic", "1/3", 1e-12),
-    ("three-periodic", "2/3", 1e-12)])
-def test_circle_polygons_read_parabolic_far_below_the_radius(tmp_path, capsys, family, rotation, mu):
-    """The symmetric circle orbits are parabolic for every mu < R.  Their
-    closed trace used to be evaluated from theta = q pi/n - delta, whose
-    rounding swamps delta ~ mu/R: at mu = 1e-8 these members read hyperbolic
-    or elliptic, at 1e-12 the 4-periodic ones elliptic.  At 1e-12 the
+    ("three-periodic", "2/3", 1e-12),
+    ("three-periodic", "1/3", 0.999999), ("four-periodic", "1/4", 0.9999999)])
+def test_circle_polygons_read_parabolic_far_from_and_near_the_radius(
+        tmp_path, capsys, family, rotation, mu):
+    """The symmetric circle orbits are parabolic for every 0 < mu < R, since
+    each step is a shear.  Their closed trace used to be evaluated from
+    floats in theta, then in delta = q pi/n - theta.  From theta, whose
+    rounding swamps delta ~ mu/R, the members at mu = 1e-8 read hyperbolic
+    or elliptic, and at 1e-12 the 4-periodic ones elliptic.  At 1e-12 the
     3-periodic members were refused as ``NotPeriodic``: the map step's
-    bracketed re-entry root carried an error of about u R / mu in chi."""
+    bracketed re-entry root carried an error of about u R / mu in chi.  From
+    delta, the members near the radius read 2.000000001162782 (hyperbolic,
+    mu = 0.999999) and 1.9999999289457802 (elliptic, mu = 0.9999999)."""
     config = write_config(tmp_path, {
         "curve": {"kind": "circle", "R": 1.0},
         "orbit": {"family": family, "mu": mu, "rotation": rotation},

@@ -12,10 +12,10 @@ from mpmath import mp, mpf
 from scipy.optimize import brentq
 
 import reference_traces
-from conftest import closed_and_measured, composed_trace
+from conftest import closed_and_measured, composed_trace, sample_phase_points
 from imbilliards import cli, dynamics, families, stability
-from imbilliards.curves import ArclengthTable, Ellipse
-from imbilliards.dynamics import PhasePoint, StepData, jacobian_analytic
+from imbilliards.curves import ArclengthTable, Circle, Ellipse
+from imbilliards.dynamics import PhasePoint, jacobian_analytic
 from imbilliards.errors import (
     BeyondXHat,
     BilliardError,
@@ -29,7 +29,7 @@ from imbilliards.errors import (
     X0OutOfRange,
 )
 from imbilliards.families import (
-    _circle_polygon_delta,
+    _circle_polygon,
     _orbit_from_seed,
     _root,
     _se_y,
@@ -47,9 +47,6 @@ from imbilliards.families import (
     three_periodic_circle,
     trace2_superellipse_axis,
     trace2_superellipse_diag,
-    trace3_coefficients,
-    trace3_symmetric,
-    trace4_circle_quartic,
     trace4_ellipse,
     trace4_superellipse_axis,
     trace4_superellipse_diag,
@@ -437,75 +434,6 @@ def test_three_periodic_circle_closes_far_below_the_radius(rot, q, mu):
     assert abs(trace - 2.0) < 1e-12
 
 
-def synthetic_cycle(thetas, chi, ell, mu, kappas):
-    """Three StepData records with equal chords, equal arc angles and
-    consistently chained curvatures (junction i+1 closes junction i)."""
-    steps = []
-    for i in range(3):
-        steps.append(
-            StepData(
-                s0=0.0, theta0=thetas[2 * i], s1=0.0, theta1=thetas[2 * i + 1],
-                s2=0.0, theta2=thetas[(2 * i + 2) % 6],
-                ell1=ell, ell2=2.0 * mu * math.sin(chi), chi=chi,
-                kappa0=kappas[i], kappa1=0.0, kappa2=kappas[(i + 1) % 3],
-                mu=mu,
-            )
-        )
-    return steps
-
-
-def cycle_trace(steps):
-    S = np.eye(2)
-    for d in steps:
-        S = jacobian_analytic(d) @ S
-    return float(S[0, 0] + S[1, 1])
-
-
-@pytest.mark.parametrize("rot, chi", [("1/3", math.pi / 3.0), ("2/3", 2.0 * math.pi / 3.0)])
-def test_trace3_symmetric_matches_composition(rot, chi, rng):
-    """The equal-angle cubic must reproduce the matrix product for any
-    angle, any alpha and any (chained) curvature."""
-    for _ in range(20):
-        theta = float(rng.uniform(0.3, math.pi - 0.3))
-        alpha = float(rng.uniform(0.2, 8.0))
-        mu = float(rng.uniform(0.1, 1.0))
-        kappas = rng.uniform(0.0, 2.0, size=3)
-        steps = synthetic_cycle([theta] * 6, chi, alpha * mu, mu, list(kappas))
-        got = cycle_trace(steps)
-        want = trace3_symmetric(theta, alpha, rot)
-        assert rel_close(got, want, 1e-9)
-
-
-@pytest.mark.parametrize("rot, chi", [("1/3", math.pi / 3.0), ("2/3", 2.0 * math.pi / 3.0)])
-def test_trace3_coefficients_against_polynomial_fit(rot, chi, rng):
-    """With equal chords and equal arc angles the composed trace is an exact
-    cubic in alpha = ell/mu; its constant and leading coefficients must
-    match the closed forms for arbitrary angle six-tuples."""
-    for _ in range(15):
-        thetas = rng.uniform(0.4, math.pi - 0.4, size=6)
-        mu = float(rng.uniform(0.2, 0.8))
-        kappas = rng.uniform(0.0, 1.5, size=3)
-        alphas = np.array([0.5, 1.0, 1.7, 2.6, 4.0])
-        values = [
-            cycle_trace(synthetic_cycle(list(thetas), chi, float(al) * mu, mu, list(kappas)))
-            for al in alphas
-        ]
-        coeffs = np.polyfit(alphas, values, 3)  # highest power first
-        # The fit of a degree-3 polynomial through 5 points is exact up to
-        # conditioning; compare against the residual scale.
-        c0_want, c3_want = trace3_coefficients(list(thetas), rot)
-        scale = max(1.0, float(np.max(np.abs(values))))
-        assert abs(coeffs[3] - c0_want) < 1e-6 * scale
-        assert abs(coeffs[0] - c3_want) < 1e-6 * scale
-
-
-def test_trace3_coefficients_validates_input():
-    with pytest.raises(ValueError):
-        trace3_coefficients([0.5] * 5, "1/3")
-    with pytest.raises(ValueError):
-        trace3_coefficients([0.5] * 6, "1/2")
-
-
 # ------------------------------------------------------------------
 # 4-periodic: circle
 # ------------------------------------------------------------------
@@ -525,8 +453,8 @@ def test_four_periodic_circle_is_parabolic(rot, q):
 
 
 def test_circle_polygon_traces_keep_their_accuracy_far_below_the_radius():
-    """At mu/R = 1e-8 the closed traces, evaluated in the closed-form delta,
-    stay within 1e-12 of 2; from theta they read 1.9999992 … 2.00000028."""
+    """At mu/R = 1e-8 the closed traces stay within 1e-12 of 2; a trace
+    formula evaluated from theta read 1.9999992 … 2.00000028 there."""
     for build, rotations in ((three_periodic_circle, ("1/3", "2/3")),
                              (four_periodic_circle, ("1/4", "3/4"))):
         for rot in rotations:
@@ -555,22 +483,54 @@ def test_circle_polygon_angle_is_within_4_ulp_of_the_50_digit_reentry_root(n, q)
 
                 exact = mp.findroot(reentry, (lo, hi), solver="anderson")
                 assert lo < exact < hi
-                chi, delta = _circle_polygon_delta(R, mu, n, q)
-                got = chi - delta
+                got = _circle_polygon(R, mu, n, Fraction(q, n))[1]
                 assert abs(got - exact) <= bound, (R, mu, float(got - exact))
 
 
-def test_four_periodic_circle_chebyshev_structure():
-    """All four steps share one matrix; the composed trace must equal
-    (t^2 - 2)^2 - 2 in the single-step trace t, and so must the quartic."""
-    for rot in ("1/4", "3/4"):
-        orbit, theta, trace = four_periodic_circle(1.0, 0.4, rot)
-        ts = [float(np.trace(jacobian_analytic(d))) for d in orbit.steps]
-        assert max(ts) - min(ts) < 1e-9
-        t = ts[0]
-        assert trace4_circle_quartic(theta, 1.0 / 0.4) == pytest.approx(
-            (t * t - 2.0) ** 2 - 2.0, abs=1e-7
-        )
+def _assert_shear(J):
+    """``J`` is ``[[1, *], [0, 1]]`` to 1e-12 of its largest entry."""
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(J))))
+    assert abs(J[0, 0] - 1.0) <= tol and abs(J[1, 0]) <= tol and abs(J[1, 1] - 1.0) <= tol, J
+
+
+@pytest.mark.parametrize("mu", [0.01, 0.35, 3.0, 1e4])
+def test_every_circle_step_is_a_shear(mu, rng):
+    """The circle's map keeps theta and moves s by a function of theta
+    alone, so each step's derivative is ``[[1, ds2/du0], [0, 1]]``: this is
+    why every circle orbit's trace is 2.  At most 3.9e-14 was read (mu =
+    0.01).  At mu = 1e-6 the analytic Jacobian itself reads 4.3e-10 off a
+    shear, so that mu is not sampled (an error bar for it is open)."""
+    curve = Circle(1.0)
+    for z in sample_phase_points(curve, mu, 40, rng):
+        _assert_shear(jacobian_analytic(dynamics.step(curve, mu, z)[1]))
+
+
+def test_the_check_circle_members_step_by_shears():
+    """Every step of the circle members whose traces ``imbil check`` prints."""
+    members = [(curve, section) for _, curve, section in cli._CHECK_MEMBERS
+               if curve["kind"] == "circle"]
+    assert len(members) == 5
+    for curve, section in members:
+        orbit, _, _ = cli._member(curve, section)
+        for d in orbit.steps:
+            _assert_shear(jacobian_analytic(d))
+
+
+@pytest.mark.parametrize("R", [1.0, 0.5, 4.0])
+def test_two_periodic_circle_alpha_near_the_radius_within_1e_12_of_40_digits(R):
+    """``alpha = 2 R sin(theta)/mu`` from the polygon's launch angle against
+    ``2 sqrt(R^2 - mu^2)/mu`` at 40 digits.  The form ``2 sqrt(R^2 -
+    mu^2)/mu`` in floats cancels as mu -> R: 5.5e-12 at mu/R = 0.999999 and
+    2.8e-10 at 0.99999999 on Circle(1).  R is a power of two, so mu/R is the
+    ratio itself and the bound measures the evaluation alone.  Where mu/R
+    rounds, the launch angle carries that rounding amplified by about
+    1/(2 (1 - mu/R)): 1.9e-9 at R = 3 and mu/R = 0.99999999."""
+    with mp.workdps(40):
+        for ratio in (0.9999, 0.999999, 0.99999999):
+            mu = ratio * R
+            _, params = two_periodic_circle(R, mu)
+            exact = 2 * mp.sqrt(mpf(R) ** 2 - mpf(mu) ** 2) / mpf(mu)
+            assert abs(params.alpha - exact) / exact <= 1e-12, (R, ratio)
 
 
 # ------------------------------------------------------------------
@@ -664,22 +624,6 @@ def test_ellipse4_reference_roots_closed_forms():
 
 def _worst_rel_error(pairs):
     return max(abs(got - want) / max(1.0, abs(want)) for got, want in pairs)
-
-
-def test_circle_traces_agree_with_their_40_digit_expanded_forms():
-    """The Chebyshev images of the step trace against the cubic and the
-    quartic they replace, each evaluated at 40 digits
-    (``reference_traces``), on a seeded sample of angles and ``alpha``."""
-    rng = np.random.default_rng(20261020)
-    sample = [(float(rng.uniform(0.3, math.pi - 0.3)), float(rng.uniform(0.2, 8.0)))
-              for _ in range(500)]
-    for rot, sign in (("1/3", 1), ("2/3", -1)):
-        assert _worst_rel_error(
-            (trace3_symmetric(theta, alpha, rot), reference_traces.trace3_cubic(theta, alpha, sign))
-            for theta, alpha in sample) < 2e-13, rot
-    assert _worst_rel_error(
-        (trace4_circle_quartic(theta, alpha), reference_traces.trace4_circle_quartic(theta, alpha))
-        for theta, alpha in sample) < 2e-13
 
 
 @pytest.mark.parametrize("a, b", [(3.0, 2.0), (2.0, 1.0), (5.0, 1.0), (1.2, 1.0), (10.0, 1.0)])
@@ -1420,4 +1364,4 @@ def test_rotation_spellings_agree():
             trace4_superellipse_axis(3, 0.95, "1/3")
     # a float is read exactly, so the float nearest 1/3 is not the fraction 1/3
     with pytest.raises(ValueError, match="rotation must be one of 1/3, 2/3"):
-        trace3_symmetric(1.0, 2.0, 1.0 / 3.0)
+        three_periodic_circle(1.0, 0.4, 1.0 / 3.0)
