@@ -67,7 +67,7 @@ from .curves import Curve, make_curve, rot90
 from .dynamics import PhasePoint, StepData, iterate, jacobian_analytic, jacobian_numeric, well_conditioned
 from .errors import BilliardError, MuTooLarge, X0OutOfRange
 from .rotation import check_axes, rotation_table
-from .stability import classify, compose
+from .stability import COMPOSED_TOL, classify, compose
 
 __all__ = ["main"]
 
@@ -111,8 +111,7 @@ _SECTIONS = {
               "n_grid": _integer(0)}, ("family",)),
     "trace": ({"family": _STRING, "mu": _POSITIVE, "x0": _NUMBER, "rotation": _STRING,
                "s": _NUMBER, "theta": _NUMBER, "steps": _integer(1), "overlay_dual": _BOOLEAN}, ()),
-    "check": ({"det_tol": _POSITIVE, "jacobian_tol": _POSITIVE, "trace_tol": _POSITIVE,
-               "n_points": _integer(1), "seed": _integer(0)}, ()),
+    "check": ({"n_points": _integer(1), "seed": _integer(0)}, ()),
     "rot": ({"a": _POSITIVE, "b": _POSITIVE, "lambdas": _NUMBERS, "lo": _NUMBER, "hi": _NUMBER,
              "n": _integer(2)}, ("a", "b")),
     "output": ({"stem": _STEM}, ()),
@@ -507,6 +506,11 @@ _ELLIPSE_32 = {"kind": "ellipse", "a": 3.0, "b": 2.0}
 _SE2 = {"kind": "superellipse", "k": 2}
 _STADIUM = {"kind": "stadium", "side": 2.0, "R": 1.0}
 
+#: ``check``'s bounds on a sampled step's |det - 1| and on the relative gap of
+#: its Jacobian to the finite-difference one (traces: ``COMPOSED_TOL``)
+_DET_TOL = 1e-9
+_JACOBIAN_TOL = 1e-5
+
 #: (name, curve, mu) of the tables whose single steps ``check`` samples
 _CHECK_TABLES = [
     ("circle", _CIRCLE, 0.35),
@@ -541,9 +545,6 @@ _CHECK_MEMBERS = [
 
 def cmd_check(config: dict, paths: dict[str, Path]) -> int:
     section = config.get("check", {})
-    det_tol = section.get("det_tol", 1e-9)
-    jac_tol = section.get("jacobian_tol", 1e-5)
-    trace_tol = section.get("trace_tol", 1e-6)
     n_points = section.get("n_points", 200)
     rng = np.random.default_rng(section.get("seed", 0))
     failures = []
@@ -561,8 +562,8 @@ def cmd_check(config: dict, paths: dict[str, Path]) -> int:
         for _, J in samples:
             worst_det = max(worst_det, abs(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0] - 1.0))
         report(
-            f"det[{name}]", worst_det <= det_tol,
-            f"worst |det-1| = {worst_det:.3e} over {len(samples)} points (tol {det_tol:g}); "
+            f"det[{name}]", worst_det <= _DET_TOL,
+            f"worst |det-1| = {worst_det:.3e} over {len(samples)} points (tol {_DET_TOL:g}); "
             f"{drawn} drawn, failed: "
             + (", ".join(f"{tag} {count}" for tag, count in sorted(failed.items())) or "none"))
 
@@ -574,8 +575,8 @@ def cmd_check(config: dict, paths: dict[str, Path]) -> int:
                 float(np.max(np.abs(A - N)) / max(1.0, float(np.max(np.abs(A))))),
             )
         report(
-            f"jacobian[{name}]", worst_jac <= jac_tol,
-            f"worst rel dev = {worst_jac:.3e} (tol {jac_tol:g})")
+            f"jacobian[{name}]", worst_jac <= _JACOBIAN_TOL,
+            f"worst rel dev = {worst_jac:.3e} (tol {_JACOBIAN_TOL:g})")
 
     for name, curve_cfg, orbit_section in _CHECK_MEMBERS:
         orbit, closed, _ = _member(curve_cfg, orbit_section)
@@ -583,7 +584,7 @@ def cmd_check(config: dict, paths: dict[str, Path]) -> int:
         composed = float(S[0, 0] + S[1, 1])
         dev = abs(closed - composed) / max(1.0, abs(closed))
         report(
-            f"trace[{name}]", dev <= trace_tol,
+            f"trace[{name}]", dev <= COMPOSED_TOL,
             f"closed {closed:.9g} vs composed {composed:.9g} (rel dev {dev:.3e})")
 
     print(f"{len(failures)} failure(s)")

@@ -270,14 +270,24 @@ def _circle_polygon(R: float, mu: float, n: int,
     ``2*(q*pi/n - theta)`` and meets the exit velocity at ``chi = q*pi/n``, so
     its two lengths agree when ``R*sin(q*pi/n - theta) = mu*sin(q*pi/n)``:
     ``theta = q*pi/n - asin((mu/R)*sin(q*pi/n))``, which lies in
-    ``((q-1)*pi/n, q*pi/n)`` for every ``0 < mu < R``.
+    ``((q-1)*pi/n, q*pi/n)`` for every ``0 < mu < R``.  Where it tends to 0
+    as ``mu -> R`` (``cos(chi) > 0``), theta comes from ``sin(theta) = sin(chi)
+    (1 - m^2)/(cos(phi) + m cos(chi))``, ``m = mu/R``, ``phi = chi - theta``,
+    with ``1 - m^2`` from ``R - mu``, exact for ``mu >= R/2``.
     """
     rotation = _normalize_rotation(rot, n)
     curve = Circle(R)
     if not 0.0 < mu < R:
         raise MuTooLarge(f"need 0 < mu < R, got mu={mu}, R={R}")
     chi = rotation.numerator * math.pi / n
-    theta = chi - math.asin(mu / R * math.sin(chi))
+    sin_chi, cos_chi, m = math.sin(chi), math.cos(chi), mu / R
+    if cos_chi > 0.0:
+        one_minus_m2 = (R - mu) / R * ((R + mu) / R)
+        cos_phi = math.sqrt(cos_chi * cos_chi + one_minus_m2 * sin_chi * sin_chi)
+        theta = math.atan2(sin_chi * one_minus_m2 / (cos_phi + m * cos_chi),
+                           cos_chi * cos_phi + m * sin_chi * sin_chi)
+    else:
+        theta = chi - math.asin(m * sin_chi)
     return _orbit_from_seed(curve, mu, PhasePoint(0.0, theta), n, rotation), theta, 2.0
 
 

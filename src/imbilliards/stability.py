@@ -23,13 +23,13 @@ which factors as
     Tr + 2 = beta delta (alpha - 2/beta)(alpha - 2/delta).
 
 Those factorizations drive a closed-form classifier by the sign pattern of
-beta and delta, organized in five cases.  Its case (v) holds the convex
-tables (beta, delta > 0), where the parabolic values of alpha are exactly
-m = min(2/beta, 2/delta), M = max(2/beta, 2/delta) and m + M; the other
-cases cover non-convex tables.  This module also carries the standard
-(non-magnetic) billiard comparison: Tr S_2 = 2 - 4 l (1/rho1 + 1/rho2) +
-4 l^2/(rho1 rho2) for a 2-periodic chord of length l between boundary
-points with curvature radii rho1, rho2.
+beta and delta in five cases (:func:`classify2_general`).  Three of them
+list parabolic values of alpha: (iii) [2/beta]; (iv) [2/beta + 2/delta,
+2/beta]; (v), the convex tables, [m, M, m + M] with m and M the smaller and
+larger of 2/beta, 2/delta.  One rule reads them all: alpha is parabolic
+within tol * max(1, largest value) of a value, hyperbolic above all of
+them, and each value above alpha flips the class.  The module also carries
+the standard (non-magnetic) billiard's 2-periodic trace.
 """
 
 from __future__ import annotations
@@ -55,9 +55,7 @@ __all__ = [
     "trace2_closed",
     "classify2_general",
     "GeneralCaseDiagnosis",
-    "two_periodic_step_matrix",
     "billiard_trace2",
-    "classify_billiard2",
     "CLOSED_FORM_TOL",
     "COMPOSED_TOL",
 ]
@@ -176,37 +174,13 @@ class GeneralCaseDiagnosis:
     predicted: StabilityClass
 
 
-def _predict_case_iii(alpha: float, b: float, tol: float) -> StabilityClass:
-    # b > 0 and either d = 0, or d < 0 with 2/b + 2/d <= 0:
-    # parabolic iff alpha = 2/b, elliptic below, hyperbolic above.
-    edge = 2.0 / b
-    if abs(alpha - edge) <= tol * max(1.0, abs(edge)):
+def _predict(alpha: float, values: list[float], tol: float) -> StabilityClass:
+    # values: the case's parabolic alphas, ascending.  A NaN value (m + M
+    # where 2/b and 2/d overflow to opposite infinities) counts as above.
+    if any(abs(alpha - v) <= tol * max(1.0, values[-1]) for v in values):
         return StabilityClass.PARABOLIC
-    return StabilityClass.ELLIPTIC if alpha < edge else StabilityClass.HYPERBOLIC
-
-
-def _predict_case_iv(alpha: float, b: float, d: float, tol: float) -> StabilityClass:
-    # b > 0 > d with 0 < 2/b + 2/d: parabolic at {2/b + 2/d, 2/b},
-    # elliptic between them, hyperbolic outside.
-    lo = 2.0 / b + 2.0 / d
-    hi = 2.0 / b
-    scale = max(1.0, abs(lo), abs(hi))
-    if min(abs(alpha - lo), abs(alpha - hi)) <= tol * scale:
-        return StabilityClass.PARABOLIC
-    if lo < alpha < hi:
-        return StabilityClass.ELLIPTIC
-    return StabilityClass.HYPERBOLIC
-
-
-def _predict_case_v(alpha: float, b: float, d: float, tol: float) -> StabilityClass:
-    m = min(2.0 / b, 2.0 / d)
-    M = max(2.0 / b, 2.0 / d)
-    scale = max(1.0, m + M)
-    if min(abs(alpha - m), abs(alpha - M), abs(alpha - (m + M))) <= tol * scale:
-        return StabilityClass.PARABOLIC
-    if alpha < m or M < alpha < m + M:
-        return StabilityClass.ELLIPTIC
-    return StabilityClass.HYPERBOLIC
+    above = sum(not v <= alpha for v in values)
+    return StabilityClass.ELLIPTIC if above % 2 else StabilityClass.HYPERBOLIC
 
 
 def classify2_general(
@@ -214,19 +188,13 @@ def classify2_general(
 ) -> tuple[StabilityVerdict, GeneralCaseDiagnosis]:
     """Five-case classification covering every sign pattern of beta, delta.
 
-    Case (i): beta = delta = 0 — parabolic for every alpha.
-    Case (ii): beta <= 0 and delta <= 0, not both zero — hyperbolic always.
-    Case (iii): beta > 0 and (delta = 0, or delta < 0 with
-        2/beta + 2/delta <= 0) — single threshold at alpha = 2/beta.
-    Case (iv): beta > 0 > delta with 2/beta + 2/delta > 0 — elliptic
-        window (2/beta + 2/delta, 2/beta).
-    Case (v): beta > 0 and delta > 0 — the convex interval classification.
-
-    Cases (iii) and (iv) also apply with beta and delta exchanged; the
-    first matching case in the order (i)-(v) is reported, with ``swapped``
-    set when the exchange was needed.  The returned verdict always comes
-    from the trace; ``predicted`` restates the interval assertion so
-    callers (and the test suite) can check the two agree.
+    (i) beta = delta = 0: parabolic for every alpha.  (ii) beta, delta <= 0,
+    not both zero: hyperbolic.  (iii) beta > 0 and either delta = 0, or
+    delta < 0 with 2/beta + 2/delta <= 0.  (iv) beta > 0 > delta with
+    2/beta + 2/delta > 0.  (v) beta, delta > 0.  (iii) and (iv) also apply
+    with beta and delta exchanged, setting ``swapped``; the first match in
+    the order (i)-(v) wins.  The verdict comes from the trace; ``predicted``
+    restates the interval assertion so the two can be checked.
     """
     b, d = p.beta, p.delta
     a = p.alpha
@@ -237,54 +205,35 @@ def classify2_general(
     elif b <= 0.0 and d <= 0.0:
         diag = GeneralCaseDiagnosis("ii", False, StabilityClass.HYPERBOLIC)
     elif b > 0.0 and (d == 0.0 or (d < 0.0 and 2.0 / b + 2.0 / d <= 0.0)):
-        diag = GeneralCaseDiagnosis("iii", False, _predict_case_iii(a, b, tol))
+        diag = GeneralCaseDiagnosis("iii", False, _predict(a, [2.0 / b], tol))
     elif d > 0.0 and (b == 0.0 or (b < 0.0 and 2.0 / d + 2.0 / b <= 0.0)):
-        diag = GeneralCaseDiagnosis("iii", True, _predict_case_iii(a, d, tol))
+        diag = GeneralCaseDiagnosis("iii", True, _predict(a, [2.0 / d], tol))
     elif b > 0.0 > d and 2.0 / b + 2.0 / d > 0.0:
-        diag = GeneralCaseDiagnosis("iv", False, _predict_case_iv(a, b, d, tol))
+        diag = GeneralCaseDiagnosis("iv", False, _predict(a, [2.0 / b + 2.0 / d, 2.0 / b], tol))
     elif d > 0.0 > b and 2.0 / d + 2.0 / b > 0.0:
-        diag = GeneralCaseDiagnosis("iv", True, _predict_case_iv(a, d, b, tol))
+        diag = GeneralCaseDiagnosis("iv", True, _predict(a, [2.0 / d + 2.0 / b, 2.0 / d], tol))
     else:
-        diag = GeneralCaseDiagnosis("v", False, _predict_case_v(a, b, d, tol))
+        m, M = sorted((2.0 / b, 2.0 / d))
+        diag = GeneralCaseDiagnosis("v", False, _predict(a, [m, M, m + M], tol))
     return verdict, diag
-
-
-def two_periodic_step_matrix(
-    theta0: float, theta1: float, theta2: float,
-    ell1: float, mu: float, kappa0: float, kappa2: float,
-) -> np.ndarray:
-    """Specialized one-step Jacobian for a 2-periodic configuration
-    (chi = pi/2, ell2 = 2 mu), used as an algebraic cross-check of the
-    general closed form."""
-    st0, st1, st2 = math.sin(theta0), math.sin(theta1), math.sin(theta2)
-    s12 = math.sin(theta1 + theta2)
-    a11 = (kappa0 * ell1 - st0) / st2
-    a12 = ell1 / (st0 * st2)
-    a21 = (kappa0 * ell1 - st0) * (s12 - kappa2 * mu * st1) / (mu * st1) - kappa0 * st2
-    a22 = ell1 * (s12 - kappa2 * mu * st1) / (mu * st0 * st1) - st2 / st0
-    return np.array([[a11, a12], [a21, a22]])
 
 
 # --- standard billiard comparison -------------------------------------------
 
 def billiard_trace2(l: float, rho1: float, rho2: float) -> float:
-    """Trace of the 2-periodic stability matrix of the *standard* billiard
-    bounce between boundary points with curvature radii rho1, rho2 joined
-    by a chord of length l.  Infinite radii are accepted (flat walls)."""
-    if l <= 0:
-        raise ValueError(f"chord length must be positive, got {l}")
-    k1 = 0.0 if math.isinf(rho1) else 1.0 / rho1
-    k2 = 0.0 if math.isinf(rho2) else 1.0 / rho2
-    return 2.0 - 4.0 * l * (k1 + k2) + 4.0 * l * l * k1 * k2
-
-
-def classify_billiard2(
-    l: float, rho1: float, rho2: float, tol: float = CLOSED_FORM_TOL
-) -> StabilityVerdict:
-    """Classification of the standard-billiard 2-periodic bounce.
-
-    With finite positive radii: hyperbolic iff l in (min, max) u
-    (rho1 + rho2, inf), elliptic iff l in (0, min) u (max, rho1 + rho2),
-    parabolic at l in {rho1, rho2, rho1 + rho2}; flat walls give trace 2.
+    """Trace 2 - 4 l (1/rho1 + 1/rho2) + 4 l^2/(rho1 rho2) of the *standard*
+    billiard's 2-periodic bounce on a chord of length l between boundary
+    points with curvature radii rho1, rho2; an infinite radius is a flat
+    wall, a negative one a concave wall.  With finite positive radii,
+    :func:`classify` reads it hyperbolic iff l in (min, max) u (rho1 + rho2,
+    inf), elliptic iff l in (0, min) u (max, rho1 + rho2), parabolic at l in
+    {rho1, rho2, rho1 + rho2}.  ``ValueError`` names an l that is not finite
+    and positive, or a radius that is zero or NaN.
     """
-    return classify(billiard_trace2(l, rho1, rho2), tol)
+    if not (math.isfinite(l) and l > 0):
+        raise ValueError(f"chord length l must be finite and positive, got {l}")
+    for name, rho in (("rho1", rho1), ("rho2", rho2)):
+        if rho == 0 or math.isnan(rho):
+            raise ValueError(f"curvature radius {name} must be nonzero and not NaN, got {rho}")
+    k1, k2 = 1.0 / rho1, 1.0 / rho2
+    return 2.0 - 4.0 * l * (k1 + k2) + 4.0 * l * l * k1 * k2

@@ -219,9 +219,6 @@ _REFUSED = [
     (_FAMILY_TRACE, ("trace", "family"), ["four-periodic-axis", "fourperiodic"]),
     (_CHECK, ("check",), [[], 15]),
     (_CHECK, ("check", "surprise"), [1]),
-    (_CHECK, ("check", "det_tol"), [0.0, -1e-9, True, "1e-9", *_NON_FINITE]),
-    (_CHECK, ("check", "jacobian_tol"), [-1.0, None, *_NON_FINITE]),
-    (_CHECK, ("check", "trace_tol"), ["x", 0, *_NON_FINITE]),
     (_CHECK, ("check", "n_points"), [0, -3, 1.5, True]),
     (_CHECK, ("check", "seed"), [-1, 0.5, True, "3"]),
     (_ROT, ("rot",), [[2.0, 1.0]]),
@@ -1018,12 +1015,21 @@ def test_check_counts_the_draws_it_drops(tmp_path, capsys, monkeypatch):
         assert int(kept) == 15 and int(drawn) == 15 + sum(counts.values())
 
 
-def test_check_fails_with_impossible_tolerance(tmp_path, capsys):
-    config = write_config(tmp_path, {
-        "check": {"n_points": 15, "seed": 3, "det_tol": 1e-18},
-    })
+def test_check_fails_with_impossible_tolerance(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_DET_TOL", 1e-18)
+    config = write_config(tmp_path, {"check": {"n_points": 15, "seed": 3}})
     assert main(["check", "--config", config]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["det_tol", "jacobian_tol", "trace_tol"])
+def test_check_bounds_are_not_config_keys(tmp_path, capsys, key):
+    """``check``'s bounds are constants: a config may not loosen them."""
+    config = write_config(tmp_path, {"check": {key: 1e-9}})
+    assert main(["check", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: ConfigValidation: check: unknown key '{key}'; [^\n]*\n", captured.err)
 
 
 def test_no_verb_loads_jsonschema(tmp_path):

@@ -32,7 +32,7 @@ from imbilliards.errors import (
     BilliardError, DegenerateStep, NoReentry, TangentialChord, TangentialContact,
 )
 from imbilliards.families import three_periodic_circle, two_periodic_ellipse
-from imbilliards.stability import two_periodic_step_matrix
+from reference_traces import two_periodic_step_matrix
 
 CURVE_IDS = [name for name, _, _ in CURVE_MENU]
 

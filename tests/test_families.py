@@ -516,15 +516,16 @@ def test_the_check_circle_members_step_by_shears():
             _assert_shear(jacobian_analytic(d))
 
 
-@pytest.mark.parametrize("R", [1.0, 0.5, 4.0])
+@pytest.mark.parametrize("R", [1.0, 0.5, 4.0, 2.5, 3.0])
 def test_two_periodic_circle_alpha_near_the_radius_within_1e_12_of_40_digits(R):
     """``alpha = 2 R sin(theta)/mu`` from the polygon's launch angle against
     ``2 sqrt(R^2 - mu^2)/mu`` at 40 digits.  The form ``2 sqrt(R^2 -
     mu^2)/mu`` in floats cancels as mu -> R: 5.5e-12 at mu/R = 0.999999 and
-    2.8e-10 at 0.99999999 on Circle(1).  R is a power of two, so mu/R is the
-    ratio itself and the bound measures the evaluation alone.  Where mu/R
-    rounds, the launch angle carries that rounding amplified by about
-    1/(2 (1 - mu/R)): 1.9e-9 at R = 3 and mu/R = 0.99999999."""
+    2.8e-10 at 0.99999999 on Circle(1).  On R = 2.5 and 3, mu/R rounds; the
+    launch angle takes 1 - (mu/R)^2 from R - mu, which is exact for
+    mu >= R/2, so that rounding is not amplified as theta -> 0: at most
+    4.3e-13 was read, where theta = pi/2 - asin(mu/R) read 2.2e-9 at R = 2.5
+    and 1.9e-9 at R = 3, mu/R = 0.99999999."""
     with mp.workdps(40):
         for ratio in (0.9999, 0.999999, 0.99999999):
             mu = ratio * R

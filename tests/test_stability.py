@@ -19,12 +19,11 @@ from imbilliards.stability import (
     billiard_trace2,
     classify,
     classify2_general,
-    classify_billiard2,
     compose,
     stability_matrix,
     trace2_closed,
-    two_periodic_step_matrix,
 )
+from reference_traces import two_periodic_step_matrix
 
 E, P, H = StabilityClass.ELLIPTIC, StabilityClass.PARABOLIC, StabilityClass.HYPERBOLIC
 
@@ -116,6 +115,18 @@ def test_convex_requires_positive_parameters():
         assert classify2_general(params)[1].case != "v"
 
 
+#: (beta, delta, case, scale, parabolic value, class below, class above):
+#: (iii) 2/beta = 2, scale 2; (iv) {1.5, 2}, scale 2; (v) {2, 4, 6}, scale 6
+_THRESHOLDS = [
+    (1.0, 0.0, "iii", 2.0, 2.0, E, H),
+    (1.0, -4.0, "iv", 2.0, 1.5, H, E),
+    (1.0, -4.0, "iv", 2.0, 2.0, E, H),
+    (1.0, 0.5, "v", 6.0, 2.0, E, H),
+    (1.0, 0.5, "v", 6.0, 4.0, H, E),
+    (1.0, 0.5, "v", 6.0, 6.0, E, H),
+]
+
+
 @pytest.mark.parametrize(
     "params, case, swapped, expected_cls",
     [
@@ -145,6 +156,26 @@ def test_convex_requires_positive_parameters():
         # (v) both positive: convex interval statement.
         (TwoPeriodicParams(1.0, 1.0, 0.5), "v", False, E),
         (TwoPeriodicParams(3.0, 1.0, 0.5), "v", False, H),
+        # Boundaries: at each parabolic value, and 2 tol * scale to either
+        # side of it (scale = max(1, largest value); tol = 1e-9).
+        *[(TwoPeriodicParams(value + k * 1e-9 * scale, b, d), case_, False, cls)
+          for b, d, case_, scale, value, below, above in _THRESHOLDS
+          for k, cls in ((-2.0, below), (0.0, P), (2.0, above))],
+        # beta = delta: m = M = 2, so the parabolic values are {2, 2, 4}.
+        (TwoPeriodicParams(1.0, 1.0, 1.0), "v", False, E),
+        (TwoPeriodicParams(2.0, 1.0, 1.0), "v", False, P),
+        (TwoPeriodicParams(3.0, 1.0, 1.0), "v", False, E),
+        (TwoPeriodicParams(4.0, 1.0, 1.0), "v", False, P),
+        (TwoPeriodicParams(5.0, 1.0, 1.0), "v", False, H),
+        # 2/beta + 2/delta = 0 exactly is case (iii), not (iv).
+        (TwoPeriodicParams(1.0, 1.0, -1.0), "iii", False, E),
+        (TwoPeriodicParams(2.0, 1.0, -1.0), "iii", False, P),
+        (TwoPeriodicParams(3.0, 1.0, -1.0), "iii", False, H),
+        (TwoPeriodicParams(3.0, -1.0, 1.0), "iii", True, H),
+        # beta = 0 < delta: case (iii) swapped, threshold 2/delta = 4.
+        (TwoPeriodicParams(3.0, 0.0, 0.5), "iii", True, E),
+        (TwoPeriodicParams(4.0, 0.0, 0.5), "iii", True, P),
+        (TwoPeriodicParams(5.0, 0.0, 0.5), "iii", True, H),
     ],
 )
 def test_general_five_cases(params, case, swapped, expected_cls):
@@ -153,6 +184,16 @@ def test_general_five_cases(params, case, swapped, expected_cls):
     assert diag.swapped is swapped
     assert diag.predicted is expected_cls
     assert verdict.cls is expected_cls
+
+
+@pytest.mark.parametrize("beta, delta, case, scale, value", [row[:5] for row in _THRESHOLDS])
+@pytest.mark.parametrize("k", [-0.5, 0.5])
+def test_general_prediction_is_parabolic_within_tol_scale(beta, delta, case, scale, value, k):
+    """Half of tol * scale off a parabolic value the prediction reads
+    parabolic; the verdict classifies the trace against tol on its own scale
+    and may read either side there."""
+    _, diag = classify2_general(TwoPeriodicParams(value + k * 1e-9 * scale, beta, delta), 1e-9)
+    assert (diag.case, diag.swapped, diag.predicted) == (case, False, P)
 
 
 @settings(max_examples=400, deadline=None)
@@ -209,23 +250,40 @@ def test_standard_billiard_two_periodic_classics():
     hyperbolic, the minor-axis bounce is elliptic except at a^2 = 2 b^2
     where it is parabolic (trace -2)."""
     assert billiard_trace2(2.0, 1.0, 1.0) == 2.0
-    assert classify_billiard2(2.0, 1.0, 1.0).cls is P
+    assert classify(billiard_trace2(2.0, 1.0, 1.0)).cls is P
 
     for a, b in ((2.0, 1.0), (3.0, 2.0), (1.5, 1.0)):
         rho = b * b / a
-        assert classify_billiard2(2.0 * a, rho, rho).cls is H
+        assert classify(billiard_trace2(2.0 * a, rho, rho)).cls is H
         rho_minor = a * a / b
         expected = 2.0 + 16.0 * (b * b / (a * a)) * (b * b / (a * a) - 1.0)
         assert billiard_trace2(2.0 * b, rho_minor, rho_minor) == pytest.approx(expected, rel=1e-12)
-        assert classify_billiard2(2.0 * b, rho_minor, rho_minor).cls is E
+        assert classify(billiard_trace2(2.0 * b, rho_minor, rho_minor)).cls is E
 
     a, b = math.sqrt(2.0), 1.0
     rho_minor = a * a / b
     assert billiard_trace2(2.0 * b, rho_minor, rho_minor) == pytest.approx(-2.0, abs=1e-12)
-    assert classify_billiard2(2.0 * b, rho_minor, rho_minor).cls is P
+    assert classify(billiard_trace2(2.0 * b, rho_minor, rho_minor)).cls is P
 
     # Two flat walls: a neutral bouncing orbit.
     assert billiard_trace2(1.0, math.inf, math.inf) == 2.0
+
+
+def test_billiard_trace2_refuses_what_it_cannot_evaluate():
+    """A zero chord or radius, a non-finite chord and a NaN radius raise a
+    ``ValueError`` naming the argument; flat (infinite) and concave
+    (negative) walls stay accepted."""
+    for l in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"\bl\b"):
+            billiard_trace2(l, 1.0, 1.0)
+    for rho in (0.0, -0.0, math.nan):
+        with pytest.raises(ValueError, match="rho1"):
+            billiard_trace2(1.0, rho, 1.0)
+        with pytest.raises(ValueError, match="rho2"):
+            billiard_trace2(1.0, 1.0, rho)
+    assert billiard_trace2(1.0, -math.inf, math.inf) == 2.0
+    # l = 1 between a concave wall of radius 1 and a flat one: 2 + 4 l / 1.
+    assert billiard_trace2(1.0, -1.0, math.inf) == 6.0
 
 
 # --------------------------------------------------------------------------
